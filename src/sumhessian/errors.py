@@ -10,10 +10,6 @@ class SamplingExhaustedError(RuntimeError):
     """Rejection sampling hit its draw budget with too low an acceptance rate."""
 
 
-class JacobiConvergenceError(RuntimeError):
-    """The cyclic Jacobi eigensolver did not converge within its sweep cap."""
-
-
 class InstanceError(ValueError):
     """A PDE instance is ill-posed on the solve trajectory (nonpositive or
     non-finite right-hand side)."""

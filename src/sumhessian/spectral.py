@@ -12,6 +12,11 @@ The second derivative of a spectral function combines the eigenvalue-space
 Hessian with a divided-difference term over eigenvalue pairs; the divided
 difference is removable for symmetric functions, and near-degenerate pairs
 are replaced by the analytic limit.
+
+Every function takes a single matrix (n, n) or a stack (..., n, n) and
+works on the whole stack at once; the eigen decomposition is LAPACK's
+symmetric solver (np.linalg.eigh). A single matrix returns a float or an
+(n, n) array, a stack returns one value or matrix per leading index.
 """
 from __future__ import annotations
 
@@ -20,105 +25,71 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import eta
-from .errors import ConeViolationError, JacobiConvergenceError
-from .symfun import SumHessianParams, sum_hessian, sum_hessian_grad, sum_hessian_hess
+from .errors import ConeViolationError
+from .symfun import MAX_N, SumHessianParams, sum_hessian, sum_hessian_grad, sum_hessian_hess
 
 MIN_DIM = 2
-MAX_DIM = 8
+MAX_DIM = MAX_N
 SYMMETRY_ATOL = 1e-14
-JACOBI_SWEEPS = 50
-JACOBI_OFF_TOL = 1e-13
 DEGENERATE_GAP = 1e-8
 
 
-def as_sym_matrix(entries) -> np.ndarray:
-    """Validate and return a dense symmetric matrix (dim 2..8).
+def _transpose(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
 
-    Entries must be symmetric to 1e-14 absolute; the result is exactly
-    symmetrized.
+
+def as_sym_matrix(entries) -> np.ndarray:
+    """Validate and return a dense symmetric matrix or stack (dim 2..16).
+
+    Entries must be symmetric to 1e-14 absolute in every matrix of the
+    stack; the result is exactly symmetrized.
     """
     a = np.asarray(entries, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    dim = a.shape[0]
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    dim = a.shape[-1]
     if not MIN_DIM <= dim <= MAX_DIM:
         raise ValueError(f"matrix dim must be in [{MIN_DIM}, {MAX_DIM}], got {dim}")
-    if np.max(np.abs(a - a.T)) > SYMMETRY_ATOL:
+    if np.any(np.abs(a - _transpose(a)) > SYMMETRY_ATOL):
         raise ValueError("matrix entries are not symmetric to 1e-14")
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + _transpose(a))
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenvalues sorted descending with matching orthonormal frame columns."""
 
-    values: np.ndarray  # (dim,)
-    frame: np.ndarray   # (dim, dim), columns are eigenvectors
+    values: np.ndarray  # (..., dim)
+    frame: np.ndarray   # (..., dim, dim), columns are eigenvectors
 
 
 def eigen_sym(matrix) -> EigenDecomposition:
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Rotates until the off-diagonal Frobenius norm drops below
-    1e-13 * ||M||_F; raises JacobiConvergenceError after 50 sweeps
-    (unreachable in practice for dim <= 8).
-    """
-    a = as_sym_matrix(matrix).copy()
-    dim = a.shape[0]
-    frame = np.eye(dim)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return EigenDecomposition(values=np.zeros(dim), frame=frame)
-    tol = JACOBI_OFF_TOL * norm
-
-    def offnorm():
-        off = a - np.diag(np.diag(a))
-        return np.linalg.norm(off)
-
-    for _ in range(JACOBI_SWEEPS):
-        if offnorm() <= tol:
-            break
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta)) if theta != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.eye(dim)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                frame = frame @ rot
-    if offnorm() > tol:
-        raise JacobiConvergenceError(f"Jacobi did not converge in {JACOBI_SWEEPS} sweeps")
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")[::-1]
-    return EigenDecomposition(values=values[order], frame=frame[:, order])
+    """Eigen decomposition of a symmetric matrix or stack by LAPACK's eigh,
+    reordered so that the eigenvalues descend."""
+    values, frame = np.linalg.eigh(as_sym_matrix(matrix))
+    return EigenDecomposition(values=values[..., ::-1], frame=frame[..., ::-1])
 
 
 def u_operator(matrix) -> np.ndarray:
     """Complement matrix trace(H) I - H; its eigenvalues are eta(lam(H))."""
     h = as_sym_matrix(matrix)
-    return np.trace(h) * np.eye(h.shape[0]) - h
+    trace = np.trace(h, axis1=-2, axis2=-1)[..., None, None]
+    return trace * np.eye(h.shape[-1]) - h
 
 
-def operator_value(matrix, params: SumHessianParams, normalized: bool = False) -> float:
+def operator_value(matrix, params: SumHessianParams, normalized: bool = False):
     """S_k(eta(lam(H))), or its k-th root in normalized mode.
 
-    Normalized mode requires a positive value and raises ConeViolationError
-    otherwise.
+    Normalized mode requires a positive value (for every matrix of a stack)
+    and raises ConeViolationError otherwise.
     """
     dec = eigen_sym(matrix)
     val = sum_hessian(eta(dec.values), params.k, params.alpha)
     if not normalized:
-        return float(val)
-    if val <= 0:
+        return val
+    if np.any(val <= 0):
         raise ConeViolationError("normalized operator value requires S_k(eta) > 0")
-    return float(val) ** (1.0 / params.k)
+    return val ** (1.0 / params.k)
 
 
 def grad_coefficients(values, params: SumHessianParams) -> np.ndarray:
@@ -137,7 +108,7 @@ def operator_grad(matrix, params: SumHessianParams) -> np.ndarray:
     """Matrix derivative of H -> S_k(eta(lam(H))): diagonal in the eigenframe."""
     dec = eigen_sym(matrix)
     t = grad_coefficients(dec.values, params)
-    return dec.frame @ np.diag(t) @ dec.frame.T
+    return (dec.frame * t[..., None, :]) @ _transpose(dec.frame)
 
 
 def lambda_space_hessian(values, params: SumHessianParams) -> np.ndarray:
@@ -149,34 +120,33 @@ def lambda_space_hessian(values, params: SumHessianParams) -> np.ndarray:
     return mix @ d2_eta @ mix
 
 
-def operator_hess_quad(matrix, direction, params: SumHessianParams) -> float:
+def operator_hess_quad(matrix, direction, params: SumHessianParams):
     """Second derivative quadratic form of H -> S_k(eta(lam(H))) along a
-    symmetric direction A.
+    symmetric direction A (one direction per matrix of a stack).
 
     In the eigenframe of H the form splits into the eigenvalue-space Hessian
     contracted with the diagonal of A, plus divided differences of the
-    gradient against the off-diagonal entries. Pairs with
+    gradient against the off-diagonal entries. Pairs p < q with
     |lam_p - lam_q| < 1e-8 * max(1, ||H||_F) use the analytic limit
     hess[p, p] - hess[p, q].
     """
     dec = eigen_sym(matrix)
     a = as_sym_matrix(direction)
     if a.shape != dec.frame.shape:
-        raise ValueError("direction must have the same dim as the matrix")
-    at = dec.frame.T @ a @ dec.frame
+        raise ValueError("direction must have the same shape as the matrix")
+    at = _transpose(dec.frame) @ a @ dec.frame
     lam = dec.values
-    n = lam.shape[0]
     hess = lambda_space_hessian(lam, params)
     grad = grad_coefficients(lam, params)
-    diag = np.diag(at)
-    total = float(diag @ hess @ diag)
-    gap_tol = DEGENERATE_GAP * max(1.0, np.linalg.norm(matrix))
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            gap = lam[p] - lam[q]
-            if abs(gap) < gap_tol:
-                w = hess[p, p] - hess[p, q]
-            else:
-                w = (grad[p] - grad[q]) / gap
-            total += 2.0 * w * at[p, q] ** 2
-    return total
+    diag = np.diagonal(at, axis1=-2, axis2=-1)
+    total = np.einsum("...p,...pq,...q->...", diag, hess, diag)
+
+    gap = lam[..., :, None] - lam[..., None, :]
+    gap_tol = DEGENERATE_GAP * np.maximum(1.0, np.linalg.norm(matrix, axis=(-2, -1)))
+    degenerate = np.abs(gap) < gap_tol[..., None, None]
+    limit = np.diagonal(hess, axis1=-2, axis2=-1)[..., :, None] - hess
+    with np.errstate(divide="ignore", invalid="ignore"):
+        divided = (grad[..., :, None] - grad[..., None, :]) / gap
+    w = np.where(degenerate, limit, divided)
+    total = total + 2.0 * np.sum(np.triu(w * at**2, k=1), axis=(-2, -1))
+    return float(total) if total.ndim == 0 else total

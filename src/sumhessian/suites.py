@@ -36,6 +36,9 @@ GRAD_FD_STEP = 1e-6
 HESS_FD_STEP = 1e-3
 MATRIX_GRAD_FD_STEP = 1e-5
 MATRIX_HESS_FD_STEP = 1e-3
+# five-point second-difference stencil: f'' ~ sum(w_i f(x + s_i h)) / h^2
+FD4_STEPS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+FD4_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
 
 @dataclass(frozen=True)
@@ -314,109 +317,103 @@ def suite_eta_deleted_ratio(params, count, seed, tol):
 # ---------------------------------------------------------------------------
 # spectral / matrix suites
 
-def _cone_matrices(params, count, seed, scale=None):
+def _sym(a):
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _unit(a, norms):
+    """Scale each matrix of a stack by its norm (floored at 1e-8)."""
+    return a / np.maximum(norms, 1e-8)[..., None, None]
+
+
+def _cone_matrices(params, count, seed):
     """Symmetric matrices whose spectra are cone samples (random frames)."""
     batch = sample_cone(Cone.GAMMA_TILDE_PRIME, params, count, seed)
+    lam = batch.samples
     rng = np.random.default_rng(seed + 1)
-    mats = []
-    for row in batch.samples:
-        lam = row if scale is None else row / max(np.linalg.norm(row), 1e-8) * scale
-        q, _ = np.linalg.qr(rng.normal(size=(params.n, params.n)))
-        mats.append(q @ np.diag(lam) @ q.T)
-    return [0.5 * (m + m.T) for m in mats]
+    q, _ = np.linalg.qr(rng.normal(size=(len(lam), params.n, params.n)))
+    return _sym((q * lam[:, None, :]) @ np.swapaxes(q, -1, -2))
 
 
 def suite_matrix_grad_fd(params, count, seed, tol):
-    if params.n > 8:
-        return SuiteResult("matrix-gradient-fd", "SKIP", "matrix ops support dim <= 8")
     rng = np.random.default_rng(seed)
     n = params.n
     h = MATRIX_GRAD_FD_STEP
-    worst = 0.0
-    for _ in range(min(count, 25)):
-        m = rng.uniform(-1.0, 1.0, size=(n, n))
-        m = 0.5 * (m + m.T)
-        m /= max(np.linalg.norm(u_operator(m)), 1e-8)  # keep values O(1) for the oracle
-        grad = operator_grad(m, params)
-        for i in range(n):
-            for j in range(i, n):
-                pert = np.zeros((n, n))
-                pert[i, j] = pert[j, i] = h
-                fd = (operator_value(m + pert, params) - operator_value(m - pert, params)) / (2 * h)
-                if i != j:
-                    fd *= 0.5  # symmetric perturbation moves two entries
-                worst = max(worst, float(_rel(np.asarray(fd - grad[i, j]),
-                                              np.asarray(grad[i, j]))))
+    m = _sym(rng.uniform(-1.0, 1.0, size=(min(count, 25), n, n)))
+    # keep values O(1) for the oracle
+    m = _unit(m, np.linalg.norm(u_operator(m), axis=(-2, -1)))
+    grad = operator_grad(m, params)
+    # one symmetric perturbation per upper-triangle entry
+    i, j = np.triu_indices(n)
+    rows = np.arange(len(i))
+    pert = np.zeros((len(i), n, n))
+    pert[rows, i, j] = pert[rows, j, i] = h
+    values = operator_value(m[:, None, None] + np.stack([pert, -pert]), params)
+    fd = (values[:, 0] - values[:, 1]) / (2 * h)
+    fd = np.where(i != j, 0.5 * fd, fd)  # symmetric perturbation moves two entries
+    worst = float(np.max(_rel(fd - grad[:, i, j], grad[:, i, j])))
     return _result("matrix-gradient-fd", worst <= tol.matrix_grad_fd_rel,
                    f"max rel err {worst:.3e}")
 
 
 def suite_matrix_hess_fd(params, count, seed, tol):
-    if params.n > 8:
-        return SuiteResult("matrix-hessian-fd", "SKIP", "matrix ops support dim <= 8")
     rng = np.random.default_rng(seed)
     n = params.n
-    # the operator is a degree-k polynomial in the entries: its fourth
-    # directional derivative vanishes for k <= 3, above that a smaller step
-    # keeps the oracle's truncation below the absolute tolerance
-    h = MATRIX_HESS_FD_STEP if params.k <= 3 else 2e-4
-    worst = 0.0
+    h = MATRIX_HESS_FD_STEP
+    mats, dirs = [], []
     for trial in range(min(count, 25)):
         if trial % 3 == 2:
-            m = np.eye(n)  # repeated eigenvalues exercise the degenerate branch
+            mats.append(np.eye(n))  # repeated eigenvalues exercise the degenerate branch
         else:
-            m = rng.normal(size=(n, n))
-            m = 0.5 * (m + m.T)
-        # unit complement norm keeps the operator value O(1) at every (n, k),
-        # which the absolute tolerance of the difference oracle assumes
-        m /= max(np.linalg.norm(u_operator(m)), 1e-8)
-        a = rng.normal(size=(n, n))
-        a = 0.5 * (a + a.T)
-        a /= max(np.linalg.norm(a), 1e-8)
-        quad = operator_hess_quad(m, a, params)
-        fd = (operator_value(m + h * a, params) - 2 * operator_value(m, params)
-              + operator_value(m - h * a, params)) / h**2
-        worst = max(worst, abs(quad - fd))
+            mats.append(_sym(rng.normal(size=(n, n))))
+        dirs.append(_sym(rng.normal(size=(n, n))))
+    # unit complement norm keeps the operator value O(1) at every (n, k),
+    # which the absolute tolerance of the difference oracle assumes
+    m, a = np.array(mats), np.array(dirs)
+    m = _unit(m, np.linalg.norm(u_operator(m), axis=(-2, -1)))
+    a = _unit(a, np.linalg.norm(a, axis=(-2, -1)))
+    quad = operator_hess_quad(m, a, params)
+    # fourth-order central second difference: the operator is a degree-k
+    # polynomial along a line, so the oracle is exact up to rounding for
+    # k <= 5 and truncates at O(h^4) above. A three-point rule's O(h^2)
+    # truncation exceeds the absolute tolerance at n = 12, where the
+    # quadratic form reaches ~1e3 at unit complement norm.
+    values = operator_value(m + h * FD4_STEPS[:, None, None, None] * a, params)
+    worst = float(np.max(np.abs(quad - FD4_WEIGHTS @ values / h**2)))
     return _result("matrix-hessian-fd", worst <= tol.matrix_hess_fd_abs,
                    f"max abs err {worst:.3e}")
 
 
 def suite_matrix_concavity(params, count, seed, tol):
-    if params.n > 8:
-        return SuiteResult("matrix-concavity", "SKIP", "matrix ops support dim <= 8")
     rng = np.random.default_rng(seed + 2)
     k = params.k
-    worst = -np.inf
-    for m in _cone_matrices(params, count, seed):
-        a = rng.normal(size=(params.n, params.n))
-        a = 0.5 * (a + a.T)
-        a /= max(np.linalg.norm(a), 1e-8)
-        value = operator_value(m, params)
-        d1 = float(np.sum(operator_grad(m, params) * a))
-        d2 = operator_hess_quad(m, a, params)
-        root_second = (1.0 / k) * value ** (1.0 / k - 1.0) * (
-            d2 - (1.0 - 1.0 / k) * d1 * d1 / value)
-        worst = max(worst, root_second)
+    m = _cone_matrices(params, count, seed)
+    a = _sym(rng.normal(size=m.shape))
+    a = _unit(a, np.linalg.norm(a, axis=(-2, -1)))
+    value = operator_value(m, params)
+    d1 = np.sum(operator_grad(m, params) * a, axis=(-2, -1))
+    d2 = operator_hess_quad(m, a, params)
+    root_second = (1.0 / k) * value ** (1.0 / k - 1.0) * (
+        d2 - (1.0 - 1.0 / k) * d1 * d1 / value)
+    worst = float(np.max(root_second))
     return _result("matrix-concavity", worst <= tol.concavity_matrix,
                    f"max root second derivative {worst:.3e}")
 
 
 def suite_lambda_concavity(params, count, seed, tol):
     batch = sample_cone(Cone.GAMMA_TILDE_PRIME, params, count, seed)
+    lam = batch.samples
     rng = np.random.default_rng(seed + 3)
     k, a = params.k, params.alpha
-    worst = -np.inf
-    ok = True
-    for lam in batch.samples:
-        xi = rng.uniform(-1.0, 1.0, size=params.n)
-        hess = lambda_space_hessian(lam, params)
-        grad = grad_coefficients(lam, params)
-        value = sum_hessian(eta(lam), k, a)
-        lhs = float(xi @ hess @ xi)
-        rhs = (1.0 - 1.0 / k) * float(grad @ xi) ** 2 / value + tol.concavity_matrix
-        ok = ok and lhs <= rhs
-        worst = max(worst, lhs - rhs)
-    return _result("eta-concavity-quadform", ok, f"max excess {worst:.3e}")
+    xi = rng.uniform(-1.0, 1.0, size=lam.shape)
+    hess = lambda_space_hessian(lam, params)
+    grad = grad_coefficients(lam, params)
+    value = sum_hessian(eta(lam), k, a)
+    lhs = np.einsum("bi,bij,bj->b", xi, hess, xi)
+    rhs = (1.0 - 1.0 / k) * np.sum(grad * xi, axis=-1) ** 2 / value + tol.concavity_matrix
+    worst = float(np.max(lhs - rhs))
+    return _result("eta-concavity-quadform", bool(np.all(lhs <= rhs)),
+                   f"max excess {worst:.3e}")
 
 
 def suite_partials_ordering(params, count, seed, tol):
@@ -467,18 +464,16 @@ def suite_grad_sum_lower(params, count, seed, tol):
 
 
 def suite_frame_invariance(params, count, seed, tol):
-    if params.n > 8:
-        return SuiteResult("frame-invariance", "SKIP", "matrix ops support dim <= 8")
     rng = np.random.default_rng(seed + 4)
     n = params.n
-    worst = 0.0
-    for _ in range(min(count, 50)):
-        m = rng.normal(size=(n, n))
-        m = 0.5 * (m + m.T)
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        v1 = operator_value(m, params)
-        v2 = operator_value(0.5 * ((q.T @ m @ q) + (q.T @ m @ q).T), params)
-        worst = max(worst, abs(v1 - v2) / max(1.0, abs(v1)))
+    trials = min(count, 50)
+    draws = rng.normal(size=(trials, 2, n, n))  # (matrix, frame) per trial
+    m = _sym(draws[:, 0])
+    q, _ = np.linalg.qr(draws[:, 1])
+    rotated = _sym(np.swapaxes(q, -1, -2) @ m @ q)
+    values = operator_value(np.concatenate([m, rotated]), params)
+    v1, v2 = values[:trials], values[trials:]
+    worst = float(np.max(np.abs(v1 - v2) / np.maximum(1.0, np.abs(v1))))
     return _result("frame-invariance", worst <= tol.frame_invariance_rel,
                    f"max rel err {worst:.3e}")
 

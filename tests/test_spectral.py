@@ -1,4 +1,5 @@
-"""Jacobi eigensolver and the matrix-space operator calculus."""
+"""Symmetric eigen decomposition and the matrix-space operator calculus,
+for single matrices and stacks."""
 import numpy as np
 import pytest
 
@@ -35,9 +36,81 @@ class TestSymMatrix:
         with pytest.raises(ValueError):
             as_sym_matrix(np.zeros((1, 1)))
         with pytest.raises(ValueError):
-            as_sym_matrix(np.zeros((9, 9)))
+            as_sym_matrix(np.zeros((17, 17)))
         out = as_sym_matrix([[1, 2], [2, 1]])
         assert np.array_equal(out, out.T)
+
+
+def mixed_stack(rng, n, size=7):
+    """Random symmetric matrices with the identity (all eigenvalues equal)
+    in every third row, so that the degenerate branch runs."""
+    return np.stack([np.eye(n) if i % 3 == 0 else random_sym(rng, n) for i in range(size)])
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
+
+
+class TestStacks:
+    """A stack (..., n, n) gives, row by row, what single-matrix calls give."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_operator_rows_match_single_calls(self, n):
+        rng = np.random.default_rng(30 + n)
+        mats = mixed_stack(rng, n)
+        dirs = np.stack([random_sym(rng, n) for _ in mats])
+        for k in sorted({1, 2, (n + 1) // 2, n}):
+            params = SumHessianParams(n, k, 0.5)
+            values = operator_value(mats, params)
+            grads = operator_grad(mats, params)
+            quads = operator_hess_quad(mats, dirs, params)
+            assert values.shape == quads.shape == (len(mats),)
+            assert grads.shape == mats.shape
+            for m, a, value, grad, quad in zip(mats, dirs, values, grads, quads):
+                assert rel_err(value, operator_value(m, params)) <= 1e-12
+                assert rel_err(grad, operator_grad(m, params)) <= 1e-12
+                assert rel_err(quad, operator_hess_quad(m, a, params)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_eigen_stack_descending_and_orthonormal(self, n):
+        rng = np.random.default_rng(40 + n)
+        mats = mixed_stack(rng, n).reshape(7, 1, n, n)  # two leading axes
+        dec = eigen_sym(mats)
+        assert dec.values.shape == (7, 1, n)
+        assert dec.frame.shape == mats.shape
+        assert np.all(np.diff(dec.values, axis=-1) <= 0)
+        gram = np.swapaxes(dec.frame, -1, -2) @ dec.frame
+        assert np.allclose(gram, np.eye(n), atol=1e-12)
+        rebuilt = (dec.frame * dec.values[..., None, :]) @ np.swapaxes(dec.frame, -1, -2)
+        assert np.allclose(rebuilt, mats, atol=1e-10 * max(1, np.linalg.norm(mats)))
+
+    def test_single_matrix_returns_float(self):
+        params = SumHessianParams(3, 2, 1.0)
+        assert type(operator_value(np.eye(3), params)) is float
+        assert type(operator_hess_quad(np.eye(3), np.eye(3), params)) is float
+
+    def test_stack_with_one_asymmetric_matrix_rejected(self):
+        rng = np.random.default_rng(50)
+        mats = mixed_stack(rng, 4)
+        mats[4, 0, 1] += 1e-6
+        with pytest.raises(ValueError):
+            as_sym_matrix(mats)
+        with pytest.raises(ValueError):
+            operator_value(mats, SumHessianParams(4, 2, 0.5))
+
+    def test_direction_stack_must_match(self):
+        rng = np.random.default_rng(51)
+        mats = mixed_stack(rng, 3)
+        with pytest.raises(ValueError):
+            operator_hess_quad(mats, mats[:2], SumHessianParams(3, 2, 0.5))
+
+    def test_normalized_stack_needs_every_value_positive(self):
+        params = SumHessianParams(3, 2, 0.0)
+        mats = np.stack([np.eye(3), np.diag([2.0, -1.0, -1.0])])
+        with pytest.raises(ConeViolationError):
+            operator_value(mats, params, normalized=True)
+        roots = operator_value(mats[:1], params, normalized=True)
+        assert roots == pytest.approx([np.sqrt(12.0)])
 
 
 class TestEigenSym:
@@ -51,7 +124,7 @@ class TestEigenSym:
         assert np.allclose(dec.values, [1, -1])
         assert np.allclose(np.abs(dec.frame), np.full((2, 2), 1 / np.sqrt(2)))
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
     def test_reconstruction(self, n):
         rng = np.random.default_rng(n)
         for _ in range(20):

@@ -33,3 +33,10 @@ class TestRunSuites:
         results = run_suites(SumHessianParams(5, 3, 2.0), count=100, seed=2, tol=tight)
         names = {r.name: r for r in results}
         assert names["identity-split"].status == "FAIL"
+
+    def test_matrix_suites_run_above_dim_8(self):
+        results = {r.name: r for r in run_suites(SumHessianParams(10, 5, 1.0), count=200,
+                                                 seed=3)}
+        for name in ("matrix-gradient-fd", "matrix-hessian-fd", "matrix-concavity",
+                     "frame-invariance"):
+            assert results[name].status == "PASS", results[name].line()
