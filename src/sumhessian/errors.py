@@ -16,7 +16,21 @@ class InstanceError(ValueError):
 
 
 class LinearSolveError(RuntimeError):
-    """The inner linear solver failed to reach its required relative residual."""
+    """The inner linear solver failed to reach its required relative residual.
+
+    ``required`` and ``achieved`` are relative residuals ||A x - b|| / ||b||;
+    ``iterations`` counts Krylov iterations, ``unknowns`` the system size.
+    """
+
+    def __init__(self, required, achieved, iterations, unknowns):
+        super().__init__(
+            f"linear solve reached relative residual {achieved:.2e} (required {required:.2e}) "
+            f"after {iterations} Krylov iterations on {unknowns} unknowns"
+        )
+        self.required = required
+        self.achieved = achieved
+        self.iterations = iterations
+        self.unknowns = unknowns
 
 
 class NonConvergenceError(RuntimeError):

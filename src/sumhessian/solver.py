@@ -4,6 +4,14 @@
 
 on uniform box grids in 2D/3D, with an admissibility-preserving line search.
 
+Unknowns are the interior grid values only: boundary-layer values are
+Dirichlet data, so a stencil neighbour on the boundary contributes to the
+right-hand side, never to the operator. Every linear system (Newton step
+and harmonic extension) is solved by Jacobi-preconditioned BiCGSTAB. Newton
+steps are inexact: the relative linear residual asked of each step is the
+Eisenstat-Walker "choice 1" forcing term, which loosens the solve far from
+the solution and tightens it as the linear model becomes predictive.
+
 The bulk path never eigendecomposes: sigma_m of eta(lam(H)) and the
 coefficient matrices of the linearization are evaluated from
 characteristic-polynomial invariants of the complement matrix
@@ -31,6 +39,14 @@ from .grid import GridDomain, ScalarField, gradient_field, hessian_field
 from .symfun import SumHessianParams, sum_hessian
 
 FD_STEP = 1e-6          # step for df/du, df/dp central differences
+# Eisenstat-Walker forcing terms (SIAM J. Sci. Comput. 17, 1996, choice 1)
+ETA_MAX = 0.1           # forcing term of the first step of each homotopy stage, and its cap
+ETA_FLOOR = 1e-12       # smallest relative linear residual ever asked of BiCGSTAB
+ETA_TOL_SHARE = 0.5     # a step need not cut ||F||_2 below this share of tol
+EW_EXPONENT = 0.5 * (1.0 + 5.0 ** 0.5)
+# eta_{k-1}^EW_EXPONENT above this bounds eta_k from below; it cannot fire
+# while ETA_MAX^EW_EXPONENT (0.024 at 0.1) stays under it
+EW_SAFEGUARD = 0.1
 GUESS_SCALE_START = 2.0 ** -16
 GUESS_SCALE_CAP = 2.0 ** 40
 
@@ -53,18 +69,24 @@ class SolveConfig:
     max_iter: int = 50
     homotopy: tuple[float, ...] = (1.0,)
     min_step: float = 2.0 ** -20
-    linear_rtol: float = 1e-8     # required achieved relative linear residual
-    krylov_rtol: float = 1e-10    # target handed to BiCGSTAB
+    krylov_rtol: float = 1e-10    # relative residual of the harmonic-extension solve
     krylov_maxiter: int = 4000
-    dense_limit: int = 2500       # unknown count below which the dense direct path is used
 
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One recorded iterate: sup-norm residual, accepted step (0 at the start
+    of a homotopy stage) and cone margin, the minimum over interior points of
+    sigma_1..sigma_{k-1} and S_k of eta(lam(H))."""
+
     iteration: int
     residual: float
     step: float
-    admissible: bool
+    margin: float
+
+    @property
+    def admissible(self) -> bool:
+        return self.margin > 0
 
 
 @dataclass
@@ -135,11 +157,20 @@ def _grad_coeff_matrices(hb: np.ndarray, params: SumHessianParams) -> np.ndarray
     return tr_g[:, None, None] * np.eye(d) - g
 
 
-def _admissible_from_hessians(hb: np.ndarray, params: SumHessianParams) -> np.ndarray:
+def _cone_margins(hb: np.ndarray, params: SumHessianParams) -> np.ndarray:
+    """Per point, the smallest of sigma_1..sigma_{k-1} and S_k of eta(lam(H));
+    positive exactly on the tilde-prime cone."""
     sig = _eta_sigmas(hb, params.k)
-    ok = np.all(sig[:, 1:params.k] > 0, axis=1)
     s_k = sig[:, params.k] + params.alpha * sig[:, params.k - 1]
-    return ok & (s_k > 0)
+    return np.minimum(np.min(sig[:, 1:params.k], axis=1, initial=np.inf), s_k)
+
+
+def _admissible_from_hessians(hb: np.ndarray, params: SumHessianParams) -> np.ndarray:
+    return _cone_margins(hb, params) > 0
+
+
+def _min_cone_margin(fld: ScalarField, params: SumHessianParams) -> float:
+    return float(np.min(_cone_margins(hessian_field(fld), params)))
 
 
 def admissible_mask(fld: ScalarField, params: SumHessianParams) -> np.ndarray:
@@ -236,50 +267,53 @@ def _rhs_derivatives(fld: ScalarField, rhs: RhsSpec, blend=None):
 
 
 def _assemble(dom: GridDomain, coeff: np.ndarray, f_u: np.ndarray, f_p: np.ndarray) -> sp.csr_matrix:
-    """Sparse operator: second-order term with per-point coefficient matrices
-    contracted against the Hessian stencil, minus first/zeroth-order blocks.
-    Boundary rows are identity."""
-    n_tot = dom.n_points
+    """Sparse operator on the interior unknowns, (n_int, n_int): second-order
+    term with per-point coefficient matrices contracted against the Hessian
+    stencil, minus first/zeroth-order terms.
+
+    Every stencil term has one entry per interior row, so all terms share
+    one row array. A neighbour on the boundary layer holds a known value;
+    its entry goes to the diagonal with weight 0 (COO-to-CSR sums
+    duplicates), which keeps every term the same length.
+    """
     idx = dom.interior_idx
+    rows = np.arange(idx.size)
+    local = np.full(dom.n_points, -1)
+    local[idx] = rows
     s = dom.strides
     h2 = dom.h * dom.h
-    rows, cols, vals = [], [], []
-
-    bdry = np.flatnonzero(~dom.interior_flat)
-    rows.append(bdry)
-    cols.append(bdry)
-    vals.append(np.ones(bdry.size))
 
     center = -f_u.copy()
     for a in range(dom.dim):
         center -= 2.0 * coeff[:, a, a] / h2
-    rows.append(idx)
-    cols.append(idx)
-    vals.append(center)
+    cols, vals = [rows], [center]
+
+    def neighbour(offset: int, weight: np.ndarray) -> None:
+        col = local[idx + offset]
+        known = col < 0
+        cols.append(np.where(known, rows, col))
+        vals.append(np.where(known, 0.0, weight))
 
     for a in range(dom.dim):
         for sign in (+1, -1):
-            rows.append(idx)
-            cols.append(idx + sign * s[a])
-            vals.append(coeff[:, a, a] / h2 - sign * f_p[:, a] / (2.0 * dom.h))
+            neighbour(sign * s[a], coeff[:, a, a] / h2 - sign * f_p[:, a] / (2.0 * dom.h))
 
     for a in range(dom.dim):
         for b in range(a + 1, dom.dim):
             w = coeff[:, a, b] / (2.0 * h2)
             for sa, sb, sgn in ((1, 1, +1.0), (-1, -1, +1.0), (1, -1, -1.0), (-1, 1, -1.0)):
-                rows.append(idx)
-                cols.append(idx + sa * s[a] + sb * s[b])
-                vals.append(sgn * w)
+                neighbour(sa * s[a] + sb * s[b], sgn * w)
 
     mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_tot, n_tot),
+        (np.concatenate(vals), (np.tile(rows, len(cols)), np.concatenate(cols))),
+        shape=(idx.size, idx.size),
     )
     return mat.tocsr()
 
 
 def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, blend=None) -> sp.csr_matrix:
-    """Discrete linearized operator at an admissible field.
+    """Discrete linearized operator at an admissible field, with respect to
+    the interior unknowns (rows and columns follow ``interior_idx``).
 
     Raises ConeViolationError naming the first inadmissible interior point.
     """
@@ -291,33 +325,47 @@ def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, blend=No
     return _assemble(fld.domain, coeff, f_u, f_p)
 
 
-def _solve_linear(mat: sp.csr_matrix, rhs_vec: np.ndarray, config: SolveConfig) -> np.ndarray:
+def _solve_linear(mat: sp.csr_matrix, rhs_vec: np.ndarray, rtol: float,
+                  config: SolveConfig) -> np.ndarray:
+    """Solve mat x = rhs_vec by Jacobi-preconditioned BiCGSTAB to relative
+    residual rtol; raises LinearSolveError when the achieved residual,
+    recomputed from x, exceeds it."""
     rhs_norm = float(np.linalg.norm(rhs_vec))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs_vec)
-    n = mat.shape[0]
-    if n < config.dense_limit:
-        delta = np.linalg.solve(mat.toarray(), rhs_vec)
-    else:
-        diag = mat.diagonal()
-        diag = np.where(np.abs(diag) > 1e-300, diag, 1.0)
-        precond = spla.LinearOperator(mat.shape, matvec=lambda x: x / diag, dtype=np.float64)
-        # unit-norm right-hand side keeps BiCGSTAB clear of its breakdown
-        # thresholds on late Newton steps; the Jacobi start (not zero) avoids
-        # a breakdown when b is supported only on the identity boundary rows
-        b_unit = rhs_vec / rhs_norm
-        delta, _ = spla.bicgstab(
-            mat, b_unit, x0=b_unit / diag, rtol=config.krylov_rtol, atol=0.0,
-            maxiter=config.krylov_maxiter, M=precond,
-        )
-        delta = delta * rhs_norm
-    achieved = float(np.linalg.norm(mat @ delta - rhs_vec))
-    if achieved > config.linear_rtol * rhs_norm:
-        raise LinearSolveError(
-            f"linear solve reached relative residual {achieved / rhs_norm:.2e} "
-            f"(required {config.linear_rtol:.0e})"
-        )
-    return delta
+    diag = mat.diagonal()
+    precond = spla.LinearOperator(mat.shape, matvec=lambda x: x / diag, dtype=np.float64)
+    # unit-norm right-hand side keeps BiCGSTAB clear of its absolute
+    # breakdown thresholds on late Newton steps
+    b_unit = rhs_vec / rhs_norm
+    iterations = 0
+
+    def count(_xk):
+        nonlocal iterations
+        iterations += 1
+
+    x, _ = spla.bicgstab(mat, b_unit, rtol=rtol, atol=0.0, maxiter=config.krylov_maxiter,
+                         M=precond, callback=count)
+    achieved = float(np.linalg.norm(mat @ x - b_unit))
+    if not achieved <= rtol:
+        raise LinearSolveError(rtol, achieved, iterations, mat.shape[0])
+    return x * rhs_norm
+
+
+def _forcing_term(f_norm: float, prev: tuple[float, float, float], tol: float) -> float:
+    """Eisenstat-Walker choice 1 for the next Newton step.
+
+    prev holds the previous step's forcing term, ||F_{k-1}|| and the norm of
+    the linear model's prediction (1 - lam) F_{k-1} + lam r_lin of F_k. The
+    result is clamped to [max(ETA_TOL_SHARE * tol / ||F_k||, ETA_FLOOR),
+    ETA_MAX]; the lower end stops the solve from oversolving near tol.
+    """
+    eta_prev, prev_norm, model_norm = prev
+    eta = abs(f_norm - model_norm) / prev_norm
+    safeguard = eta_prev ** EW_EXPONENT
+    if safeguard > EW_SAFEGUARD:
+        eta = max(eta, safeguard)
+    return min(ETA_MAX, max(eta, ETA_TOL_SHARE * tol / f_norm, ETA_FLOOR))
 
 
 # ---------------------------------------------------------------------------
@@ -418,50 +466,60 @@ def transfinite_blend(values: np.ndarray) -> np.ndarray:
     raise ValueError("transfinite blend supports 2-D and 3-D grids")
 
 
+def guess_scale(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec) -> float:
+    """quadratic_scale of sup f over the interior, evaluated at u = 0, Du = 0."""
+    n_int = dom.interior_idx.size
+    env = {"u": np.zeros(n_int)}
+    for a in range(dom.dim):
+        env[f"x{a + 1}"] = dom.points[dom.interior_idx, a]
+        env[f"p{a + 1}"] = np.zeros(n_int)
+    return quadratic_scale(params, float(np.max(_eval_rhs(rhs, env, n_int))))
+
+
 def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
-                  boundary: expr.Node, config: SolveConfig | None = None) -> ScalarField:
+                  boundary: expr.Node, config: SolveConfig | None = None,
+                  scale: float | None = None) -> ScalarField:
     """Starting field c (|x - x_c|^2 - r^2)/2 plus an interpolation of the
     boundary mismatch.
 
     The scale c is the smallest power of two making the constant-Hessian
-    value dominate sup f (evaluated at u = 0, Du = 0). On plain boxes the
-    mismatch is interpolated by the transfinite face blend (no corner
-    singularities; exact on the quadratic, so the guess coincides with the
-    blended boundary data). On masked domains the mismatch lives on the
-    staircase ring and is small, and the discrete harmonic extension is
-    used instead, which keeps the trace of the Hessian exact. Boundary
-    values equal the Dirichlet data exactly in both cases.
+    value dominate sup f (evaluated at u = 0, Du = 0); ``scale`` passes a c
+    already computed by ``guess_scale``. On plain boxes the mismatch is
+    interpolated by the transfinite face blend (no corner singularities;
+    exact on the quadratic, so the guess coincides with the blended
+    boundary data). On masked domains the mismatch lives on the staircase
+    ring and is small, and the discrete harmonic extension is used instead,
+    which keeps the trace of the Hessian exact. Boundary values equal the
+    Dirichlet data exactly in both cases.
     """
     config = config or SolveConfig()
+    c = guess_scale(dom, params, rhs) if scale is None else scale
     pts = dom.points
     center = dom.center
     radius = dom.inscribed_radius
     quad = 0.5 * (np.sum((pts - center) ** 2, axis=1) - radius * radius)
 
-    env = {"u": np.zeros(dom.interior_idx.size)}
-    for a in range(dom.dim):
-        env[f"x{a + 1}"] = pts[dom.interior_idx, a]
-        env[f"p{a + 1}"] = np.zeros(dom.interior_idx.size)
-    f_ref = _eval_rhs(rhs, env, dom.interior_idx.size)
-    c = quadratic_scale(params, float(np.max(f_ref)))
-
     bvals = boundary_values(dom, boundary)
     bdry = ~dom.interior_flat
-    scale = max(1.0, c, float(np.max(np.abs(bvals))))
+    extent = max(1.0, c, float(np.max(np.abs(bvals))))
 
     def with_extension(use_blend: bool) -> ScalarField:
         flat = c * quad
         mismatch = np.zeros(dom.n_points)
         mismatch[bdry] = bvals[bdry] - flat[bdry]
-        if np.max(np.abs(mismatch)) > 1e-14 * scale:
+        if np.max(np.abs(mismatch)) > 1e-14 * extent:
             if use_blend:
                 flat = flat + transfinite_blend((bvals - flat).reshape(dom.shape)).ravel()
             else:
-                d = dom.dim
-                eye = np.broadcast_to(np.eye(d), (dom.interior_idx.size, d, d))
-                lap = _assemble(dom, eye, np.zeros(dom.interior_idx.size),
-                                np.zeros((dom.interior_idx.size, d)))
-                flat = flat + _solve_linear(lap, mismatch, config)
+                # harmonic extension x of the mismatch m: x = m on the
+                # boundary layer and Lap_h x = 0 inside, i.e.
+                # A_II x_I = -(Lap_h m)_I with A_II the interior Laplacian
+                n_int, d = dom.interior_idx.size, dom.dim
+                lap = _assemble(dom, np.broadcast_to(np.eye(d), (n_int, d, d)),
+                                np.zeros(n_int), np.zeros((n_int, d)))
+                lap_m = np.trace(hessian_field(ScalarField(dom, mismatch.reshape(dom.shape))),
+                                 axis1=1, axis2=2)
+                flat[dom.interior_idx] += _solve_linear(lap, -lap_m, config.krylov_rtol, config)
         flat[bdry] = bvals[bdry]
         return ScalarField(dom, flat.reshape(dom.shape))
 
@@ -480,27 +538,26 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
 
 def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                  boundary: expr.Node, config: SolveConfig | None = None) -> SolveResult:
-    """Damped Newton with admissibility-preserving backtracking.
+    """Inexact damped Newton with admissibility-preserving backtracking.
 
-    Each step solves the linearized system, then halves the step until the
-    trial iterate is admissible at every interior point and strictly
-    decreases the sup-norm residual (or lands below the tolerance). Stops at
-    residual <= tol or after max_iter accepted steps; raises
-    NonConvergenceError when the line search stalls below the minimum step.
+    Each step solves the linearized system on the interior unknowns to the
+    relative residual of its Eisenstat-Walker forcing term (reset to ETA_MAX
+    at each homotopy stage), then halves the step until the trial iterate
+    is admissible at every interior point and strictly decreases the
+    sup-norm residual (or lands below the tolerance). Stops at residual <=
+    tol or after max_iter accepted steps; raises NonConvergenceError when
+    the line search stalls below the minimum step.
     """
     config = config or SolveConfig()
     if params.n != dom.dim:
         raise ValueError(f"params.n={params.n} must equal grid dim {dom.dim}")
-    fld = initial_guess(dom, params, rhs, boundary, config)
-    bdry = ~dom.interior_flat
+    if not config.homotopy or config.homotopy[-1] != 1.0:
+        raise ValueError(f"homotopy schedule must end at 1.0, got {config.homotopy}")
+    c0 = guess_scale(dom, params, rhs)
+    fld = initial_guess(dom, params, rhs, boundary, config, scale=c0)
+    idx = dom.interior_idx
 
     # homotopy target at t=0: the operator value of the guess-scale quadratic
-    f_ref_env = {"u": np.zeros(dom.interior_idx.size)}
-    for a in range(dom.dim):
-        f_ref_env[f"x{a + 1}"] = dom.points[dom.interior_idx, a]
-        f_ref_env[f"p{a + 1}"] = np.zeros(dom.interior_idx.size)
-    f_ref = _eval_rhs(rhs, f_ref_env, dom.interior_idx.size)
-    c0 = quadratic_scale(params, float(np.max(f_ref)))
     blend_const = float(sum_hessian(np.full(params.n, (params.n - 1) * c0), params.k, params.alpha))
 
     trace: list[TraceEntry] = []
@@ -515,12 +572,17 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         blend = None if t == 1.0 else (t, blend_const)
         res = residual(fld, params, rhs, blend)
         res_norm = float(np.max(np.abs(res)))
-        trace.append(TraceEntry(iterations, res_norm, 0.0, True))
+        trace.append(TraceEntry(iterations, res_norm, 0.0, _min_cone_margin(fld, params)))
+        forcing = None      # (eta, ||F||_2, ||model of the next F||_2) of the last step
 
         while res_norm > config.tol and iterations < config.max_iter:
+            f_int = res.ravel()[idx]
+            f_norm = float(np.linalg.norm(f_int))
+            eta = ETA_MAX if forcing is None else _forcing_term(f_norm, forcing, config.tol)
             mat = linearize(fld, params, rhs, blend)
-            delta = _solve_linear(mat, -res.ravel(), config)
-            delta[bdry] = 0.0
+            delta_int = _solve_linear(mat, -f_int, eta, config)
+            delta = np.zeros(dom.n_points)
+            delta[idx] = delta_int
             step = 1.0
             accepted = None
             while step >= config.min_step:
@@ -541,16 +603,18 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                     f"line search stalled below step 2^-20 at residual {res_norm:.3e}",
                     trace=trace,
                 )
+            # (1 - step) F + step r_lin = F + step J delta
+            model_norm = float(np.linalg.norm(f_int + step * (mat @ delta_int)))
+            forcing = (eta, f_norm, model_norm)
             fld, res, res_norm = accepted
             iterations += 1
-            trace.append(TraceEntry(iterations, res_norm, step, True))
+            trace.append(TraceEntry(iterations, res_norm, step, _min_cone_margin(fld, params)))
 
-    final_res = residual(fld, params, rhs)
-    final_norm = float(np.max(np.abs(final_res)))
+    # the last stage is t = 1, so res_norm is the residual of the target problem
     return SolveResult(
         field=fld,
         iterations=iterations,
-        residual=final_norm,
+        residual=res_norm,
         admissible=bool(admissible_mask(fld, params).all()),
         trace=trace,
     )

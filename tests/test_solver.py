@@ -11,7 +11,7 @@ from sumhessian import (
     make_domain,
     newton_solve,
 )
-from sumhessian.errors import ConeViolationError, InstanceError
+from sumhessian.errors import ConeViolationError, InstanceError, LinearSolveError
 from sumhessian.solver import (
     admissible_mask,
     boundary_values,
@@ -23,6 +23,7 @@ from sumhessian.solver import (
 )
 
 ZERO = expr.parse("0")
+EXP2D_RHS = "exp(x1^2+x2^2)*(1+x1^2+x2^2) + exp((x1^2+x2^2)/2)*(2+x1^2+x2^2)"
 
 
 def field_from(dom, fn):
@@ -47,12 +48,11 @@ class TestResidual:
 
     def test_manufactured_second_order(self):
         params = SumHessianParams(2, 2, 1.0)
-        f_src = "exp(x1^2+x2^2)*(1+x1^2+x2^2) + exp((x1^2+x2^2)/2)*(2+x1^2+x2^2)"
         sups = []
         for cells in (16, 32):
             dom = make_domain(2, (-1, -1), (1, 1), (cells, cells))
             fld = field_from(dom, lambda p: np.exp(0.5 * np.sum(p**2, axis=1)))
-            res = residual(fld, params, RhsSpec.parse(f_src))
+            res = residual(fld, params, RhsSpec.parse(EXP2D_RHS))
             sups.append(float(np.max(np.abs(res))))
         assert sups[0] / sups[1] == pytest.approx(4.0, rel=0.25)
 
@@ -91,14 +91,26 @@ class TestLinearize:
     def test_k1_is_laplacian(self):
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
         params = SumHessianParams(2, 1, 0.0)
-        rng = np.random.default_rng(0)
         fld = field_from(dom, lambda p: 0.5 * np.sum(p**2, axis=1))
         mat = linearize(fld, params, RhsSpec.parse("1")).toarray()
-        # interior row: 5-point Laplacian, (n-1) = 1 times
-        row = mat[dom.interior_idx[0]]
+        # interior row at (2, 2), whose 4 neighbours are all interior:
+        # 5-point Laplacian, (n-1) = 1 times
+        point = int(np.ravel_multi_index((2, 2), dom.shape))
+        local = int(np.searchsorted(dom.interior_idx, point))
+        assert dom.interior_idx[local] == point
+        row = mat[local]
         h2 = dom.h**2
-        assert row[dom.interior_idx[0]] == pytest.approx(-4 / h2)
+        assert row[local] == pytest.approx(-4 / h2)
         assert np.sum(row != 0) == 5
+
+    @pytest.mark.parametrize("mask", ["box", "ball"])
+    def test_operator_on_interior_unknowns(self, mask):
+        dom = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3, mask_name=mask)
+        params = SumHessianParams(3, 2, 1.0)
+        fld = field_from(dom, lambda p: 0.5 * np.sum(p**2, axis=1))
+        mat = linearize(fld, params, RhsSpec.parse("18"))
+        n_int = dom.interior_idx.size
+        assert mat.shape == (n_int, n_int)
 
     def test_f_independent_of_state_has_no_lower_order(self):
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
@@ -121,10 +133,10 @@ class TestLinearize:
         plus = ScalarField(dom, fld.values + eps * delta.reshape(dom.shape))
         minus = ScalarField(dom, fld.values - eps * delta.reshape(dom.shape))
         fd = (residual(plus, params, rhs).ravel() - residual(minus, params, rhs).ravel()) / (2 * eps)
-        got = mat @ delta
-        mask = dom.interior_flat
-        denom = max(1.0, float(np.max(np.abs(fd[mask]))))
-        assert np.max(np.abs(fd[mask] - got[mask])) / denom < 1e-4
+        got = mat @ delta[dom.interior_idx]
+        fd = fd[dom.interior_idx]
+        denom = max(1.0, float(np.max(np.abs(fd))))
+        assert np.max(np.abs(fd - got)) / denom < 1e-4
 
     def test_ellipticity_witness(self):
         dom = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3)
@@ -201,6 +213,7 @@ class TestNewton:
         residuals = [t.residual for t in result.trace]
         assert all(b < a for a, b in zip(residuals, residuals[1:]))
         assert all(t.admissible for t in result.trace)
+        assert all(t.margin > 0 for t in result.trace)
         assert result.trace[0].step == 0.0
         assert all(t.step > 0 for t in result.trace[1:])
 
@@ -223,6 +236,9 @@ class TestNewton:
         cfg = SolveConfig(homotopy=(0.25, 0.5, 1.0))
         result = newton_solve(dom, params, RhsSpec.parse("8"), ZERO, cfg)
         assert result.converged(1e-10)
+        # a schedule must end at the target problem, t = 1
+        with pytest.raises(ValueError):
+            newton_solve(dom, params, RhsSpec.parse("8"), ZERO, SolveConfig(homotopy=(0.5,)))
 
     def test_masked_ball_solves(self):
         dom = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3, mask_name="ball")
@@ -241,7 +257,7 @@ class TestNewton:
         # a useless step can never decrease the residual: the backtracking
         # line search must stall and surface the trace
         monkeypatch.setattr(solver_mod, "_solve_linear",
-                            lambda mat, rhs_vec, config: np.zeros(mat.shape[0]))
+                            lambda mat, rhs_vec, rtol, config: np.zeros(mat.shape[0]))
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
         params = SumHessianParams(2, 2, 1.0)
         with pytest.raises(NonConvergenceError) as err:
@@ -255,6 +271,39 @@ class TestNewton:
                               SolveConfig(max_iter=1))
         assert result.iterations == 1
         assert not result.converged(1e-10)
+
+    @pytest.mark.parametrize("case", ["ball16", "exp2d32"])
+    def test_inexact_matches_near_exact(self, monkeypatch, case):
+        import sumhessian.solver as solver_mod
+
+        if case == "ball16":
+            dom = make_domain(3, (-1,) * 3, (1,) * 3, (16,) * 3, mask_name="ball")
+            params, rhs, bnd = SumHessianParams(3, 2, 1.0), RhsSpec.parse("18"), ZERO
+        else:
+            dom = make_domain(2, (-1, -1), (1, 1), (32, 32))
+            params = SumHessianParams(2, 2, 1.0)
+            rhs = RhsSpec.parse(EXP2D_RHS)
+            bnd = expr.parse("exp((x1^2+x2^2)/2)")
+        inexact = newton_solve(dom, params, rhs, bnd)
+        # every step solved to relative residual 1e-12
+        monkeypatch.setattr(solver_mod, "ETA_MAX", 1e-12)
+        exact = newton_solve(dom, params, rhs, bnd)
+        assert inexact.converged(1e-10) and exact.converged(1e-10)
+        assert np.max(np.abs(inexact.field.flat - exact.field.flat)) <= 1e-9
+
+    def test_linear_solve_error_carries_state(self):
+        dom = make_domain(2, (-1, -1), (1, 1), (32, 32))
+        params = SumHessianParams(2, 2, 1.0)
+        with pytest.raises(LinearSolveError) as err:
+            newton_solve(dom, params, RhsSpec.parse(EXP2D_RHS),
+                         expr.parse("exp((x1^2+x2^2)/2)"), SolveConfig(krylov_maxiter=1))
+        exc = err.value
+        assert exc.iterations == 1
+        assert exc.unknowns == dom.interior_idx.size
+        assert exc.achieved > exc.required > 0
+        msg = str(exc)
+        assert f"{exc.achieved:.2e}" in msg and f"(required {exc.required:.2e})" in msg
+        assert f"after 1 Krylov iterations on {exc.unknowns} unknowns" in msg
 
     def test_discrete_scale_covariance(self):
         params = SumHessianParams(3, 2, 1.0)
