@@ -32,7 +32,6 @@ Example:
     A = 1.0
 
     [run]
-    seed = 0
     output = out.field
 """
 from __future__ import annotations
@@ -65,7 +64,6 @@ class RunConfig:
     p_beta: float = 2.0
     p_a: float = 0.1
     p_big_a: float = 1.0
-    seed: int = 0
     output: str = "out.field"
 
     def domain(self) -> GridDomain:
@@ -175,6 +173,5 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         cfg.p_big_a = est.getfloat("A", fallback=cfg.p_big_a)
     if parser.has_section("run"):
         run = parser["run"]
-        cfg.seed = run.getint("seed", fallback=cfg.seed)
         cfg.output = run.get("output", fallback=cfg.output).strip()
     return cfg

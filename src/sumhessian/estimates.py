@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFieldError, MaxPrincipleError
-from .grid import ScalarField, gradient_field, hessian_field
+from .grid import ScalarField, gradient_field, hessian_at, hessian_field
 
 
 def _interior_eigs(fld: ScalarField) -> np.ndarray:
@@ -36,15 +36,9 @@ def sup_hessian_norm(fld: ScalarField) -> float:
 
 
 def center_hessian_norm(fld: ScalarField) -> float:
-    """Spectral norm of the discrete Hessian at the point nearest the center."""
-    dom = fld.domain
-    center = dom.center_index()
-    flat_idx = int(np.ravel_multi_index(center, dom.shape))
-    if not dom.interior_flat[flat_idx]:
-        raise ValueError(f"domain center {center} is not an interior point")
-    from .grid import hessian_at
-
-    eigs = np.linalg.eigvalsh(hessian_at(fld, center))
+    """Spectral norm of the discrete Hessian at the point nearest the center;
+    ValueError when that point is not interior."""
+    eigs = np.linalg.eigvalsh(hessian_at(fld, fld.domain.center_index()))
     return float(np.max(np.abs(eigs)))
 
 

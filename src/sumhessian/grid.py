@@ -153,8 +153,9 @@ class ScalarField:
         return ScalarField(self.domain, self.values.copy())
 
 
-def hessian_at(fld: ScalarField, point: tuple[int, ...]) -> np.ndarray:
-    """Discrete Hessian at one interior multi-index.
+def _hessian_stencil(fld: ScalarField, idx: np.ndarray) -> np.ndarray:
+    """Discrete Hessians at the flat indices idx, all interior, shape
+    (idx.size, d, d).
 
     Second-order central differences: diagonal entries from the 3-point
     stencil, mixed entries from the 4-point cross stencil. Exact on
@@ -162,32 +163,6 @@ def hessian_at(fld: ScalarField, point: tuple[int, ...]) -> np.ndarray:
     """
     dom = fld.domain
     flat = fld.flat
-    idx = int(np.ravel_multi_index(point, dom.shape))
-    if not dom.interior_flat[idx]:
-        raise ValueError(f"point {point} is not interior")
-    h2 = dom.h * dom.h
-    s = dom.strides
-    d = dom.dim
-    out = np.empty((d, d))
-    for a in range(d):
-        out[a, a] = (flat[idx + s[a]] - 2.0 * flat[idx] + flat[idx - s[a]]) / h2
-        for b in range(a + 1, d):
-            cross = (
-                flat[idx + s[a] + s[b]]
-                - flat[idx + s[a] - s[b]]
-                - flat[idx - s[a] + s[b]]
-                + flat[idx - s[a] - s[b]]
-            ) / (4.0 * h2)
-            out[a, b] = cross
-            out[b, a] = cross
-    return out
-
-
-def hessian_field(fld: ScalarField) -> np.ndarray:
-    """Discrete Hessians at every interior point, shape (n_interior, d, d)."""
-    dom = fld.domain
-    flat = fld.flat
-    idx = dom.interior_idx
     h2 = dom.h * dom.h
     s = dom.strides
     d = dom.dim
@@ -204,6 +179,20 @@ def hessian_field(fld: ScalarField) -> np.ndarray:
             out[:, a, b] = cross
             out[:, b, a] = cross
     return out
+
+
+def hessian_at(fld: ScalarField, point: tuple[int, ...]) -> np.ndarray:
+    """Discrete Hessian at one interior multi-index, shape (d, d)."""
+    dom = fld.domain
+    idx = int(np.ravel_multi_index(point, dom.shape))
+    if not dom.interior_flat[idx]:
+        raise ValueError(f"point {point} is not interior")
+    return _hessian_stencil(fld, np.array([idx]))[0]
+
+
+def hessian_field(fld: ScalarField) -> np.ndarray:
+    """Discrete Hessians at every interior point, shape (n_interior, d, d)."""
+    return _hessian_stencil(fld, fld.domain.interior_idx)
 
 
 def gradient_field(fld: ScalarField) -> np.ndarray:

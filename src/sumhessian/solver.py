@@ -12,16 +12,18 @@ steps are inexact: the relative linear residual asked of each step is the
 Eisenstat-Walker "choice 1" forcing term, which loosens the solve far from
 the solution and tightens it as the linear model becomes predictive.
 
-The bulk path never eigendecomposes: sigma_m of eta(lam(H)) and the
-coefficient matrices of the linearization are evaluated from
-characteristic-polynomial invariants of the complement matrix
-U = trace(H) I - H (Newton transformations), which is exact and fully
-vectorized over grid points. Assembly is data-parallel over interior
-points; the Newton loop is sequential and single-threaded runs produce
+The bulk path never eigendecomposes: one loop kernel, valid in any grid
+dimension and order k, evaluates sigma_m of eta(lam(H)) and the coefficient
+matrices of the linearization from power sums and Newton transformations of
+U = trace(H) I - H, vectorized over grid points. (The spectral module serves
+n up to 16 and keeps LAPACK eigh: there a trace recurrence read errors of
+3e-6 against eigh's 2e-12.) Assembly is data-parallel over interior points;
+the Newton loop is sequential and single-threaded runs produce
 bitwise-identical traces for identical configurations.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +41,9 @@ from .grid import GridDomain, ScalarField, gradient_field, hessian_field
 from .symfun import SumHessianParams, sum_hessian
 
 FD_STEP = 1e-6          # step for df/du, df/dp central differences
+MIN_STEP = 2.0 ** -20   # the line search stalls below this damping step
+EXTENSION_RTOL = 1e-10  # relative residual of the harmonic-extension solve
+KRYLOV_MAXITER = 4000   # BiCGSTAB iteration cap of every linear solve
 # Eisenstat-Walker forcing terms (SIAM J. Sci. Comput. 17, 1996, choice 1)
 ETA_MAX = 0.1           # forcing term of the first step of each homotopy stage, and its cap
 ETA_FLOOR = 1e-12       # smallest relative linear residual ever asked of BiCGSTAB
@@ -68,9 +73,6 @@ class SolveConfig:
     tol: float = 1e-10
     max_iter: int = 50
     homotopy: tuple[float, ...] = (1.0,)
-    min_step: float = 2.0 ** -20
-    krylov_rtol: float = 1e-10    # relative residual of the harmonic-extension solve
-    krylov_maxiter: int = 4000
 
 
 @dataclass(frozen=True)
@@ -104,95 +106,90 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # invariants of the complement matrix (vectorized over interior points)
 
-def _complement(hb: np.ndarray) -> np.ndarray:
-    """U = trace(H) I - H for a stack of symmetric matrices (N, d, d)."""
-    d = hb.shape[-1]
-    tr = np.trace(hb, axis1=-2, axis2=-1)
-    return tr[:, None, None] * np.eye(d) - hb
+def _invariants(hb: np.ndarray, m_max: int, transforms: bool = False):
+    """(sig, newton) for a stack of symmetric matrices H, (N, d, d), and
+    U = trace(H) I - H, whose eigenvalues are eta(lam(H)).
 
-
-def _eta_sigmas(hb: np.ndarray, m_max: int) -> np.ndarray:
-    """sigma_m(eta(lam(H))) for m = 0..m_max, from invariants of U."""
-    n_pts, d, _ = hb.shape
-    u = _complement(hb)
-    out = np.empty((n_pts, m_max + 1))
-    out[:, 0] = 1.0
-    if m_max >= 1:
-        out[:, 1] = np.trace(u, axis1=-2, axis2=-1)
-    if m_max >= 2:
-        tr_u2 = np.einsum("nij,nji->n", u, u)
-        out[:, 2] = 0.5 * (out[:, 1] ** 2 - tr_u2)
-    if m_max >= 3:
-        out[:, 3] = np.linalg.det(u)
-    if m_max > 3:
-        raise ValueError("grid dimension above 3 is not supported")
-    return out
-
-
-def _grad_coeff_matrices(hb: np.ndarray, params: SumHessianParams) -> np.ndarray:
-    """Coefficient matrices dF(H) of the linearized operator, (N, d, d).
-
-    dF = (trace G) I - G with G the Newton-transformation combination
-    T_{k-1}(U) + alpha T_{k-2}(U); the eigenvalues of dF are the
-    per-eigenvalue derivative coefficients of the spectral module.
+    sig[:, m] is sigma_m(eta(lam(H))), m = 0..m_max, from Newton's identities
+    m sigma_m = sum_{i=1..m} (-1)^(i-1) sigma_{m-i} p_i on p_i = tr(U^i).
+    With ``transforms``, newton[m] is the Newton transformation
+    T_m = sum_{i=0..m} (-1)^i sigma_{m-i} U^i = d sigma_{m+1} / dU for
+    m = 0..m_max-1, and newton[-1] is T_{-1} = 0; without, newton is empty.
     """
     n_pts, d, _ = hb.shape
-    u = _complement(hb)
-    eye = np.broadcast_to(np.eye(d), (n_pts, d, d))
-    sig = _eta_sigmas(hb, min(params.k, d))
+    eye = np.eye(d)
+    tr = np.trace(hb, axis1=-2, axis2=-1)
+    u = tr[:, None, None] * eye - hb
+    powers = [eye, u]                           # U^0..U^(m_max-1), at least U^1
+    while len(powers) < m_max:
+        powers.append(powers[-1] @ u)
+    p = [np.trace(u, axis1=-2, axis2=-1)]       # p[i - 1] = p_i
+    p += [np.einsum("nij,nji->n", powers[i], u) for i in range(1, m_max)]
 
-    def newton_transform(m: int) -> np.ndarray:
-        if m < 0:
-            return np.zeros((n_pts, d, d))
-        if m == 0:
-            return eye.copy()
-        if m == 1:
-            return sig[:, 1, None, None] * eye - u
-        if m == 2:
-            return sig[:, 2, None, None] * eye - sig[:, 1, None, None] * u + u @ u
-        raise ValueError("grid dimension above 3 is not supported")
+    sig = np.empty((n_pts, m_max + 1))
+    sig[:, 0] = 1.0
+    for m in range(1, m_max + 1):
+        acc = sig[:, m - 1] * p[0]
+        for i in range(2, m + 1):
+            term = sig[:, m - i] * p[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        sig[:, m] = acc / m
+    if not transforms:
+        return sig, []
 
-    g = newton_transform(params.k - 1) + params.alpha * newton_transform(params.k - 2)
+    newton = []
+    for m in range(m_max):
+        t = sig[:, m, None, None] * eye
+        for i in range(1, m + 1):
+            term = sig[:, m - i, None, None] * powers[i]
+            t = t - term if i % 2 else t + term
+        newton.append(t)
+    newton.append(np.zeros((1, 1, 1)))
+    return sig, newton
+
+
+def _grad_coeff_matrices(newton: list, params: SumHessianParams) -> np.ndarray:
+    """Coefficient matrices dF(H) of the linearized operator, (N, d, d), from
+    the Newton transformations of ``_invariants(hb, params.k, transforms=True)``.
+
+    dF = (trace G) I - G with G = T_{k-1}(U) + alpha T_{k-2}(U); the
+    eigenvalues of dF are the per-eigenvalue derivative coefficients of the
+    spectral module.
+    """
+    g = newton[params.k - 1] + params.alpha * newton[params.k - 2]
     tr_g = np.trace(g, axis1=-2, axis2=-1)
-    return tr_g[:, None, None] * np.eye(d) - g
+    return tr_g[:, None, None] * np.eye(g.shape[-1]) - g
 
 
-def _cone_margins(hb: np.ndarray, params: SumHessianParams) -> np.ndarray:
-    """Per point, the smallest of sigma_1..sigma_{k-1} and S_k of eta(lam(H));
-    positive exactly on the tilde-prime cone."""
-    sig = _eta_sigmas(hb, params.k)
+def _cone_margins(sig: np.ndarray, params: SumHessianParams) -> np.ndarray:
+    """Per point, the smallest of sigma_1..sigma_{k-1} and S_k of eta(lam(H)),
+    from the sigmas of ``_invariants``; positive exactly on the tilde-prime
+    cone."""
     s_k = sig[:, params.k] + params.alpha * sig[:, params.k - 1]
     return np.minimum(np.min(sig[:, 1:params.k], axis=1, initial=np.inf), s_k)
-
-
-def _admissible_from_hessians(hb: np.ndarray, params: SumHessianParams) -> np.ndarray:
-    return _cone_margins(hb, params) > 0
-
-
-def _min_cone_margin(fld: ScalarField, params: SumHessianParams) -> float:
-    return float(np.min(_cone_margins(hessian_field(fld), params)))
 
 
 def admissible_mask(fld: ScalarField, params: SumHessianParams) -> np.ndarray:
     """Per-interior-point admissibility: eta(lam(H)) has sigma_1..sigma_{k-1}
     positive and S_k positive (the tilde-prime cone test)."""
-    return _admissible_from_hessians(hessian_field(fld), params)
+    sig, _ = _invariants(hessian_field(fld), params.k)
+    return _cone_margins(sig, params) > 0
 
 
-def first_violation(fld: ScalarField, params: SumHessianParams):
-    """Multi-index of the first inadmissible interior point, or None."""
-    mask = admissible_mask(fld, params)
+def first_violation(dom: GridDomain, mask: np.ndarray):
+    """Multi-index of the first interior point where an admissibility mask
+    is False, or None."""
     if mask.all():
         return None
-    bad = fld.domain.interior_idx[np.flatnonzero(~mask)[0]]
-    return tuple(int(v) for v in np.unravel_index(bad, fld.domain.shape))
+    bad = dom.interior_idx[np.flatnonzero(~mask)[0]]
+    return tuple(int(v) for v in np.unravel_index(bad, dom.shape))
 
 
 def ellipticity_margins(fld: ScalarField, params: SumHessianParams):
     """(min eigenvalue, eigenvalue sum) of the coefficient matrix per interior
     point; positive minima witness ellipticity on admissible fields."""
-    coeff = _grad_coeff_matrices(hessian_field(fld), params)
-    eigs = np.linalg.eigvalsh(coeff)
+    _, newton = _invariants(hessian_field(fld), params.k, transforms=True)
+    eigs = np.linalg.eigvalsh(_grad_coeff_matrices(newton, params))
     return eigs[:, 0], eigs.sum(axis=1)
 
 
@@ -232,8 +229,7 @@ def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, blend=Non
     dom = fld.domain
     if params.n != dom.dim:
         raise ValueError(f"params.n={params.n} must equal grid dim {dom.dim}")
-    hb = hessian_field(fld)
-    sig = _eta_sigmas(hb, params.k)
+    sig, _ = _invariants(hessian_field(fld), params.k)
     s_k = sig[:, params.k] + params.alpha * sig[:, params.k - 1]
     f_vals = _eval_rhs(rhs, _interior_env(fld), dom.interior_idx.size, blend)
     out = np.zeros(dom.n_points)
@@ -317,16 +313,17 @@ def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, blend=No
 
     Raises ConeViolationError naming the first inadmissible interior point.
     """
-    offender = first_violation(fld, params)
+    sig, newton = _invariants(hessian_field(fld), params.k, transforms=True)
+    offender = first_violation(fld.domain, _cone_margins(sig, params) > 0)
     if offender is not None:
         raise ConeViolationError(f"field is not admissible at grid point {offender}")
-    coeff = _grad_coeff_matrices(hessian_field(fld), params)
+    coeff = _grad_coeff_matrices(newton, params)
+    del sig, newton     # free the (N, d, d) stacks before assembly
     f_u, f_p = _rhs_derivatives(fld, rhs, blend)
     return _assemble(fld.domain, coeff, f_u, f_p)
 
 
-def _solve_linear(mat: sp.csr_matrix, rhs_vec: np.ndarray, rtol: float,
-                  config: SolveConfig) -> np.ndarray:
+def _solve_linear(mat: sp.csr_matrix, rhs_vec: np.ndarray, rtol: float) -> np.ndarray:
     """Solve mat x = rhs_vec by Jacobi-preconditioned BiCGSTAB to relative
     residual rtol; raises LinearSolveError when the achieved residual,
     recomputed from x, exceeds it."""
@@ -344,7 +341,7 @@ def _solve_linear(mat: sp.csr_matrix, rhs_vec: np.ndarray, rtol: float,
         nonlocal iterations
         iterations += 1
 
-    x, _ = spla.bicgstab(mat, b_unit, rtol=rtol, atol=0.0, maxiter=config.krylov_maxiter,
+    x, _ = spla.bicgstab(mat, b_unit, rtol=rtol, atol=0.0, maxiter=KRYLOV_MAXITER,
                          M=precond, callback=count)
     achieved = float(np.linalg.norm(mat @ x - b_unit))
     if not achieved <= rtol:
@@ -418,14 +415,16 @@ def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
     values = fld.values
     for _ in range(REPAIR_SWEEPS):
         trial = ScalarField(dom, values)
-        ok = _admissible_from_hessians(hessian_field(trial) - shift, params)
+        sig, _ = _invariants(hessian_field(trial) - shift, params.k)
+        ok = _cone_margins(sig, params) > 0
         if ok.all():
             return trial
         bad = dom.interior_idx[~ok]
         values = values.copy()
         values.reshape(-1)[bad] -= delta
     trial = ScalarField(dom, values)
-    if _admissible_from_hessians(hessian_field(trial), params).all():
+    sig, _ = _invariants(hessian_field(trial), params.k)
+    if (_cone_margins(sig, params) > 0).all():
         return trial
     raise ConeViolationError(
         f"initial guess could not be repaired to admissibility in {REPAIR_SWEEPS} sweeps"
@@ -449,21 +448,21 @@ def transfinite_blend(values: np.ndarray) -> np.ndarray:
     Matches the input on every face of the box; smooth in the interior
     with no corner singularities, and exact on additively separable
     functions.
+
+    The boolean sum of the axis projections P_a is the inclusion-exclusion
+    sum over nonempty axis subsets S of (-1)^(|S|+1) prod_{a in S} P_a.
     """
-    if values.ndim == 2:
-        p1 = _axis_blend(values, 0)
-        p2 = _axis_blend(values, 1)
-        return p1 + p2 - _axis_blend(p2, 0)
-    if values.ndim == 3:
-        p1 = _axis_blend(values, 0)
-        p2 = _axis_blend(values, 1)
-        p3 = _axis_blend(values, 2)
-        p12 = _axis_blend(p2, 0)
-        p13 = _axis_blend(p3, 0)
-        p23 = _axis_blend(p3, 1)
-        p123 = _axis_blend(p23, 0)
-        return p1 + p2 + p3 - p12 - p13 - p23 + p123
-    raise ValueError("transfinite blend supports 2-D and 3-D grids")
+    blend = None
+    for size in range(1, values.ndim + 1):
+        for axes in itertools.combinations(range(values.ndim), size):
+            term = values
+            for a in reversed(axes):
+                term = _axis_blend(term, a)
+            if blend is None:
+                blend = term
+            else:
+                blend = blend + term if size % 2 else blend - term
+    return blend
 
 
 def guess_scale(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec) -> float:
@@ -477,8 +476,7 @@ def guess_scale(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec) -> floa
 
 
 def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
-                  boundary: expr.Node, config: SolveConfig | None = None,
-                  scale: float | None = None) -> ScalarField:
+                  boundary: expr.Node, scale: float | None = None) -> ScalarField:
     """Starting field c (|x - x_c|^2 - r^2)/2 plus an interpolation of the
     boundary mismatch.
 
@@ -492,7 +490,6 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     which keeps the trace of the Hessian exact. Boundary values equal the
     Dirichlet data exactly in both cases.
     """
-    config = config or SolveConfig()
     c = guess_scale(dom, params, rhs) if scale is None else scale
     pts = dom.points
     center = dom.center
@@ -519,13 +516,14 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                                 np.zeros(n_int), np.zeros((n_int, d)))
                 lap_m = np.trace(hessian_field(ScalarField(dom, mismatch.reshape(dom.shape))),
                                  axis1=1, axis2=2)
-                flat[dom.interior_idx] += _solve_linear(lap, -lap_m, config.krylov_rtol, config)
+                flat[dom.interior_idx] += _solve_linear(lap, -lap_m, EXTENSION_RTOL)
         flat[bdry] = bvals[bdry]
         return ScalarField(dom, flat.reshape(dom.shape))
 
     if dom.mask is None:
         fld = with_extension(use_blend=True)
-        if _admissible_from_hessians(hessian_field(fld), params).all():
+        sig, _ = _invariants(hessian_field(fld), params.k)
+        if (_cone_margins(sig, params) > 0).all():
             return fld
         fld = with_extension(use_blend=False)
     else:
@@ -554,7 +552,7 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     if not config.homotopy or config.homotopy[-1] != 1.0:
         raise ValueError(f"homotopy schedule must end at 1.0, got {config.homotopy}")
     c0 = guess_scale(dom, params, rhs)
-    fld = initial_guess(dom, params, rhs, boundary, config, scale=c0)
+    fld = initial_guess(dom, params, rhs, boundary, scale=c0)
     idx = dom.interior_idx
 
     # homotopy target at t=0: the operator value of the guess-scale quadratic
@@ -563,16 +561,16 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     trace: list[TraceEntry] = []
     iterations = 0
 
-    if not admissible_mask(fld, params).all():
-        raise ConeViolationError(
-            f"initial guess is not admissible at grid point {first_violation(fld, params)}"
-        )
+    offender = first_violation(dom, admissible_mask(fld, params))
+    if offender is not None:
+        raise ConeViolationError(f"initial guess is not admissible at grid point {offender}")
 
     for t in config.homotopy:
         blend = None if t == 1.0 else (t, blend_const)
         res = residual(fld, params, rhs, blend)
         res_norm = float(np.max(np.abs(res)))
-        trace.append(TraceEntry(iterations, res_norm, 0.0, _min_cone_margin(fld, params)))
+        sig, _ = _invariants(hessian_field(fld), params.k)
+        trace.append(TraceEntry(iterations, res_norm, 0.0, float(np.min(_cone_margins(sig, params)))))
         forcing = None      # (eta, ||F||_2, ||model of the next F||_2) of the last step
 
         while res_norm > config.tol and iterations < config.max_iter:
@@ -580,12 +578,12 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
             f_norm = float(np.linalg.norm(f_int))
             eta = ETA_MAX if forcing is None else _forcing_term(f_norm, forcing, config.tol)
             mat = linearize(fld, params, rhs, blend)
-            delta_int = _solve_linear(mat, -f_int, eta, config)
+            delta_int = _solve_linear(mat, -f_int, eta)
             delta = np.zeros(dom.n_points)
             delta[idx] = delta_int
             step = 1.0
             accepted = None
-            while step >= config.min_step:
+            while step >= MIN_STEP:
                 trial = ScalarField(dom, fld.values + step * delta.reshape(dom.shape))
                 if admissible_mask(trial, params).all():
                     try:
@@ -600,7 +598,7 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                 step *= 0.5
             if accepted is None:
                 raise NonConvergenceError(
-                    f"line search stalled below step 2^-20 at residual {res_norm:.3e}",
+                    f"line search stalled below step {MIN_STEP:g} at residual {res_norm:.3e}",
                     trace=trace,
                 )
             # (1 - step) F + step r_lin = F + step J delta
@@ -608,7 +606,9 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
             forcing = (eta, f_norm, model_norm)
             fld, res, res_norm = accepted
             iterations += 1
-            trace.append(TraceEntry(iterations, res_norm, step, _min_cone_margin(fld, params)))
+            sig, _ = _invariants(hessian_field(fld), params.k)
+            trace.append(TraceEntry(iterations, res_norm, step,
+                                    float(np.min(_cone_margins(sig, params)))))
 
     # the last stage is t = 1, so res_norm is the residual of the target problem
     return SolveResult(

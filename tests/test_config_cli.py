@@ -36,7 +36,6 @@ a = 0.1
 A = 1.0
 
 [run]
-seed = 3
 output = {out}
 """
 
@@ -79,7 +78,6 @@ class TestConfig:
         assert cfg.cells == (8, 8, 8)
         assert cfg.betas == (1.0, 2.0, 4.0)
         assert cfg.p_big_a == 1.0 and cfg.p_a == 0.1
-        assert cfg.seed == 3
         assert cfg.rhs_source == "18"
         cfg.domain()  # builds without error
 

@@ -10,9 +10,13 @@ from sumhessian import (
     SumHessianParams,
     make_domain,
     newton_solve,
+    operator_grad,
+    operator_value,
 )
 from sumhessian.errors import ConeViolationError, InstanceError, LinearSolveError
 from sumhessian.solver import (
+    _grad_coeff_matrices,
+    _invariants,
     admissible_mask,
     boundary_values,
     ellipticity_margins,
@@ -20,6 +24,7 @@ from sumhessian.solver import (
     linearize,
     quadratic_scale,
     residual,
+    transfinite_blend,
 )
 
 ZERO = expr.parse("0")
@@ -68,6 +73,64 @@ class TestResidual:
         fld = field_from(dom, lambda p: np.sum(p**2, axis=1))
         with pytest.raises(ValueError):
             residual(fld, SumHessianParams(3, 2, 0.0), RhsSpec.parse("1"))
+
+
+def hessian_stack(rng, d):
+    """Indefinite, repeated-eigenvalue and multiple-of-identity Hessians at
+    three scales."""
+    mats = [a + a.T for a in rng.normal(size=(12, d, d))]
+    for _ in range(8):
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        lam = rng.normal(size=d)
+        lam[1] = lam[0]
+        mats.append(q @ np.diag(lam) @ q.T)
+    mats += [3.0 * np.eye(d), -2.0 * np.eye(d), np.zeros((d, d))]
+    hb = np.concatenate([scale * np.array(mats) for scale in (1e-2, 1.0, 1e2)])
+    return 0.5 * (hb + hb.transpose(0, 2, 1))
+
+
+class TestInvariantKernel:
+    """The grid solver's invariant kernel against the spectral (eigh) layer."""
+
+    @pytest.mark.parametrize("d,k", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    def test_matches_spectral_reference(self, d, k, alpha):
+        params = SumHessianParams(d, k, alpha)
+        hb = hessian_stack(np.random.default_rng(10 * d + k), d)
+        sig, newton = _invariants(hb, k, transforms=True)
+        # S_k is homogeneous of degree k in H, its gradient of degree k - 1
+        scale = 1.0 + np.linalg.norm(hb, axis=(1, 2))
+        value = sig[:, k] + alpha * sig[:, k - 1]
+        assert np.max(np.abs(value - operator_value(hb, params)) / scale**k) <= 1e-12
+        grad_err = np.linalg.norm(_grad_coeff_matrices(newton, params)
+                                  - operator_grad(hb, params), axis=(1, 2))
+        assert np.max(grad_err / scale ** (k - 1)) <= 1e-12
+
+    def test_sigmas_without_transforms(self):
+        hb = hessian_stack(np.random.default_rng(3), 3)
+        sig, newton = _invariants(hb, 3)
+        assert newton == []
+        assert np.array_equal(sig, _invariants(hb, 3, transforms=True)[0])
+
+
+class TestTransfiniteBlend:
+    @pytest.mark.parametrize("shape", [(9, 12), (9, 10, 11)])
+    def test_reproduces_every_face(self, shape):
+        values = np.random.default_rng(2).normal(size=shape)
+        blend = transfinite_blend(values)
+        for a in range(len(shape)):
+            for face in (0, shape[a] - 1):
+                assert np.allclose(np.take(blend, face, axis=a), np.take(values, face, axis=a),
+                                   rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(9, 12), (9, 10, 11)])
+    def test_exact_on_separable_functions(self, shape):
+        axes = np.meshgrid(*[np.linspace(-1.0, 1.0, n) for n in shape], indexing="ij")
+        exact = sum(fn(x) for fn, x in zip((np.sin, np.exp, np.cos), axes))
+        faces_only = exact.copy()
+        faces_only[(slice(1, -1),) * len(shape)] = np.random.default_rng(4).normal(
+            size=tuple(n - 2 for n in shape))
+        assert np.max(np.abs(transfinite_blend(faces_only) - exact)) <= 1e-13
 
 
 class TestAdmissibility:
@@ -257,7 +320,7 @@ class TestNewton:
         # a useless step can never decrease the residual: the backtracking
         # line search must stall and surface the trace
         monkeypatch.setattr(solver_mod, "_solve_linear",
-                            lambda mat, rhs_vec, rtol, config: np.zeros(mat.shape[0]))
+                            lambda mat, rhs_vec, rtol: np.zeros(mat.shape[0]))
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
         params = SumHessianParams(2, 2, 1.0)
         with pytest.raises(NonConvergenceError) as err:
@@ -291,12 +354,15 @@ class TestNewton:
         assert inexact.converged(1e-10) and exact.converged(1e-10)
         assert np.max(np.abs(inexact.field.flat - exact.field.flat)) <= 1e-9
 
-    def test_linear_solve_error_carries_state(self):
+    def test_linear_solve_error_carries_state(self, monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        monkeypatch.setattr(solver_mod, "KRYLOV_MAXITER", 1)
         dom = make_domain(2, (-1, -1), (1, 1), (32, 32))
         params = SumHessianParams(2, 2, 1.0)
         with pytest.raises(LinearSolveError) as err:
             newton_solve(dom, params, RhsSpec.parse(EXP2D_RHS),
-                         expr.parse("exp((x1^2+x2^2)/2)"), SolveConfig(krylov_maxiter=1))
+                         expr.parse("exp((x1^2+x2^2)/2)"))
         exc = err.value
         assert exc.iterations == 1
         assert exc.unknowns == dom.interior_idx.size
