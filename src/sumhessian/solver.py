@@ -118,21 +118,23 @@ def _invariants(hb: np.ndarray, m_max: int, transforms: bool = False):
     """
     n_pts, d, _ = hb.shape
     eye = np.eye(d)
-    tr = np.trace(hb, axis1=-2, axis2=-1)
-    u = tr[:, None, None] * eye - hb
+    u = np.trace(hb, axis1=-2, axis2=-1)[:, None, None] * eye - hb
     powers = [eye, u]                           # U^0..U^(m_max-1), at least U^1
     while len(powers) < m_max:
         powers.append(powers[-1] @ u)
-    p = [np.trace(u, axis1=-2, axis2=-1)]       # p[i - 1] = p_i
-    p += [np.einsum("nij,nji->n", powers[i], u) for i in range(1, m_max)]
 
     sig = np.empty((n_pts, m_max + 1))
     sig[:, 0] = 1.0
-    for m in range(1, m_max + 1):
-        acc = sig[:, m - 1] * p[0]
+    sig[:, 1] = np.trace(u, axis1=-2, axis2=-1)
+    p = [None, sig[:, 1]]                       # p[i] = p_i; sigma_1 = p_1
+    for m in range(2, m_max + 1):
+        p.append(np.einsum("nij,nji->n", powers[m - 1], u))
+        acc = sig[:, m - 1] * p[1]
         for i in range(2, m + 1):
-            term = sig[:, m - i] * p[i - 1]
-            acc = acc + term if i % 2 else acc - term
+            if i % 2:
+                acc += sig[:, m - i] * p[i]
+            else:
+                acc -= sig[:, m - i] * p[i]
         sig[:, m] = acc / m
     if not transforms:
         return sig, []
@@ -141,8 +143,10 @@ def _invariants(hb: np.ndarray, m_max: int, transforms: bool = False):
     for m in range(m_max):
         t = sig[:, m, None, None] * eye
         for i in range(1, m + 1):
-            term = sig[:, m - i, None, None] * powers[i]
-            t = t - term if i % 2 else t + term
+            if i % 2:
+                t -= sig[:, m - i, None, None] * powers[i]
+            else:
+                t += sig[:, m - i, None, None] * powers[i]
         newton.append(t)
     newton.append(np.zeros((1, 1, 1)))
     return sig, newton
@@ -172,8 +176,7 @@ def _cone_margins(sig: np.ndarray, params: SumHessianParams) -> np.ndarray:
 def admissible_mask(fld: ScalarField, params: SumHessianParams) -> np.ndarray:
     """Per-interior-point admissibility: eta(lam(H)) has sigma_1..sigma_{k-1}
     positive and S_k positive (the tilde-prime cone test)."""
-    sig, _ = _invariants(hessian_field(fld), params.k)
-    return _cone_margins(sig, params) > 0
+    return _cone_margins(_invariants(hessian_field(fld), params.k)[0], params) > 0
 
 
 def first_violation(dom: GridDomain, mask: np.ndarray):
@@ -415,16 +418,14 @@ def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
     values = fld.values
     for _ in range(REPAIR_SWEEPS):
         trial = ScalarField(dom, values)
-        sig, _ = _invariants(hessian_field(trial) - shift, params.k)
-        ok = _cone_margins(sig, params) > 0
+        ok = _cone_margins(_invariants(hessian_field(trial) - shift, params.k)[0], params) > 0
         if ok.all():
             return trial
         bad = dom.interior_idx[~ok]
         values = values.copy()
         values.reshape(-1)[bad] -= delta
     trial = ScalarField(dom, values)
-    sig, _ = _invariants(hessian_field(trial), params.k)
-    if (_cone_margins(sig, params) > 0).all():
+    if (_cone_margins(_invariants(hessian_field(trial), params.k)[0], params) > 0).all():
         return trial
     raise ConeViolationError(
         f"initial guess could not be repaired to admissibility in {REPAIR_SWEEPS} sweeps"
@@ -522,8 +523,7 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
 
     if dom.mask is None:
         fld = with_extension(use_blend=True)
-        sig, _ = _invariants(hessian_field(fld), params.k)
-        if (_cone_margins(sig, params) > 0).all():
+        if (_cone_margins(_invariants(hessian_field(fld), params.k)[0], params) > 0).all():
             return fld
         fld = with_extension(use_blend=False)
     else:
@@ -569,8 +569,8 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         blend = None if t == 1.0 else (t, blend_const)
         res = residual(fld, params, rhs, blend)
         res_norm = float(np.max(np.abs(res)))
-        sig, _ = _invariants(hessian_field(fld), params.k)
-        trace.append(TraceEntry(iterations, res_norm, 0.0, float(np.min(_cone_margins(sig, params)))))
+        margin = float(np.min(_cone_margins(_invariants(hessian_field(fld), params.k)[0], params)))
+        trace.append(TraceEntry(iterations, res_norm, 0.0, margin))
         forcing = None      # (eta, ||F||_2, ||model of the next F||_2) of the last step
 
         while res_norm > config.tol and iterations < config.max_iter:
@@ -606,9 +606,9 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
             forcing = (eta, f_norm, model_norm)
             fld, res, res_norm = accepted
             iterations += 1
-            sig, _ = _invariants(hessian_field(fld), params.k)
-            trace.append(TraceEntry(iterations, res_norm, step,
-                                    float(np.min(_cone_margins(sig, params)))))
+            margin = float(np.min(_cone_margins(_invariants(hessian_field(fld), params.k)[0],
+                                                params)))
+            trace.append(TraceEntry(iterations, res_norm, step, margin))
 
     # the last stage is t = 1, so res_norm is the residual of the target problem
     return SolveResult(
