@@ -16,23 +16,39 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFieldError, MaxPrincipleError
-from .grid import ScalarField, gradient_field, hessian_at, hessian_field
+from .grid import GridDomain, ScalarField, gradient_field, hessian_at, hessian_field
 
 
-def _interior_eigs(fld: ScalarField) -> np.ndarray:
-    """Eigenvalues (ascending) of the discrete Hessian at interior points."""
-    return np.linalg.eigvalsh(hessian_field(fld))
+def _interior_arrays(fld: ScalarField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u, the ascending eigenvalues of the discrete Hessian and the centered
+    gradient at interior points: the arrays every diagnostic reads."""
+    # the (n_interior, d, d) Hessian stack is never bound, so it is freed
+    # as soon as eigvalsh returns
+    eigs = np.linalg.eigvalsh(hessian_field(fld))
+    grad = gradient_field(fld)
+    return fld.flat[fld.domain.interior_idx], eigs, grad
+
+
+def _boundary_is_zero(fld: ScalarField) -> bool:
+    return bool(np.all(fld.flat[~fld.domain.interior_flat] == 0.0))
+
+
+def _sup_gradient(grad: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(grad, axis=1)))
 
 
 def sup_gradient(fld: ScalarField) -> float:
     """Max Euclidean norm of the centered gradient over interior points."""
-    return float(np.max(np.linalg.norm(gradient_field(fld), axis=1)))
+    return _sup_gradient(gradient_field(fld))
+
+
+def _sup_hessian_norm(eigs: np.ndarray) -> float:
+    return float(np.max(np.abs(eigs)))
 
 
 def sup_hessian_norm(fld: ScalarField) -> float:
     """Max spectral norm of the discrete Hessian over interior points."""
-    eigs = _interior_eigs(fld)
-    return float(np.max(np.abs(eigs)))
+    return _sup_hessian_norm(_interior_arrays(fld)[1])
 
 
 def center_hessian_norm(fld: ScalarField) -> float:
@@ -42,16 +58,27 @@ def center_hessian_norm(fld: ScalarField) -> float:
     return float(np.max(np.abs(eigs)))
 
 
+def _interior_ratio(center_norm: float, sup_du: float, radius: float) -> float:
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    return center_norm / (1.0 + sup_du / radius)
+
+
 def interior_ratio(fld: ScalarField, radius: float) -> float:
     """|D^2 u(center)| / (1 + sup|Du| / radius): the empirical interior
     estimate constant."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return center_hessian_norm(fld) / (1.0 + sup_gradient(fld) / radius)
+    return _interior_ratio(center_hessian_norm(fld), sup_gradient(fld), radius)
 
 
-def _boundary_is_zero(fld: ScalarField) -> bool:
-    return bool(np.all(fld.flat[~fld.domain.interior_flat] == 0.0))
+def _check_max_principle(fld: ScalarField) -> None:
+    if np.any(fld.flat > 0):
+        raise MaxPrincipleError("field is positive somewhere; maximum principle violated")
+
+
+def _pogorelov_product(u_int: np.ndarray, spectral_norm: np.ndarray, beta: float) -> float:
+    if beta < 1:
+        raise ValueError(f"beta must be >= 1, got {beta}")
+    return float(np.max((-u_int) ** beta * spectral_norm))
 
 
 def pogorelov_product(fld: ScalarField, beta: float = 1.0) -> float:
@@ -65,12 +92,9 @@ def pogorelov_product(fld: ScalarField, beta: float = 1.0) -> float:
         raise ValueError(f"beta must be >= 1, got {beta}")
     if not _boundary_is_zero(fld):
         raise ValueError("weighted products require identically zero boundary data")
-    if np.any(fld.flat > 0):
-        raise MaxPrincipleError("field is positive somewhere; maximum principle violated")
-    dom = fld.domain
-    u_int = fld.flat[dom.interior_idx]
-    spectral_norm = np.max(np.abs(_interior_eigs(fld)), axis=1)
-    return float(np.max((-u_int) ** beta * spectral_norm))
+    _check_max_principle(fld)
+    u_int, eigs, _ = _interior_arrays(fld)
+    return _pogorelov_product(u_int, np.max(np.abs(eigs), axis=1), beta)
 
 
 @dataclass(frozen=True)
@@ -81,24 +105,16 @@ class PhiDiagnostic:
     rho_rescaled: bool          # True unless the domain is the unit ball at the origin
 
 
-def phi_diagnostic(fld: ScalarField) -> PhiDiagnostic:
-    """rho(x) g(|Du|^2/2) u_tt with rho = 1 - |x - x_c|^2 / r^2 and
-    g(t) = (1 - t/(sup|Du|^2))^(-1/3); u_tt is the top Hessian eigenvalue.
-
-    For a constant field (sup|Du| = 0) g is taken identically 1.
-    """
-    dom = fld.domain
+def _phi_diagnostic(dom: GridDomain, radius: float, grad2: np.ndarray,
+                    top: np.ndarray) -> PhiDiagnostic:
     pts = dom.points[dom.interior_idx]
     center = dom.center
-    radius = dom.inscribed_radius
     rho = 1.0 - np.sum((pts - center) ** 2, axis=1) / (radius * radius)
-    grad2 = np.sum(gradient_field(fld) ** 2, axis=1)
     a_sup = float(np.max(grad2))
     if a_sup == 0.0:
         g = np.ones_like(grad2)
     else:
         g = (1.0 - 0.5 * grad2 / a_sup) ** (-1.0 / 3.0)
-    top = _interior_eigs(fld)[:, -1]
     phi = rho * g * top
     values = np.zeros(dom.n_points)
     values[dom.interior_idx] = phi
@@ -108,12 +124,44 @@ def phi_diagnostic(fld: ScalarField) -> PhiDiagnostic:
     return PhiDiagnostic(values.reshape(dom.shape), float(phi[best]), argmax, rescaled)
 
 
+def phi_diagnostic(fld: ScalarField) -> PhiDiagnostic:
+    """rho(x) g(|Du|^2/2) u_tt with rho = 1 - |x - x_c|^2 / r^2 and
+    g(t) = (1 - t/(sup|Du|^2))^(-1/3); u_tt is the top Hessian eigenvalue.
+
+    For a constant field (sup|Du| = 0) g is taken identically 1.
+    """
+    _, eigs, grad = _interior_arrays(fld)
+    return _phi_diagnostic(fld.domain, fld.domain.inscribed_radius,
+                           np.sum(grad ** 2, axis=1), eigs[:, -1])
+
+
 @dataclass(frozen=True)
 class PDiagnostic:
     values: np.ndarray          # grid-shaped; -inf where excluded
     max: float
     argmax: tuple[int, ...]
     excluded: int               # interior points with u >= 0 or a nonpositive top eigenvalue
+
+
+def _p_diagnostic(dom: GridDomain, u_int: np.ndarray, top: np.ndarray, grad2: np.ndarray,
+                  beta: float, a: float, big_a: float) -> PDiagnostic:
+    include = (u_int < 0) & (top > 0)
+    excluded = int(np.sum(~include))
+    if not include.any():
+        raise DegenerateFieldError("every interior point was excluded from the diagnostic")
+    pts = dom.points[dom.interior_idx]
+    vals = np.full(u_int.shape, -np.inf)
+    vals[include] = (
+        beta * np.log(-u_int[include])
+        + np.log(top[include])
+        + 0.5 * a * grad2[include]
+        + 0.5 * big_a * np.sum(pts[include] ** 2, axis=1)
+    )
+    values = np.full(dom.n_points, -np.inf)
+    values[dom.interior_idx] = vals
+    best = int(np.argmax(vals))
+    argmax = tuple(int(v) for v in np.unravel_index(dom.interior_idx[best], dom.shape))
+    return PDiagnostic(values.reshape(dom.shape), float(vals[best]), argmax, excluded)
 
 
 def p_diagnostic(fld: ScalarField, beta: float = 2.0, a: float = 0.1,
@@ -127,27 +175,9 @@ def p_diagnostic(fld: ScalarField, beta: float = 2.0, a: float = 0.1,
     """
     if not _boundary_is_zero(fld):
         raise ValueError("the log(-u) diagnostic requires identically zero boundary data")
-    dom = fld.domain
-    u_int = fld.flat[dom.interior_idx]
-    top = _interior_eigs(fld)[:, -1]
-    include = (u_int < 0) & (top > 0)
-    excluded = int(np.sum(~include))
-    if not include.any():
-        raise DegenerateFieldError("every interior point was excluded from the diagnostic")
-    pts = dom.points[dom.interior_idx]
-    grad2 = np.sum(gradient_field(fld) ** 2, axis=1)
-    vals = np.full(u_int.shape, -np.inf)
-    vals[include] = (
-        beta * np.log(-u_int[include])
-        + np.log(top[include])
-        + 0.5 * a * grad2[include]
-        + 0.5 * big_a * np.sum(pts[include] ** 2, axis=1)
-    )
-    values = np.full(dom.n_points, -np.inf)
-    values[dom.interior_idx] = vals
-    best = int(np.argmax(vals))
-    argmax = tuple(int(v) for v in np.unravel_index(dom.interior_idx[best], dom.shape))
-    return PDiagnostic(values.reshape(dom.shape), float(vals[best]), argmax, excluded)
+    u_int, eigs, grad = _interior_arrays(fld)
+    return _p_diagnostic(fld.domain, u_int, eigs[:, -1], np.sum(grad ** 2, axis=1),
+                         beta, a, big_a)
 
 
 @dataclass
@@ -174,27 +204,35 @@ def build_report(instance: str, fld: ScalarField, betas: tuple[float, ...] = (1.
     """Evaluate every estimate quantity on one field.
 
     Weighted products and the log diagnostic are present only when the
-    boundary data is identically zero.
+    boundary data is identically zero. The field's Hessians are decomposed
+    once and its gradient taken once, whatever the number of weights.
     """
     dom = fld.domain
-    zero_bdry = _boundary_is_zero(fld)
-    phi = phi_diagnostic(fld)
-    if zero_bdry:
-        pog = pogorelov_product(fld, 1.0)
-        weighted = {b: pogorelov_product(fld, b) for b in betas}
-        p_diag = p_diagnostic(fld, p_beta, p_a, p_big_a)
+    radius = dom.inscribed_radius
+    u_int, eigs, grad = _interior_arrays(fld)
+    grad2 = np.sum(grad ** 2, axis=1)
+    top = eigs[:, -1]
+    phi = _phi_diagnostic(dom, radius, grad2, top)
+    if _boundary_is_zero(fld):
+        _check_max_principle(fld)
+        spectral_norm = np.max(np.abs(eigs), axis=1)
+        weighted = {b: _pogorelov_product(u_int, spectral_norm, b) for b in betas}
+        pog = weighted[1.0] if 1.0 in weighted else _pogorelov_product(u_int, spectral_norm, 1.0)
+        p_diag = _p_diagnostic(dom, u_int, top, grad2, p_beta, p_a, p_big_a)
         p_max, p_argmax = p_diag.max, p_diag.argmax
     else:
         pog = None
         weighted = {b: None for b in betas}
         p_max, p_argmax = None, None
+    sup_du = _sup_gradient(grad)
+    d2u_center = center_hessian_norm(fld)
     return EstimateReport(
         instance=instance,
         h=dom.h,
-        sup_du=sup_gradient(fld),
-        sup_d2u=sup_hessian_norm(fld),
-        d2u_center=center_hessian_norm(fld),
-        interior_ratio=interior_ratio(fld, dom.inscribed_radius),
+        sup_du=sup_du,
+        sup_d2u=_sup_hessian_norm(eigs),
+        d2u_center=d2u_center,
+        interior_ratio=_interior_ratio(d2u_center, sup_du, radius),
         pogorelov=pog,
         weighted=weighted,
         phi_max=phi.max,

@@ -209,31 +209,46 @@ def gradient_field(fld: ScalarField) -> np.ndarray:
 
 def write_field(fld: ScalarField, stream) -> None:
     """Plain-text format: header 'dim nx [ny [nz]] x0 y0 ... h', then one
-    value per line in row-major order."""
+    value per line in row-major order.
+
+    A masked domain appends its mask name and upper corner to the header,
+    'dim nx ... x0 ... h mask X0 ...', so that reading the file rebuilds
+    the same interior. The upper corner is stored rather than rebuilt as
+    lower + h * cells, which can round to a different ball mask.
+    """
     dom = fld.domain
     header = [str(dom.dim)] + [str(n) for n in dom.shape] \
         + [repr(v) for v in dom.lower] + [repr(dom.h)]
+    if dom.mask_name != "box":
+        header += [dom.mask_name] + [repr(v) for v in dom.upper]
     stream.write(" ".join(header) + "\n")
     for v in fld.flat:
         stream.write(repr(float(v)) + "\n")
 
 
 def read_field(stream) -> ScalarField:
-    """Read the plain-text format; the mask (if any) is not part of the
-    format, so the result is interpreted on the plain box."""
+    """Read the plain-text format of write_field. A header without the mask
+    name and upper corner is read as a plain box."""
     header = stream.readline().split()
     if not header:
         raise ValueError("empty field file")
     dim = int(header[0])
-    expected = 1 + dim + dim + 1
-    if len(header) != expected:
-        raise ValueError(f"malformed field header: expected {expected} entries, got {len(header)}")
+    box_len = 1 + dim + dim + 1
+    if len(header) not in (box_len, box_len + 1 + dim):
+        raise ValueError(f"malformed field header: expected {box_len} or "
+                         f"{box_len + 1 + dim} entries, got {len(header)}")
     shape = tuple(int(v) for v in header[1:1 + dim])
     lower = tuple(float(v) for v in header[1 + dim:1 + 2 * dim])
-    h = float(header[-1])
+    h = float(header[box_len - 1])
     cells = tuple(n - 1 for n in shape)
-    upper = tuple(l + h * c for l, c in zip(lower, cells))
-    dom = GridDomain(dim=dim, lower=lower, upper=upper, cells=cells)
+    if len(header) == box_len:
+        upper = tuple(l + h * c for l, c in zip(lower, cells))
+        dom = GridDomain(dim=dim, lower=lower, upper=upper, cells=cells)
+    else:
+        upper = tuple(float(v) for v in header[box_len + 1:])
+        dom = make_domain(dim, lower, upper, cells, header[box_len])
+        if dom.h != h:
+            raise ValueError(f"field header spacing {h!r} does not match its corners ({dom.h!r})")
     values = np.array([float(line) for line in stream if line.strip()], dtype=float)
     if values.size != np.prod(shape):
         raise ValueError(

@@ -1,4 +1,7 @@
 """Config loading and the command-line frontend (exit codes, determinism)."""
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,8 @@ A = 1.0
 [run]
 output = {out}
 """
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BALL_3D = """
 [operator]
@@ -196,6 +201,28 @@ class TestCliEstimate:
         assert main(["estimate", str(out), "--beta", "1,2,4", "--out", str(csv_out)]) == 0
         header = csv_out.read_text().split("\n")[0]
         assert header.count("weighted_pogorelov") == 3
+
+    @pytest.mark.parametrize("shipped", ["ball18.cfg", None])
+    def test_estimate_field_equals_config(self, shipped, quad_cfg, tmp_path, monkeypatch):
+        """estimate <field> rebuilds the solved domain, mask included, so it
+        reports what estimate <cfg> reports; only the instance name differs."""
+        if shipped:
+            monkeypatch.chdir(tmp_path)  # the shipped config writes next to itself
+            path = tmp_path / shipped
+            shutil.copy(CONFIGS / shipped, path)
+            out = tmp_path / load_config(str(path)).output
+        else:
+            path, out = quad_cfg
+        betas = ",".join(f"{b:g}" for b in load_config(str(path)).betas)
+        from_field, from_cfg = tmp_path / "field.csv", tmp_path / "cfg.csv"
+        assert main(["solve", str(path)]) == 0
+        assert main(["estimate", str(out), "--beta", betas, "--out", str(from_field)]) == 0
+        assert main(["estimate", str(path), "--out", str(from_cfg)]) == 0
+
+        def rows(csv_path):
+            return [line.split(",", 1)[1] for line in csv_path.read_text().splitlines()]
+
+        assert rows(from_field) == rows(from_cfg)
 
     def test_estimate_from_config(self, tmp_path):
         out = tmp_path / "ball.field"

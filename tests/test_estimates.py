@@ -140,6 +140,91 @@ class TestPDiagnostic:
             p_diagnostic(fld)
 
 
+class TestBuildReport:
+    """build_report against the standalone diagnostics, one field at a time."""
+
+    BETAS = (1.0, 2.0, 4.0, 8.0)
+
+    @staticmethod
+    def zero_boundary_ball():
+        dom = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3, mask_name="ball")
+        return newton_solve(dom, SumHessianParams(3, 2, 1.0), RhsSpec.parse("18"), ZERO).field
+
+    @staticmethod
+    def nonzero_boundary_box():
+        dom = make_domain(2, (-1, -1), (1, 1), (12, 12))
+        vals = np.exp(0.5 * np.sum(dom.points ** 2, axis=1)) + 0.1 * dom.points[:, 0] ** 3
+        return ScalarField(dom, vals.reshape(dom.shape))
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        import sumhessian.estimates as est
+
+        calls = {"hessian_field": 0, "gradient_field": 0}
+        for name in calls:
+            original = getattr(est, name)
+
+            def counted(fld, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(fld)
+
+            monkeypatch.setattr(est, name, counted)
+        return calls
+
+    def common_fields_match(self, rep, fld):
+        phi = phi_diagnostic(fld)
+        assert rep.h == fld.domain.h
+        assert rep.sup_du == sup_gradient(fld)
+        assert rep.sup_d2u == sup_hessian_norm(fld)
+        assert rep.d2u_center == center_hessian_norm(fld)
+        assert rep.interior_ratio == interior_ratio(fld, fld.domain.inscribed_radius)
+        assert rep.phi_max == phi.max
+        assert rep.phi_argmax == phi.argmax
+        assert rep.rho_rescaled == phi.rho_rescaled
+
+    def test_zero_boundary_matches_standalone(self):
+        fld = self.zero_boundary_ball()
+        rep = build_report("ball", fld, self.BETAS, p_beta=3.0, p_a=0.2, p_big_a=0.5)
+        self.common_fields_match(rep, fld)
+        assert rep.pogorelov == pogorelov_product(fld, 1.0)
+        assert rep.weighted == {b: pogorelov_product(fld, b) for b in self.BETAS}
+        p_diag = p_diagnostic(fld, 3.0, 0.2, 0.5)
+        assert rep.p_max == p_diag.max
+        assert rep.p_argmax == p_diag.argmax
+
+    def test_zero_boundary_without_unit_weight(self):
+        fld = self.zero_boundary_ball()
+        rep = build_report("ball", fld, (2.0, 4.0))
+        assert rep.pogorelov == pogorelov_product(fld, 1.0)
+        assert set(rep.weighted) == {2.0, 4.0}
+
+    def test_nonzero_boundary_matches_standalone(self):
+        fld = self.nonzero_boundary_box()
+        rep = build_report("box", fld, self.BETAS)
+        self.common_fields_match(rep, fld)
+        assert rep.pogorelov is None
+        assert rep.weighted == {b: None for b in self.BETAS}
+        assert rep.p_max is None and rep.p_argmax is None
+
+    @pytest.mark.parametrize("make", ["zero_boundary_ball", "nonzero_boundary_box"])
+    def test_one_stencil_pass_per_report(self, make, monkeypatch):
+        fld = getattr(self, make)()
+        calls = self.count_calls(monkeypatch)
+        build_report("inst", fld, self.BETAS)
+        assert calls == {"hessian_field": 1, "gradient_field": 1}
+
+    def test_errors_raise_through_report(self):
+        dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
+        bump = np.zeros(dom.n_points)
+        bump[dom.interior_idx] = 1.0
+        with pytest.raises(MaxPrincipleError):
+            build_report("bump", ScalarField(dom, bump.reshape(dom.shape)))
+        with pytest.raises(ValueError, match="beta"):
+            build_report("disc", paraboloid_disc(), betas=(1.0, 0.5))
+        with pytest.raises(DegenerateFieldError):
+            build_report("zero", ScalarField(dom, np.zeros(dom.shape)))
+
+
 class TestReports:
     def solved(self, cells=8):
         dom = make_domain(3, (-1,) * 3, (1,) * 3, (cells,) * 3, mask_name="ball")

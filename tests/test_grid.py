@@ -97,6 +97,34 @@ class TestFieldIO:
         write_field(back, buf2)
         assert buf2.getvalue() == text
 
+    @pytest.mark.parametrize("dim,lo,hi,cells", [
+        (2, -1.0, 1.0, 16),
+        (3, -1.0, 1.0, 16),
+        (3, -1.0, 1.0, 32),
+        # lower + h * cells rounds the upper corner here and moves the mask
+        (3, -1.0 / 3.0, 2.0 / 3.0, 30),
+    ])
+    def test_round_trip_keeps_ball_mask(self, dim, lo, hi, cells):
+        dom = make_domain(dim, (lo,) * dim, (hi,) * dim, (cells,) * dim, mask_name="ball")
+        vals = np.sum(dom.points ** 2, axis=1) - 0.25
+        vals[~dom.interior_flat] = 0.0
+        fld = ScalarField(dom, vals.reshape(dom.shape))
+        buf = io.StringIO()
+        write_field(fld, buf)
+        text = buf.getvalue()
+        header = text.split("\n")[0].split()
+        assert len(header) == 1 + dim + dim + 1 + 1 + dim
+        assert header[2 * dim + 2] == "ball"
+        back = read_field(io.StringIO(text))
+        assert back.domain.mask_name == "ball"
+        assert np.array_equal(back.domain.interior_flat, dom.interior_flat)
+        assert back.domain.h == dom.h
+        assert back.domain.lower == dom.lower
+        assert np.array_equal(back.values, fld.values)
+        buf2 = io.StringIO()
+        write_field(back, buf2)
+        assert buf2.getvalue() == text
+
     def test_header_format(self):
         dom = make_domain(3, (0, 0, 0), (1, 1, 1), (8, 8, 8))
         fld = ScalarField(dom, np.zeros(dom.shape))
@@ -114,6 +142,12 @@ class TestFieldIO:
             read_field(io.StringIO("2 9 9 0.0 0.0\n"))
         with pytest.raises(ValueError):
             read_field(io.StringIO("2 9 9 0.0 0.0 0.25\n1.0\n"))
+        with pytest.raises(ValueError):
+            read_field(io.StringIO("2 9 9 0.0 0.0 0.25 ball 2.0\n"))
+        with pytest.raises(ValueError):
+            read_field(io.StringIO("2 9 9 0.0 0.0 0.25 disc 2.0 2.0\n" + "0.0\n" * 81))
+        with pytest.raises(ValueError):
+            read_field(io.StringIO("2 9 9 0.0 0.0 0.25 ball 1.0 1.0\n" + "0.0\n" * 81))
 
     def test_shape_mismatch(self):
         dom = make_domain(2, (0, 0), (1, 1), (8, 8))
