@@ -222,8 +222,7 @@ def write_field(fld: ScalarField, stream) -> None:
     if dom.mask_name != "box":
         header += [dom.mask_name] + [repr(v) for v in dom.upper]
     stream.write(" ".join(header) + "\n")
-    for v in fld.flat:
-        stream.write(repr(float(v)) + "\n")
+    stream.write("\n".join(map(repr, fld.flat.tolist())) + "\n")
 
 
 def read_field(stream) -> ScalarField:
@@ -249,7 +248,7 @@ def read_field(stream) -> ScalarField:
         dom = make_domain(dim, lower, upper, cells, header[box_len])
         if dom.h != h:
             raise ValueError(f"field header spacing {h!r} does not match its corners ({dom.h!r})")
-    values = np.array([float(line) for line in stream if line.strip()], dtype=float)
+    values = np.fromiter(map(float, stream.read().split()), dtype=float)
     if values.size != np.prod(shape):
         raise ValueError(
             f"field file has {values.size} values, expected {int(np.prod(shape))}"

@@ -12,6 +12,12 @@ steps are inexact: the relative linear residual asked of each step is the
 Eisenstat-Walker "choice 1" forcing term, which loosens the solve far from
 the solution and tightens it as the linear model becomes predictive.
 
+The Jacobian's sparsity pattern (CSR ``indptr``/``indices``, and which
+stencil neighbours have entries) depends on the domain only. Each
+``newton_solve`` makes one pattern, built on first use, and hands it to the
+harmonic extension and to every linearization, which then fill ``data``
+alone. The pattern lives for one solve: it is not kept on the domain.
+
 The bulk path never eigendecomposes: one loop kernel, valid in any grid
 dimension and order k, evaluates sigma_m of eta(lam(H)) and the coefficient
 matrices of the linearization from power sums and Newton transformations of
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,7 +44,7 @@ from .errors import (
     LinearSolveError,
     NonConvergenceError,
 )
-from .grid import GridDomain, ScalarField, gradient_field, hessian_field
+from .grid import GridDomain, ScalarField, _hessian_stencil, gradient_field, hessian_field
 from .symfun import SumHessianParams, sum_hessian
 
 FD_STEP = 1e-6          # step for df/du, df/dp central differences
@@ -103,6 +110,11 @@ class SolveResult:
         return self.residual <= tol
 
 
+def _check_dim(dom: GridDomain, params: SumHessianParams) -> None:
+    if params.n != dom.dim:
+        raise ValueError(f"params.n={params.n} must equal grid dim {dom.dim}")
+
+
 # ---------------------------------------------------------------------------
 # invariants of the complement matrix (vectorized over interior points)
 
@@ -118,14 +130,14 @@ def _invariants(hb: np.ndarray, m_max: int, transforms: bool = False):
     """
     n_pts, d, _ = hb.shape
     eye = np.eye(d)
-    u = np.trace(hb, axis1=-2, axis2=-1)[:, None, None] * eye - hb
+    u = np.einsum("nii->n", hb)[:, None, None] * eye - hb
     powers = [eye, u]                           # U^0..U^(m_max-1), at least U^1
     while len(powers) < m_max:
         powers.append(powers[-1] @ u)
 
     sig = np.empty((n_pts, m_max + 1))
     sig[:, 0] = 1.0
-    sig[:, 1] = np.trace(u, axis1=-2, axis2=-1)
+    sig[:, 1] = np.einsum("nii->n", u)
     p = [None, sig[:, 1]]                       # p[i] = p_i; sigma_1 = p_1
     for m in range(2, m_max + 1):
         p.append(np.einsum("nij,nji->n", powers[m - 1], u))
@@ -161,8 +173,7 @@ def _grad_coeff_matrices(newton: list, params: SumHessianParams) -> np.ndarray:
     spectral module.
     """
     g = newton[params.k - 1] + params.alpha * newton[params.k - 2]
-    tr_g = np.trace(g, axis1=-2, axis2=-1)
-    return tr_g[:, None, None] * np.eye(g.shape[-1]) - g
+    return np.einsum("nii->n", g)[:, None, None] * np.eye(g.shape[-1]) - g
 
 
 def _cone_margins(sig: np.ndarray, params: SumHessianParams) -> np.ndarray:
@@ -176,6 +187,7 @@ def _cone_margins(sig: np.ndarray, params: SumHessianParams) -> np.ndarray:
 def admissible_mask(fld: ScalarField, params: SumHessianParams) -> np.ndarray:
     """Per-interior-point admissibility: eta(lam(H)) has sigma_1..sigma_{k-1}
     positive and S_k positive (the tilde-prime cone test)."""
+    _check_dim(fld.domain, params)
     return _cone_margins(_invariants(hessian_field(fld), params.k)[0], params) > 0
 
 
@@ -191,6 +203,7 @@ def first_violation(dom: GridDomain, mask: np.ndarray):
 def ellipticity_margins(fld: ScalarField, params: SumHessianParams):
     """(min eigenvalue, eigenvalue sum) of the coefficient matrix per interior
     point; positive minima witness ellipticity on admissible fields."""
+    _check_dim(fld.domain, params)
     _, newton = _invariants(hessian_field(fld), params.k, transforms=True)
     eigs = np.linalg.eigvalsh(_grad_coeff_matrices(newton, params))
     return eigs[:, 0], eigs.sum(axis=1)
@@ -230,8 +243,7 @@ def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, blend=Non
     """S_k(eta(lam(H))) - f at interior points, zeros on the boundary layer
     (grid-shaped array)."""
     dom = fld.domain
-    if params.n != dom.dim:
-        raise ValueError(f"params.n={params.n} must equal grid dim {dom.dim}")
+    _check_dim(dom, params)
     sig, _ = _invariants(hessian_field(fld), params.k)
     s_k = sig[:, params.k] + params.alpha * sig[:, params.k - 1]
     f_vals = _eval_rhs(rhs, _interior_env(fld), dom.interior_idx.size, blend)
@@ -241,89 +253,128 @@ def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, blend=Non
 
 
 def _rhs_derivatives(fld: ScalarField, rhs: RhsSpec, blend=None):
-    """df/du and df/dp by central differences of the evaluator (step 1e-6)."""
+    """df/du and df/dp by central differences of the evaluator (step 1e-6).
+
+    A variable the expression does not reference is not probed: its
+    derivative is exactly 0, as its central difference would be.
+    """
     dom = fld.domain
     n_int = dom.interior_idx.size
-    env = _interior_env(fld)
     t_factor = 1.0 if blend is None else blend[0]
+    names = expr.variables(rhs.expression)
+    keys = ["u"] + [f"p{a + 1}" for a in range(dom.dim)]
+    env = _interior_env(fld) if names.intersection(keys) else None
 
-    def f_at(**over):
-        probe = dict(env)
-        probe.update(over)
-        try:
-            vals = expr.evaluate(rhs.expression, probe)
-        except expr.EvalError as exc:
-            raise InstanceError(f"right-hand side failed to evaluate: {exc}") from exc
-        return np.broadcast_to(np.asarray(vals, dtype=float), (n_int,))
+    def central(key: str) -> np.ndarray:
+        if key not in names:
+            return np.zeros(n_int)
+        vals = []
+        for value in (env[key] + FD_STEP, env[key] - FD_STEP):
+            try:
+                vals.append(expr.evaluate(rhs.expression, {**env, key: value}))
+            except expr.EvalError as exc:
+                raise InstanceError(f"right-hand side failed to evaluate: {exc}") from exc
+        plus, minus = (np.broadcast_to(np.asarray(v, dtype=float), (n_int,)) for v in vals)
+        return (plus - minus) / (2 * FD_STEP)
 
-    f_u = (f_at(u=env["u"] + FD_STEP) - f_at(u=env["u"] - FD_STEP)) / (2 * FD_STEP)
+    f_u = central("u")
     f_p = np.empty((n_int, dom.dim))
     for a in range(dom.dim):
-        key = f"p{a + 1}"
-        f_p[:, a] = (f_at(**{key: env[key] + FD_STEP})
-                     - f_at(**{key: env[key] - FD_STEP})) / (2 * FD_STEP)
+        f_p[:, a] = central(keys[a + 1])
     return t_factor * f_u, t_factor * f_p
 
 
-def _assemble(dom: GridDomain, coeff: np.ndarray, f_u: np.ndarray, f_p: np.ndarray) -> sp.csr_matrix:
+def _stencil_offsets(dom: GridDomain) -> list[int]:
+    """Flat-index offsets of the Hessian stencil: the centre, +/- each axis,
+    then the four diagonal neighbours of each axis pair."""
+    s = dom.strides
+    offsets = [0]
+    for a in range(dom.dim):
+        offsets += [s[a], -s[a]]
+    for a in range(dom.dim):
+        for b in range(a + 1, dom.dim):
+            offsets += [s[a] + s[b], -s[a] - s[b], s[a] - s[b], -s[a] + s[b]]
+    return offsets
+
+
+class _JacobianPattern:
+    """Sparsity pattern of the operator on the interior unknowns of one
+    domain, built on first use, so a solve that never assembles never
+    builds it.
+
+    ``arrays`` is (order, present, indptr, indices). ``order`` sorts the
+    stencil offsets of ``_stencil_offsets``; interior indices grow with the
+    flat index, so taking the offsets in that order yields each row's
+    columns sorted. ``present[i, j]`` marks that interior row i has an entry
+    at the j-th sorted offset: a neighbour on the boundary layer holds
+    Dirichlet data and has none. The marked entries, row by row, are the
+    slots of ``data``. ``indptr`` and ``indices`` are int32.
+    """
+
+    def __init__(self, dom: GridDomain):
+        self.dom = dom
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        dom = self.dom
+        idx = dom.interior_idx
+        local = np.full(dom.n_points, -1, dtype=np.int32)
+        local[idx] = np.arange(idx.size, dtype=np.int32)
+        offsets = np.array(_stencil_offsets(dom))
+        order = np.argsort(offsets)
+        cols = np.empty((idx.size, order.size), dtype=np.int32)
+        for j, offset in enumerate(offsets[order]):
+            cols[:, j] = local[idx + offset]
+        present = cols >= 0
+        indptr = np.zeros(idx.size + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
+        return order, present, indptr, cols[present]
+
+
+def _assemble(dom: GridDomain, pattern: _JacobianPattern, coeff: np.ndarray,
+              f_u: np.ndarray, f_p: np.ndarray) -> sp.csr_matrix:
     """Sparse operator on the interior unknowns, (n_int, n_int): second-order
     term with per-point coefficient matrices contracted against the Hessian
-    stencil, minus first/zeroth-order terms.
-
-    Every stencil term has one entry per interior row, so all terms share
-    one row array. A neighbour on the boundary layer holds a known value;
-    its entry goes to the diagonal with weight 0 (COO-to-CSR sums
-    duplicates), which keeps every term the same length.
+    stencil, minus first/zeroth-order terms. ``pattern`` is the domain's
+    ``_JacobianPattern``; only ``data`` is computed here.
     """
-    idx = dom.interior_idx
-    rows = np.arange(idx.size)
-    local = np.full(dom.n_points, -1)
-    local[idx] = rows
-    s = dom.strides
     h2 = dom.h * dom.h
-
     center = -f_u.copy()
     for a in range(dom.dim):
         center -= 2.0 * coeff[:, a, a] / h2
-    cols, vals = [rows], [center]
-
-    def neighbour(offset: int, weight: np.ndarray) -> None:
-        col = local[idx + offset]
-        known = col < 0
-        cols.append(np.where(known, rows, col))
-        vals.append(np.where(known, 0.0, weight))
-
+    weights = [center]          # one per stencil offset, in _stencil_offsets order
     for a in range(dom.dim):
         for sign in (+1, -1):
-            neighbour(sign * s[a], coeff[:, a, a] / h2 - sign * f_p[:, a] / (2.0 * dom.h))
-
+            weights.append(coeff[:, a, a] / h2 - sign * f_p[:, a] / (2.0 * dom.h))
     for a in range(dom.dim):
         for b in range(a + 1, dom.dim):
             w = coeff[:, a, b] / (2.0 * h2)
-            for sa, sb, sgn in ((1, 1, +1.0), (-1, -1, +1.0), (1, -1, -1.0), (-1, 1, -1.0)):
-                neighbour(sa * s[a] + sb * s[b], sgn * w)
+            weights += [w, w, -w, -w]
 
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.tile(rows, len(cols)), np.concatenate(cols))),
-        shape=(idx.size, idx.size),
-    )
-    return mat.tocsr()
+    order, present, indptr, indices = pattern.arrays
+    data = np.stack([weights[j] for j in order], axis=1)[present]
+    return sp.csr_matrix((data, indices, indptr), shape=(f_u.size, f_u.size))
 
 
-def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, blend=None) -> sp.csr_matrix:
+def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, blend=None, *,
+              pattern: _JacobianPattern | None = None) -> sp.csr_matrix:
     """Discrete linearized operator at an admissible field, with respect to
     the interior unknowns (rows and columns follow ``interior_idx``).
 
+    ``pattern`` is the domain's ``_JacobianPattern``, made here when
+    omitted; the matrix is the same either way.
     Raises ConeViolationError naming the first inadmissible interior point.
     """
+    dom = fld.domain
+    _check_dim(dom, params)
     sig, newton = _invariants(hessian_field(fld), params.k, transforms=True)
-    offender = first_violation(fld.domain, _cone_margins(sig, params) > 0)
+    offender = first_violation(dom, _cone_margins(sig, params) > 0)
     if offender is not None:
         raise ConeViolationError(f"field is not admissible at grid point {offender}")
     coeff = _grad_coeff_matrices(newton, params)
     del sig, newton     # free the (N, d, d) stacks before assembly
     f_u, f_p = _rhs_derivatives(fld, rhs, blend)
-    return _assemble(fld.domain, coeff, f_u, f_p)
+    return _assemble(dom, pattern or _JacobianPattern(dom), coeff, f_u, f_p)
 
 
 def _solve_linear(mat: sp.csr_matrix, rhs_vec: np.ndarray, rtol: float) -> np.ndarray:
@@ -409,22 +460,32 @@ def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
     discrete Hessian, which always pushes the point back into the cone;
     staircase boundaries inject trace-free noise into any smooth extension,
     and this sweep absorbs it locally. Boundary values are never modified.
+    Lowering a point changes only the Hessians of its stencil neighbours,
+    so after one evaluation of the whole grid each sweep re-evaluates
+    those neighbourhoods alone.
     """
     dom = fld.domain
     d = dom.dim
     margin = 0.1 * max(1.0, scale)
     shift = (margin / (d - 1)) * np.eye(d)
     delta = 0.25 * dom.h * dom.h * max(1.0, scale)
-    values = fld.values
+    idx = dom.interior_idx
+    offsets = np.array(_stencil_offsets(dom))
+    trial = ScalarField(dom, fld.values.copy())
+    flat = trial.flat   # a view: lowering it lowers trial
+
+    def margin_ok(hb: np.ndarray) -> np.ndarray:
+        return _cone_margins(_invariants(hb - shift, params.k)[0], params) > 0
+
+    ok = margin_ok(hessian_field(trial))
     for _ in range(REPAIR_SWEEPS):
-        trial = ScalarField(dom, values)
-        ok = _cone_margins(_invariants(hessian_field(trial) - shift, params.k)[0], params) > 0
-        if ok.all():
+        bad = idx[~ok]
+        if bad.size == 0:
             return trial
-        bad = dom.interior_idx[~ok]
-        values = values.copy()
-        values.reshape(-1)[bad] -= delta
-    trial = ScalarField(dom, values)
+        flat[bad] -= delta
+        near = np.unique(bad[:, None] + offsets)
+        near = near[dom.interior_flat[near]]
+        ok[np.searchsorted(idx, near)] = margin_ok(_hessian_stencil(trial, near))
     if (_cone_margins(_invariants(hessian_field(trial), params.k)[0], params) > 0).all():
         return trial
     raise ConeViolationError(
@@ -477,7 +538,8 @@ def guess_scale(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec) -> floa
 
 
 def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
-                  boundary: expr.Node, scale: float | None = None) -> ScalarField:
+                  boundary: expr.Node, scale: float | None = None, *,
+                  pattern: _JacobianPattern | None = None) -> ScalarField:
     """Starting field c (|x - x_c|^2 - r^2)/2 plus an interpolation of the
     boundary mismatch.
 
@@ -489,8 +551,11 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     boundary data). On masked domains the mismatch lives on the staircase
     ring and is small, and the discrete harmonic extension is used instead,
     which keeps the trace of the Hessian exact. Boundary values equal the
-    Dirichlet data exactly in both cases.
+    Dirichlet data exactly in both cases. ``pattern`` is the domain's
+    ``_JacobianPattern`` for the extension's Laplacian, made here when
+    omitted.
     """
+    _check_dim(dom, params)
     c = guess_scale(dom, params, rhs) if scale is None else scale
     pts = dom.points
     center = dom.center
@@ -513,10 +578,11 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                 # boundary layer and Lap_h x = 0 inside, i.e.
                 # A_II x_I = -(Lap_h m)_I with A_II the interior Laplacian
                 n_int, d = dom.interior_idx.size, dom.dim
-                lap = _assemble(dom, np.broadcast_to(np.eye(d), (n_int, d, d)),
+                lap = _assemble(dom, pattern or _JacobianPattern(dom),
+                                np.broadcast_to(np.eye(d), (n_int, d, d)),
                                 np.zeros(n_int), np.zeros((n_int, d)))
-                lap_m = np.trace(hessian_field(ScalarField(dom, mismatch.reshape(dom.shape))),
-                                 axis1=1, axis2=2)
+                lap_m = np.einsum("nii->n", hessian_field(
+                    ScalarField(dom, mismatch.reshape(dom.shape))))
                 flat[dom.interior_idx] += _solve_linear(lap, -lap_m, EXTENSION_RTOL)
         flat[bdry] = bvals[bdry]
         return ScalarField(dom, flat.reshape(dom.shape))
@@ -547,12 +613,12 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     the line search stalls below the minimum step.
     """
     config = config or SolveConfig()
-    if params.n != dom.dim:
-        raise ValueError(f"params.n={params.n} must equal grid dim {dom.dim}")
+    _check_dim(dom, params)
     if not config.homotopy or config.homotopy[-1] != 1.0:
         raise ValueError(f"homotopy schedule must end at 1.0, got {config.homotopy}")
     c0 = guess_scale(dom, params, rhs)
-    fld = initial_guess(dom, params, rhs, boundary, scale=c0)
+    pattern = _JacobianPattern(dom)
+    fld = initial_guess(dom, params, rhs, boundary, scale=c0, pattern=pattern)
     idx = dom.interior_idx
 
     # homotopy target at t=0: the operator value of the guess-scale quadratic
@@ -577,7 +643,7 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
             f_int = res.ravel()[idx]
             f_norm = float(np.linalg.norm(f_int))
             eta = ETA_MAX if forcing is None else _forcing_term(f_norm, forcing, config.tol)
-            mat = linearize(fld, params, rhs, blend)
+            mat = linearize(fld, params, rhs, blend, pattern=pattern)
             delta_int = _solve_linear(mat, -f_int, eta)
             delta = np.zeros(dom.n_points)
             delta[idx] = delta_int

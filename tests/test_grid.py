@@ -135,6 +135,20 @@ class TestFieldIO:
         assert header[1:4] == ["9", "9", "9"]
         assert len(header) == 1 + 3 + 3 + 1
 
+    @pytest.mark.parametrize("dim,mask", [(2, "box"), (2, "ball"), (3, "box"), (3, "ball")])
+    def test_bytes_match_per_value_format(self, dim, mask):
+        dom = make_domain(dim, (-1.0,) * dim, (1.0,) * dim, (10,) * dim, mask_name=mask)
+        vals = np.random.default_rng(dim).normal(size=dom.n_points)
+        vals[:7] = [-0.0, 1e-300, 1.0 / 3.0, 5e-324, -1.7976931348623157e308, 0.0, 1e22]
+        fld = ScalarField(dom, vals.reshape(dom.shape))
+        buf = io.StringIO()
+        write_field(fld, buf)
+        text = buf.getvalue()
+        body = text.split("\n", 1)[1]
+        assert body == "".join(repr(float(v)) + "\n" for v in vals)
+        back = read_field(io.StringIO(text))
+        assert back.values.tobytes() == fld.values.tobytes()
+
     def test_malformed(self):
         with pytest.raises(ValueError):
             read_field(io.StringIO(""))
@@ -148,6 +162,8 @@ class TestFieldIO:
             read_field(io.StringIO("2 9 9 0.0 0.0 0.25 disc 2.0 2.0\n" + "0.0\n" * 81))
         with pytest.raises(ValueError):
             read_field(io.StringIO("2 9 9 0.0 0.0 0.25 ball 1.0 1.0\n" + "0.0\n" * 81))
+        with pytest.raises(ValueError):
+            read_field(io.StringIO("2 9 9 0.0 0.0 0.25\n" + "0.0\n" * 80 + "nought\n"))
 
     def test_shape_mismatch(self):
         dom = make_domain(2, (0, 0), (1, 1), (8, 8))

@@ -1,6 +1,9 @@
 """Residual, linearization, initial guess, and the damped Newton loop."""
+from functools import cached_property
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sumhessian.expr as expr
 from sumhessian import (
@@ -14,9 +17,14 @@ from sumhessian import (
     operator_value,
 )
 from sumhessian.errors import ConeViolationError, InstanceError, LinearSolveError
+from sumhessian.grid import hessian_field
 from sumhessian.solver import (
+    _JacobianPattern,
+    _assemble,
+    _cone_margins,
     _grad_coeff_matrices,
     _invariants,
+    _repair_admissibility,
     admissible_mask,
     boundary_values,
     ellipticity_margins,
@@ -74,6 +82,21 @@ class TestResidual:
         with pytest.raises(ValueError):
             residual(fld, SumHessianParams(3, 2, 0.0), RhsSpec.parse("1"))
 
+    def test_every_field_entry_point_checks_dimension(self):
+        # a 3D field under 2D parameters is an error, not "admissible"
+        dom = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3)
+        fld = field_from(dom, lambda p: 0.5 * np.sum(p**2, axis=1))
+        params, rhs = SumHessianParams(2, 2, 1.0), RhsSpec.parse("1")
+        calls = (lambda: admissible_mask(fld, params),
+                 lambda: linearize(fld, params, rhs),
+                 lambda: ellipticity_margins(fld, params),
+                 lambda: initial_guess(dom, params, rhs, ZERO),
+                 lambda: residual(fld, params, rhs),
+                 lambda: newton_solve(dom, params, rhs, ZERO))
+        for call in calls:
+            with pytest.raises(ValueError, match="must equal grid dim 3"):
+                call()
+
 
 def hessian_stack(rng, d):
     """Indefinite, repeated-eigenvalue and multiple-of-identity Hessians at
@@ -112,6 +135,15 @@ class TestInvariantKernel:
         assert newton == []
         assert np.array_equal(sig, _invariants(hb, 3, transforms=True)[0])
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_einsum_trace_is_np_trace(self, d):
+        # the kernel takes traces with einsum("nii->n"); it must not move a bit
+        stack = np.random.default_rng(d).normal(size=(20000, d, d))
+        stack[::7] *= 1e150
+        stack[::11] *= 1e-150
+        assert (np.einsum("nii->n", stack).tobytes()
+                == np.trace(stack, axis1=-2, axis2=-1).tobytes())
+
 
 class TestTransfiniteBlend:
     @pytest.mark.parametrize("shape", [(9, 12), (9, 10, 11)])
@@ -148,6 +180,146 @@ class TestAdmissibility:
         with pytest.raises(ConeViolationError) as err:
             linearize(fld, params, RhsSpec.parse("1"))
         assert "grid point" in str(err.value)
+
+
+def coo_reference(dom, coeff, f_u, f_p):
+    """The operator built term by term in COO form: a neighbour on the
+    boundary layer puts a zero on the diagonal, and tocsr sums duplicates."""
+    idx = dom.interior_idx
+    rows = np.arange(idx.size)
+    local = np.full(dom.n_points, -1)
+    local[idx] = rows
+    s = dom.strides
+    h2 = dom.h * dom.h
+    center = -f_u.copy()
+    for a in range(dom.dim):
+        center -= 2.0 * coeff[:, a, a] / h2
+    cols, vals = [rows], [center]
+
+    def neighbour(offset, weight):
+        col = local[idx + offset]
+        known = col < 0
+        cols.append(np.where(known, rows, col))
+        vals.append(np.where(known, 0.0, weight))
+
+    for a in range(dom.dim):
+        for sign in (+1, -1):
+            neighbour(sign * s[a], coeff[:, a, a] / h2 - sign * f_p[:, a] / (2.0 * dom.h))
+    for a in range(dom.dim):
+        for b in range(a + 1, dom.dim):
+            w = coeff[:, a, b] / (2.0 * h2)
+            for sa, sb, sgn in ((1, 1, +1.0), (-1, -1, +1.0), (1, -1, -1.0), (-1, 1, -1.0)):
+                neighbour(sa * s[a] + sb * s[b], sgn * w)
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.tile(rows, len(cols)), np.concatenate(cols))),
+        shape=(idx.size, idx.size),
+    )
+    return mat.tocsr()
+
+
+def full_sweep_repair(fld, params, scale):
+    """Admissibility repair re-evaluating the whole grid on every sweep;
+    returns the field and the number of sweeps that lowered values."""
+    dom = fld.domain
+    d = dom.dim
+    shift = (0.1 * max(1.0, scale) / (d - 1)) * np.eye(d)
+    delta = 0.25 * dom.h * dom.h * max(1.0, scale)
+    values = fld.values
+    for sweep in range(200):
+        trial = ScalarField(dom, values)
+        ok = _cone_margins(_invariants(hessian_field(trial) - shift, params.k)[0], params) > 0
+        if ok.all():
+            return trial, sweep
+        values = values.copy()
+        values.reshape(-1)[dom.interior_idx[~ok]] -= delta
+    raise AssertionError("reference repair did not finish")
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("dim,mask", [(2, "box"), (2, "ball"), (3, "box"), (3, "ball")])
+    def test_matches_coo_reference(self, dim, mask):
+        dom = make_domain(dim, (-1,) * dim, (1,) * dim, (12,) * dim, mask_name=mask)
+        rng = np.random.default_rng(dim)
+        n_int = dom.interior_idx.size
+        coeff = rng.normal(size=(n_int, dim, dim))
+        coeff = coeff + coeff.transpose(0, 2, 1)
+        f_u, f_p = rng.normal(size=n_int), rng.normal(size=(n_int, dim))
+        got = _assemble(dom, _JacobianPattern(dom), coeff, f_u, f_p)
+        want = coo_reference(dom, coeff, f_u, f_p)
+        assert got.indptr.dtype == got.indices.dtype == np.int32
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+        assert got.has_sorted_indices
+
+    def test_shared_pattern_gives_the_same_matrix(self):
+        dom = make_domain(3, (-1,) * 3, (1,) * 3, (10,) * 3, mask_name="ball")
+        params = SumHessianParams(3, 2, 1.0)
+        rhs = RhsSpec.parse("20 + exp(u/10) + p1^2/100 + p3/10")
+        fld = field_from(dom, lambda p: 2.0 * (0.5 * np.sum(p**2, axis=1)))
+        pattern = _JacobianPattern(dom)
+        first = linearize(fld, params, rhs, pattern=pattern)
+        again = linearize(fld, params, rhs, pattern=pattern)
+        fresh = linearize(fld, params, rhs)
+        for mat in (again, fresh):
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(mat, attr), getattr(first, attr)), attr
+
+
+    def test_one_pattern_per_solve_built_on_first_use(self, monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        built = []
+        build = solver_mod._JacobianPattern.arrays.func
+
+        def counting(self):
+            built.append(self.dom)
+            return build(self)
+
+        arrays = cached_property(counting)
+        arrays.__set_name__(solver_mod._JacobianPattern, "arrays")
+        monkeypatch.setattr(solver_mod._JacobianPattern, "arrays", arrays)
+        params = SumHessianParams(3, 2, 1.0)
+        # the extension and every Newton step share one pattern
+        ball = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3, mask_name="ball")
+        assert newton_solve(ball, params, RhsSpec.parse("18"), ZERO).iterations > 0
+        assert built == [ball]
+        # an exact guess on a box assembles nothing and builds nothing
+        box = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3)
+        exact = newton_solve(box, params, RhsSpec.parse("18"),
+                             expr.parse("(x1^2 + x2^2 + x3^2 - 1)/2"))
+        assert exact.iterations == 0
+        assert built == [ball]
+
+
+class TestLocalRepair:
+    def test_matches_full_sweeps(self, monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        # the ball 24^3 extension guess at k = 3 needs several sweeps
+        dom = make_domain(3, (-1,) * 3, (1,) * 3, (24,) * 3, mask_name="ball")
+        params = SumHessianParams(3, 3, 1.0)
+        captured = []
+
+        def capture(fld, params, scale):
+            captured.append((fld, fld.values.copy(), scale))
+            return _repair_admissibility(fld, params, scale)
+
+        monkeypatch.setattr(solver_mod, "_repair_admissibility", capture)
+        repaired = initial_guess(dom, params, RhsSpec.parse("20"), ZERO)
+        unrepaired, before, scale = captured[0]
+        assert unrepaired.values.tobytes() == before.tobytes()    # input left as it was
+        want, sweeps = full_sweep_repair(unrepaired, params, scale)
+        assert sweeps >= 3
+        assert repaired.values.tobytes() == want.values.tobytes()
+
+    def test_unrepairable_raises(self, monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        monkeypatch.setattr(solver_mod, "REPAIR_SWEEPS", 1)
+        dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
+        fld = field_from(dom, lambda p: -4.0 * np.sum(p**2, axis=1))
+        with pytest.raises(ConeViolationError):
+            _repair_admissibility(fld, SumHessianParams(2, 2, 1.0), 1.0)
 
 
 class TestLinearize:
