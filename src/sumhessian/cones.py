@@ -25,7 +25,8 @@ from .symfun import SumHessianParams, sigma_all, sum_hessian
 SAMPLE_BOX = (-1.0, 3.0)
 DRAW_BUDGET = 10**7
 MIN_ACCEPT_RATE = 1e-4
-_CHUNK = 1 << 14
+_CHUNK = 1 << 14        # most rows one draw may test
+_MIN_DRAW = 64          # fewest rows one draw tests
 
 
 class Cone(enum.Enum):
@@ -114,9 +115,12 @@ def sample_cone(cone: Cone, params: SumHessianParams, count: int, seed: int) -> 
     """Deterministic-for-seed rejection sampling of cone points.
 
     Draws uniformly from the box [-1, 3]^n and keeps points passing the
-    membership test. Raises SamplingExhaustedError when the acceptance
-    rate stays below 1e-4 over a 10^7-draw budget (an empty-looking cone
-    for these parameters).
+    membership test. Each draw tests about as many rows as the samples
+    still missing need at the acceptance rate seen so far, within
+    [_MIN_DRAW, _CHUNK] rows; the draws continue one random stream, so the
+    samples do not depend on the draw sizes. Raises SamplingExhaustedError
+    when the acceptance rate stays below 1e-4 over a 10^7-draw budget (an
+    empty-looking cone for these parameters).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -133,13 +137,17 @@ def sample_cone(cone: Cone, params: SumHessianParams, count: int, seed: int) -> 
                 f"cone {cone.value} acceptance rate {rate:.2e} below {MIN_ACCEPT_RATE:.0e} "
                 f"after {drawn} draws (n={n}, k={params.k}, alpha={params.alpha})"
             )
-        chunk = rng.uniform(lo, hi, size=(_CHUNK, n))
-        drawn += _CHUNK
-        keep = chunk[in_cone(chunk, cone, params)]
-        if keep.shape[0]:
-            take = min(keep.shape[0], count - accepted)
-            rows.append(keep[:take])
-            accepted += take
+        # rows for the missing samples at rate accepted / (drawn + 1), rounded
+        # up: the fixed sample 0 counts as one acceptance, so the first draw
+        # assumes every row is accepted, and while none is, each draw at
+        # least doubles the rows drawn so far, up to _CHUNK rows a draw
+        need = count - accepted
+        size = min(_CHUNK, max(_MIN_DRAW, -(-need * (drawn + 1) // accepted)))
+        chunk = rng.uniform(lo, hi, size=(size, n))
+        drawn += size
+        keep = chunk[in_cone(chunk, cone, params)][:need]
+        rows.append(keep)
+        accepted += keep.shape[0]
     samples = np.concatenate(rows, axis=0)
     return ConeSampleBatch(samples=samples, cone=cone, params=params, seed=seed)
 

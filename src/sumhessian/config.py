@@ -1,7 +1,7 @@
 """Run configuration files: INI-style sections with flat key = value pairs.
 
 Expressions are quoted strings over the identifiers x1..x3, u, p1..p3.
-Example:
+Keys and sections the loader does not know are ignored. Example:
 
     [operator]
     n = 3
@@ -23,7 +23,6 @@ Example:
     [solver]
     tol = 1e-10
     max_iter = 50
-    homotopy = 1.0        # space-separated schedule, ends at 1.0
 
     [estimates]
     beta = 1 2 4
@@ -41,7 +40,7 @@ from dataclasses import dataclass, field
 
 from . import expr
 from .errors import ConfigError
-from .grid import GridDomain, make_domain
+from .grid import MASK_NAMES, GridDomain, make_domain
 from .solver import RhsSpec, SolveConfig
 from .symfun import SumHessianParams
 
@@ -59,7 +58,6 @@ class RunConfig:
     boundary_source: str
     tol: float = 1e-10
     max_iter: int = 50
-    homotopy: tuple[float, ...] = (1.0,)
     betas: tuple[float, ...] = (1.0, 2.0, 4.0)
     p_beta: float = 2.0
     p_a: float = 0.1
@@ -79,7 +77,7 @@ class RunConfig:
         return expr.parse(self.boundary_source)
 
     def solve_config(self) -> SolveConfig:
-        return SolveConfig(tol=self.tol, max_iter=self.max_iter, homotopy=self.homotopy)
+        return SolveConfig(tol=self.tol, max_iter=self.max_iter)
 
 
 def _unquote(text: str) -> str:
@@ -134,7 +132,7 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     mask_name = dom.get("mask", fallback="box").strip()
     if len(lower) != n or len(upper) != n or len(cells) != n:
         raise ConfigError("lower/upper/cells must each list one value per dimension")
-    if mask_name not in ("box", "ball"):
+    if mask_name not in MASK_NAMES:
         raise ConfigError(f"mask must be 'box' or 'ball', got '{mask_name}'")
 
     rhs_source = _unquote(parser["rhs"].get("f"))
@@ -160,10 +158,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         sol = parser["solver"]
         cfg.tol = sol.getfloat("tol", fallback=cfg.tol)
         cfg.max_iter = sol.getint("max_iter", fallback=cfg.max_iter)
-        if sol.get("homotopy", fallback=None) is not None:
-            cfg.homotopy = _floats(sol.get("homotopy"))
-            if not cfg.homotopy or abs(cfg.homotopy[-1] - 1.0) > 0:
-                raise ConfigError("homotopy schedule must end at 1.0")
     if parser.has_section("estimates"):
         est = parser["estimates"]
         if est.get("beta", fallback=None) is not None:

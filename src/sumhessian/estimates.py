@@ -276,10 +276,13 @@ def report_columns(betas) -> list[str]:
 
 def write_reports(reports: list[EstimateReport], stream, family_max: bool = False) -> None:
     """CSV table, one row per instance; with family_max a final row holds the
-    per-column maximum of the numeric entries (the empirical constants)."""
+    per-column maximum of the numeric entries (the empirical constants).
+
+    The weighted columns are the union of the reports' weights, in the order
+    first seen; a report without a weight reads NA there."""
     if not reports:
         raise ValueError("no reports to write")
-    betas = tuple(reports[0].weighted.keys())
+    betas = tuple(dict.fromkeys(b for rep in reports for b in rep.weighted))
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(report_columns(betas))
 

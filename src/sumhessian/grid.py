@@ -1,30 +1,31 @@
 """Uniform box grids with a one-point Dirichlet boundary layer.
 
 A domain is a box split into equal cells (same spacing on every axis),
-optionally intersected with a mask predicate: grid points where the mask
-is False are treated as boundary points and carry Dirichlet values, which
-yields staircase approximations of discs and balls. Fields store one value
-per grid point, boundary layer included.
+optionally intersected with the open ball inscribed in the box: grid points
+outside the ball are treated as boundary points and carry Dirichlet values,
+which yields staircase approximations of discs and balls. Fields store one
+value per grid point, boundary layer included.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
 MIN_CELLS = 8
+MASK_NAMES = ("box", "ball")
 
 
 @dataclass
 class GridDomain:
-    """Uniform grid on a box, optional interior mask, spacing h on all axes."""
+    """Uniform grid on a box, spacing h on all axes. ``mask_name`` is 'box'
+    (every strictly inner grid point is interior) or 'ball' (only those
+    inside the open ball inscribed in the box)."""
 
     dim: int
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     cells: tuple[int, ...]
-    mask: Optional[Callable[[np.ndarray], np.ndarray]] = None
     mask_name: str = "box"
 
     h: float = field(init=False)
@@ -33,6 +34,8 @@ class GridDomain:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        if self.mask_name not in MASK_NAMES:
+            raise ValueError(f"unknown mask '{self.mask_name}' (expected 'box' or 'ball')")
         self.lower = tuple(float(v) for v in self.lower)
         self.upper = tuple(float(v) for v in self.upper)
         self.cells = tuple(int(c) for c in self.cells)
@@ -61,8 +64,9 @@ class GridDomain:
             sl[a] = -1
             strict[tuple(sl)] = False
         interior = strict.ravel()
-        if self.mask is not None:
-            interior = interior & np.asarray(self.mask(self._points), dtype=bool)
+        if self.mask_name == "ball":
+            radius = 0.5 * float(np.min(np.asarray(self.upper) - np.asarray(self.lower)))
+            interior &= np.linalg.norm(self._points - self.center, axis=-1) < radius
         self._interior_flat = interior
         self._interior_idx = np.flatnonzero(interior)
         self._strides = tuple(int(np.prod(self.shape[a + 1:], dtype=int)) for a in range(self.dim))
@@ -106,29 +110,9 @@ class GridDomain:
         return tuple(int(round((c - l) / self.h)) for c, l in zip(self.center, self.lower))
 
 
-def ball_mask(domain_lower, domain_upper) -> Callable[[np.ndarray], np.ndarray]:
-    """Mask for the open ball inscribed in the box (staircase boundary)."""
-    lower = np.asarray(domain_lower, dtype=float)
-    upper = np.asarray(domain_upper, dtype=float)
-    center = 0.5 * (lower + upper)
-    radius = 0.5 * float(np.min(upper - lower))
-
-    def mask(points: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(points - center, axis=-1) < radius
-
-    return mask
-
-
 def make_domain(dim, lower, upper, cells, mask_name="box") -> GridDomain:
     """Build a domain; mask_name is 'box' or 'ball'."""
-    if mask_name == "box":
-        mask = None
-    elif mask_name == "ball":
-        mask = ball_mask(lower, upper)
-    else:
-        raise ValueError(f"unknown mask '{mask_name}' (expected 'box' or 'ball')")
-    return GridDomain(dim=dim, lower=tuple(lower), upper=tuple(upper),
-                      cells=tuple(cells), mask=mask, mask_name=mask_name)
+    return GridDomain(dim, lower, upper, cells, mask_name)
 
 
 @dataclass
@@ -242,10 +226,10 @@ def read_field(stream) -> ScalarField:
     cells = tuple(n - 1 for n in shape)
     if len(header) == box_len:
         upper = tuple(l + h * c for l, c in zip(lower, cells))
-        dom = GridDomain(dim=dim, lower=lower, upper=upper, cells=cells)
+        dom = GridDomain(dim, lower, upper, cells)
     else:
         upper = tuple(float(v) for v in header[box_len + 1:])
-        dom = make_domain(dim, lower, upper, cells, header[box_len])
+        dom = GridDomain(dim, lower, upper, cells, header[box_len])
         if dom.h != h:
             raise ValueError(f"field header spacing {h!r} does not match its corners ({dom.h!r})")
     values = np.fromiter(map(float, stream.read().split()), dtype=float)

@@ -52,7 +52,7 @@ MIN_STEP = 2.0 ** -20   # the line search stalls below this damping step
 EXTENSION_RTOL = 1e-10  # relative residual of the harmonic-extension solve
 KRYLOV_MAXITER = 4000   # BiCGSTAB iteration cap of every linear solve
 # Eisenstat-Walker forcing terms (SIAM J. Sci. Comput. 17, 1996, choice 1)
-ETA_MAX = 0.1           # forcing term of the first step of each homotopy stage, and its cap
+ETA_MAX = 0.1           # forcing term of the first Newton step, and its cap
 ETA_FLOOR = 1e-12       # smallest relative linear residual ever asked of BiCGSTAB
 ETA_TOL_SHARE = 0.5     # a step need not cut ||F||_2 below this share of tol
 EW_EXPONENT = 0.5 * (1.0 + 5.0 ** 0.5)
@@ -68,24 +68,22 @@ class RhsSpec:
     """Right-hand side f(x, u, Du) as an expression tree."""
 
     expression: expr.Node
-    require_positive: bool = True
 
     @staticmethod
-    def parse(source: str, require_positive: bool = True) -> "RhsSpec":
-        return RhsSpec(expr.parse(source), require_positive)
+    def parse(source: str) -> "RhsSpec":
+        return RhsSpec(expr.parse(source))
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     tol: float = 1e-10
     max_iter: int = 50
-    homotopy: tuple[float, ...] = (1.0,)
 
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One recorded iterate: sup-norm residual, accepted step (0 at the start
-    of a homotopy stage) and cone margin, the minimum over interior points of
+    """One recorded iterate: sup-norm residual, accepted step (0 for the
+    initial guess) and cone margin, the minimum over interior points of
     sigma_1..sigma_{k-1} and S_k of eta(lam(H))."""
 
     iteration: int
@@ -184,11 +182,16 @@ def _cone_margins(sig: np.ndarray, params: SumHessianParams) -> np.ndarray:
     return np.minimum(np.min(sig[:, 1:params.k], axis=1, initial=np.inf), s_k)
 
 
+def _margins(fld: ScalarField, params: SumHessianParams) -> np.ndarray:
+    """``_cone_margins`` of the field's discrete Hessians, per interior point."""
+    return _cone_margins(_invariants(hessian_field(fld), params.k)[0], params)
+
+
 def admissible_mask(fld: ScalarField, params: SumHessianParams) -> np.ndarray:
     """Per-interior-point admissibility: eta(lam(H)) has sigma_1..sigma_{k-1}
     positive and S_k positive (the tilde-prime cone test)."""
     _check_dim(fld.domain, params)
-    return _cone_margins(_invariants(hessian_field(fld), params.k)[0], params) > 0
+    return _margins(fld, params) > 0
 
 
 def first_violation(dom: GridDomain, mask: np.ndarray):
@@ -223,36 +226,33 @@ def _interior_env(fld: ScalarField) -> dict:
     return env
 
 
-def _eval_rhs(rhs: RhsSpec, env: dict, n_pts: int, blend=None) -> np.ndarray:
+def _eval_rhs(rhs: RhsSpec, env: dict, n_pts: int) -> np.ndarray:
     try:
         vals = expr.evaluate(rhs.expression, env)
     except expr.EvalError as exc:
         raise InstanceError(f"right-hand side failed to evaluate: {exc}") from exc
     vals = np.broadcast_to(np.asarray(vals, dtype=float), (n_pts,)).copy()
-    if blend is not None:
-        t, const = blend
-        vals = (1.0 - t) * const + t * vals
-    if rhs.require_positive and np.min(vals) <= 0:
+    if np.min(vals) <= 0:
         raise InstanceError(f"right-hand side must stay positive, min {np.min(vals)!r}")
     if not np.all(np.isfinite(vals)):
         raise InstanceError("right-hand side evaluated non-finite")
     return vals
 
 
-def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, blend=None) -> np.ndarray:
+def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec) -> np.ndarray:
     """S_k(eta(lam(H))) - f at interior points, zeros on the boundary layer
     (grid-shaped array)."""
     dom = fld.domain
     _check_dim(dom, params)
     sig, _ = _invariants(hessian_field(fld), params.k)
     s_k = sig[:, params.k] + params.alpha * sig[:, params.k - 1]
-    f_vals = _eval_rhs(rhs, _interior_env(fld), dom.interior_idx.size, blend)
+    f_vals = _eval_rhs(rhs, _interior_env(fld), dom.interior_idx.size)
     out = np.zeros(dom.n_points)
     out[dom.interior_idx] = s_k - f_vals
     return out.reshape(dom.shape)
 
 
-def _rhs_derivatives(fld: ScalarField, rhs: RhsSpec, blend=None):
+def _rhs_derivatives(fld: ScalarField, rhs: RhsSpec):
     """df/du and df/dp by central differences of the evaluator (step 1e-6).
 
     A variable the expression does not reference is not probed: its
@@ -260,7 +260,6 @@ def _rhs_derivatives(fld: ScalarField, rhs: RhsSpec, blend=None):
     """
     dom = fld.domain
     n_int = dom.interior_idx.size
-    t_factor = 1.0 if blend is None else blend[0]
     names = expr.variables(rhs.expression)
     keys = ["u"] + [f"p{a + 1}" for a in range(dom.dim)]
     env = _interior_env(fld) if names.intersection(keys) else None
@@ -281,7 +280,7 @@ def _rhs_derivatives(fld: ScalarField, rhs: RhsSpec, blend=None):
     f_p = np.empty((n_int, dom.dim))
     for a in range(dom.dim):
         f_p[:, a] = central(keys[a + 1])
-    return t_factor * f_u, t_factor * f_p
+    return f_u, f_p
 
 
 def _stencil_offsets(dom: GridDomain) -> list[int]:
@@ -356,7 +355,7 @@ def _assemble(dom: GridDomain, pattern: _JacobianPattern, coeff: np.ndarray,
     return sp.csr_matrix((data, indices, indptr), shape=(f_u.size, f_u.size))
 
 
-def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, blend=None, *,
+def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
               pattern: _JacobianPattern | None = None) -> sp.csr_matrix:
     """Discrete linearized operator at an admissible field, with respect to
     the interior unknowns (rows and columns follow ``interior_idx``).
@@ -373,7 +372,7 @@ def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, blend=No
         raise ConeViolationError(f"field is not admissible at grid point {offender}")
     coeff = _grad_coeff_matrices(newton, params)
     del sig, newton     # free the (N, d, d) stacks before assembly
-    f_u, f_p = _rhs_derivatives(fld, rhs, blend)
+    f_u, f_p = _rhs_derivatives(fld, rhs)
     return _assemble(dom, pattern or _JacobianPattern(dom), coeff, f_u, f_p)
 
 
@@ -486,7 +485,7 @@ def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
         near = np.unique(bad[:, None] + offsets)
         near = near[dom.interior_flat[near]]
         ok[np.searchsorted(idx, near)] = margin_ok(_hessian_stencil(trial, near))
-    if (_cone_margins(_invariants(hessian_field(trial), params.k)[0], params) > 0).all():
+    if (_margins(trial, params) > 0).all():
         return trial
     raise ConeViolationError(
         f"initial guess could not be repaired to admissibility in {REPAIR_SWEEPS} sweeps"
@@ -538,14 +537,14 @@ def guess_scale(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec) -> floa
 
 
 def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
-                  boundary: expr.Node, scale: float | None = None, *,
+                  boundary: expr.Node, *,
                   pattern: _JacobianPattern | None = None) -> ScalarField:
     """Starting field c (|x - x_c|^2 - r^2)/2 plus an interpolation of the
     boundary mismatch.
 
     The scale c is the smallest power of two making the constant-Hessian
-    value dominate sup f (evaluated at u = 0, Du = 0); ``scale`` passes a c
-    already computed by ``guess_scale``. On plain boxes the mismatch is
+    value dominate sup f (evaluated at u = 0, Du = 0), from ``guess_scale``.
+    On plain boxes the mismatch is
     interpolated by the transfinite face blend (no corner singularities;
     exact on the quadratic, so the guess coincides with the blended
     boundary data). On masked domains the mismatch lives on the staircase
@@ -556,7 +555,7 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     omitted.
     """
     _check_dim(dom, params)
-    c = guess_scale(dom, params, rhs) if scale is None else scale
+    c = guess_scale(dom, params, rhs)
     pts = dom.points
     center = dom.center
     radius = dom.inscribed_radius
@@ -587,9 +586,9 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         flat[bdry] = bvals[bdry]
         return ScalarField(dom, flat.reshape(dom.shape))
 
-    if dom.mask is None:
+    if dom.mask_name == "box":
         fld = with_extension(use_blend=True)
-        if (_cone_margins(_invariants(hessian_field(fld), params.k)[0], params) > 0).all():
+        if (_margins(fld, params) > 0).all():
             return fld
         fld = with_extension(use_blend=False)
     else:
@@ -605,78 +604,65 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     """Inexact damped Newton with admissibility-preserving backtracking.
 
     Each step solves the linearized system on the interior unknowns to the
-    relative residual of its Eisenstat-Walker forcing term (reset to ETA_MAX
-    at each homotopy stage), then halves the step until the trial iterate
-    is admissible at every interior point and strictly decreases the
-    sup-norm residual (or lands below the tolerance). Stops at residual <=
-    tol or after max_iter accepted steps; raises NonConvergenceError when
-    the line search stalls below the minimum step.
+    relative residual of its Eisenstat-Walker forcing term (ETA_MAX on the
+    first step), then halves the step until the trial iterate is admissible
+    at every interior point and strictly decreases the sup-norm residual
+    (or lands below the tolerance). The trace records the guess as step 0
+    and every accepted iterate after it. Stops at residual <= tol or after
+    max_iter accepted steps; raises NonConvergenceError when the line search
+    stalls below the minimum step.
     """
     config = config or SolveConfig()
     _check_dim(dom, params)
-    if not config.homotopy or config.homotopy[-1] != 1.0:
-        raise ValueError(f"homotopy schedule must end at 1.0, got {config.homotopy}")
-    c0 = guess_scale(dom, params, rhs)
     pattern = _JacobianPattern(dom)
-    fld = initial_guess(dom, params, rhs, boundary, scale=c0, pattern=pattern)
+    fld = initial_guess(dom, params, rhs, boundary, pattern=pattern)
     idx = dom.interior_idx
-
-    # homotopy target at t=0: the operator value of the guess-scale quadratic
-    blend_const = float(sum_hessian(np.full(params.n, (params.n - 1) * c0), params.k, params.alpha))
-
-    trace: list[TraceEntry] = []
-    iterations = 0
 
     offender = first_violation(dom, admissible_mask(fld, params))
     if offender is not None:
         raise ConeViolationError(f"initial guess is not admissible at grid point {offender}")
 
-    for t in config.homotopy:
-        blend = None if t == 1.0 else (t, blend_const)
-        res = residual(fld, params, rhs, blend)
-        res_norm = float(np.max(np.abs(res)))
-        margin = float(np.min(_cone_margins(_invariants(hessian_field(fld), params.k)[0], params)))
-        trace.append(TraceEntry(iterations, res_norm, 0.0, margin))
-        forcing = None      # (eta, ||F||_2, ||model of the next F||_2) of the last step
+    res = residual(fld, params, rhs)
+    res_norm = float(np.max(np.abs(res)))
+    trace = [TraceEntry(0, res_norm, 0.0, float(np.min(_margins(fld, params))))]
+    iterations = 0
+    forcing = None      # (eta, ||F||_2, ||model of the next F||_2) of the last step
 
-        while res_norm > config.tol and iterations < config.max_iter:
-            f_int = res.ravel()[idx]
-            f_norm = float(np.linalg.norm(f_int))
-            eta = ETA_MAX if forcing is None else _forcing_term(f_norm, forcing, config.tol)
-            mat = linearize(fld, params, rhs, blend, pattern=pattern)
-            delta_int = _solve_linear(mat, -f_int, eta)
-            delta = np.zeros(dom.n_points)
-            delta[idx] = delta_int
-            step = 1.0
-            accepted = None
-            while step >= MIN_STEP:
-                trial = ScalarField(dom, fld.values + step * delta.reshape(dom.shape))
-                if admissible_mask(trial, params).all():
-                    try:
-                        res_try = residual(trial, params, rhs, blend)
-                    except InstanceError:
-                        res_try = None
-                    if res_try is not None:
-                        norm_try = float(np.max(np.abs(res_try)))
-                        if norm_try < res_norm or norm_try <= config.tol:
-                            accepted = (trial, res_try, norm_try)
-                            break
-                step *= 0.5
-            if accepted is None:
-                raise NonConvergenceError(
-                    f"line search stalled below step {MIN_STEP:g} at residual {res_norm:.3e}",
-                    trace=trace,
-                )
-            # (1 - step) F + step r_lin = F + step J delta
-            model_norm = float(np.linalg.norm(f_int + step * (mat @ delta_int)))
-            forcing = (eta, f_norm, model_norm)
-            fld, res, res_norm = accepted
-            iterations += 1
-            margin = float(np.min(_cone_margins(_invariants(hessian_field(fld), params.k)[0],
-                                                params)))
-            trace.append(TraceEntry(iterations, res_norm, step, margin))
+    while res_norm > config.tol and iterations < config.max_iter:
+        f_int = res.ravel()[idx]
+        f_norm = float(np.linalg.norm(f_int))
+        eta = ETA_MAX if forcing is None else _forcing_term(f_norm, forcing, config.tol)
+        mat = linearize(fld, params, rhs, pattern=pattern)
+        delta_int = _solve_linear(mat, -f_int, eta)
+        delta = np.zeros(dom.n_points)
+        delta[idx] = delta_int
+        step = 1.0
+        accepted = None
+        while step >= MIN_STEP:
+            trial = ScalarField(dom, fld.values + step * delta.reshape(dom.shape))
+            if admissible_mask(trial, params).all():
+                try:
+                    res_try = residual(trial, params, rhs)
+                except InstanceError:
+                    res_try = None
+                if res_try is not None:
+                    norm_try = float(np.max(np.abs(res_try)))
+                    if norm_try < res_norm or norm_try <= config.tol:
+                        accepted = (trial, res_try, norm_try)
+                        break
+            step *= 0.5
+        if accepted is None:
+            raise NonConvergenceError(
+                f"line search stalled below step {MIN_STEP:g} at residual {res_norm:.3e}",
+                trace=trace,
+            )
+        # (1 - step) F + step r_lin = F + step J delta
+        model_norm = float(np.linalg.norm(f_int + step * (mat @ delta_int)))
+        forcing = (eta, f_norm, model_norm)
+        fld, res, res_norm = accepted
+        iterations += 1
+        trace.append(TraceEntry(iterations, res_norm, step, float(np.min(_margins(fld, params)))))
 
-    # the last stage is t = 1, so res_norm is the residual of the target problem
     return SolveResult(
         field=fld,
         iterations=iterations,

@@ -143,20 +143,22 @@ def suite_hess_fd(params, count, seed, tol):
     rng = np.random.default_rng(seed)
     lam = _uniform_lams(params, min(count, 200), rng)
     k, a, n = params.k, params.alpha, params.n
-    hess = sum_hessian_hess(lam, k, a)
+    hess = np.moveaxis(sum_hessian_hess(lam, k, a), 0, -1)     # (n, n, batch)
     h = HESS_FD_STEP
-    worst = 0.0
-    for p in range(n):
-        for q in range(n):
-            dp = np.zeros(n); dp[p] = h
-            dq = np.zeros(n); dq[q] = h
-            if p == q:
-                fd = (sum_hessian(lam + dp, k, a) - 2 * sum_hessian(lam, k, a)
-                      + sum_hessian(lam - dp, k, a)) / h**2
-            else:
-                fd = (sum_hessian(lam + dp + dq, k, a) - sum_hessian(lam + dp - dq, k, a)
-                      - sum_hessian(lam - dp + dq, k, a) + sum_hessian(lam - dp - dq, k, a)) / (4 * h**2)
-            worst = max(worst, float(np.max(_rel(fd - hess[:, p, q], hess[:, p, q]))))
+    steps = h * np.eye(n)[:, None, :]                           # steps[p] = h e_p
+    fd = np.empty_like(hess)
+    # one sum_hessian call at lam and lam +/- h e_p ...
+    mid, plus, minus = np.split(
+        sum_hessian(np.concatenate([lam[None], lam + steps, lam - steps]), k, a), [1, n + 1])
+    diag = np.arange(n)
+    fd[diag, diag] = (plus - 2 * mid + minus) / h**2
+    # ... and one at lam + (+/-h e_p +/- h e_q), p < q, which also serves (q, p)
+    p, q = np.triu_indices(n, 1)
+    dp, dq = steps[p], steps[q]
+    pp, pm, mp, mm = sum_hessian(lam + np.stack([dp + dq, dp - dq, -dp + dq, -dp - dq]), k, a)
+    fd[p, q] = (pp - pm - mp + mm) / (4 * h**2)
+    fd[q, p] = (pp - mp - pm + mm) / (4 * h**2)
+    worst = float(np.max(_rel(fd - hess, hess)))
     return _result("hessian-fd", worst <= tol.hess_fd_rel, f"max rel err {worst:.3e}")
 
 

@@ -1,5 +1,6 @@
 """Cone membership, the eta transform, and the rejection sampler."""
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from sumhessian import (
     sample_cone,
     sum_hessian,
 )
-from sumhessian.cones import batch_to_csv
+import sumhessian.cones as cones_mod
+from sumhessian.cones import _CHUNK, SAMPLE_BOX, batch_to_csv
 from sumhessian.errors import SamplingExhaustedError
 
 
@@ -76,7 +78,35 @@ class TestMembership:
         assert in_gamma_tilde(0.5 * lam, params)
 
 
+def fixed_chunk_samples(cone, params, count, seed):
+    """The sampler's rows when every draw tests _CHUNK rows."""
+    rng = np.random.default_rng(seed)
+    rows = [np.ones((1, params.n))]
+    accepted = 1
+    while accepted < count:
+        chunk = rng.uniform(*SAMPLE_BOX, size=(_CHUNK, params.n))
+        keep = chunk[in_cone(chunk, cone, params)][:count - accepted]
+        rows.append(keep)
+        accepted += keep.shape[0]
+    return np.concatenate(rows)
+
+
 class TestSampler:
+    @pytest.mark.parametrize("cone", list(Cone))
+    def test_matches_fixed_chunk_draws(self, cone, monkeypatch):
+        for (n, k, alpha), count, seed in itertools.product(
+                [(3, 2, 0.5), (4, 4, 0.0), (6, 5, 2.0)], (2, 150, 3000), (0, 5)):
+            params = SumHessianParams(n, k, alpha)
+            batch = sample_cone(cone, params, count, seed)
+            ref = fixed_chunk_samples(cone, params, count, seed)
+            assert batch.samples.tobytes() == ref.tobytes()
+        # draws are sized to the samples still missing, not to _CHUNK
+        tested = []
+        monkeypatch.setattr(cones_mod, "in_cone",
+                            lambda lam, *a: tested.append(len(lam)) or in_cone(lam, *a))
+        sample_cone(cone, SumHessianParams(3, 2, 0.5), 150, 0)
+        assert sum(tested) < 4 * 150
+
     def test_contains_ones_first(self):
         params = SumHessianParams(3, 3, 0.0)
         batch = sample_cone(Cone.GAMMA, params, 1, seed=99)

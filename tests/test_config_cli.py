@@ -106,13 +106,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(bad))
 
-    def test_homotopy_must_end_at_one(self, tmp_path, quad_cfg):
+    def test_unknown_solver_key_is_ignored(self, tmp_path, quad_cfg):
+        # configs written when [solver] still took a homotopy schedule load
+        # and solve the target problem
         path, out = quad_cfg
-        text = path.read_text().replace("[solver]", "[solver]\nhomotopy = 0.5")
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(text)
-        with pytest.raises(ConfigError):
-            load_config(str(bad))
+        text = path.read_text().replace("[solver]", "[solver]\nhomotopy = 0.5 1.0")
+        old = tmp_path / "old.cfg"
+        old.write_text(text)
+        assert load_config(str(old)) == load_config(str(path))
 
 
 class TestCliVerify:

@@ -267,6 +267,22 @@ class TestReports:
         pog_col = header.index("pogorelov")
         assert lines[-1].split(",")[pog_col] == lines[1].split(",")[pog_col]
 
+    def test_csv_columns_are_union_of_weights(self):
+        field = self.solved().field
+        reps = [build_report("a", field, betas=(1.0, 2.0, 4.0)),
+                build_report("b", field, betas=(1.0, 8.0))]
+        buf = io.StringIO()
+        write_reports(reps, buf, family_max=True)
+        header, row_a, row_b, family = (line.split(",") for line in buf.getvalue().splitlines())
+        cols = [f"weighted_pogorelov_b{b}" for b in (1, 2, 4, 8)]
+        assert [c for c in header if c.startswith("weighted_")] == cols
+        at = {c: header.index(c) for c in cols}
+        assert row_a[at[cols[3]]] == "NA"
+        assert row_b[at[cols[1]]] == row_b[at[cols[2]]] == "NA"
+        assert row_b[at[cols[3]]] == repr(reps[1].weighted[8.0])
+        assert family[at[cols[3]]] == row_b[at[cols[3]]]
+        assert family[at[cols[1]]] == row_a[at[cols[1]]]
+
     def test_phi_bound_cross_check_on_family(self):
         """rho(argmax) u_tt(argmax) stays within the empirical interior
         constant of the family times (1 + sup|Du|)."""

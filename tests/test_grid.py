@@ -22,6 +22,8 @@ class TestDomain:
             make_domain(2, (0, 0), (1, 2), (8, 8))  # nonuniform spacing
         with pytest.raises(ValueError):
             make_domain(2, (0, 0), (1, 1), (8, 8), mask_name="disc")
+        with pytest.raises(ValueError):
+            GridDomain(2, (0, 0), (1, 1), (8, 8), mask_name="disc")
 
     def test_geometry(self):
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
@@ -41,6 +43,9 @@ class TestDomain:
         # masked-out points inside the box are boundary
         box = make_domain(2, (-1, -1), (1, 1), (16, 16))
         assert dom.interior_idx.size < box.interior_idx.size
+        # the name alone builds the mask
+        direct = GridDomain(2, (-1, -1), (1, 1), (16, 16), "ball")
+        assert np.array_equal(direct.interior_flat, dom.interior_flat)
 
 
 class TestStencils:

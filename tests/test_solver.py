@@ -465,16 +465,6 @@ class TestNewton:
         result = newton_solve(dom, params, RhsSpec.parse("6"), ZERO)
         assert np.all(result.field.flat <= 0.0)
 
-    def test_homotopy_schedule(self):
-        dom = make_domain(2, (-1, -1), (1, 1), (16, 16))
-        params = SumHessianParams(2, 2, 1.0)
-        cfg = SolveConfig(homotopy=(0.25, 0.5, 1.0))
-        result = newton_solve(dom, params, RhsSpec.parse("8"), ZERO, cfg)
-        assert result.converged(1e-10)
-        # a schedule must end at the target problem, t = 1
-        with pytest.raises(ValueError):
-            newton_solve(dom, params, RhsSpec.parse("8"), ZERO, SolveConfig(homotopy=(0.5,)))
-
     def test_masked_ball_solves(self):
         dom = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3, mask_name="ball")
         params = SumHessianParams(3, 2, 1.0)

@@ -1,7 +1,9 @@
 """Surface checks of the runtime verification suites."""
+import numpy as np
 import pytest
 
-from sumhessian import SumHessianParams
+import sumhessian.suites as suites
+from sumhessian import SumHessianParams, sum_hessian, sum_hessian_hess
 from sumhessian.suites import SUITES, Tolerances, run_suites
 
 
@@ -40,3 +42,30 @@ class TestRunSuites:
         for name in ("matrix-gradient-fd", "matrix-hessian-fd", "matrix-concavity",
                      "frame-invariance"):
             assert results[name].status == "PASS", results[name].line()
+
+    @pytest.mark.parametrize("n,k,alpha", [(3, 2, 0.5), (6, 5, 2.0)])
+    def test_hessian_fd_matches_loop_in_two_calls(self, monkeypatch, n, k, alpha):
+        params, count, seed = SumHessianParams(n, k, alpha), 150, 4
+        lam = suites._uniform_lams(params, count, np.random.default_rng(seed))
+        hess = sum_hessian_hess(lam, k, alpha)
+        h = suites.HESS_FD_STEP
+        worst = 0.0
+        for p in range(n):
+            for q in range(n):
+                dp = np.zeros(n); dp[p] = h
+                dq = np.zeros(n); dq[q] = h
+                if p == q:
+                    fd = (sum_hessian(lam + dp, k, alpha) - 2 * sum_hessian(lam, k, alpha)
+                          + sum_hessian(lam - dp, k, alpha)) / h**2
+                else:
+                    fd = (sum_hessian(lam + dp + dq, k, alpha) - sum_hessian(lam + dp - dq, k, alpha)
+                          - sum_hessian(lam - dp + dq, k, alpha)
+                          + sum_hessian(lam - dp - dq, k, alpha)) / (4 * h**2)
+                err = np.abs(fd - hess[:, p, q]) / np.maximum(1.0, np.abs(hess[:, p, q]))
+                worst = max(worst, float(np.max(err)))
+        calls = []
+        monkeypatch.setattr(suites, "sum_hessian",
+                            lambda *args: calls.append(1) or sum_hessian(*args))
+        result = suites.suite_hess_fd(params, count, seed, Tolerances())
+        assert result.line() == f"PASS hessian-fd: max rel err {worst:.3e}"
+        assert len(calls) == 2
