@@ -101,22 +101,28 @@ def _solve_from_config(cfg):
     return newton_solve(dom, cfg.params, cfg.rhs(), cfg.boundary(), cfg.solve_config())
 
 
-def _write_trace(result, path: str) -> None:
+def _write_trace(trace, path: str) -> None:
     with open(path, "w") as stream:
-        stream.write("iteration,residual,step,admissible\n")
-        for entry in result.trace:
+        stream.write("iteration,residual,step,admissible,krylov,linear_residual\n")
+        for entry in trace:
             stream.write(
-                f"{entry.iteration},{entry.residual!r},{entry.step!r},{str(entry.admissible).lower()}\n"
+                f"{entry.iteration},{entry.residual!r},{entry.step!r},"
+                f"{str(entry.admissible).lower()},{entry.krylov},{entry.linear_residual!r}\n"
             )
 
 
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    result = _solve_from_config(cfg)
     out_path = args.out or cfg.output
+    try:
+        result = _solve_from_config(cfg)
+    except NonConvergenceError as exc:
+        # the iterates up to the stall explain it; there is no field to write
+        _write_trace(exc.trace, out_path + ".trace.csv")
+        raise
     with open(out_path, "w") as stream:
         write_field(result.field, stream)
-    _write_trace(result, out_path + ".trace.csv")
+    _write_trace(result.trace, out_path + ".trace.csv")
     print(f"iterations={result.iterations} residual={result.residual:.3e} "
           f"admissible={result.admissible} field={out_path}")
     if not result.converged(cfg.tol):

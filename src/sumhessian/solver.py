@@ -7,16 +7,24 @@ on uniform box grids in 2D/3D, with an admissibility-preserving line search.
 Unknowns are the interior grid values only: boundary-layer values are
 Dirichlet data, so a stencil neighbour on the boundary contributes to the
 right-hand side, never to the operator. Every linear system (Newton step
-and harmonic extension) is solved by Jacobi-preconditioned BiCGSTAB. Newton
-steps are inexact: the relative linear residual asked of each step is the
-Eisenstat-Walker "choice 1" forcing term, which loosens the solve far from
-the solution and tightens it as the linear model becomes predictive.
+and harmonic extension) is solved by BiCGSTAB preconditioned with one
+geometric multigrid V-cycle (Briggs, Henson & McCormick, "A Multigrid
+Tutorial", 2000). Newton steps are inexact: the relative linear residual
+asked of each step is the Eisenstat-Walker "choice 1" forcing term, which
+loosens the solve far from the solution and tightens it as the linear model
+becomes predictive.
 
 The Jacobian's sparsity pattern (CSR ``indptr``/``indices``, and which
 stencil neighbours have entries) depends on the domain only. Each
 ``newton_solve`` makes one pattern, built on first use, and hands it to the
 harmonic extension and to every linearization, which then fill ``data``
-alone. The pattern lives for one solve: it is not kept on the domain.
+alone. The pattern lives for one solve: it is not kept on the domain. It
+also owns the V-cycle's grid hierarchy, built on the first linear solve:
+the cells halve while every axis stays even and at least ``MIN_CELLS``.
+Each level keeps its n-linear prolongation P (restriction is P^T / 2^d)
+and its coarse sparsity pattern; a coarse operator takes the fine row of
+its injected point 2j, slot by slot, scaled by (h / 2h)^2, so no Galerkin
+product is formed.
 
 The bulk path never eigendecomposes: one loop kernel, valid in any grid
 dimension and order k, evaluates sigma_m of eta(lam(H)) and the coefficient
@@ -44,13 +52,24 @@ from .errors import (
     LinearSolveError,
     NonConvergenceError,
 )
-from .grid import GridDomain, ScalarField, _hessian_stencil, gradient_field, hessian_field
+from .grid import (
+    MIN_CELLS,
+    GridDomain,
+    ScalarField,
+    _hessian_stencil,
+    gradient_field,
+    hessian_field,
+)
 from .symfun import SumHessianParams, sum_hessian
 
 FD_STEP = 1e-6          # step for df/du, df/dp central differences
 MIN_STEP = 2.0 ** -20   # the line search stalls below this damping step
 EXTENSION_RTOL = 1e-10  # relative residual of the harmonic-extension solve
 KRYLOV_MAXITER = 4000   # BiCGSTAB iteration cap of every linear solve
+# the multigrid V-cycle that preconditions every BiCGSTAB solve
+MG_OMEGA = 0.8          # damping of every Jacobi sweep
+MG_SMOOTH_SWEEPS = 1    # Jacobi sweeps before and after each coarse correction
+MG_COARSEST_SWEEPS = 10  # Jacobi sweeps on the coarsest level, which has no LU
 # Eisenstat-Walker forcing terms (SIAM J. Sci. Comput. 17, 1996, choice 1)
 ETA_MAX = 0.1           # forcing term of the first Newton step, and its cap
 ETA_FLOOR = 1e-12       # smallest relative linear residual ever asked of BiCGSTAB
@@ -84,12 +103,19 @@ class SolveConfig:
 class TraceEntry:
     """One recorded iterate: sup-norm residual, accepted step (0 for the
     initial guess) and cone margin, the minimum over interior points of
-    sigma_1..sigma_{k-1} and S_k of eta(lam(H))."""
+    sigma_1..sigma_{k-1} and S_k of eta(lam(H)).
+
+    ``krylov`` and ``linear_residual`` are the BiCGSTAB iterations and the
+    relative linear residual of the solve that produced the iterate: the
+    Newton step, or for the guess the harmonic extension (0 and 0.0 when
+    the guess needs none)."""
 
     iteration: int
     residual: float
     step: float
     margin: float
+    krylov: int
+    linear_residual: float
 
     @property
     def admissible(self) -> bool:
@@ -283,23 +309,72 @@ def _rhs_derivatives(fld: ScalarField, rhs: RhsSpec):
     return f_u, f_p
 
 
-def _stencil_offsets(dom: GridDomain) -> list[int]:
-    """Flat-index offsets of the Hessian stencil: the centre, +/- each axis,
-    then the four diagonal neighbours of each axis pair."""
-    s = dom.strides
+def _stencil_offsets(strides: tuple[int, ...]) -> list[int]:
+    """Flat-index offsets of the Hessian stencil on a grid with these
+    strides: the centre, +/- each axis, then the four diagonal neighbours of
+    each axis pair. The k-th offset is the same direction on every grid."""
+    s = strides
     offsets = [0]
-    for a in range(dom.dim):
+    for a in range(len(s)):
         offsets += [s[a], -s[a]]
-    for a in range(dom.dim):
-        for b in range(a + 1, dom.dim):
+    for a in range(len(s)):
+        for b in range(a + 1, len(s)):
             offsets += [s[a] + s[b], -s[a] - s[b], s[a] - s[b], -s[a] + s[b]]
     return offsets
 
 
+def _local_index(n_points: int, idx: np.ndarray) -> np.ndarray:
+    """Unknown number of each flat grid index: its position in idx, or -1."""
+    local = np.full(n_points, -1, dtype=np.int32)
+    local[idx] = np.arange(idx.size, dtype=np.int32)
+    return local
+
+
+def _pattern_arrays(shape: tuple[int, ...], idx: np.ndarray):
+    """``_JacobianPattern.arrays`` of the stencil operator on the interior
+    flat indices idx (sorted, none on the outer layer) of a grid of this
+    shape."""
+    local = _local_index(int(np.prod(shape)), idx)
+    strides = tuple(int(np.prod(shape[a + 1:], dtype=int)) for a in range(len(shape)))
+    offsets = np.array(_stencil_offsets(strides))
+    order = np.argsort(offsets)
+    cols = np.empty((idx.size, order.size), dtype=np.int32)
+    for j, offset in enumerate(offsets[order]):
+        cols[:, j] = local[idx + offset]
+    present = cols >= 0
+    indptr = np.zeros(idx.size + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
+    return order, present, indptr, cols[present]
+
+
+def _prolongation(fine_shape: tuple[int, ...], fine_idx: np.ndarray,
+                  coarse_shape: tuple[int, ...], coarse_idx: np.ndarray) -> sp.csr_matrix:
+    """n-linear interpolation from the coarse interior unknowns to the fine
+    ones, (fine_idx.size, coarse_idx.size) CSR; values at coarse boundary
+    points are zero. Fine point m reads coarse points (m + c) // 2,
+    c in {0, 1}^d, with weight 1/2 per odd axis of m (an even axis reads
+    its one coarse point, c = 0, with weight 1)."""
+    local = _local_index(int(np.prod(coarse_shape)), coarse_idx)
+    multi = np.unravel_index(fine_idx, fine_shape)
+    corners = list(itertools.product((0, 1), repeat=len(fine_shape)))
+    cols = np.empty((fine_idx.size, len(corners)), dtype=np.int32)
+    weights = np.ones((fine_idx.size, len(corners)))
+    for j, corner in enumerate(corners):
+        cols[:, j] = local[np.ravel_multi_index(
+            tuple((m + c) // 2 for m, c in zip(multi, corner)), coarse_shape)]
+        for m, c in zip(multi, corner):
+            weights[:, j] *= np.where(m % 2, 0.5, 1.0 - c)
+    keep = (weights > 0) & (cols >= 0)
+    indptr = np.zeros(fine_idx.size + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return sp.csr_matrix((weights[keep], cols[keep], indptr),
+                         shape=(fine_idx.size, coarse_idx.size))
+
+
 class _JacobianPattern:
     """Sparsity pattern of the operator on the interior unknowns of one
-    domain, built on first use, so a solve that never assembles never
-    builds it.
+    domain, and the V-cycle's grid hierarchy, each built on first use, so a
+    solve that never assembles builds neither.
 
     ``arrays`` is (order, present, indptr, indices). ``order`` sorts the
     stencil offsets of ``_stencil_offsets``; interior indices grow with the
@@ -315,19 +390,45 @@ class _JacobianPattern:
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return _pattern_arrays(self.dom.shape, self.dom.interior_idx)
+
+    @cached_property
+    def levels(self) -> list[tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]]:
+        """Coarse levels, finest first: (P, indptr, indices, src) each.
+
+        The cells halve while every axis stays even and at least
+        ``MIN_CELLS``. A coarse point j is interior when the finer point 2j
+        is. P interpolates from the level's interior unknowns to the finer
+        level's (``_prolongation``). ``indptr`` and ``indices`` are the
+        level's pattern; its ``data`` is the finer level's ``data`` at
+        ``src``: coarse row j, slot by stencil direction e, takes the finer
+        row of 2j at the same direction. That entry exists: 2j + 2e is
+        interior, so 2j + e is too (the midpoint of two points of a box or
+        ball lies in it).
+        """
         dom = self.dom
-        idx = dom.interior_idx
-        local = np.full(dom.n_points, -1, dtype=np.int32)
-        local[idx] = np.arange(idx.size, dtype=np.int32)
-        offsets = np.array(_stencil_offsets(dom))
-        order = np.argsort(offsets)
-        cols = np.empty((idx.size, order.size), dtype=np.int32)
-        for j, offset in enumerate(offsets[order]):
-            cols[:, j] = local[idx + offset]
-        present = cols >= 0
-        indptr = np.zeros(idx.size + 1, dtype=np.int32)
-        np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
-        return order, present, indptr, cols[present]
+        order, present, indptr, _ = self.arrays
+        shape, idx = dom.shape, dom.interior_idx
+        inside = dom.interior_flat.reshape(shape)
+        cells = np.array(dom.cells)
+        levels = []
+        while np.all(cells % 2 == 0) and np.all(cells // 2 >= MIN_CELLS):
+            cells //= 2
+            inside = inside[(slice(None, None, 2),) * dom.dim]
+            coarse_idx = np.flatnonzero(inside)
+            injected = np.ravel_multi_index(
+                tuple(2 * m for m in np.unravel_index(coarse_idx, inside.shape)), shape)
+            rows = np.searchsorted(idx, injected)
+            coarse = _pattern_arrays(inside.shape, coarse_idx)
+            # the finer slot of each coarse slot's direction
+            slot = np.argsort(order)[coarse[0]]
+            position = np.cumsum(present[rows], axis=1, dtype=np.int32) \
+                + (indptr[rows] - 1)[:, None]
+            levels.append((_prolongation(shape, idx, inside.shape, coarse_idx),
+                           coarse[2], coarse[3], position[:, slot][coarse[1]]))
+            order, present, indptr, _ = coarse
+            shape, idx = inside.shape, coarse_idx
+        return levels
 
 
 def _assemble(dom: GridDomain, pattern: _JacobianPattern, coeff: np.ndarray,
@@ -376,15 +477,64 @@ def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
     return _assemble(dom, pattern or _JacobianPattern(dom), coeff, f_u, f_p)
 
 
-def _solve_linear(mat: sp.csr_matrix, rhs_vec: np.ndarray, rtol: float) -> np.ndarray:
-    """Solve mat x = rhs_vec by Jacobi-preconditioned BiCGSTAB to relative
-    residual rtol; raises LinearSolveError when the achieved residual,
-    recomputed from x, exceeds it."""
+def _jacobi(a: sp.csr_matrix, damped: np.ndarray, r: np.ndarray, x: np.ndarray,
+            sweeps: int) -> np.ndarray:
+    """x after ``sweeps`` damped-Jacobi sweeps on a x = r, where ``damped``
+    is MG_OMEGA / diag(a); x is updated in place."""
+    for _ in range(sweeps):
+        x += damped * (r - a @ x)
+    return x
+
+
+def _vcycle(mat: sp.csr_matrix, pattern: _JacobianPattern) -> spla.LinearOperator:
+    """One V-cycle over ``pattern.levels`` as a linear operator, an
+    approximate inverse of ``mat``, which fills ``pattern``.
+
+    Each level's operator is the finer one's data at ``src`` scaled by
+    (h / 2h)^2 = 1/4. A level smooths with MG_SMOOTH_SWEEPS damped-Jacobi
+    sweeps from zero, corrects from the next level through P and the
+    restriction P^T / 2^d, and smooths again; the coarsest level, or a grid
+    that cannot be coarsened, takes MG_COARSEST_SWEEPS sweeps from zero. The
+    cycle is therefore linear in its input.
+    """
+    ops = [mat]
+    for _, indptr, indices, src in pattern.levels:
+        n = indptr.size - 1
+        ops.append(sp.csr_matrix((0.25 * ops[-1].data[src], indices, indptr), shape=(n, n)))
+    damped = [MG_OMEGA / a.diagonal() for a in ops]
+    # P.T is a CSC view of P's arrays, not a copy
+    transfers = [(level[0], level[0].T) for level in pattern.levels]
+    restrict = 0.5 ** pattern.dom.dim
+
+    # a loop, not a recursive closure: a closure that calls itself is a
+    # reference cycle, which would keep every level's operator alive until
+    # the garbage collector runs
+    def cycle(r: np.ndarray) -> np.ndarray:
+        down = []
+        for a, w, (_, p_t) in zip(ops, damped, transfers):
+            x = _jacobi(a, w, r, w * r, MG_SMOOTH_SWEEPS - 1)
+            down.append((r, x))
+            r = restrict * (p_t @ (r - a @ x))
+        x = _jacobi(ops[-1], damped[-1], r, damped[-1] * r, MG_COARSEST_SWEEPS - 1)
+        for lv in reversed(range(len(transfers))):
+            r, x_fine = down[lv]
+            x = _jacobi(ops[lv], damped[lv], r, x_fine + transfers[lv][0] @ x, MG_SMOOTH_SWEEPS)
+        return x
+
+    return spla.LinearOperator(mat.shape, matvec=cycle, dtype=np.float64)
+
+
+def _solve_linear(mat: sp.csr_matrix, rhs_vec: np.ndarray, rtol: float,
+                  pattern: _JacobianPattern) -> tuple[np.ndarray, int, float]:
+    """Solve mat x = rhs_vec by BiCGSTAB, preconditioned with one V-cycle
+    (``_vcycle``; ``mat`` fills ``pattern``), to relative residual rtol.
+
+    Returns x, the Krylov iterations and the relative residual reached,
+    recomputed from x; raises LinearSolveError when that exceeds rtol.
+    """
     rhs_norm = float(np.linalg.norm(rhs_vec))
     if rhs_norm == 0.0:
-        return np.zeros_like(rhs_vec)
-    diag = mat.diagonal()
-    precond = spla.LinearOperator(mat.shape, matvec=lambda x: x / diag, dtype=np.float64)
+        return np.zeros_like(rhs_vec), 0, 0.0
     # unit-norm right-hand side keeps BiCGSTAB clear of its absolute
     # breakdown thresholds on late Newton steps
     b_unit = rhs_vec / rhs_norm
@@ -395,11 +545,11 @@ def _solve_linear(mat: sp.csr_matrix, rhs_vec: np.ndarray, rtol: float) -> np.nd
         iterations += 1
 
     x, _ = spla.bicgstab(mat, b_unit, rtol=rtol, atol=0.0, maxiter=KRYLOV_MAXITER,
-                         M=precond, callback=count)
+                         M=_vcycle(mat, pattern), callback=count)
     achieved = float(np.linalg.norm(mat @ x - b_unit))
     if not achieved <= rtol:
         raise LinearSolveError(rtol, achieved, iterations, mat.shape[0])
-    return x * rhs_norm
+    return x * rhs_norm, iterations, achieved
 
 
 def _forcing_term(f_norm: float, prev: tuple[float, float, float], tol: float) -> float:
@@ -469,7 +619,7 @@ def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
     shift = (margin / (d - 1)) * np.eye(d)
     delta = 0.25 * dom.h * dom.h * max(1.0, scale)
     idx = dom.interior_idx
-    offsets = np.array(_stencil_offsets(dom))
+    offsets = np.array(_stencil_offsets(dom.strides))
     trial = ScalarField(dom, fld.values.copy())
     flat = trial.flat   # a view: lowering it lowers trial
 
@@ -537,8 +687,8 @@ def guess_scale(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec) -> floa
 
 
 def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
-                  boundary: expr.Node, *,
-                  pattern: _JacobianPattern | None = None) -> ScalarField:
+                  boundary: expr.Node, *, pattern: _JacobianPattern | None = None,
+                  krylov_log: list | None = None) -> ScalarField:
     """Starting field c (|x - x_c|^2 - r^2)/2 plus an interpolation of the
     boundary mismatch.
 
@@ -552,9 +702,11 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     which keeps the trace of the Hessian exact. Boundary values equal the
     Dirichlet data exactly in both cases. ``pattern`` is the domain's
     ``_JacobianPattern`` for the extension's Laplacian, made here when
-    omitted.
+    omitted. The extension appends its (Krylov iterations, linear residual)
+    to ``krylov_log`` when one is given.
     """
     _check_dim(dom, params)
+    pattern = pattern or _JacobianPattern(dom)
     c = guess_scale(dom, params, rhs)
     pts = dom.points
     center = dom.center
@@ -577,12 +729,14 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                 # boundary layer and Lap_h x = 0 inside, i.e.
                 # A_II x_I = -(Lap_h m)_I with A_II the interior Laplacian
                 n_int, d = dom.interior_idx.size, dom.dim
-                lap = _assemble(dom, pattern or _JacobianPattern(dom),
-                                np.broadcast_to(np.eye(d), (n_int, d, d)),
+                lap = _assemble(dom, pattern, np.broadcast_to(np.eye(d), (n_int, d, d)),
                                 np.zeros(n_int), np.zeros((n_int, d)))
                 lap_m = np.einsum("nii->n", hessian_field(
                     ScalarField(dom, mismatch.reshape(dom.shape))))
-                flat[dom.interior_idx] += _solve_linear(lap, -lap_m, EXTENSION_RTOL)
+                x, krylov, linear_residual = _solve_linear(lap, -lap_m, EXTENSION_RTOL, pattern)
+                flat[dom.interior_idx] += x
+                if krylov_log is not None:
+                    krylov_log.append((krylov, linear_residual))
         flat[bdry] = bvals[bdry]
         return ScalarField(dom, flat.reshape(dom.shape))
 
@@ -615,7 +769,8 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     config = config or SolveConfig()
     _check_dim(dom, params)
     pattern = _JacobianPattern(dom)
-    fld = initial_guess(dom, params, rhs, boundary, pattern=pattern)
+    extension = []
+    fld = initial_guess(dom, params, rhs, boundary, pattern=pattern, krylov_log=extension)
     idx = dom.interior_idx
 
     offender = first_violation(dom, admissible_mask(fld, params))
@@ -624,7 +779,9 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
 
     res = residual(fld, params, rhs)
     res_norm = float(np.max(np.abs(res)))
-    trace = [TraceEntry(0, res_norm, 0.0, float(np.min(_margins(fld, params))))]
+    krylov, linear_residual = extension[0] if extension else (0, 0.0)
+    trace = [TraceEntry(0, res_norm, 0.0, float(np.min(_margins(fld, params))),
+                        krylov, linear_residual)]
     iterations = 0
     forcing = None      # (eta, ||F||_2, ||model of the next F||_2) of the last step
 
@@ -633,7 +790,7 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         f_norm = float(np.linalg.norm(f_int))
         eta = ETA_MAX if forcing is None else _forcing_term(f_norm, forcing, config.tol)
         mat = linearize(fld, params, rhs, pattern=pattern)
-        delta_int = _solve_linear(mat, -f_int, eta)
+        delta_int, krylov, linear_residual = _solve_linear(mat, -f_int, eta, pattern)
         delta = np.zeros(dom.n_points)
         delta[idx] = delta_int
         step = 1.0
@@ -658,10 +815,12 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
             )
         # (1 - step) F + step r_lin = F + step J delta
         model_norm = float(np.linalg.norm(f_int + step * (mat @ delta_int)))
+        del mat     # free this Jacobian before the next one is assembled
         forcing = (eta, f_norm, model_norm)
         fld, res, res_norm = accepted
         iterations += 1
-        trace.append(TraceEntry(iterations, res_norm, step, float(np.min(_margins(fld, params)))))
+        trace.append(TraceEntry(iterations, res_norm, step, float(np.min(_margins(fld, params))),
+                                krylov, linear_residual))
 
     return SolveResult(
         field=fld,

@@ -43,6 +43,7 @@ output = {out}
 """
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+TRACE_HEADER = "iteration,residual,step,admissible,krylov,linear_residual"
 
 BALL_3D = """
 [operator]
@@ -165,7 +166,7 @@ class TestCliSolve:
         trace = (str(out) + ".trace.csv")
         with open(trace) as stream:
             lines = stream.read().strip().split("\n")
-        assert lines[0] == "iteration,residual,step,admissible"
+        assert lines[0] == TRACE_HEADER
         assert len(lines) >= 2
 
     def test_solve_bad_config_exits_2(self, tmp_path):
@@ -192,6 +193,23 @@ class TestCliSolve:
         cfg.write_text(text)
         assert main(["solve", str(cfg)]) == 1
         assert "tol" in capsys.readouterr().err
+
+    def test_stalled_solve_writes_trace_and_no_field(self, tmp_path, quad_cfg, capsys,
+                                                      monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        # a useless step can never decrease the residual: the line search stalls
+        monkeypatch.setattr(solver_mod, "_solve_linear",
+                            lambda mat, rhs_vec, rtol, pattern: (np.zeros(mat.shape[0]), 0, 1.0))
+        path, out = quad_cfg
+        cfg = tmp_path / "stall.cfg"
+        cfg.write_text(path.read_text().replace('f = "18"', 'f = "30"'))
+        assert main(["solve", str(cfg)]) == 1
+        assert "line search stalled" in capsys.readouterr().err
+        assert not out.exists()
+        lines = Path(str(out) + ".trace.csv").read_text().splitlines()
+        assert lines[0] == TRACE_HEADER
+        assert len(lines) == 2 and lines[1].startswith("0,")
 
 
 class TestCliEstimate:

@@ -1,9 +1,13 @@
 """Residual, linearization, initial guess, and the damped Newton loop."""
+import gc
+import math
+import weakref
 from functools import cached_property
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.interpolate import RegularGridInterpolator
 
 import sumhessian.expr as expr
 from sumhessian import (
@@ -17,14 +21,17 @@ from sumhessian import (
     operator_value,
 )
 from sumhessian.errors import ConeViolationError, InstanceError, LinearSolveError
-from sumhessian.grid import hessian_field
+from sumhessian.grid import MIN_CELLS, hessian_field
 from sumhessian.solver import (
+    EXTENSION_RTOL,
+    ETA_MAX,
     _JacobianPattern,
     _assemble,
     _cone_margins,
     _grad_coeff_matrices,
     _invariants,
     _repair_admissibility,
+    _vcycle,
     admissible_mask,
     boundary_values,
     ellipticity_margins,
@@ -291,6 +298,145 @@ class TestAssembly:
         assert built == [ball]
 
 
+def coarse_domains(dom):
+    """The coarse grids of the V-cycle as domains, finest first."""
+    out, cells = [], np.array(dom.cells)
+    while np.all(cells % 2 == 0) and np.all(cells // 2 >= MIN_CELLS):
+        cells //= 2
+        out.append(make_domain(dom.dim, dom.lower, dom.upper, tuple(cells), dom.mask_name))
+    return out
+
+
+def grid_points(dom, idx):
+    """Multi-indices of flat indices, (idx.size, d)."""
+    return np.stack(np.unravel_index(idx, dom.shape), axis=1)
+
+
+class TestMultigrid:
+    @pytest.mark.parametrize("dim,cells,mask,depth", [
+        (2, 256, "box", 5), (3, 32, "ball", 2), (3, 16, "ball", 1), (3, 8, "ball", 0),
+        (2, 26, "box", 1), (2, 20, "box", 1), (2, 14, "box", 0), (2, 17, "box", 0)])
+    def test_levels_halve_down_to_min_cells(self, dim, cells, mask, depth):
+        dom = make_domain(dim, (-1,) * dim, (1,) * dim, (cells,) * dim, mask_name=mask)
+        levels = _JacobianPattern(dom).levels
+        assert len(levels) == depth == len(coarse_domains(dom))
+        for (prolong, indptr, _, _), coarse in zip(levels, coarse_domains(dom)):
+            assert indptr.size - 1 == prolong.shape[1] == coarse.interior_idx.size
+
+    @pytest.mark.parametrize("dim,cells,mask", [(2, 32, "box"), (3, 16, "ball")])
+    def test_prolongation_is_multilinear_interpolation(self, dim, cells, mask):
+        dom = make_domain(dim, (-1,) * dim, (1,) * dim, (cells,) * dim, mask_name=mask)
+        coarse = coarse_domains(dom)[0]
+        prolong = _JacobianPattern(dom).levels[0][0]
+
+        def multilinear(pts):
+            return 1.0 + pts @ np.arange(1.0, dim + 1) + np.prod(pts, axis=1) \
+                - 2.0 * pts[:, 0] * pts[:, 1]
+
+        fine = prolong @ multilinear(coarse.points[coarse.interior_idx])
+        exact = multilinear(dom.points[dom.interior_idx])
+        # rows whose coarse neighbours are all interior reproduce it exactly
+        whole = np.isclose(prolong.sum(axis=1).A1, 1.0, rtol=0.0, atol=1e-15)
+        assert whole.mean() > 0.5
+        assert np.max(np.abs(fine[whole] - exact[whole])) <= 1e-13
+        # every row is n-linear interpolation of the coarse values, with
+        # zero at coarse boundary points
+        axes = [coarse.lower[a] + coarse.h * np.arange(coarse.shape[a]) for a in range(dim)]
+        zeroed = np.where(coarse.interior_flat, multilinear(coarse.points), 0.0)
+        reference = RegularGridInterpolator(axes, zeroed.reshape(coarse.shape))(
+            dom.points[dom.interior_idx])
+        assert np.max(np.abs(fine - reference)) <= 1e-13
+
+    @pytest.mark.parametrize("dim,cells,mask", [(3, 16, "ball"), (3, 32, "ball"),
+                                                (2, 32, "box")])
+    def test_coarse_rows_take_the_injected_fine_row(self, dim, cells, mask):
+        dom = make_domain(dim, (-1,) * dim, (1,) * dim, (cells,) * dim, mask_name=mask)
+        pattern = _JacobianPattern(dom)
+        fine, (_, _, f_indptr, f_indices) = dom, pattern.arrays
+        for (_, indptr, indices, src), coarse in zip(pattern.levels, coarse_domains(dom)):
+            # every coarse interior point injects to a fine interior point
+            injected = np.ravel_multi_index(tuple(2 * grid_points(coarse, coarse.interior_idx).T),
+                                            fine.shape)
+            assert fine.interior_flat[injected].all()
+            rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+            fine_rows = np.searchsorted(fine.interior_idx, injected)[rows]
+            # each coarse entry takes an entry of its injected fine row ...
+            assert np.all((src >= f_indptr[fine_rows]) & (src < f_indptr[fine_rows + 1]))
+            # ... in the same stencil direction, so the coarse row's present
+            # slots are a subset of the fine row's
+            c_step = grid_points(coarse, coarse.interior_idx[indices]) \
+                - grid_points(coarse, coarse.interior_idx[rows])
+            f_step = grid_points(fine, fine.interior_idx[f_indices[src]]) \
+                - grid_points(fine, fine.interior_idx[fine_rows])
+            assert np.array_equal(c_step, f_step)
+            fine, f_indptr, f_indices = coarse, indptr, indices
+
+    @pytest.mark.parametrize("cells", [8, 32])
+    def test_vcycle_is_linear_and_repeatable(self, cells):
+        dom = make_domain(3, (-1,) * 3, (1,) * 3, (cells,) * 3, mask_name="ball")
+        params = SumHessianParams(3, 2, 1.0)
+        fld = field_from(dom, lambda p: 0.5 * np.sum(p**2, axis=1) + 0.1 * p[:, 0] ** 3)
+        pattern = _JacobianPattern(dom)
+        mat = linearize(fld, params, RhsSpec.parse("18 + x1^2"), pattern=pattern)
+        cycle = _vcycle(mat, pattern)
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(2, mat.shape[0]))
+        a, b = 0.7, -2.3
+        combined = cycle.matvec(a * x + b * y)
+        separate = a * cycle.matvec(x) + b * cycle.matvec(y)
+        assert np.linalg.norm(combined - separate) <= 1e-12 * np.linalg.norm(separate)
+        again = _vcycle(mat, pattern).matvec(a * x + b * y)
+        assert again.tobytes() == combined.tobytes()
+
+    def test_vcycle_is_freed_without_the_collector(self):
+        # a reference cycle would keep every level's operator alive after
+        # the solve until the garbage collector runs, raising peak memory
+        dom = make_domain(2, (-1, -1), (1, 1), (32, 32))
+        pattern = _JacobianPattern(dom)
+        n_int = dom.interior_idx.size
+        lap = _assemble(dom, pattern, np.broadcast_to(np.eye(2), (n_int, 2, 2)),
+                        np.zeros(n_int), np.zeros((n_int, 2)))
+        gc.disable()
+        try:
+            cycle = _vcycle(lap, pattern)
+            cycle.matvec(np.ones(n_int))
+            freed = weakref.ref(lap)
+            del cycle, lap
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_trace_records_krylov_and_linear_residual(self):
+        params = SumHessianParams(3, 2, 1.0)
+        # an 8-cell grid has no coarse level: its V-cycle is Jacobi sweeps alone
+        for cells in (8, 16):
+            ball = make_domain(3, (-1,) * 3, (1,) * 3, (cells,) * 3, mask_name="ball")
+            result = newton_solve(ball, params, RhsSpec.parse("18"), ZERO)
+            assert result.converged(1e-10)
+            # step 0 is the harmonic extension
+            assert result.trace[0].krylov > 0
+            assert 0 < result.trace[0].linear_residual <= EXTENSION_RTOL
+            assert all(t.krylov > 0 and 0 < t.linear_residual <= ETA_MAX
+                       for t in result.trace[1:])
+        # the box guess is the face blend, which solves nothing
+        box = make_domain(2, (-1, -1), (1, 1), (16, 16))
+        blended = newton_solve(box, SumHessianParams(2, 2, 1.0), RhsSpec.parse(EXP2D_RHS),
+                               expr.parse("exp((x1^2+x2^2)/2)"))
+        assert (blended.trace[0].krylov, blended.trace[0].linear_residual) == (0, 0.0)
+
+    def test_krylov_counts_flat_under_refinement(self):
+        params = SumHessianParams(2, 2, 1.0)
+        rhs, bnd = RhsSpec.parse(EXP2D_RHS), expr.parse("exp((x1^2+x2^2)/2)")
+        most = {}
+        for cells in (32, 64, 128):
+            dom = make_domain(2, (-1, -1), (1, 1), (cells, cells))
+            result = newton_solve(dom, params, rhs, bnd)
+            assert result.converged(1e-10)
+            most[cells] = max(t.krylov for t in result.trace)
+        assert most[64] <= math.ceil(1.25 * most[32])
+        assert most[128] <= math.ceil(1.25 * most[32])
+
+
 class TestLocalRepair:
     def test_matches_full_sweeps(self, monkeypatch):
         import sumhessian.solver as solver_mod
@@ -482,7 +628,7 @@ class TestNewton:
         # a useless step can never decrease the residual: the backtracking
         # line search must stall and surface the trace
         monkeypatch.setattr(solver_mod, "_solve_linear",
-                            lambda mat, rhs_vec, rtol: np.zeros(mat.shape[0]))
+                            lambda mat, rhs_vec, rtol, pattern: (np.zeros(mat.shape[0]), 0, 1.0))
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
         params = SumHessianParams(2, 2, 1.0)
         with pytest.raises(NonConvergenceError) as err:
