@@ -9,6 +9,7 @@ errors. Diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import estimates, expr
@@ -64,20 +65,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+def _output(path: str):
+    """Output stream context: stdout for '-', never closed, else the file."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
 
 
 def _cmd_verify(args) -> int:
     params = SumHessianParams(n=args.n, k=args.k, alpha=args.alpha)
     results = run_suites(params, count=args.count, seed=args.seed, tol=Tolerances())
-    failed = 0
     for res in results:
         print(res.line())
-        if not res.passed:
-            failed += 1
+    failed = sum(not res.passed for res in results)
     if failed:
         print(f"{failed} suite(s) failed", file=sys.stderr)
         return 1
@@ -87,18 +85,13 @@ def _cmd_verify(args) -> int:
 def _cmd_sample(args) -> int:
     params = SumHessianParams(n=args.n, k=args.k, alpha=args.alpha)
     batch = sample_cone(Cone(args.cone), params, args.count, args.seed)
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         batch_to_csv(batch, stream)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
 def _solve_from_config(cfg):
-    dom = cfg.domain()
-    return newton_solve(dom, cfg.params, cfg.rhs(), cfg.boundary(), cfg.solve_config())
+    return newton_solve(cfg.domain(), cfg.params, cfg.rhs(), cfg.boundary(), cfg.solve_config())
 
 
 def _write_trace(trace, path: str) -> None:
@@ -116,8 +109,8 @@ def _cmd_solve(args) -> int:
     out_path = args.out or cfg.output
     try:
         result = _solve_from_config(cfg)
-    except NonConvergenceError as exc:
-        # the iterates up to the stall explain it; there is no field to write
+    except (NonConvergenceError, LinearSolveError) as exc:
+        # the iterates up to the failure explain it; there is no field to write
         _write_trace(exc.trace, out_path + ".trace.csv")
         raise
     with open(out_path, "w") as stream:
@@ -147,12 +140,8 @@ def _cmd_estimate(args) -> int:
         with open(args.input) as stream:
             fld = read_field(stream)
     report = estimates.build_report(args.input, fld, betas or (1.0, 2.0, 4.0), **p_args)
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         estimates.write_reports([report], stream)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -171,12 +160,8 @@ def _cmd_report(args) -> int:
     if not reports:
         print("no converged instances to report", file=sys.stderr)
         return 1
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         estimates.write_reports(reports, stream, family_max=True)
-    finally:
-        if close:
-            stream.close()
     return status
 
 

@@ -36,7 +36,7 @@ Keys and sections the loader does not know are ignored. Example:
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import expr
 from .errors import ConfigError

@@ -20,6 +20,8 @@ class LinearSolveError(RuntimeError):
 
     ``required`` and ``achieved`` are relative residuals ||A x - b|| / ||b||;
     ``iterations`` counts Krylov iterations, ``unknowns`` the system size.
+    ``trace``, set by ``newton_solve``, holds the iterates accepted before a
+    failed Newton step (empty when the initial guess's solve fails).
     """
 
     def __init__(self, required, achieved, iterations, unknowns):
@@ -31,6 +33,7 @@ class LinearSolveError(RuntimeError):
         self.achieved = achieved
         self.iterations = iterations
         self.unknowns = unknowns
+        self.trace = []
 
 
 class NonConvergenceError(RuntimeError):

@@ -14,7 +14,8 @@ x1 x2 x3 u p1 p2 p3; functions to exp log sin cos sqrt abs.
 Evaluation is IEEE double and numpy-aware (bindings may be arrays of a
 common shape); domain failures (log/sqrt of a negative, division by
 zero, overflow to non-finite) raise EvalError naming the offending
-subexpression instead of returning NaN.
+subexpression instead of returning NaN. ``diff`` returns the exact
+derivative of a tree with respect to one identifier, as another tree.
 """
 from __future__ import annotations
 
@@ -216,6 +217,38 @@ def variables(node: Node) -> set[str]:
     if isinstance(node, Call):
         return variables(node.arg)
     return set()
+
+
+def diff(node: Node, var: str) -> Node:
+    """Exact derivative with respect to identifier ``var``, unsimplified;
+    Num(0.0) when ``var`` does not occur. d abs(a) = a/abs(a) a' fails to
+    evaluate at a = 0. No negative constant is added, so the result
+    round-trips through to_source and parse when ``node`` does."""
+    if var not in variables(node):
+        return Num(0.0)
+    if isinstance(node, Var):
+        return Num(1.0)
+    if isinstance(node, Neg):
+        return Neg(diff(node.operand, var))
+    if isinstance(node, Call):
+        a = node.arg
+        outer = {"exp": node, "log": BinOp("/", Num(1.0), a), "sin": Call("cos", a),
+                 "cos": Neg(Call("sin", a)), "sqrt": BinOp("/", Num(0.5), node),
+                 "abs": BinOp("/", a, node)}[node.func]
+        return BinOp("*", outer, diff(a, var))
+    a, b = node.left, node.right
+    da, db = diff(a, var), diff(b, var)
+    if node.op in "+-":
+        return BinOp(node.op, da, db)
+    if node.op == "*":
+        return BinOp("+", BinOp("*", da, b), BinOp("*", a, db))
+    if node.op == "/":
+        return BinOp("/", BinOp("-", BinOp("*", da, b), BinOp("*", a, db)), BinOp("*", b, b))
+    if var not in variables(b):     # b a^(b-1) a'
+        return BinOp("*", BinOp("*", b, BinOp("^", a, BinOp("-", b, Num(1.0)))), da)
+    # a^b (b' log a + b a'/a)
+    return BinOp("*", node, BinOp("+", BinOp("*", db, Call("log", a)),
+                                  BinOp("/", BinOp("*", b, da), a)))
 
 
 def to_source(node: Node) -> str:

@@ -133,9 +133,6 @@ class ScalarField:
     def flat(self) -> np.ndarray:
         return self.values.ravel()
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.domain, self.values.copy())
-
 
 def _hessian_stencil(fld: ScalarField, idx: np.ndarray) -> np.ndarray:
     """Discrete Hessians at the flat indices idx, all interior, shape

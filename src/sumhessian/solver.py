@@ -12,7 +12,7 @@ geometric multigrid V-cycle (Briggs, Henson & McCormick, "A Multigrid
 Tutorial", 2000). Newton steps are inexact: the relative linear residual
 asked of each step is the Eisenstat-Walker "choice 1" forcing term, which
 loosens the solve far from the solution and tightens it as the linear model
-becomes predictive.
+becomes predictive. The derivatives df/du and df/dp are exact (``expr.diff``).
 
 The Jacobian's sparsity pattern (CSR ``indptr``/``indices``, and which
 stencil neighbours have entries) depends on the domain only. Each
@@ -62,7 +62,6 @@ from .grid import (
 )
 from .symfun import SumHessianParams, sum_hessian
 
-FD_STEP = 1e-6          # step for df/du, df/dp central differences
 MIN_STEP = 2.0 ** -20   # the line search stalls below this damping step
 EXTENSION_RTOL = 1e-10  # relative residual of the harmonic-extension solve
 KRYLOV_MAXITER = 4000   # BiCGSTAB iteration cap of every linear solve
@@ -74,10 +73,6 @@ MG_COARSEST_SWEEPS = 10  # Jacobi sweeps on the coarsest level, which has no LU
 ETA_MAX = 0.1           # forcing term of the first Newton step, and its cap
 ETA_FLOOR = 1e-12       # smallest relative linear residual ever asked of BiCGSTAB
 ETA_TOL_SHARE = 0.5     # a step need not cut ||F||_2 below this share of tol
-EW_EXPONENT = 0.5 * (1.0 + 5.0 ** 0.5)
-# eta_{k-1}^EW_EXPONENT above this bounds eta_k from below; it cannot fire
-# while ETA_MAX^EW_EXPONENT (0.024 at 0.1) stays under it
-EW_SAFEGUARD = 0.1
 GUESS_SCALE_START = 2.0 ** -16
 GUESS_SCALE_CAP = 2.0 ** 40
 
@@ -252,12 +247,17 @@ def _interior_env(fld: ScalarField) -> dict:
     return env
 
 
-def _eval_rhs(rhs: RhsSpec, env: dict, n_pts: int) -> np.ndarray:
+def _eval_interior(node: expr.Node, env: dict, n_pts: int) -> np.ndarray:
+    """The tree on ``env`` as an (n_pts,) array; EvalError -> InstanceError."""
     try:
-        vals = expr.evaluate(rhs.expression, env)
+        vals = expr.evaluate(node, env)
     except expr.EvalError as exc:
         raise InstanceError(f"right-hand side failed to evaluate: {exc}") from exc
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), (n_pts,)).copy()
+    return np.broadcast_to(np.asarray(vals, dtype=float), (n_pts,)).copy()
+
+
+def _eval_rhs(rhs: RhsSpec, env: dict, n_pts: int) -> np.ndarray:
+    vals = _eval_interior(rhs.expression, env, n_pts)
     if np.min(vals) <= 0:
         raise InstanceError(f"right-hand side must stay positive, min {np.min(vals)!r}")
     if not np.all(np.isfinite(vals)):
@@ -279,34 +279,16 @@ def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec) -> np.nda
 
 
 def _rhs_derivatives(fld: ScalarField, rhs: RhsSpec):
-    """df/du and df/dp by central differences of the evaluator (step 1e-6).
-
-    A variable the expression does not reference is not probed: its
-    derivative is exactly 0, as its central difference would be.
-    """
+    """Exact df/du, (n_int,), and df/dp, (n_int, dim): f's ``expr.diff`` trees
+    on the interior env, or zeros, with no env built, for an f(x)."""
     dom = fld.domain
     n_int = dom.interior_idx.size
-    names = expr.variables(rhs.expression)
     keys = ["u"] + [f"p{a + 1}" for a in range(dom.dim)]
-    env = _interior_env(fld) if names.intersection(keys) else None
-
-    def central(key: str) -> np.ndarray:
-        if key not in names:
-            return np.zeros(n_int)
-        vals = []
-        for value in (env[key] + FD_STEP, env[key] - FD_STEP):
-            try:
-                vals.append(expr.evaluate(rhs.expression, {**env, key: value}))
-            except expr.EvalError as exc:
-                raise InstanceError(f"right-hand side failed to evaluate: {exc}") from exc
-        plus, minus = (np.broadcast_to(np.asarray(v, dtype=float), (n_int,)) for v in vals)
-        return (plus - minus) / (2 * FD_STEP)
-
-    f_u = central("u")
-    f_p = np.empty((n_int, dom.dim))
-    for a in range(dom.dim):
-        f_p[:, a] = central(keys[a + 1])
-    return f_u, f_p
+    if not expr.variables(rhs.expression).intersection(keys):
+        return np.zeros(n_int), np.zeros((n_int, dom.dim))
+    env = _interior_env(fld)
+    f_u, *f_p = (_eval_interior(expr.diff(rhs.expression, key), env, n_int) for key in keys)
+    return f_u, np.stack(f_p, axis=1)
 
 
 def _stencil_offsets(strides: tuple[int, ...]) -> list[int]:
@@ -552,19 +534,16 @@ def _solve_linear(mat: sp.csr_matrix, rhs_vec: np.ndarray, rtol: float,
     return x * rhs_norm, iterations, achieved
 
 
-def _forcing_term(f_norm: float, prev: tuple[float, float, float], tol: float) -> float:
+def _forcing_term(f_norm: float, prev: tuple[float, float], tol: float) -> float:
     """Eisenstat-Walker choice 1 for the next Newton step.
 
-    prev holds the previous step's forcing term, ||F_{k-1}|| and the norm of
-    the linear model's prediction (1 - lam) F_{k-1} + lam r_lin of F_k. The
-    result is clamped to [max(ETA_TOL_SHARE * tol / ||F_k||, ETA_FLOOR),
-    ETA_MAX]; the lower end stops the solve from oversolving near tol.
+    prev holds ||F_{k-1}|| and the norm of the linear model's prediction
+    (1 - lam) F_{k-1} + lam r_lin of F_k. The result is clamped to
+    [max(ETA_TOL_SHARE * tol / ||F_k||, ETA_FLOOR), ETA_MAX]; the lower end
+    stops the solve from oversolving near tol.
     """
-    eta_prev, prev_norm, model_norm = prev
+    prev_norm, model_norm = prev
     eta = abs(f_norm - model_norm) / prev_norm
-    safeguard = eta_prev ** EW_EXPONENT
-    if safeguard > EW_SAFEGUARD:
-        eta = max(eta, safeguard)
     return min(ETA_MAX, max(eta, ETA_TOL_SHARE * tol / f_norm, ETA_FLOOR))
 
 
@@ -763,8 +742,8 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     at every interior point and strictly decreases the sup-norm residual
     (or lands below the tolerance). The trace records the guess as step 0
     and every accepted iterate after it. Stops at residual <= tol or after
-    max_iter accepted steps; raises NonConvergenceError when the line search
-    stalls below the minimum step.
+    max_iter accepted steps. NonConvergenceError (a line-search stall) and
+    LinearSolveError (a failed step solve) carry the trace so far.
     """
     config = config or SolveConfig()
     _check_dim(dom, params)
@@ -783,14 +762,18 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     trace = [TraceEntry(0, res_norm, 0.0, float(np.min(_margins(fld, params))),
                         krylov, linear_residual)]
     iterations = 0
-    forcing = None      # (eta, ||F||_2, ||model of the next F||_2) of the last step
+    forcing = None      # (||F||_2, ||model of the next F||_2) of the last step
 
     while res_norm > config.tol and iterations < config.max_iter:
         f_int = res.ravel()[idx]
         f_norm = float(np.linalg.norm(f_int))
         eta = ETA_MAX if forcing is None else _forcing_term(f_norm, forcing, config.tol)
         mat = linearize(fld, params, rhs, pattern=pattern)
-        delta_int, krylov, linear_residual = _solve_linear(mat, -f_int, eta, pattern)
+        try:
+            delta_int, krylov, linear_residual = _solve_linear(mat, -f_int, eta, pattern)
+        except LinearSolveError as exc:
+            exc.trace = trace
+            raise
         delta = np.zeros(dom.n_points)
         delta[idx] = delta_int
         step = 1.0
@@ -816,7 +799,7 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         # (1 - step) F + step r_lin = F + step J delta
         model_norm = float(np.linalg.norm(f_int + step * (mat @ delta_int)))
         del mat     # free this Jacobian before the next one is assembled
-        forcing = (eta, f_norm, model_norm)
+        forcing = (f_norm, model_norm)
         fld, res, res_norm = accepted
         iterations += 1
         trace.append(TraceEntry(iterations, res_norm, step, float(np.min(_margins(fld, params))),

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cones import Cone, PrimeVariant, eta, in_gamma_prime, in_gamma_tilde, sample_cone
+from .cones import Cone, eta, in_gamma_tilde, sample_cone
 from .spectral import (
     grad_coefficients,
     lambda_space_hessian,
@@ -25,7 +25,6 @@ from .symfun import (
     SumHessianParams,
     maclaurin_chain,
     sigma,
-    sigma_all,
     sum_hessian,
     sum_hessian_chain,
     sum_hessian_grad,

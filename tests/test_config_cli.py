@@ -7,7 +7,7 @@ import pytest
 
 from sumhessian.cli import main
 from sumhessian.config import load_config
-from sumhessian.errors import ConfigError
+from sumhessian.errors import ConfigError, LinearSolveError
 from sumhessian.grid import read_field
 
 QUAD_3D = """
@@ -206,6 +206,25 @@ class TestCliSolve:
         cfg.write_text(path.read_text().replace('f = "18"', 'f = "30"'))
         assert main(["solve", str(cfg)]) == 1
         assert "line search stalled" in capsys.readouterr().err
+        assert not out.exists()
+        lines = Path(str(out) + ".trace.csv").read_text().splitlines()
+        assert lines[0] == TRACE_HEADER
+        assert len(lines) == 2 and lines[1].startswith("0,")
+
+    def test_failed_linear_solve_writes_trace_and_no_field(self, tmp_path, quad_cfg, capsys,
+                                                           monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        def fail(mat, rhs_vec, rtol, pattern):
+            raise LinearSolveError(rtol, 1.0, 1, mat.shape[0])
+
+        monkeypatch.setattr(solver_mod, "_solve_linear", fail)
+        path, out = quad_cfg
+        # f = 30 moves the solution off the quadratic guess, so Newton steps
+        cfg = tmp_path / "fail.cfg"
+        cfg.write_text(path.read_text().replace('f = "18"', 'f = "30"'))
+        assert main(["solve", str(cfg)]) == 1
+        assert "linear solve reached" in capsys.readouterr().err
         assert not out.exists()
         lines = Path(str(out) + ".trace.csv").read_text().splitlines()
         assert lines[0] == TRACE_HEADER

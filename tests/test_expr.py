@@ -15,6 +15,7 @@ from sumhessian.expr import (
     SyntaxErrorAt,
     UnknownIdentifierError,
     Var,
+    diff,
     evaluate,
     parse,
     to_source,
@@ -23,7 +24,15 @@ from sumhessian.expr import (
 
 
 def oracle_eval(node, env):
-    """Independent reference evaluator (math module, no numpy)."""
+    """Independent reference evaluator (math module, no numpy). Like
+    ``evaluate``, it fails on a non-finite intermediate result."""
+    value = _oracle_value(node, env)
+    if not math.isfinite(value):
+        raise OverflowError(f"non-finite {value}")
+    return value
+
+
+def _oracle_value(node, env):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -155,8 +164,10 @@ class TestOracle:
         try:
             want = oracle_eval(node, env)
         except (ZeroDivisionError, OverflowError, ValueError):
-            return  # oracle hit a genuine domain failure; ours raises EvalError
-        if not math.isfinite(want):
+            # a genuine domain failure, such as 1/u overflowing at a
+            # subnormal u: ours must raise too
+            with pytest.raises(EvalError):
+                evaluate(node, env)
             return
         got = evaluate(node, env)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -171,3 +182,50 @@ class TestVariables:
     def test_collects_names(self):
         assert variables(parse("x1 + exp(p2*u) - x1")) == {"x1", "p2", "u"}
         assert variables(parse("1 + 2")) == set()
+
+
+# every operator and function, with u, p1 and x1 in [0.5, 1]: log, sqrt and
+# the non-constant power bases stay positive, abs arguments away from 0
+DIFF_CASES = [
+    "x1 + u*p1",
+    "x1 - u/p1",
+    "-(u*x1) - p1",
+    "u^3 + p1^2.5 - x1^0.5",
+    "x1^u + u^(p1*x1)",
+    "exp(u*p1) * log(x1 + u)",
+    "sin(u*x1) + cos(p1 - u)",
+    "sqrt(u + p1^2) / (1 + x1*x1)",
+    "abs(u - 3*p1) + abs(x1*u)",
+    "exp(sin(u)*x1) / (1 + p1^2)^2",
+]
+
+
+class TestDiff:
+    @pytest.mark.parametrize("source", DIFF_CASES)
+    @pytest.mark.parametrize("var", ["x1", "u", "p1"])
+    def test_matches_central_differences(self, source, var):
+        import numpy as np
+
+        rng = np.random.default_rng(7)
+        env = {name: rng.uniform(0.5, 1.0, size=20) for name in ("x1", "u", "p1")}
+        node = parse(source)
+        step = 1e-6
+        plus = evaluate(node, {**env, var: env[var] + step})
+        minus = evaluate(node, {**env, var: env[var] - step})
+        got = evaluate(diff(node, var), env)
+        assert np.allclose(got, (plus - minus) / (2 * step), rtol=1e-6, atol=1e-6)
+
+    def test_absent_variable_is_zero(self):
+        assert diff(parse("x1^2 + exp(u) * p1"), "p2") == Num(0.0)
+        assert diff(parse("3"), "u") == Num(0.0)
+
+    def test_abs_at_zero_is_an_error(self):
+        with pytest.raises(EvalError) as err:
+            evaluate(diff(parse("abs(u)"), "u"), {"u": 0.0})
+        assert "abs(u)" in str(err.value)
+
+    @given(node_strategy(), st.sampled_from(["x1", "x2", "u", "p1"]))
+    @settings(max_examples=300, deadline=None)
+    def test_print_parse_round_trip(self, node, var):
+        derivative = diff(node, var)
+        assert parse(to_source(derivative)) == derivative

@@ -519,6 +519,14 @@ class TestLinearize:
         denom = max(1.0, float(np.max(np.abs(fd))))
         assert np.max(np.abs(fd - got)) / denom < 1e-4
 
+    def test_abs_derivative_at_zero_names_the_subexpression(self):
+        dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
+        params = SumHessianParams(2, 2, 1.0)
+        fld = field_from(dom, lambda p: 0.5 * np.sum(p**2, axis=1))   # u = 0 at the centre
+        with pytest.raises(InstanceError) as err:
+            linearize(fld, params, RhsSpec.parse("8 + abs(u)"))
+        assert "'(u / abs(u))'" in str(err.value)
+
     def test_ellipticity_witness(self):
         dom = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3)
         params = SumHessianParams(3, 2, 1.0)
@@ -605,6 +613,34 @@ class TestNewton:
         assert result.converged(1e-10)
         assert result.admissible
 
+    # exact solution exp(|x|^2/2) with S = |x|^2: Du = x u and
+    # D^2 u = u (I + x x^T), so these f(x, u, Du) equal S_2(eta(lam(D^2 u)))
+    # at alpha = 1; the error bounds are 1.5x the measured errors (5.6e-4,
+    # 1.4e-4 and 1.0e-3)
+    @pytest.mark.parametrize("dim, cells, half, rhs, bound", [
+        (2, 32, 1.0, "exp(x1^2+x2^2) + p1^2 + p2^2 + (2 + x1^2+x2^2)*u", 8.4e-4),
+        (2, 64, 1.0, "exp(x1^2+x2^2) + p1^2 + p2^2 + (2 + x1^2+x2^2)*u", 2.1e-4),
+        (3, 16, 0.75, "exp(S)*(12 + 7*S + S^2) + p1^2+p2^2+p3^2 + (6 + 2*S)*u", 1.5e-3),
+    ])
+    def test_state_dependent_manufactured_solution(self, dim, cells, half, rhs, bound):
+        s = "+".join(f"x{a + 1}^2" for a in range(dim))
+        dom = make_domain(dim, (-half,) * dim, (half,) * dim, (cells,) * dim)
+        result = newton_solve(dom, SumHessianParams(dim, 2, 1.0),
+                              RhsSpec.parse(rhs.replace("S", f"({s})")),
+                              expr.parse(f"exp(({s})/2)"))
+        assert result.converged(1e-10)
+        exact = np.exp(0.5 * np.sum(dom.points**2, axis=1))
+        assert np.max(np.abs(result.field.flat - exact)) <= bound
+        # superlinear: past the last damped step, each full Newton step that
+        # starts above 1e-6 contracts the residual at least as much as the
+        # step before it
+        steps = [t.step for t in result.trace]
+        first = max(i for i, step in enumerate(steps) if step < 1.0) + 1
+        res = [t.residual for t in result.trace[first - 1:]]
+        rates = [b / a for a, b in zip(res, res[1:]) if a > 1e-6]
+        assert len(rates) >= 3
+        assert all(later <= earlier for earlier, later in zip(rates, rates[1:]))
+
     def test_maximum_principle_sign(self):
         dom = make_domain(2, (-1, -1), (1, 1), (16, 16))
         params = SumHessianParams(2, 2, 0.5)
@@ -665,12 +701,13 @@ class TestNewton:
     def test_linear_solve_error_carries_state(self, monkeypatch):
         import sumhessian.solver as solver_mod
 
-        monkeypatch.setattr(solver_mod, "KRYLOV_MAXITER", 1)
         dom = make_domain(2, (-1, -1), (1, 1), (32, 32))
         params = SumHessianParams(2, 2, 1.0)
+        rhs, bnd = RhsSpec.parse(EXP2D_RHS), expr.parse("exp((x1^2+x2^2)/2)")
+        full = newton_solve(dom, params, rhs, bnd).trace
+        monkeypatch.setattr(solver_mod, "KRYLOV_MAXITER", 1)
         with pytest.raises(LinearSolveError) as err:
-            newton_solve(dom, params, RhsSpec.parse(EXP2D_RHS),
-                         expr.parse("exp((x1^2+x2^2)/2)"))
+            newton_solve(dom, params, rhs, bnd)
         exc = err.value
         assert exc.iterations == 1
         assert exc.unknowns == dom.interior_idx.size
@@ -678,6 +715,10 @@ class TestNewton:
         msg = str(exc)
         assert f"{exc.achieved:.2e}" in msg and f"(required {exc.required:.2e})" in msg
         assert f"after 1 Krylov iterations on {exc.unknowns} unknowns" in msg
+        # the steps that one Krylov iteration solves match the uncapped
+        # solve's, and the error carries them from the guess's entry on
+        assert exc.trace[0].iteration == 0
+        assert exc.trace == full[:len(exc.trace)]
 
     def test_discrete_scale_covariance(self):
         params = SumHessianParams(3, 2, 1.0)
