@@ -16,15 +16,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFieldError, MaxPrincipleError
-from .grid import GridDomain, ScalarField, gradient_field, hessian_at, hessian_field
+from .grid import GridDomain, ScalarField, gradient_field, hessian_at, hessian_field, unpack
 
 
 def _interior_arrays(fld: ScalarField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """u, the ascending eigenvalues of the discrete Hessian and the centered
     gradient at interior points: the arrays every diagnostic reads."""
-    # the (n_interior, d, d) Hessian stack is never bound, so it is freed
-    # as soon as eigvalsh returns
-    eigs = np.linalg.eigvalsh(hessian_field(fld))
+    # the packed Hessians and their (n_interior, d, d) unpacking are never
+    # bound, so both are freed as soon as eigvalsh returns
+    eigs = np.linalg.eigvalsh(unpack(hessian_field(fld)))
     grad = gradient_field(fld)
     return fld.flat[fld.domain.interior_idx], eigs, grad
 

@@ -11,14 +11,17 @@ Grammar (whitespace-insensitive), loosest to tightest binding:
 so "-2^2" is -(2^2) and "2^3^2" is 2^(3^2). Identifiers are limited to
 x1 x2 x3 u p1 p2 p3; functions to exp log sin cos sqrt abs.
 
-Evaluation is IEEE double and numpy-aware (bindings may be arrays of a
-common shape); domain failures (log/sqrt of a negative, division by
-zero, overflow to non-finite) raise EvalError naming the offending
+Literals are finite doubles: one that overflows, such as 1e999, is a
+syntax error, so every Num prints and parses back. Evaluation is IEEE
+double and numpy-aware (bindings may be arrays of a common shape); domain
+failures (log/sqrt of a negative, division by zero, overflow to
+non-finite) and non-finite bindings raise EvalError naming the offending
 subexpression instead of returning NaN. ``diff`` returns the exact
 derivative of a tree with respect to one identifier, as another tree.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -183,7 +186,10 @@ class _Parser:
     def atom(self) -> Node:
         tok = self.advance()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise SyntaxErrorAt(tok.offset, "a finite number", repr(tok.text))
+            return Num(value)
         if tok.kind == "name":
             if tok.text in FUNCTIONS:
                 self.expect_op("(")
@@ -287,8 +293,12 @@ def evaluate(node: Node, env: dict):
 
     Bindings may be floats or numpy arrays of one common shape; the result
     has that shape (a plain float for all-scalar inputs). Domain failures
-    raise EvalError; NaN is never returned silently.
+    and non-finite bindings of the tree's identifiers raise EvalError; NaN
+    is never returned silently.
     """
+    for name in sorted(variables(node) & env.keys()):
+        if not np.all(np.isfinite(env[name])):
+            raise EvalError("non-finite binding", Var(name))
     out = _eval(node, env)
     if np.ndim(out) == 0:
         return float(out)

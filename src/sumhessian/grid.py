@@ -5,9 +5,20 @@ optionally intersected with the open ball inscribed in the box: grid points
 outside the ball are treated as boundary points and carry Dirichlet values,
 which yields staircase approximations of discs and balls. Fields store one
 value per grid point, boundary layer included.
+
+Per-point symmetric matrices are packed: an array (d(d+1)/2, N) holds one
+contiguous row per entry (a, b), a <= b, in ``sym_pairs`` order, the
+diagonal first. ``hessian_field`` returns the discrete Hessians this way,
+reading shifted slices of the grid-shaped values on a box and gathering at
+the interior indices on a masked domain, and the solver keeps the layout
+through its invariant kernel and assembly. ``unpack`` rebuilds the
+(N, d, d) stack where LAPACK's ``eigvalsh`` needs it: in the estimates and
+in ``solver.ellipticity_margins``.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,32 +145,65 @@ class ScalarField:
         return self.values.ravel()
 
 
-def _hessian_stencil(fld: ScalarField, idx: np.ndarray) -> np.ndarray:
-    """Discrete Hessians at the flat indices idx, all interior, shape
-    (idx.size, d, d).
+def sym_pairs(dim: int) -> list[tuple[int, int]]:
+    """Entry (a, b) of each packed row of a symmetric dim x dim matrix: the
+    diagonal (a, a) first, then a < b in row-major order."""
+    return [(a, a) for a in range(dim)] + list(itertools.combinations(range(dim), 2))
+
+
+def unpack(packed: np.ndarray) -> np.ndarray:
+    """The (N, d, d) stack of packed symmetric matrices (d(d+1)/2, N)."""
+    dim = math.isqrt(2 * packed.shape[0])
+    out = np.empty((packed.shape[1], dim, dim))
+    for row, (a, b) in enumerate(sym_pairs(dim)):
+        out[:, a, b] = packed[row]
+        out[:, b, a] = packed[row]
+    return out
+
+
+def _shifted(fld: ScalarField, idx: np.ndarray | None):
+    """(at, shape): at(o) is the field's values, an array of this shape, at
+    the points idx, or every interior point when idx is None, moved by the
+    integer offset vector o. Every interior point of a box is read as a
+    slice of the grid-shaped values (in interior_idx order); other points
+    are gathered from the flat values."""
+    dom = fld.domain
+    if idx is None and dom.mask_name == "box":
+        return (lambda o: fld.values[tuple(slice(1 + c, n - 1 + c)
+                                           for c, n in zip(o.tolist(), dom.shape))],
+                tuple(n - 2 for n in dom.shape))
+    idx = dom.interior_idx if idx is None else idx
+    # an interior point is at least one step from the lower faces, so the
+    # base of one shared index array is never negative; each offset is then
+    # a view of the flat values, with no index arithmetic per gather
+    lowest = sum(dom.strides)
+    flat, base = fld.flat, idx - lowest
+    return lambda o: flat[lowest + int(np.dot(o, dom.strides)):][base], idx.shape
+
+
+def _hessian_stencil(fld: ScalarField, idx: np.ndarray | None) -> np.ndarray:
+    """Packed discrete Hessians, (d(d+1)/2, n), at the interior flat indices
+    idx, or at every interior point when idx is None (``_shifted``).
 
     Second-order central differences: diagonal entries from the 3-point
     stencil, mixed entries from the 4-point cross stencil. Exact on
     quadratics.
     """
     dom = fld.domain
-    flat = fld.flat
+    at, shape = _shifted(fld, idx)
     h2 = dom.h * dom.h
-    s = dom.strides
-    d = dom.dim
-    out = np.empty((idx.size, d, d))
-    for a in range(d):
-        out[:, a, a] = (flat[idx + s[a]] - 2.0 * flat[idx] + flat[idx - s[a]]) / h2
-        for b in range(a + 1, d):
-            cross = (
-                flat[idx + s[a] + s[b]]
-                - flat[idx + s[a] - s[b]]
-                - flat[idx - s[a] + s[b]]
-                + flat[idx - s[a] - s[b]]
-            ) / (4.0 * h2)
-            out[:, a, b] = cross
-            out[:, b, a] = cross
-    return out
+    unit = np.eye(dom.dim, dtype=int)
+    centre = at(np.zeros(dom.dim, dtype=int))
+    pairs = sym_pairs(dom.dim)
+    out = np.empty((len(pairs),) + shape)
+    for row, (a, b) in enumerate(pairs):
+        ea, eb = unit[a], unit[b]
+        if a == b:
+            np.divide(at(ea) - 2.0 * centre + at(-ea), h2, out=out[row])
+        else:
+            np.divide(at(ea + eb) - at(ea - eb) - at(eb - ea) + at(-ea - eb),
+                      4.0 * h2, out=out[row])
+    return out.reshape(len(pairs), -1)
 
 
 def hessian_at(fld: ScalarField, point: tuple[int, ...]) -> np.ndarray:
@@ -168,24 +212,24 @@ def hessian_at(fld: ScalarField, point: tuple[int, ...]) -> np.ndarray:
     idx = int(np.ravel_multi_index(point, dom.shape))
     if not dom.interior_flat[idx]:
         raise ValueError(f"point {point} is not interior")
-    return _hessian_stencil(fld, np.array([idx]))[0]
+    return unpack(_hessian_stencil(fld, np.array([idx])))[0]
 
 
 def hessian_field(fld: ScalarField) -> np.ndarray:
-    """Discrete Hessians at every interior point, shape (n_interior, d, d)."""
-    return _hessian_stencil(fld, fld.domain.interior_idx)
+    """Packed discrete Hessians at every interior point, shape
+    (d(d+1)/2, n_interior), rows in ``sym_pairs`` order."""
+    return _hessian_stencil(fld, None)
 
 
 def gradient_field(fld: ScalarField) -> np.ndarray:
-    """Centered gradients at every interior point, shape (n_interior, d)."""
+    """Centered gradients at every interior point, shape (n_interior, d): the
+    transpose of a (d, n_interior) array, so each component is contiguous."""
     dom = fld.domain
-    flat = fld.flat
-    idx = dom.interior_idx
-    s = dom.strides
-    out = np.empty((idx.size, dom.dim))
-    for a in range(dom.dim):
-        out[:, a] = (flat[idx + s[a]] - flat[idx - s[a]]) / (2.0 * dom.h)
-    return out
+    at, shape = _shifted(fld, None)
+    out = np.empty((dom.dim,) + shape)
+    for a, e in enumerate(np.eye(dom.dim, dtype=int)):
+        np.divide(at(e) - at(-e), 2.0 * dom.h, out=out[a])
+    return out.reshape(dom.dim, -1).T
 
 
 def write_field(fld: ScalarField, stream) -> None:

@@ -31,13 +31,19 @@ dimension and order k, evaluates sigma_m of eta(lam(H)) and the coefficient
 matrices of the linearization from power sums and Newton transformations of
 U = trace(H) I - H, vectorized over grid points. (The spectral module serves
 n up to 16 and keeps LAPACK eigh: there a trace recurrence read errors of
-3e-6 against eigh's 2e-12.) Assembly is data-parallel over interior points;
+3e-6 against eigh's 2e-12.) Every matrix of that path (H, U, the powers of
+U, the transformations and the coefficients) is packed as in ``grid``: one
+contiguous (N,) row per symmetric entry, so a matrix product is a few sums
+of products of rows and a trace is a sum of the diagonal rows. Only
+``ellipticity_margins`` unpacks, for eigvalsh. Assembly is data-parallel
+over interior points and fills the CSR values a block of rows at a time;
 the Newton loop is sequential and single-threaded runs produce
 bitwise-identical traces for identical configurations.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,12 +65,15 @@ from .grid import (
     _hessian_stencil,
     gradient_field,
     hessian_field,
+    sym_pairs,
+    unpack,
 )
 from .symfun import SumHessianParams, sum_hessian
 
 MIN_STEP = 2.0 ** -20   # the line search stalls below this damping step
 EXTENSION_RTOL = 1e-10  # relative residual of the harmonic-extension solve
 KRYLOV_MAXITER = 4000   # BiCGSTAB iteration cap of every linear solve
+ASSEMBLY_ROWS = 2048    # rows per assembly block, small enough to stay in cache
 # the multigrid V-cycle that preconditions every BiCGSTAB solve
 MG_OMEGA = 0.8          # damping of every Jacobi sweep
 MG_SMOOTH_SWEEPS = 1    # Jacobi sweeps before and after each coarse correction
@@ -135,72 +144,106 @@ def _check_dim(dom: GridDomain, params: SumHessianParams) -> None:
 
 
 # ---------------------------------------------------------------------------
-# invariants of the complement matrix (vectorized over interior points)
+# invariants of the complement matrix (vectorized over interior points, on
+# packed symmetric matrices: one contiguous (N,) row per entry, in
+# grid.sym_pairs order)
 
-def _invariants(hb: np.ndarray, m_max: int, transforms: bool = False):
-    """(sig, newton) for a stack of symmetric matrices H, (N, d, d), and
+def _packed_eye(dim: int) -> np.ndarray:
+    """The identity as a packed column, (d(d+1)/2, 1)."""
+    return np.array([float(a == b) for a, b in sym_pairs(dim)])[:, None]
+
+
+def _trace(packed: np.ndarray, dim: int) -> np.ndarray:
+    """Trace of each packed matrix: its diagonal rows summed in order."""
+    return packed[:dim].sum(axis=0)
+
+
+def _product(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """Packed A B of two commuting packed symmetric stacks, whose product is
+    therefore symmetric: entry (i, j) is sum_c A[i, c] B[c, j]."""
+    pairs = sym_pairs(dim)
+    row = {}
+    for r, (i, j) in enumerate(pairs):
+        row[i, j] = row[j, i] = r
+    return np.stack([sum(a[row[i, c]] * b[row[c, j]] for c in range(dim)) for i, j in pairs])
+
+
+def _trace_product(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """tr(A B) of packed symmetric stacks: the products of the diagonal rows
+    plus twice those of the off-diagonal rows."""
+    return np.einsum("r,rn,rn->n", 2.0 - _packed_eye(dim)[:, 0], a, b)
+
+
+def _invariants(hp: np.ndarray, m_max: int, transforms: bool = False):
+    """(sig, newton) for packed symmetric matrices H, (d(d+1)/2, N), and
     U = trace(H) I - H, whose eigenvalues are eta(lam(H)).
 
-    sig[:, m] is sigma_m(eta(lam(H))), m = 0..m_max, from Newton's identities
-    m sigma_m = sum_{i=1..m} (-1)^(i-1) sigma_{m-i} p_i on p_i = tr(U^i).
-    With ``transforms``, newton[m] is the Newton transformation
+    sig[m] is sigma_m(eta(lam(H))), (N,), m = 0..m_max, from Newton's
+    identities m sigma_m = sum_{i=1..m} (-1)^(i-1) sigma_{m-i} p_i on
+    p_i = tr(U^(i-1) U); the powers U^i are packed too. With
+    ``transforms``, newton[m] is the packed Newton transformation
     T_m = sum_{i=0..m} (-1)^i sigma_{m-i} U^i = d sigma_{m+1} / dU for
-    m = 0..m_max-1, and newton[-1] is T_{-1} = 0; without, newton is empty.
+    m = 0..m_max-1, and newton[-1] is T_{-1} = 0, a (1, 1) zero; without,
+    newton is empty.
     """
-    n_pts, d, _ = hb.shape
-    eye = np.eye(d)
-    u = np.einsum("nii->n", hb)[:, None, None] * eye - hb
+    dim = math.isqrt(2 * hp.shape[0])
+    eye = _packed_eye(dim)
+    u = np.negative(hp)
+    u[:dim] += _trace(hp, dim)
     powers = [eye, u]                           # U^0..U^(m_max-1), at least U^1
     while len(powers) < m_max:
-        powers.append(powers[-1] @ u)
+        powers.append(_product(powers[-1], u, dim))
 
-    sig = np.empty((n_pts, m_max + 1))
-    sig[:, 0] = 1.0
-    sig[:, 1] = np.einsum("nii->n", u)
-    p = [None, sig[:, 1]]                       # p[i] = p_i; sigma_1 = p_1
+    sig = np.empty((m_max + 1, hp.shape[1]))
+    sig[0] = 1.0
+    sig[1] = _trace(u, dim)
+    p = [None, sig[1]]                          # p[i] = p_i; sigma_1 = p_1
     for m in range(2, m_max + 1):
-        p.append(np.einsum("nij,nji->n", powers[m - 1], u))
-        acc = sig[:, m - 1] * p[1]
+        p.append(_trace_product(powers[m - 1], u, dim))
+        acc = sig[m - 1] * p[1]
         for i in range(2, m + 1):
             if i % 2:
-                acc += sig[:, m - i] * p[i]
+                acc += sig[m - i] * p[i]
             else:
-                acc -= sig[:, m - i] * p[i]
-        sig[:, m] = acc / m
+                acc -= sig[m - i] * p[i]
+        sig[m] = acc / m
     if not transforms:
         return sig, []
 
     newton = []
     for m in range(m_max):
-        t = sig[:, m, None, None] * eye
+        t = sig[m] * eye
         for i in range(1, m + 1):
             if i % 2:
-                t -= sig[:, m - i, None, None] * powers[i]
+                t -= sig[m - i] * powers[i]
             else:
-                t += sig[:, m - i, None, None] * powers[i]
+                t += sig[m - i] * powers[i]
         newton.append(t)
-    newton.append(np.zeros((1, 1, 1)))
+    newton.append(np.zeros((1, 1)))
     return sig, newton
 
 
 def _grad_coeff_matrices(newton: list, params: SumHessianParams) -> np.ndarray:
-    """Coefficient matrices dF(H) of the linearized operator, (N, d, d), from
-    the Newton transformations of ``_invariants(hb, params.k, transforms=True)``.
+    """Packed coefficient matrices dF(H) of the linearized operator,
+    (d(d+1)/2, N), from the Newton transformations of
+    ``_invariants(hp, params.k, transforms=True)``.
 
     dF = (trace G) I - G with G = T_{k-1}(U) + alpha T_{k-2}(U); the
     eigenvalues of dF are the per-eigenvalue derivative coefficients of the
     spectral module.
     """
     g = newton[params.k - 1] + params.alpha * newton[params.k - 2]
-    return np.einsum("nii->n", g)[:, None, None] * np.eye(g.shape[-1]) - g
+    coeff = np.negative(g)
+    coeff[:params.n] += _trace(g, params.n)
+    return coeff
 
 
 def _cone_margins(sig: np.ndarray, params: SumHessianParams) -> np.ndarray:
     """Per point, the smallest of sigma_1..sigma_{k-1} and S_k of eta(lam(H)),
     from the sigmas of ``_invariants``; positive exactly on the tilde-prime
     cone."""
-    s_k = sig[:, params.k] + params.alpha * sig[:, params.k - 1]
-    return np.minimum(np.min(sig[:, 1:params.k], axis=1, initial=np.inf), s_k)
+    s_k = sig[params.k] + params.alpha * sig[params.k - 1]
+    return np.minimum(np.min(sig[1:params.k], axis=0, initial=np.inf), s_k)
 
 
 def _margins(fld: ScalarField, params: SumHessianParams) -> np.ndarray:
@@ -229,7 +272,7 @@ def ellipticity_margins(fld: ScalarField, params: SumHessianParams):
     point; positive minima witness ellipticity on admissible fields."""
     _check_dim(fld.domain, params)
     _, newton = _invariants(hessian_field(fld), params.k, transforms=True)
-    eigs = np.linalg.eigvalsh(_grad_coeff_matrices(newton, params))
+    eigs = np.linalg.eigvalsh(unpack(_grad_coeff_matrices(newton, params)))
     return eigs[:, 0], eigs.sum(axis=1)
 
 
@@ -271,7 +314,7 @@ def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec) -> np.nda
     dom = fld.domain
     _check_dim(dom, params)
     sig, _ = _invariants(hessian_field(fld), params.k)
-    s_k = sig[:, params.k] + params.alpha * sig[:, params.k - 1]
+    s_k = sig[params.k] + params.alpha * sig[params.k - 1]
     f_vals = _eval_rhs(rhs, _interior_env(fld), dom.interior_idx.size)
     out = np.zeros(dom.n_points)
     out[dom.interior_idx] = s_k - f_vals
@@ -416,26 +459,36 @@ class _JacobianPattern:
 def _assemble(dom: GridDomain, pattern: _JacobianPattern, coeff: np.ndarray,
               f_u: np.ndarray, f_p: np.ndarray) -> sp.csr_matrix:
     """Sparse operator on the interior unknowns, (n_int, n_int): second-order
-    term with per-point coefficient matrices contracted against the Hessian
-    stencil, minus first/zeroth-order terms. ``pattern`` is the domain's
-    ``_JacobianPattern``; only ``data`` is computed here.
+    term with per-point packed coefficient matrices, (d(d+1)/2, n_int),
+    contracted against the Hessian stencil, minus first/zeroth-order terms.
+    ``pattern`` is the domain's ``_JacobianPattern``; only ``data`` is
+    computed here, ASSEMBLY_ROWS rows at a time: each stencil direction's
+    weights fill a column of one reused block, whose present entries are
+    that stretch of ``data``.
     """
     h2 = dom.h * dom.h
-    center = -f_u.copy()
+    center = -f_u
     for a in range(dom.dim):
-        center -= 2.0 * coeff[:, a, a] / h2
+        center -= 2.0 * coeff[a] / h2
     weights = [center]          # one per stencil offset, in _stencil_offsets order
     for a in range(dom.dim):
         for sign in (+1, -1):
-            weights.append(coeff[:, a, a] / h2 - sign * f_p[:, a] / (2.0 * dom.h))
-    for a in range(dom.dim):
-        for b in range(a + 1, dom.dim):
-            w = coeff[:, a, b] / (2.0 * h2)
-            weights += [w, w, -w, -w]
+            weights.append(coeff[a] / h2 - sign * f_p[:, a] / (2.0 * dom.h))
+    for mixed in coeff[dom.dim:]:   # the (a, b), a < b, rows, in stencil order
+        w = mixed / (2.0 * h2)
+        weights += [w, w, -w, -w]
 
     order, present, indptr, indices = pattern.arrays
-    data = np.stack([weights[j] for j in order], axis=1)[present]
-    return sp.csr_matrix((data, indices, indptr), shape=(f_u.size, f_u.size))
+    n_int = f_u.size
+    data = np.empty(indices.size)
+    block = np.empty((min(ASSEMBLY_ROWS, n_int), order.size))
+    for start in range(0, n_int, ASSEMBLY_ROWS):
+        stop = min(start + ASSEMBLY_ROWS, n_int)
+        filled = block[:stop - start]
+        for column, j in zip(filled.T, order):
+            column[:] = weights[j][start:stop]
+        data[indptr[start]:indptr[stop]] = filled[present[start:stop]]
+    return sp.csr_matrix((data, indices, indptr), shape=(n_int, n_int))
 
 
 def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
@@ -454,7 +507,7 @@ def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
     if offender is not None:
         raise ConeViolationError(f"field is not admissible at grid point {offender}")
     coeff = _grad_coeff_matrices(newton, params)
-    del sig, newton     # free the (N, d, d) stacks before assembly
+    del sig, newton     # free the kernel's stacks before assembly
     f_u, f_p = _rhs_derivatives(fld, rhs)
     return _assemble(dom, pattern or _JacobianPattern(dom), coeff, f_u, f_p)
 
@@ -595,15 +648,15 @@ def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
     dom = fld.domain
     d = dom.dim
     margin = 0.1 * max(1.0, scale)
-    shift = (margin / (d - 1)) * np.eye(d)
+    shift = (margin / (d - 1)) * _packed_eye(d)
     delta = 0.25 * dom.h * dom.h * max(1.0, scale)
     idx = dom.interior_idx
     offsets = np.array(_stencil_offsets(dom.strides))
     trial = ScalarField(dom, fld.values.copy())
     flat = trial.flat   # a view: lowering it lowers trial
 
-    def margin_ok(hb: np.ndarray) -> np.ndarray:
-        return _cone_margins(_invariants(hb - shift, params.k)[0], params) > 0
+    def margin_ok(hp: np.ndarray) -> np.ndarray:
+        return _cone_margins(_invariants(hp - shift, params.k)[0], params) > 0
 
     ok = margin_ok(hessian_field(trial))
     for _ in range(REPAIR_SWEEPS):
@@ -708,10 +761,10 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                 # boundary layer and Lap_h x = 0 inside, i.e.
                 # A_II x_I = -(Lap_h m)_I with A_II the interior Laplacian
                 n_int, d = dom.interior_idx.size, dom.dim
-                lap = _assemble(dom, pattern, np.broadcast_to(np.eye(d), (n_int, d, d)),
+                eye = _packed_eye(d)
+                lap = _assemble(dom, pattern, np.broadcast_to(eye, (eye.size, n_int)),
                                 np.zeros(n_int), np.zeros((n_int, d)))
-                lap_m = np.einsum("nii->n", hessian_field(
-                    ScalarField(dom, mismatch.reshape(dom.shape))))
+                lap_m = _trace(hessian_field(ScalarField(dom, mismatch.reshape(dom.shape))), d)
                 x, krylov, linear_residual = _solve_linear(lap, -lap_m, EXTENSION_RTOL, pattern)
                 flat[dom.interior_idx] += x
                 if krylov_log is not None:

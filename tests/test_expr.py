@@ -101,6 +101,19 @@ class TestParse:
         with pytest.raises(SyntaxErrorAt):
             parse("1 + 2 )")
 
+    @pytest.mark.parametrize("source,offset", [("1e999", 0), ("2 * 1e400", 4),
+                                               ("x1 - 9e9999", 5)])
+    def test_non_finite_literal_rejected(self, source, offset):
+        with pytest.raises(SyntaxErrorAt) as err:
+            parse(source)
+        assert err.value.expected == "a finite number"
+        assert err.value.offset == offset
+
+    def test_largest_finite_literal_round_trips(self):
+        node = parse("1.7976931348623157e308")
+        assert node == Num(1.7976931348623157e308)
+        assert parse(to_source(node)) == node
+
 
 class TestEvaluate:
     def test_division_by_zero(self):
@@ -135,6 +148,18 @@ class TestEvaluate:
     def test_unbound_identifier(self):
         with pytest.raises(EvalError):
             evaluate(parse("x1 + 1"), {})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_binding_rejected(self, bad):
+        import numpy as np
+
+        # a bare leaf passes no checked operator, so the binding is checked
+        for source in ("u", "x1 + u", "0 * u"):
+            with pytest.raises(EvalError) as err:
+                evaluate(parse(source), {"x1": 1.0, "u": np.array([1.0, bad])})
+            assert "non-finite binding in 'u'" in str(err.value)
+        # an unused non-finite binding is not the tree's business
+        assert evaluate(parse("x1"), {"x1": 2.0, "u": bad}) == 2.0
 
 
 def node_strategy():

@@ -5,11 +5,40 @@ import numpy as np
 import pytest
 
 from sumhessian import GridDomain, ScalarField, make_domain, read_field, write_field
-from sumhessian.grid import gradient_field, hessian_at, hessian_field
+from sumhessian.grid import (
+    _hessian_stencil,
+    gradient_field,
+    hessian_at,
+    hessian_field,
+    sym_pairs,
+    unpack,
+)
 
 
 def field_from(dom, fn):
     return ScalarField(dom, fn(dom.points).reshape(dom.shape))
+
+
+def per_entry_hessians(fld):
+    """(n_interior, d, d) Hessians gathered entry by entry from the flat
+    values: the stencil formula the packed layout must reproduce bitwise."""
+    dom, flat, idx, s = fld.domain, fld.flat, fld.domain.interior_idx, fld.domain.strides
+    h2 = dom.h * dom.h
+    out = np.empty((idx.size, dom.dim, dom.dim))
+    for a in range(dom.dim):
+        out[:, a, a] = (flat[idx + s[a]] - 2.0 * flat[idx] + flat[idx - s[a]]) / h2
+        for b in range(a + 1, dom.dim):
+            out[:, a, b] = out[:, b, a] = (
+                flat[idx + s[a] + s[b]] - flat[idx + s[a] - s[b]]
+                - flat[idx - s[a] + s[b]] + flat[idx - s[a] - s[b]]) / (4.0 * h2)
+    return out
+
+
+def random_field(dim, mask, cells=12):
+    dom = make_domain(dim, (-1.0,) * dim, (1.0,) * dim, (cells,) * dim, mask_name=mask)
+    vals = np.random.default_rng(dim).normal(size=dom.n_points)
+    vals[::5] *= 1e6
+    return ScalarField(dom, vals.reshape(dom.shape))
 
 
 class TestDomain:
@@ -53,8 +82,7 @@ class TestStencils:
         dom = make_domain(2, (-1, -1), (1, 1), (10, 10))
         fld = field_from(dom, lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
         assert np.allclose(hessian_at(fld, (5, 5)), np.eye(2))
-        hb = hessian_field(fld)
-        assert np.allclose(hb, np.eye(2)[None])
+        assert np.allclose(unpack(hessian_field(fld)), np.eye(2)[None])
 
     def test_mixed_exact(self):
         dom = make_domain(2, (-1, -1), (1, 1), (10, 10))
@@ -83,6 +111,56 @@ class TestStencils:
         fld = field_from(dom, lambda p: 2 * p[:, 0] - p[:, 2])
         grad = gradient_field(fld)
         assert np.allclose(grad, [2.0, 0.0, -1.0])
+
+
+class TestPackedLayout:
+    """hessian_field returns one contiguous row per symmetric entry."""
+
+    @pytest.mark.parametrize("dim,mask", [(2, "box"), (2, "ball"), (3, "box"), (3, "ball")])
+    def test_entries_match_per_entry_formula(self, dim, mask):
+        fld = random_field(dim, mask)
+        packed = hessian_field(fld)
+        assert packed.shape == (dim * (dim + 1) // 2, fld.domain.interior_idx.size)
+        assert packed.flags.c_contiguous
+        ref = per_entry_hessians(fld)
+        for row, (a, b) in enumerate(sym_pairs(dim)):
+            assert packed[row].tobytes() == ref[:, a, b].tobytes(), (a, b)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_box_slices_equal_gather(self, dim):
+        fld = random_field(dim, "box")
+        sliced = _hessian_stencil(fld, None)
+        gathered = _hessian_stencil(fld, fld.domain.interior_idx)
+        assert sliced.tobytes() == gathered.tobytes()
+        assert hessian_field(fld).tobytes() == sliced.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unpack_round_trips(self, dim):
+        packed = np.random.default_rng(dim).normal(size=(dim * (dim + 1) // 2, 50))
+        stack = unpack(packed)
+        assert stack.shape == (50, dim, dim)
+        assert np.array_equal(stack, stack.transpose(0, 2, 1))
+        repacked = np.stack([stack[:, a, b] for a, b in sym_pairs(dim)])
+        assert repacked.tobytes() == packed.tobytes()
+
+    @pytest.mark.parametrize("dim,mask", [(2, "box"), (3, "ball")])
+    def test_hessian_at_is_the_unpacked_column(self, dim, mask):
+        fld = random_field(dim, mask)
+        dom = fld.domain
+        stack = unpack(hessian_field(fld))
+        for i in (0, dom.interior_idx.size // 2, dom.interior_idx.size - 1):
+            point = np.unravel_index(dom.interior_idx[i], dom.shape)
+            assert hessian_at(fld, point).tobytes() == stack[i].tobytes()
+
+    @pytest.mark.parametrize("dim,mask", [(2, "box"), (2, "ball"), (3, "box"), (3, "ball")])
+    def test_gradient_matches_per_entry_formula(self, dim, mask):
+        fld = random_field(dim, mask)
+        dom, flat, idx = fld.domain, fld.flat, fld.domain.interior_idx
+        grad = gradient_field(fld)
+        assert grad.shape == (idx.size, dim)
+        for a, s in enumerate(dom.strides):
+            want = (flat[idx + s] - flat[idx - s]) / (2.0 * dom.h)
+            assert grad[:, a].tobytes() == want.tobytes()
 
 
 class TestFieldIO:

@@ -21,7 +21,7 @@ from sumhessian import (
     operator_value,
 )
 from sumhessian.errors import ConeViolationError, InstanceError, LinearSolveError
-from sumhessian.grid import MIN_CELLS, hessian_field
+from sumhessian.grid import MIN_CELLS, hessian_field, sym_pairs, unpack
 from sumhessian.solver import (
     EXTENSION_RTOL,
     ETA_MAX,
@@ -31,6 +31,7 @@ from sumhessian.solver import (
     _grad_coeff_matrices,
     _invariants,
     _repair_admissibility,
+    _trace,
     _vcycle,
     admissible_mask,
     boundary_values,
@@ -48,6 +49,11 @@ EXP2D_RHS = "exp(x1^2+x2^2)*(1+x1^2+x2^2) + exp((x1^2+x2^2)/2)*(2+x1^2+x2^2)"
 
 def field_from(dom, fn):
     return ScalarField(dom, fn(dom.points).reshape(dom.shape))
+
+
+def pack(stack):
+    """Packed rows, (d(d+1)/2, N), of a stack of symmetric matrices (N, d, d)."""
+    return np.stack([stack[:, a, b] for a, b in sym_pairs(stack.shape[-1])])
 
 
 class TestResidual:
@@ -127,28 +133,30 @@ class TestInvariantKernel:
     def test_matches_spectral_reference(self, d, k, alpha):
         params = SumHessianParams(d, k, alpha)
         hb = hessian_stack(np.random.default_rng(10 * d + k), d)
-        sig, newton = _invariants(hb, k, transforms=True)
+        sig, newton = _invariants(pack(hb), k, transforms=True)
         # S_k is homogeneous of degree k in H, its gradient of degree k - 1
         scale = 1.0 + np.linalg.norm(hb, axis=(1, 2))
-        value = sig[:, k] + alpha * sig[:, k - 1]
+        value = sig[k] + alpha * sig[k - 1]
         assert np.max(np.abs(value - operator_value(hb, params)) / scale**k) <= 1e-12
-        grad_err = np.linalg.norm(_grad_coeff_matrices(newton, params)
+        grad_err = np.linalg.norm(unpack(_grad_coeff_matrices(newton, params))
                                   - operator_grad(hb, params), axis=(1, 2))
         assert np.max(grad_err / scale ** (k - 1)) <= 1e-12
 
     def test_sigmas_without_transforms(self):
-        hb = hessian_stack(np.random.default_rng(3), 3)
-        sig, newton = _invariants(hb, 3)
+        hp = pack(hessian_stack(np.random.default_rng(3), 3))
+        sig, newton = _invariants(hp, 3)
         assert newton == []
-        assert np.array_equal(sig, _invariants(hb, 3, transforms=True)[0])
+        assert np.array_equal(sig, _invariants(hp, 3, transforms=True)[0])
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_einsum_trace_is_np_trace(self, d):
-        # the kernel takes traces with einsum("nii->n"); it must not move a bit
+    def test_packed_trace_is_np_trace(self, d):
+        # the kernel sums the packed diagonal rows; it must not move a bit
+        # against the trace of the unpacked stack
         stack = np.random.default_rng(d).normal(size=(20000, d, d))
         stack[::7] *= 1e150
         stack[::11] *= 1e-150
-        assert (np.einsum("nii->n", stack).tobytes()
+        stack = stack + stack.transpose(0, 2, 1)
+        assert (_trace(pack(stack), d).tobytes()
                 == np.trace(stack, axis1=-2, axis2=-1).tobytes())
 
 
@@ -229,7 +237,7 @@ def full_sweep_repair(fld, params, scale):
     returns the field and the number of sweeps that lowered values."""
     dom = fld.domain
     d = dom.dim
-    shift = (0.1 * max(1.0, scale) / (d - 1)) * np.eye(d)
+    shift = (0.1 * max(1.0, scale) / (d - 1)) * pack(np.eye(d)[None])
     delta = 0.25 * dom.h * dom.h * max(1.0, scale)
     values = fld.values
     for sweep in range(200):
@@ -244,19 +252,24 @@ def full_sweep_repair(fld, params, scale):
 
 class TestAssembly:
     @pytest.mark.parametrize("dim,mask", [(2, "box"), (2, "ball"), (3, "box"), (3, "ball")])
-    def test_matches_coo_reference(self, dim, mask):
+    def test_matches_coo_reference(self, dim, mask, monkeypatch):
+        import sumhessian.solver as solver_mod
+
         dom = make_domain(dim, (-1,) * dim, (1,) * dim, (12,) * dim, mask_name=mask)
         rng = np.random.default_rng(dim)
         n_int = dom.interior_idx.size
         coeff = rng.normal(size=(n_int, dim, dim))
         coeff = coeff + coeff.transpose(0, 2, 1)
         f_u, f_p = rng.normal(size=n_int), rng.normal(size=(n_int, dim))
-        got = _assemble(dom, _JacobianPattern(dom), coeff, f_u, f_p)
         want = coo_reference(dom, coeff, f_u, f_p)
-        assert got.indptr.dtype == got.indices.dtype == np.int32
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
-        assert got.has_sorted_indices
+        # every row in one block, then many blocks and a short last one
+        for rows in (n_int, 97):
+            monkeypatch.setattr(solver_mod, "ASSEMBLY_ROWS", rows)
+            got = _assemble(dom, _JacobianPattern(dom), pack(coeff), f_u, f_p)
+            assert got.indptr.dtype == got.indices.dtype == np.int32
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+            assert got.has_sorted_indices
 
     def test_shared_pattern_gives_the_same_matrix(self):
         dom = make_domain(3, (-1,) * 3, (1,) * 3, (10,) * 3, mask_name="ball")
@@ -394,7 +407,7 @@ class TestMultigrid:
         dom = make_domain(2, (-1, -1), (1, 1), (32, 32))
         pattern = _JacobianPattern(dom)
         n_int = dom.interior_idx.size
-        lap = _assemble(dom, pattern, np.broadcast_to(np.eye(2), (n_int, 2, 2)),
+        lap = _assemble(dom, pattern, np.broadcast_to(pack(np.eye(2)[None]), (3, n_int)),
                         np.zeros(n_int), np.zeros((n_int, 2)))
         gc.disable()
         try:
