@@ -258,7 +258,7 @@ def admissible_mask(fld: ScalarField, params: SumHessianParams) -> np.ndarray:
     return _margins(fld, params) > 0
 
 
-def first_violation(dom: GridDomain, mask: np.ndarray):
+def _first_violation(dom: GridDomain, mask: np.ndarray):
     """Multi-index of the first interior point where an admissibility mask
     is False, or None."""
     if mask.all():
@@ -308,16 +308,33 @@ def _eval_rhs(rhs: RhsSpec, env: dict, n_pts: int) -> np.ndarray:
     return vals
 
 
-def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec) -> np.ndarray:
+def _state_keys(dim: int) -> list[str]:
+    """The env names of the state f may read: u, then p1..p_dim."""
+    return ["u"] + [f"p{a + 1}" for a in range(dim)]
+
+
+def _state_free(rhs: RhsSpec, dim: int) -> bool:
+    """Whether f reads neither u nor any p_a: an f(x), the same on every field."""
+    return expr.variables(rhs.expression).isdisjoint(_state_keys(dim))
+
+
+def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
+             f_values: np.ndarray | None = None) -> np.ndarray:
     """S_k(eta(lam(H))) - f at interior points, zeros on the boundary layer
-    (grid-shaped array)."""
+    (grid-shaped array).
+
+    ``f_values``, when given, is f on the interior as ``_eval_rhs``
+    returns it, for a ``_state_free`` f, whose values do not depend on the
+    field; the result is the same as when f is evaluated here.
+    """
     dom = fld.domain
     _check_dim(dom, params)
     sig, _ = _invariants(hessian_field(fld), params.k)
     s_k = sig[params.k] + params.alpha * sig[params.k - 1]
-    f_vals = _eval_rhs(rhs, _interior_env(fld), dom.interior_idx.size)
+    if f_values is None:
+        f_values = _eval_rhs(rhs, _interior_env(fld), dom.interior_idx.size)
     out = np.zeros(dom.n_points)
-    out[dom.interior_idx] = s_k - f_vals
+    out[dom.interior_idx] = s_k - f_values
     return out.reshape(dom.shape)
 
 
@@ -326,9 +343,9 @@ def _rhs_derivatives(fld: ScalarField, rhs: RhsSpec):
     on the interior env, or zeros, with no env built, for an f(x)."""
     dom = fld.domain
     n_int = dom.interior_idx.size
-    keys = ["u"] + [f"p{a + 1}" for a in range(dom.dim)]
-    if not expr.variables(rhs.expression).intersection(keys):
+    if _state_free(rhs, dom.dim):
         return np.zeros(n_int), np.zeros((n_int, dom.dim))
+    keys = _state_keys(dom.dim)
     env = _interior_env(fld)
     f_u, *f_p = (_eval_interior(expr.diff(rhs.expression, key), env, n_int) for key in keys)
     return f_u, np.stack(f_p, axis=1)
@@ -503,7 +520,7 @@ def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
     dom = fld.domain
     _check_dim(dom, params)
     sig, newton = _invariants(hessian_field(fld), params.k, transforms=True)
-    offender = first_violation(dom, _cone_margins(sig, params) > 0)
+    offender = _first_violation(dom, _cone_margins(sig, params) > 0)
     if offender is not None:
         raise ConeViolationError(f"field is not admissible at grid point {offender}")
     coeff = _grad_coeff_matrices(newton, params)
@@ -664,8 +681,9 @@ def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
         if bad.size == 0:
             return trial
         flat[bad] -= delta
-        near = np.unique(bad[:, None] + offsets)
-        near = near[dom.interior_flat[near]]
+        touched = np.zeros(dom.n_points, dtype=bool)
+        touched[bad[:, None] + offsets] = True
+        near = np.flatnonzero(touched & dom.interior_flat)
         ok[np.searchsorted(idx, near)] = margin_ok(_hessian_stencil(trial, near))
     if (_margins(trial, params) > 0).all():
         return trial
@@ -797,6 +815,15 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     and every accepted iterate after it. Stops at residual <= tol or after
     max_iter accepted steps. NonConvergenceError (a line-search stall) and
     LinearSolveError (a failed step solve) carry the trace so far.
+
+    The line search stalls in one of two ways. When a trial equals the
+    iterate bit for bit, so does every smaller step (halving is exact and
+    rounding is monotone), and its residual is the iterate's: the search
+    stops there, unevaluated, saying the step no longer changes the
+    iterate. Otherwise it stalls when no step down to MIN_STEP gives an
+    admissible decrease. An f(x) right-hand side (``_state_free``) is
+    evaluated once, next to the guess's residual, and every residual of
+    the solve reads those values.
     """
     config = config or SolveConfig()
     _check_dim(dom, params)
@@ -805,11 +832,14 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     fld = initial_guess(dom, params, rhs, boundary, pattern=pattern, krylov_log=extension)
     idx = dom.interior_idx
 
-    offender = first_violation(dom, admissible_mask(fld, params))
+    offender = _first_violation(dom, admissible_mask(fld, params))
     if offender is not None:
         raise ConeViolationError(f"initial guess is not admissible at grid point {offender}")
 
-    res = residual(fld, params, rhs)
+    f_values = None
+    if _state_free(rhs, dom.dim):
+        f_values = _eval_rhs(rhs, _interior_env(fld), idx.size)
+    res = residual(fld, params, rhs, f_values=f_values)
     res_norm = float(np.max(np.abs(res)))
     krylov, linear_residual = extension[0] if extension else (0, 0.0)
     trace = [TraceEntry(0, res_norm, 0.0, float(np.min(_margins(fld, params))),
@@ -831,11 +861,15 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         delta[idx] = delta_int
         step = 1.0
         accepted = None
+        stall = f"no admissible decrease down to step 2^{math.log2(MIN_STEP):.0f}"
         while step >= MIN_STEP:
             trial = ScalarField(dom, fld.values + step * delta.reshape(dom.shape))
+            if np.array_equal(trial.values.view(np.int64), fld.values.view(np.int64)):
+                stall = f"step 2^{math.log2(step):.0f} no longer changes the iterate"
+                break
             if admissible_mask(trial, params).all():
                 try:
-                    res_try = residual(trial, params, rhs)
+                    res_try = residual(trial, params, rhs, f_values=f_values)
                 except InstanceError:
                     res_try = None
                 if res_try is not None:
@@ -846,9 +880,7 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
             step *= 0.5
         if accepted is None:
             raise NonConvergenceError(
-                f"line search stalled below step {MIN_STEP:g} at residual {res_norm:.3e}",
-                trace=trace,
-            )
+                f"line search stalled: {stall}, at residual {res_norm:.3e}", trace=trace)
         # (1 - step) F + step r_lin = F + step J delta
         model_norm = float(np.linalg.norm(f_int + step * (mat @ delta_int)))
         del mat     # free this Jacobian before the next one is assembled

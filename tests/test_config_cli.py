@@ -205,7 +205,8 @@ class TestCliSolve:
         cfg = tmp_path / "stall.cfg"
         cfg.write_text(path.read_text().replace('f = "18"', 'f = "30"'))
         assert main(["solve", str(cfg)]) == 1
-        assert "line search stalled" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "line search stalled: step 2^0 no longer changes the iterate" in err
         assert not out.exists()
         lines = Path(str(out) + ".trace.csv").read_text().splitlines()
         assert lines[0] == TRACE_HEADER

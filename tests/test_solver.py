@@ -82,6 +82,17 @@ class TestResidual:
             sups.append(float(np.max(np.abs(res))))
         assert sups[0] / sups[1] == pytest.approx(4.0, rel=0.25)
 
+    def test_f_values_match_evaluation_bitwise(self):
+        params = SumHessianParams(2, 2, 1.0)
+        dom = make_domain(2, (-1, -1), (1, 1), (32, 32))
+        fld = field_from(dom, lambda p: np.exp(0.5 * np.sum(p**2, axis=1)))
+        rhs = RhsSpec.parse(EXP2D_RHS)
+        pts = dom.points[dom.interior_idx]
+        f_values = expr.evaluate(rhs.expression, {"x1": pts[:, 0], "x2": pts[:, 1]})
+        res = residual(fld, params, rhs)
+        assert np.max(np.abs(res)) > 0
+        assert residual(fld, params, rhs, f_values=f_values).tobytes() == res.tobytes()
+
     def test_nonpositive_rhs_rejected(self):
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
         params = SumHessianParams(2, 1, 0.0)
@@ -670,19 +681,109 @@ class TestNewton:
         mask = dom.interior_flat
         assert np.max(np.abs(result.field.flat[mask] - ustar[mask])) < 5 * dom.h
 
+    @staticmethod
+    def count_masks(monkeypatch) -> list:
+        """Record each admissible_mask call of the Newton loop."""
+        import sumhessian.solver as solver_mod
+
+        calls = []
+
+        def counted(fld, params):
+            calls.append(fld)
+            return admissible_mask(fld, params)
+
+        monkeypatch.setattr(solver_mod, "admissible_mask", counted)
+        return calls
+
     def test_line_search_stall_raises_with_trace(self, monkeypatch):
         import sumhessian.solver as solver_mod
         from sumhessian.errors import NonConvergenceError
 
-        # a useless step can never decrease the residual: the backtracking
-        # line search must stall and surface the trace
+        # a zero step leaves the iterate as it is, so can never decrease the
+        # residual: the line search stalls on its first trial, unevaluated,
+        # and surfaces the trace
         monkeypatch.setattr(solver_mod, "_solve_linear",
                             lambda mat, rhs_vec, rtol, pattern: (np.zeros(mat.shape[0]), 0, 1.0))
+        masks = self.count_masks(monkeypatch)
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
         params = SumHessianParams(2, 2, 1.0)
         with pytest.raises(NonConvergenceError) as err:
             newton_solve(dom, params, RhsSpec.parse("8"), ZERO)
-        assert err.value.trace  # carries the iteration log
+        trace = err.value.trace
+        assert len(trace) == 1  # carries the iteration log: the guess
+        assert str(err.value) == ("line search stalled: step 2^0 no longer changes the "
+                                  f"iterate, at residual {trace[-1].residual:.3e}")
+        assert len(masks) == 1  # the guess check alone: no trial was evaluated
+
+    def test_line_search_without_decrease_stalls_at_min_step(self, monkeypatch):
+        import sumhessian.solver as solver_mod
+        from sumhessian.errors import NonConvergenceError
+
+        # the reversed Newton step raises the residual at every damping
+        solve_linear = solver_mod._solve_linear
+
+        def uphill(*args):
+            x, krylov, achieved = solve_linear(*args)
+            return -x, krylov, achieved
+
+        monkeypatch.setattr(solver_mod, "_solve_linear", uphill)
+        masks = self.count_masks(monkeypatch)
+        dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
+        params = SumHessianParams(2, 2, 1.0)
+        with pytest.raises(NonConvergenceError) as err:
+            newton_solve(dom, params, RhsSpec.parse("8"), ZERO)
+        trace = err.value.trace
+        assert len(trace) == 1
+        assert str(err.value) == ("line search stalled: no admissible decrease down to "
+                                  f"step 2^-20, at residual {trace[-1].residual:.3e}")
+        assert len(masks) == 1 + 21  # the guess, then every step 2^0 .. 2^-20
+
+    def test_f_of_x_evaluated_once_per_solve(self, monkeypatch):
+        calls = []
+        evaluate = expr.evaluate
+
+        def counted(node, env):
+            calls.append(node)
+            return evaluate(node, env)
+
+        monkeypatch.setattr(expr, "evaluate", counted)
+        dom = make_domain(2, (-1, -1), (1, 1), (64, 64))
+        params = SumHessianParams(2, 2, 1.0)
+        rhs, bnd = RhsSpec.parse(EXP2D_RHS), expr.parse("exp((x1^2+x2^2)/2)")
+        counts = {}
+        for max_iter in (1, 50):
+            calls.clear()
+            result = newton_solve(dom, params, rhs, bnd, SolveConfig(max_iter=max_iter))
+            counts[result.iterations] = len(calls)
+        assert max(counts) > 1
+        # the guess's scale, the boundary data and the solve's f values
+        assert list(counts.values()) == [3, 3]
+
+    def test_state_dependent_f_evaluated_every_trial(self, monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        evaluated, residuals = [], []
+        evaluate = expr.evaluate
+
+        def counted_evaluate(node, env):
+            evaluated.append(node)
+            return evaluate(node, env)
+
+        def counted_residual(fld, params, rhs, **kwargs):
+            residuals.append(kwargs)
+            return residual(fld, params, rhs, **kwargs)
+
+        monkeypatch.setattr(expr, "evaluate", counted_evaluate)
+        monkeypatch.setattr(solver_mod, "residual", counted_residual)
+        dom = make_domain(2, (-1, -1), (1, 1), (32, 32))
+        rhs = RhsSpec.parse("exp(x1^2+x2^2) + p1^2 + p2^2 + (2 + x1^2+x2^2)*u")
+        result = newton_solve(dom, SumHessianParams(2, 2, 1.0), rhs,
+                              expr.parse("exp((x1^2+x2^2)/2)"))
+        assert result.converged(1e-10)
+        assert len(residuals) >= 1 + result.iterations   # the guess, then each trial
+        assert all(kwargs["f_values"] is None for kwargs in residuals)
+        # f itself once for the guess's scale, then once per residual
+        assert sum(node is rhs.expression for node in evaluated) == 1 + len(residuals)
 
     def test_max_iter_returns_unconverged(self):
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
