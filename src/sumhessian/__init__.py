@@ -20,11 +20,9 @@ from .symfun import (
 from .cones import (
     Cone,
     ConeSampleBatch,
-    PrimeVariant,
     eta,
     in_cone,
     in_gamma,
-    in_gamma_prime,
     in_gamma_tilde,
     sample_cone,
 )

@@ -177,13 +177,14 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, expr.ExprError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # solver trouble first: InstanceError and ConeViolationError are ValueErrors
     except (NonConvergenceError, LinearSolveError, ConeViolationError,
             InstanceError, SamplingExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ConfigError, expr.ExprError, FileNotFoundError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -36,13 +36,6 @@ class Cone(enum.Enum):
     GAMMA_TILDE_PRIME = "gamma-tilde-prime"
 
 
-class PrimeVariant(enum.Enum):
-    """Which cone condition is applied to eta(lam) by in_gamma_prime."""
-
-    ADMISSIBLE = "admissible"  # sigma_1..sigma_k of eta all positive
-    TILDE = "tilde"            # eta in gamma-tilde
-
-
 def eta(lam) -> np.ndarray:
     """Complementary-sum transform eta_i = sigma_1(lam) - lam_i.
 
@@ -77,14 +70,6 @@ def in_gamma_tilde(lam, params: SumHessianParams):
     return bool(out) if out.ndim == 0 else out
 
 
-def in_gamma_prime(lam, params: SumHessianParams, variant: PrimeVariant = PrimeVariant.ADMISSIBLE):
-    """Apply the selected cone condition to eta(lam)."""
-    e = eta(lam)
-    if variant is PrimeVariant.ADMISSIBLE:
-        return in_gamma(e, params.k)
-    return in_gamma_tilde(e, params)
-
-
 def in_cone(lam, cone: Cone, params: SumHessianParams):
     """Membership test dispatched on the cone identifier."""
     if cone is Cone.GAMMA:
@@ -92,9 +77,9 @@ def in_cone(lam, cone: Cone, params: SumHessianParams):
     if cone is Cone.GAMMA_TILDE:
         return in_gamma_tilde(lam, params)
     if cone is Cone.GAMMA_PRIME:
-        return in_gamma_prime(lam, params, PrimeVariant.ADMISSIBLE)
+        return in_gamma(eta(lam), params.k)
     if cone is Cone.GAMMA_TILDE_PRIME:
-        return in_gamma_prime(lam, params, PrimeVariant.TILDE)
+        return in_gamma_tilde(eta(lam), params)
     raise ValueError(f"unknown cone {cone!r}")
 
 

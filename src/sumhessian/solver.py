@@ -21,23 +21,24 @@ harmonic extension and to every linearization, which then fill ``data``
 alone. The pattern lives for one solve: it is not kept on the domain. It
 also owns the V-cycle's grid hierarchy, built on the first linear solve:
 the cells halve while every axis stays even and at least ``MIN_CELLS``.
-Each level keeps its n-linear prolongation P (restriction is P^T / 2^d)
-and its coarse sparsity pattern; a coarse operator takes the fine row of
-its injected point 2j, slot by slot, scaled by (h / 2h)^2, so no Galerkin
+Each level keeps its n-linear prolongation P, the Kronecker product of one
+1-D linear interpolation per axis (restriction is P^T / 2^d), and its
+coarse sparsity pattern; a coarse operator takes the fine row of its
+injected point 2j, slot by slot, scaled by (h / 2h)^2, so no Galerkin
 product is formed.
 
 The bulk path never eigendecomposes: one loop kernel, valid in any grid
-dimension and order k, evaluates sigma_m of eta(lam(H)) and the coefficient
-matrices of the linearization from power sums and Newton transformations of
-U = trace(H) I - H, vectorized over grid points. (The spectral module serves
-n up to 16 and keeps LAPACK eigh: there a trace recurrence read errors of
-3e-6 against eigh's 2e-12.) Every matrix of that path (H, U, the powers of
-U, the transformations and the coefficients) is packed as in ``grid``: one
-contiguous (N,) row per symmetric entry, so a matrix product is a few sums
-of products of rows and a trace is a sum of the diagonal rows. Only
-``ellipticity_margins`` unpacks, for eigvalsh. Assembly is data-parallel
-over interior points and fills the CSR values a block of rows at a time;
-the Newton loop is sequential and single-threaded runs produce
+dimension and order k, evaluates sigma_m of eta(lam(H)) from the power sums
+of U = trace(H) I - H, and the coefficient matrices of the linearization in
+closed form from the sigmas and the powers of U, vectorized over grid
+points. (The spectral module serves n up to 16 and keeps LAPACK eigh: there
+a trace recurrence read errors of 3e-6 against eigh's 2e-12.) Every matrix
+of that path (H, U, the powers of U and the coefficients) is packed as in
+``grid``: one contiguous (N,) row per symmetric entry, so a matrix product
+is a few sums of products of rows and a trace is a sum of the diagonal
+rows. Only ``ellipticity_margins`` unpacks, for eigvalsh. Assembly is
+data-parallel over interior points and fills the CSR values a block of rows
+at a time; the Newton loop is sequential and single-threaded runs produce
 bitwise-identical traces for identical configurations.
 """
 from __future__ import annotations
@@ -174,23 +175,19 @@ def _trace_product(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     return np.einsum("r,rn,rn->n", 2.0 - _packed_eye(dim)[:, 0], a, b)
 
 
-def _invariants(hp: np.ndarray, m_max: int, transforms: bool = False):
-    """(sig, newton) for packed symmetric matrices H, (d(d+1)/2, N), and
+def _invariants(hp: np.ndarray, m_max: int):
+    """(sig, powers) for packed symmetric matrices H, (d(d+1)/2, N), and
     U = trace(H) I - H, whose eigenvalues are eta(lam(H)).
 
     sig[m] is sigma_m(eta(lam(H))), (N,), m = 0..m_max, from Newton's
     identities m sigma_m = sum_{i=1..m} (-1)^(i-1) sigma_{m-i} p_i on
-    p_i = tr(U^(i-1) U); the powers U^i are packed too. With
-    ``transforms``, newton[m] is the packed Newton transformation
-    T_m = sum_{i=0..m} (-1)^i sigma_{m-i} U^i = d sigma_{m+1} / dU for
-    m = 0..m_max-1, and newton[-1] is T_{-1} = 0, a (1, 1) zero; without,
-    newton is empty.
+    p_i = tr(U^(i-1) U). powers[i] is the packed U^i, i = 0..max(m_max-1, 1),
+    with U^0 the packed identity column.
     """
     dim = math.isqrt(2 * hp.shape[0])
-    eye = _packed_eye(dim)
     u = np.negative(hp)
     u[:dim] += _trace(hp, dim)
-    powers = [eye, u]                           # U^0..U^(m_max-1), at least U^1
+    powers = [_packed_eye(dim), u]              # U^0..U^(m_max-1), at least U^1
     while len(powers) < m_max:
         powers.append(_product(powers[-1], u, dim))
 
@@ -207,34 +204,32 @@ def _invariants(hp: np.ndarray, m_max: int, transforms: bool = False):
             else:
                 acc -= sig[m - i] * p[i]
         sig[m] = acc / m
-    if not transforms:
-        return sig, []
-
-    newton = []
-    for m in range(m_max):
-        t = sig[m] * eye
-        for i in range(1, m + 1):
-            if i % 2:
-                t -= sig[m - i] * powers[i]
-            else:
-                t += sig[m - i] * powers[i]
-        newton.append(t)
-    newton.append(np.zeros((1, 1)))
-    return sig, newton
+    return sig, powers
 
 
-def _grad_coeff_matrices(newton: list, params: SumHessianParams) -> np.ndarray:
-    """Packed coefficient matrices dF(H) of the linearized operator,
-    (d(d+1)/2, N), from the Newton transformations of
-    ``_invariants(hp, params.k, transforms=True)``.
+def _grad_coeff_matrices(sig: np.ndarray, powers: list, params: SumHessianParams) -> np.ndarray:
+    """Packed coefficient matrices dF(H) = d S_k / d H of the linearized
+    operator, (d(d+1)/2, N), from ``_invariants(hp, params.k)``.
 
-    dF = (trace G) I - G with G = T_{k-1}(U) + alpha T_{k-2}(U); the
-    eigenvalues of dF are the per-eigenvalue derivative coefficients of the
-    spectral module.
+    With c_i = sigma_{k-1-i} + alpha sigma_{k-2-i} (sigma_{-1} = 0) and
+    R = sum_{i=1..k-1} (-1)^i c_i U^i, dF = ((d - 1) c_0 + tr R) I - R: the
+    trace complement of d S_k / d U = c_0 I + R. The eigenvalues of dF are
+    the per-eigenvalue derivative coefficients of the spectral module.
     """
-    g = newton[params.k - 1] + params.alpha * newton[params.k - 2]
-    coeff = np.negative(g)
-    coeff[:params.n] += _trace(g, params.n)
+    k, d, alpha = params.k, params.n, params.alpha
+
+    def c(i: int) -> np.ndarray:
+        return sig[0] if i == k - 1 else sig[k - 1 - i] + alpha * sig[k - 2 - i]
+
+    # accumulates -R, from -0.0 so that a zero entry keeps the sign it
+    # has in -(c_0 I + R)
+    coeff = np.full_like(powers[1], -0.0)
+    for i in range(1, k):
+        if i % 2:
+            coeff += c(i) * powers[i]
+        else:
+            coeff -= c(i) * powers[i]
+    coeff[:d] += (d - 1) * c(0) - _trace(coeff, d)
     return coeff
 
 
@@ -271,8 +266,8 @@ def ellipticity_margins(fld: ScalarField, params: SumHessianParams):
     """(min eigenvalue, eigenvalue sum) of the coefficient matrix per interior
     point; positive minima witness ellipticity on admissible fields."""
     _check_dim(fld.domain, params)
-    _, newton = _invariants(hessian_field(fld), params.k, transforms=True)
-    eigs = np.linalg.eigvalsh(unpack(_grad_coeff_matrices(newton, params)))
+    sig, powers = _invariants(hessian_field(fld), params.k)
+    eigs = np.linalg.eigvalsh(unpack(_grad_coeff_matrices(sig, powers, params)))
     return eigs[:, 0], eigs.sum(axis=1)
 
 
@@ -290,17 +285,18 @@ def _interior_env(fld: ScalarField) -> dict:
     return env
 
 
-def _eval_interior(node: expr.Node, env: dict, n_pts: int) -> np.ndarray:
-    """The tree on ``env`` as an (n_pts,) array; EvalError -> InstanceError."""
+def _eval_interior(node: expr.Node, env: dict, n_pts: int, label: str) -> np.ndarray:
+    """The tree on ``env`` as an (n_pts,) array; EvalError -> InstanceError,
+    whose message names the tree by ``label``."""
     try:
         vals = expr.evaluate(node, env)
     except expr.EvalError as exc:
-        raise InstanceError(f"right-hand side failed to evaluate: {exc}") from exc
+        raise InstanceError(f"{label} failed to evaluate: {exc}") from exc
     return np.broadcast_to(np.asarray(vals, dtype=float), (n_pts,)).copy()
 
 
 def _eval_rhs(rhs: RhsSpec, env: dict, n_pts: int) -> np.ndarray:
-    vals = _eval_interior(rhs.expression, env, n_pts)
+    vals = _eval_interior(rhs.expression, env, n_pts, "right-hand side")
     if np.min(vals) <= 0:
         raise InstanceError(f"right-hand side must stay positive, min {np.min(vals)!r}")
     if not np.all(np.isfinite(vals)):
@@ -347,7 +343,8 @@ def _rhs_derivatives(fld: ScalarField, rhs: RhsSpec):
         return np.zeros(n_int), np.zeros((n_int, dom.dim))
     keys = _state_keys(dom.dim)
     env = _interior_env(fld)
-    f_u, *f_p = (_eval_interior(expr.diff(rhs.expression, key), env, n_int) for key in keys)
+    f_u, *f_p = (_eval_interior(expr.diff(rhs.expression, key), env, n_int, "right-hand side")
+                 for key in keys)
     return f_u, np.stack(f_p, axis=1)
 
 
@@ -393,24 +390,17 @@ def _prolongation(fine_shape: tuple[int, ...], fine_idx: np.ndarray,
                   coarse_shape: tuple[int, ...], coarse_idx: np.ndarray) -> sp.csr_matrix:
     """n-linear interpolation from the coarse interior unknowns to the fine
     ones, (fine_idx.size, coarse_idx.size) CSR; values at coarse boundary
-    points are zero. Fine point m reads coarse points (m + c) // 2,
-    c in {0, 1}^d, with weight 1/2 per odd axis of m (an even axis reads
-    its one coarse point, c = 0, with weight 1)."""
-    local = _local_index(int(np.prod(coarse_shape)), coarse_idx)
-    multi = np.unravel_index(fine_idx, fine_shape)
-    corners = list(itertools.product((0, 1), repeat=len(fine_shape)))
-    cols = np.empty((fine_idx.size, len(corners)), dtype=np.int32)
-    weights = np.ones((fine_idx.size, len(corners)))
-    for j, corner in enumerate(corners):
-        cols[:, j] = local[np.ravel_multi_index(
-            tuple((m + c) // 2 for m, c in zip(multi, corner)), coarse_shape)]
-        for m, c in zip(multi, corner):
-            weights[:, j] *= np.where(m % 2, 0.5, 1.0 - c)
-    keep = (weights > 0) & (cols >= 0)
-    indptr = np.zeros(fine_idx.size + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    return sp.csr_matrix((weights[keep], cols[keep], indptr),
-                         shape=(fine_idx.size, coarse_idx.size))
+    points are zero. It is the Kronecker product of one 1-D linear
+    interpolation per axis, where fine point m reads coarse points m // 2
+    and (m + 1) // 2 with weight 1/2 each (one point, weight 1, for even m),
+    restricted to rows ``fine_idx`` and columns ``coarse_idx``."""
+    full = None
+    for n_fine, n_coarse in zip(fine_shape, coarse_shape):
+        m = np.arange(n_fine)
+        eye = sp.identity(n_coarse, format="csr")
+        axis = 0.5 * (eye[m // 2] + eye[(m + 1) // 2])
+        full = axis if full is None else sp.kron(full, axis, format="csr")
+    return full[fine_idx][:, coarse_idx]
 
 
 class _JacobianPattern:
@@ -519,12 +509,12 @@ def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
     """
     dom = fld.domain
     _check_dim(dom, params)
-    sig, newton = _invariants(hessian_field(fld), params.k, transforms=True)
+    sig, powers = _invariants(hessian_field(fld), params.k)
     offender = _first_violation(dom, _cone_margins(sig, params) > 0)
     if offender is not None:
         raise ConeViolationError(f"field is not admissible at grid point {offender}")
-    coeff = _grad_coeff_matrices(newton, params)
-    del sig, newton     # free the kernel's stacks before assembly
+    coeff = _grad_coeff_matrices(sig, powers, params)
+    del sig, powers     # free the kernel's stacks before assembly
     f_u, f_p = _rhs_derivatives(fld, rhs)
     return _assemble(dom, pattern or _JacobianPattern(dom), coeff, f_u, f_p)
 
@@ -642,8 +632,7 @@ def boundary_values(dom: GridDomain, boundary: expr.Node) -> np.ndarray:
             f"boundary data may only reference {sorted(allowed)}, got {sorted(names)}"
         )
     env = {f"x{a + 1}": dom.points[:, a] for a in range(dom.dim)}
-    vals = expr.evaluate(boundary, env)
-    return np.broadcast_to(np.asarray(vals, dtype=float), (dom.n_points,)).copy()
+    return _eval_interior(boundary, env, dom.n_points, "boundary data")
 
 
 REPAIR_SWEEPS = 200

@@ -7,12 +7,10 @@ import pytest
 
 from sumhessian import (
     Cone,
-    PrimeVariant,
     SumHessianParams,
     eta,
     in_cone,
     in_gamma,
-    in_gamma_prime,
     in_gamma_tilde,
     sample_cone,
     sum_hessian,
@@ -55,11 +53,11 @@ class TestMembership:
 
     def test_gamma_prime_examples(self):
         params = SumHessianParams(3, 2, 0.0)
-        assert in_gamma_prime([1., 1, 1], params, PrimeVariant.TILDE)
+        assert in_cone([1., 1, 1], Cone.GAMMA_TILDE_PRIME, params)
         # eta = (-2, 9, 9): sigma_1 = 16, sigma_2 = 45, both positive
-        assert in_gamma_prime([10., -1, -1], params, PrimeVariant.ADMISSIBLE)
+        assert in_cone([10., -1, -1], Cone.GAMMA_PRIME, params)
         p3 = SumHessianParams(3, 3, 0.0)
-        assert not in_gamma_prime([1., 0, 0], p3, PrimeVariant.ADMISSIBLE)
+        assert not in_cone([1., 0, 0], Cone.GAMMA_PRIME, p3)
 
     def test_batched(self):
         params = SumHessianParams(3, 2, 1.0)

@@ -8,7 +8,7 @@ import pytest
 from sumhessian.cli import main
 from sumhessian.config import load_config
 from sumhessian.errors import ConfigError, LinearSolveError
-from sumhessian.grid import read_field
+from sumhessian.grid import ScalarField, read_field
 
 QUAD_3D = """
 [operator]
@@ -193,6 +193,34 @@ class TestCliSolve:
         cfg.write_text(text)
         assert main(["solve", str(cfg)]) == 1
         assert "tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mangle,message", [
+        (('f = "18"', 'f = "x1"'), "right-hand side must stay positive"),
+        (('g = "(x1^2 + x2^2 + x3^2 - 1)/2"', 'g = "log(x1)"'),
+         "boundary data failed to evaluate: log of a nonpositive value"),
+    ], ids=["nonpositive-f", "failing-g"])
+    def test_instance_error_exits_1(self, tmp_path, quad_cfg, capsys, mangle, message):
+        # InstanceError is a ValueError, but an ill-posed instance is solver
+        # trouble, not a malformed config
+        path, out = quad_cfg
+        cfg = tmp_path / "bad-instance.cfg"
+        cfg.write_text(path.read_text().replace(*mangle))
+        assert main(["solve", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cone_violation_exits_1(self, tmp_path, capsys, monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        # a repair that hands back u = 0, whose Hessian lies on the cone's
+        # boundary, leaves an inadmissible guess
+        monkeypatch.setattr(solver_mod, "_repair_admissibility",
+                            lambda fld, params, scale: ScalarField(fld.domain,
+                                                                   np.zeros(fld.domain.shape)))
+        cfg = tmp_path / "ball.cfg"
+        cfg.write_text(BALL_3D.format(f="18", out=tmp_path / "ball.field"))
+        assert main(["solve", str(cfg)]) == 1
+        assert "initial guess is not admissible" in capsys.readouterr().err
 
     def test_stalled_solve_writes_trace_and_no_field(self, tmp_path, quad_cfg, capsys,
                                                       monkeypatch):

@@ -144,20 +144,24 @@ class TestInvariantKernel:
     def test_matches_spectral_reference(self, d, k, alpha):
         params = SumHessianParams(d, k, alpha)
         hb = hessian_stack(np.random.default_rng(10 * d + k), d)
-        sig, newton = _invariants(pack(hb), k, transforms=True)
+        sig, powers = _invariants(pack(hb), k)
         # S_k is homogeneous of degree k in H, its gradient of degree k - 1
         scale = 1.0 + np.linalg.norm(hb, axis=(1, 2))
         value = sig[k] + alpha * sig[k - 1]
         assert np.max(np.abs(value - operator_value(hb, params)) / scale**k) <= 1e-12
-        grad_err = np.linalg.norm(unpack(_grad_coeff_matrices(newton, params))
+        grad_err = np.linalg.norm(unpack(_grad_coeff_matrices(sig, powers, params))
                                   - operator_grad(hb, params), axis=(1, 2))
         assert np.max(grad_err / scale ** (k - 1)) <= 1e-12
 
-    def test_sigmas_without_transforms(self):
-        hp = pack(hessian_stack(np.random.default_rng(3), 3))
-        sig, newton = _invariants(hp, 3)
-        assert newton == []
-        assert np.array_equal(sig, _invariants(hp, 3, transforms=True)[0])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    def test_k1_coefficients_are_exactly_d_minus_1_identity(self, d, alpha):
+        # dS_1/dH = (d - 1) I for every H: no rounding may reach it
+        hp = pack(hessian_stack(np.random.default_rng(3), d))
+        coeff = _grad_coeff_matrices(*_invariants(hp, 1), SumHessianParams(d, 1, alpha))
+        assert coeff.shape == hp.shape
+        expect = np.broadcast_to((d - 1) * np.eye(d), (hp.shape[1], d, d))
+        assert np.array_equal(unpack(coeff), expect)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_packed_trace_is_np_trace(self, d):
@@ -347,7 +351,8 @@ class TestMultigrid:
         for (prolong, indptr, _, _), coarse in zip(levels, coarse_domains(dom)):
             assert indptr.size - 1 == prolong.shape[1] == coarse.interior_idx.size
 
-    @pytest.mark.parametrize("dim,cells,mask", [(2, 32, "box"), (3, 16, "ball")])
+    @pytest.mark.parametrize("dim,cells,mask", [(2, 32, "box"), (3, 16, "ball"),
+                                                (3, 16, "box"), (2, 32, "ball")])
     def test_prolongation_is_multilinear_interpolation(self, dim, cells, mask):
         dom = make_domain(dim, (-1,) * dim, (1,) * dim, (cells,) * dim, mask_name=mask)
         coarse = coarse_domains(dom)[0]
@@ -598,6 +603,8 @@ class TestInitialGuess:
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
         with pytest.raises(InstanceError):
             boundary_values(dom, expr.parse("u + 1"))
+        with pytest.raises(InstanceError, match="boundary data failed to evaluate"):
+            boundary_values(dom, expr.parse("log(x1)"))
 
 
 class TestNewton:
