@@ -49,10 +49,6 @@ from .solver import (
 from .estimates import (
     EstimateReport,
     build_report,
-    interior_ratio,
-    p_diagnostic,
-    phi_diagnostic,
-    pogorelov_product,
     stable_weight,
 )
 from .suites import SuiteResult, Tolerances, run_suites

@@ -206,15 +206,6 @@ def _hessian_stencil(fld: ScalarField, idx: np.ndarray | None) -> np.ndarray:
     return out.reshape(len(pairs), -1)
 
 
-def hessian_at(fld: ScalarField, point: tuple[int, ...]) -> np.ndarray:
-    """Discrete Hessian at one interior multi-index, shape (d, d)."""
-    dom = fld.domain
-    idx = int(np.ravel_multi_index(point, dom.shape))
-    if not dom.interior_flat[idx]:
-        raise ValueError(f"point {point} is not interior")
-    return unpack(_hessian_stencil(fld, np.array([idx])))[0]
-
-
 def hessian_field(fld: ScalarField) -> np.ndarray:
     """Packed discrete Hessians at every interior point, shape
     (d(d+1)/2, n_interior), rows in ``sym_pairs`` order."""

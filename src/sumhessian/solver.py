@@ -298,7 +298,7 @@ def _eval_interior(node: expr.Node, env: dict, n_pts: int, label: str) -> np.nda
 def _eval_rhs(rhs: RhsSpec, env: dict, n_pts: int) -> np.ndarray:
     vals = _eval_interior(rhs.expression, env, n_pts, "right-hand side")
     if np.min(vals) <= 0:
-        raise InstanceError(f"right-hand side must stay positive, min {np.min(vals)!r}")
+        raise InstanceError(f"right-hand side must stay positive, min {float(np.min(vals))}")
     if not np.all(np.isfinite(vals)):
         raise InstanceError("right-hand side evaluated non-finite")
     return vals
@@ -868,6 +868,9 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                         break
             step *= 0.5
         if accepted is None:
+            # the traceback keeps this frame alive: free the Jacobian and the
+            # V-cycle hierarchy before raising
+            del mat, pattern
             raise NonConvergenceError(
                 f"line search stalled: {stall}, at residual {res_norm:.3e}", trace=trace)
         # (1 - step) F + step r_lin = F + step J delta

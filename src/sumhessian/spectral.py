@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import eta
-from .errors import ConeViolationError
 from .symfun import MAX_N, SumHessianParams, sum_hessian, sum_hessian_grad, sum_hessian_hess
 
 MIN_DIM = 2
@@ -77,19 +76,9 @@ def u_operator(matrix) -> np.ndarray:
     return trace * np.eye(h.shape[-1]) - h
 
 
-def operator_value(matrix, params: SumHessianParams, normalized: bool = False):
-    """S_k(eta(lam(H))), or its k-th root in normalized mode.
-
-    Normalized mode requires a positive value (for every matrix of a stack)
-    and raises ConeViolationError otherwise.
-    """
-    dec = eigen_sym(matrix)
-    val = sum_hessian(eta(dec.values), params.k, params.alpha)
-    if not normalized:
-        return val
-    if np.any(val <= 0):
-        raise ConeViolationError("normalized operator value requires S_k(eta) > 0")
-    return val ** (1.0 / params.k)
+def operator_value(matrix, params: SumHessianParams):
+    """S_k(eta(lam(H)))."""
+    return sum_hessian(eta(eigen_sym(matrix).values), params.k, params.alpha)
 
 
 def grad_coefficients(values, params: SumHessianParams) -> np.ndarray:

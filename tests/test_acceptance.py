@@ -14,15 +14,16 @@ import sumhessian.expr as expr
 from sumhessian import (
     RhsSpec,
     SumHessianParams,
+    build_report,
     make_domain,
     newton_solve,
     sigma,
+    stable_weight,
     sum_hessian,
     sum_hessian_grad,
     sum_hessian_hess,
 )
 from sumhessian.cli import main as cli_main
-from sumhessian.estimates import interior_ratio, pogorelov_product
 from sumhessian.solver import admissible_mask
 from sumhessian.suites import run_suites
 
@@ -239,7 +240,7 @@ def test_criterion_7_pogorelov_family(ball_family):
     for f_val in (18.0, 72.0, 288.0):
         prods = {}
         for cells in (16, 32):
-            prods[cells] = pogorelov_product(ball_family[(f_val, cells)].field, 1.0)
+            prods[cells] = build_report("ball", ball_family[(f_val, cells)].field).pogorelov
             ok = ok and np.isfinite(prods[cells])
         drift = max(prods[32] / prods[16], prods[16] / prods[32])
         ok = ok and drift <= 3.0
@@ -248,8 +249,6 @@ def test_criterion_7_pogorelov_family(ball_family):
 
 
 def test_criterion_8_top_order_weighted(top_order_pair):
-    from sumhessian import build_report, stable_weight
-
     betas = (1.0, 2.0, 4.0, 8.0)
     reps = {c: build_report(f"b{c}", top_order_pair[c].field, betas=betas)
             for c in (16, 32)}
@@ -265,7 +264,7 @@ def test_criterion_8_top_order_weighted(top_order_pair):
 def test_criterion_9_scale_invariance(scale_pair):
     ratios = {}
     for radius, res in scale_pair.items():
-        ratios[radius] = interior_ratio(res.field, res.field.domain.inscribed_radius)
+        ratios[radius] = build_report(f"r{radius:g}", res.field).interior_ratio
     h_unit = scale_pair[1.0].field.domain.h
     diff = abs(ratios[1.0] - ratios[2.0])
     tol = 5 * h_unit * h_unit

@@ -68,6 +68,16 @@ output = {out}
 """
 
 
+def stalled_cfg(tmp_path, name):
+    """A config whose solve stops unconverged: f = 30 moves the solution off
+    the quadratic guess and max_iter = 0 allows no step."""
+    out = tmp_path / f"{name}.field"
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(QUAD_3D.format(out=out).replace('f = "18"', 'f = "30"').replace(
+        "max_iter = 50", "max_iter = 0"))
+    return str(cfg)
+
+
 @pytest.fixture
 def quad_cfg(tmp_path):
     out = tmp_path / "field.txt"
@@ -185,17 +195,12 @@ class TestCliSolve:
         with open(traces[0][1], "rb") as f1, open(traces[1][1], "rb") as f2:
             assert f1.read() == f2.read()
 
-    def test_nonconvergence_exits_1(self, tmp_path, quad_cfg, capsys):
-        path, out = quad_cfg
-        text = path.read_text().replace('f = "18"', 'f = "30"').replace(
-            "max_iter = 50", "max_iter = 0")
-        cfg = tmp_path / "stall.cfg"
-        cfg.write_text(text)
-        assert main(["solve", str(cfg)]) == 1
+    def test_nonconvergence_exits_1(self, tmp_path, capsys):
+        assert main(["solve", stalled_cfg(tmp_path, "stall")]) == 1
         assert "tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mangle,message", [
-        (('f = "18"', 'f = "x1"'), "right-hand side must stay positive"),
+        (('f = "18"', 'f = "x1"'), "right-hand side must stay positive, min -0.75\n"),
         (('g = "(x1^2 + x2^2 + x3^2 - 1)/2"', 'g = "log(x1)"'),
          "boundary data failed to evaluate: log of a nonpositive value"),
     ], ids=["nonpositive-f", "failing-g"])
@@ -311,6 +316,13 @@ class TestCliEstimate:
         assert "weighted_pogorelov_b8" in header
         assert header.count("weighted_pogorelov") == 2
 
+    def test_estimate_refuses_unconverged(self, tmp_path, capsys):
+        csv_out = tmp_path / "est.csv"
+        assert main(["estimate", stalled_cfg(tmp_path, "stall"),
+                     "--out", str(csv_out)]) == 1
+        assert "refusing to report estimates" in capsys.readouterr().err
+        assert not csv_out.exists()
+
     def test_estimate_deterministic(self, tmp_path):
         out = tmp_path / "ball.field"
         cfg = tmp_path / "ball.cfg"
@@ -322,6 +334,25 @@ class TestCliEstimate:
 
 
 class TestCliReport:
+    def test_report_skips_unconverged_member(self, tmp_path, capsys):
+        good = tmp_path / "f18.cfg"
+        good.write_text(BALL_3D.format(f="18", out=tmp_path / "f18.field"))
+        stalled = stalled_cfg(tmp_path, "stall")
+        csv_out = tmp_path / "family.csv"
+        assert main(["report", str(good), stalled, "--out", str(csv_out)]) == 1
+        assert f"{stalled}: solver did not converge" in capsys.readouterr().err
+        lines = csv_out.read_text().splitlines()
+        assert len(lines) == 3  # header, the converged instance, family max
+        assert lines[1].startswith(f"{good},")
+        assert lines[2].startswith("FAMILY_MAX,")
+
+    def test_report_without_converged_member(self, tmp_path, capsys):
+        csv_out = tmp_path / "family.csv"
+        assert main(["report", stalled_cfg(tmp_path, "a"), stalled_cfg(tmp_path, "b"),
+                     "--out", str(csv_out)]) == 1
+        assert "no converged instances to report" in capsys.readouterr().err
+        assert not csv_out.exists()
+
     def test_family_table(self, tmp_path):
         paths = []
         for fval in ("18", "72"):

@@ -11,20 +11,12 @@ from sumhessian import (
     ScalarField,
     SumHessianParams,
     build_report,
-    interior_ratio,
     make_domain,
     newton_solve,
-    p_diagnostic,
-    phi_diagnostic,
-    pogorelov_product,
 )
 from sumhessian.errors import DegenerateFieldError, MaxPrincipleError
-from sumhessian.estimates import (
-    center_hessian_norm,
-    sup_gradient,
-    sup_hessian_norm,
-    write_reports,
-)
+from sumhessian.estimates import write_reports
+from sumhessian.grid import gradient_field, hessian_field, unpack
 
 ZERO = expr.parse("0")
 
@@ -37,111 +29,109 @@ def paraboloid_disc(cells=16):
     return ScalarField(dom, vals.reshape(dom.shape))
 
 
+def interior_row(dom, point):
+    """Position of an interior multi-index in interior_idx order."""
+    return int(np.searchsorted(dom.interior_idx, np.ravel_multi_index(point, dom.shape)))
+
+
 class TestBasics:
     def test_norms_on_quadratic(self):
         dom = make_domain(2, (-1, -1), (1, 1), (16, 16))
         vals = 0.5 * (np.sum(dom.points**2, axis=1) - 1.0)
-        fld = ScalarField(dom, vals.reshape(dom.shape))
-        assert center_hessian_norm(fld) == pytest.approx(1.0)
-        assert sup_hessian_norm(fld) == pytest.approx(1.0)
+        rep = build_report("quad", ScalarField(dom, vals.reshape(dom.shape)))
+        assert rep.d2u_center == pytest.approx(1.0)
+        assert rep.sup_d2u == pytest.approx(1.0)
         # gradient = x at interior points; max |x| over the interior
-        assert sup_gradient(fld) == pytest.approx(np.sqrt(2) * (1 - dom.h), rel=1e-12)
+        assert rep.sup_du == pytest.approx(np.sqrt(2) * (1 - dom.h), rel=1e-12)
+
+    def test_center_must_be_interior(self, monkeypatch):
+        fld = paraboloid_disc()
+        monkeypatch.setattr(fld.domain, "center_index", lambda: (0, 8))
+        with pytest.raises(ValueError, match="not interior"):
+            build_report("disc", fld)
 
 
 class TestInteriorRatio:
     def test_unit_disc_value(self):
-        fld = paraboloid_disc()
         # |D2u(0)| = 1 and sup|Du| close to 1 on the staircase disc
-        ratio = interior_ratio(fld, 1.0)
-        assert ratio == pytest.approx(0.5, abs=0.05)
-
-    def test_radius_validation(self):
-        fld = paraboloid_disc()
-        with pytest.raises(ValueError):
-            interior_ratio(fld, 0.0)
+        assert build_report("disc", paraboloid_disc()).interior_ratio == pytest.approx(0.5, abs=0.05)
 
 
 class TestPogorelov:
     def test_unit_disc_values(self):
-        fld = paraboloid_disc(32)
+        rep = build_report("disc", paraboloid_disc(32), betas=(1.0, 2.0))
         # max (-u)^b |D2u| = (1/2)^b at the center
-        assert pogorelov_product(fld, 1.0) == pytest.approx(0.5, abs=0.02)
-        assert pogorelov_product(fld, 2.0) == pytest.approx(0.25, abs=0.02)
+        assert rep.pogorelov == rep.weighted[1.0]
+        assert rep.weighted[1.0] == pytest.approx(0.5, abs=0.02)
+        assert rep.weighted[2.0] == pytest.approx(0.25, abs=0.02)
 
     def test_requires_zero_boundary(self):
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
-        fld = ScalarField(dom, np.ones(dom.shape))
-        with pytest.raises(ValueError):
-            pogorelov_product(fld, 1.0)
+        rep = build_report("ones", ScalarField(dom, np.ones(dom.shape)), betas=(1.0, 2.0))
+        assert rep.pogorelov is None
+        assert rep.weighted == {1.0: None, 2.0: None}
 
     def test_max_principle_violation(self):
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
         vals = np.zeros(dom.n_points)
         vals[dom.interior_idx] = 1.0  # positive bump violates the sign
         with pytest.raises(MaxPrincipleError):
-            pogorelov_product(ScalarField(dom, vals.reshape(dom.shape)), 1.0)
+            build_report("bump", ScalarField(dom, vals.reshape(dom.shape)))
 
     def test_beta_validation(self):
-        with pytest.raises(ValueError):
-            pogorelov_product(paraboloid_disc(), 0.5)
+        with pytest.raises(ValueError, match="beta"):
+            build_report("disc", paraboloid_disc(), betas=(0.5,))
 
 
 class TestPhi:
     def test_unit_disc(self):
         fld = paraboloid_disc(32)
-        diag = phi_diagnostic(fld)
-        # phi(0) = rho(0) g(0) u_tt = 1 at the center
-        center = fld.domain.center_index()
-        assert diag.values[center] == pytest.approx(1.0, abs=0.05)
-        assert not diag.rho_rescaled
-        assert diag.max >= diag.values[center]
-        # interior argmax
-        flat = np.ravel_multi_index(diag.argmax, fld.domain.shape)
-        assert fld.domain.interior_flat[flat]
+        rep = build_report("disc", fld)
+        # phi(0) = rho(0) g(0) u_tt = 1 at the center, which attains the max
+        assert rep.phi_max == pytest.approx(1.0, abs=0.05)
+        assert rep.phi_argmax == fld.domain.center_index()
+        assert not rep.rho_rescaled
 
     def test_constant_field_g_is_one(self):
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
-        fld = ScalarField(dom, np.zeros(dom.shape))
-        diag = phi_diagnostic(fld)  # A = 0 must not divide by zero
-        assert diag.max == 0.0
+        # sup|Du| = 0 must not divide by zero
+        assert build_report("one", ScalarField(dom, np.ones(dom.shape))).phi_max == 0.0
 
     def test_rescaled_flag_on_box(self):
         dom = make_domain(2, (0, 0), (1, 1), (8, 8))
-        fld = ScalarField(dom, np.zeros(dom.shape))
-        assert phi_diagnostic(fld).rho_rescaled
+        assert build_report("one", ScalarField(dom, np.ones(dom.shape))).rho_rescaled
 
 
 class TestPDiagnostic:
     def test_unit_disc_log_profile(self):
         fld = paraboloid_disc(32)
-        diag = p_diagnostic(fld, beta=1.0, a=0.0, big_a=0.0)
+        rep = build_report("disc", fld, p_beta=1.0, p_a=0.0, p_big_a=0.0)
         # P = log((1 - |x|^2)/2) + log(1), max at the center = log(1/2)
-        assert diag.max == pytest.approx(math.log(0.5), abs=0.02)
-        center = fld.domain.center_index()
-        assert diag.argmax == center
-        # staircase-adjacent points may carry a nonpositive top eigenvalue
-        assert diag.excluded < 0.05 * fld.domain.interior_idx.size
+        assert rep.p_max == pytest.approx(math.log(0.5), abs=0.02)
+        assert rep.p_argmax == fld.domain.center_index()
 
     def test_quadratic_shift(self):
+        # P is a max of functions affine in A, each with slope |x|^2/2, so the
+        # slopes at the two maximizers bound the change of the max
         fld = paraboloid_disc(32)
-        base = p_diagnostic(fld, beta=1.0, a=0.0, big_a=0.0)
-        shifted = p_diagnostic(fld, beta=1.0, a=0.0, big_a=1.0)
         dom = fld.domain
-        pts = dom.points[dom.interior_idx]
-        expect = base.values.ravel()[dom.interior_idx] + 0.5 * np.sum(pts**2, axis=1)
-        got = shifted.values.ravel()[dom.interior_idx]
-        finite = np.isfinite(expect)
-        assert np.allclose(got[finite], expect[finite])
+        reps = [build_report("disc", fld, p_beta=1.0, p_a=0.0, p_big_a=big_a)
+                for big_a in (1.0, 3.0)]
+        slopes = [0.5 * np.sum(dom.points[np.ravel_multi_index(r.p_argmax, dom.shape)] ** 2)
+                  for r in reps]
+        lift = reps[1].p_max - reps[0].p_max
+        assert 2.0 * slopes[0] - 1e-12 <= lift <= 2.0 * slopes[1] + 1e-12
+        assert slopes[1] > slopes[0]  # the A term moves the maximizer outward
 
     def test_degenerate_field(self):
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
-        fld = ScalarField(dom, np.zeros(dom.shape))
         with pytest.raises(DegenerateFieldError):
-            p_diagnostic(fld)
+            build_report("zero", ScalarField(dom, np.zeros(dom.shape)))
 
 
 class TestBuildReport:
-    """build_report against the standalone diagnostics, one field at a time."""
+    """build_report against a standalone pointwise evaluation of every
+    quantity, each interior Hessian decomposed on its own."""
 
     BETAS = (1.0, 2.0, 4.0, 8.0)
 
@@ -157,45 +147,71 @@ class TestBuildReport:
         return ScalarField(dom, vals.reshape(dom.shape))
 
     @staticmethod
+    def pointwise(fld):
+        """u, the Hessian eigenvalues, the gradient and the coordinates at
+        every interior point."""
+        idx = fld.domain.interior_idx
+        eigs = np.array([np.linalg.eigvalsh(m) for m in unpack(hessian_field(fld))])
+        return fld.flat[idx], eigs, gradient_field(fld), fld.domain.points[idx]
+
+    @staticmethod
+    def at_max(dom, vals):
+        best = int(np.argmax(vals))
+        return vals[best], tuple(int(v) for v in np.unravel_index(dom.interior_idx[best],
+                                                                   dom.shape))
+
+    @staticmethod
     def count_calls(monkeypatch):
         import sumhessian.estimates as est
 
-        calls = {"hessian_field": 0, "gradient_field": 0}
-        for name in calls:
-            original = getattr(est, name)
+        calls = {"hessian_field": 0, "gradient_field": 0, "eigvalsh": 0}
+        for owner, name in ((est, "hessian_field"), (est, "gradient_field"),
+                            (np.linalg, "eigvalsh")):
+            original = getattr(owner, name)
 
-            def counted(fld, _name=name, _original=original):
+            def counted(arg, _name=name, _original=original):
                 calls[_name] += 1
-                return _original(fld)
+                return _original(arg)
 
-            monkeypatch.setattr(est, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         return calls
 
     def common_fields_match(self, rep, fld):
-        phi = phi_diagnostic(fld)
-        assert rep.h == fld.domain.h
-        assert rep.sup_du == sup_gradient(fld)
-        assert rep.sup_d2u == sup_hessian_norm(fld)
-        assert rep.d2u_center == center_hessian_norm(fld)
-        assert rep.interior_ratio == interior_ratio(fld, fld.domain.inscribed_radius)
-        assert rep.phi_max == phi.max
-        assert rep.phi_argmax == phi.argmax
-        assert rep.rho_rescaled == phi.rho_rescaled
+        dom = fld.domain
+        _, eigs, grad, pts = self.pointwise(fld)
+        norm = np.max(np.abs(eigs), axis=1)
+        grad2 = np.sum(grad ** 2, axis=1)
+        radius = dom.inscribed_radius
+        rho = 1.0 - np.sum((pts - dom.center) ** 2, axis=1) / radius ** 2
+        phi = rho * (1.0 - 0.5 * grad2 / np.max(grad2)) ** (-1.0 / 3.0) * eigs[:, -1]
+        assert rep.h == dom.h
+        assert rep.sup_du == np.max(np.sqrt(grad2))
+        assert rep.sup_d2u == np.max(norm)
+        assert rep.d2u_center == norm[interior_row(dom, dom.center_index())]
+        assert rep.interior_ratio == rep.d2u_center / (1.0 + rep.sup_du / radius)
+        assert (rep.phi_max, rep.phi_argmax) == self.at_max(dom, phi)
+        assert not rep.rho_rescaled  # inscribed radius 1 about the origin
 
     def test_zero_boundary_matches_standalone(self):
         fld = self.zero_boundary_ball()
+        dom = fld.domain
         rep = build_report("ball", fld, self.BETAS, p_beta=3.0, p_a=0.2, p_big_a=0.5)
         self.common_fields_match(rep, fld)
-        assert rep.pogorelov == pogorelov_product(fld, 1.0)
-        assert rep.weighted == {b: pogorelov_product(fld, b) for b in self.BETAS}
-        p_diag = p_diagnostic(fld, 3.0, 0.2, 0.5)
-        assert rep.p_max == p_diag.max
-        assert rep.p_argmax == p_diag.argmax
+        u, eigs, grad, pts = self.pointwise(fld)
+        norm = np.max(np.abs(eigs), axis=1)
+        assert rep.weighted == {b: np.max((-u) ** b * norm) for b in self.BETAS}
+        assert rep.pogorelov == rep.weighted[1.0]
+        top = eigs[:, -1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            p_vals = (3.0 * np.log(-u) + np.log(top) + 0.1 * np.sum(grad ** 2, axis=1)
+                      + 0.25 * np.sum(pts ** 2, axis=1))
+        p_vals[(u >= 0) | (top <= 0)] = -np.inf
+        assert (rep.p_max, rep.p_argmax) == self.at_max(dom, p_vals)
 
     def test_zero_boundary_without_unit_weight(self):
         fld = self.zero_boundary_ball()
         rep = build_report("ball", fld, (2.0, 4.0))
-        assert rep.pogorelov == pogorelov_product(fld, 1.0)
+        assert rep.pogorelov == build_report("ball", fld, (1.0,)).weighted[1.0]
         assert set(rep.weighted) == {2.0, 4.0}
 
     def test_nonzero_boundary_matches_standalone(self):
@@ -211,7 +227,7 @@ class TestBuildReport:
         fld = getattr(self, make)()
         calls = self.count_calls(monkeypatch)
         build_report("inst", fld, self.BETAS)
-        assert calls == {"hessian_field": 1, "gradient_field": 1}
+        assert calls == {"hessian_field": 1, "gradient_field": 1, "eigvalsh": 1}
 
     def test_errors_raise_through_report(self):
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
@@ -286,19 +302,17 @@ class TestReports:
     def test_phi_bound_cross_check_on_family(self):
         """rho(argmax) u_tt(argmax) stays within the empirical interior
         constant of the family times (1 + sup|Du|)."""
-        from sumhessian.grid import hessian_at
-
         params = SumHessianParams(3, 2, 1.0)
         dom = make_domain(3, (-1,) * 3, (1,) * 3, (16,) * 3, mask_name="ball")
         fields = [newton_solve(dom, params, RhsSpec.parse(repr(f)), ZERO).field
                   for f in (18.0, 72.0, 288.0)]
-        c_family = max(interior_ratio(f, dom.inscribed_radius) for f in fields)
-        for fld in fields:
-            diag = phi_diagnostic(fld)
-            x0 = fld.domain.points[np.ravel_multi_index(diag.argmax, dom.shape)]
-            top = np.linalg.eigvalsh(hessian_at(fld, diag.argmax))[-1]
-            lhs = (1.0 - float(np.sum(x0**2))) * top
-            assert lhs <= 1.01 * c_family * (1.0 + sup_gradient(fld))
+        reps = [build_report(f"f{j}", fld) for j, fld in enumerate(fields)]
+        c_family = max(rep.interior_ratio for rep in reps)
+        for fld, rep in zip(fields, reps):
+            x0 = dom.points[np.ravel_multi_index(rep.phi_argmax, dom.shape)]
+            hess = unpack(hessian_field(fld))[interior_row(dom, rep.phi_argmax)]
+            lhs = (1.0 - float(np.sum(x0**2))) * np.linalg.eigvalsh(hess)[-1]
+            assert lhs <= 1.01 * c_family * (1.0 + rep.sup_du)
 
     def test_p_max_stable_under_refinement(self):
         params = SumHessianParams(3, 3, 1.0)
@@ -306,7 +320,7 @@ class TestReports:
         for cells in (16, 32):
             dom = make_domain(3, (-1,) * 3, (1,) * 3, (cells,) * 3, mask_name="ball")
             res = newton_solve(dom, params, RhsSpec.parse("20"), ZERO)
-            pmax[cells] = np.exp(p_diagnostic(res.field).max)
+            pmax[cells] = np.exp(build_report("b", res.field).p_max)
         assert np.isfinite(pmax[16]) and np.isfinite(pmax[32])
         assert abs(pmax[32] - pmax[16]) / pmax[16] <= 0.10
 
@@ -318,7 +332,7 @@ class TestReports:
         for cells in (32, 64):
             dom = make_domain(2, (-1, -1), (1, 1), (cells, cells))
             res = newton_solve(dom, params, RhsSpec.parse(f_src), expr.parse(g_src))
-            ratios.append(interior_ratio(res.field, dom.inscribed_radius))
+            ratios.append(build_report("exp", res.field).interior_ratio)
         assert abs(ratios[1] - ratios[0]) / ratios[0] <= 0.10
 
     def test_stable_weight_helper(self):
@@ -340,6 +354,6 @@ class TestReports:
         for radius in (1.0, 2.0):
             dom = make_domain(3, (-radius,) * 3, (radius,) * 3, (8,) * 3, mask_name="ball")
             result = newton_solve(dom, params, RhsSpec.parse("18"), ZERO)
-            ratios.append(interior_ratio(result.field, dom.inscribed_radius))
+            ratios.append(build_report("ball", result.field).interior_ratio)
             h_unit = h_unit or dom.h
         assert abs(ratios[0] - ratios[1]) <= 5 * h_unit * h_unit

@@ -8,7 +8,6 @@ from sumhessian import GridDomain, ScalarField, make_domain, read_field, write_f
 from sumhessian.grid import (
     _hessian_stencil,
     gradient_field,
-    hessian_at,
     hessian_field,
     sym_pairs,
     unpack,
@@ -81,19 +80,12 @@ class TestStencils:
     def test_quadratic_exact(self):
         dom = make_domain(2, (-1, -1), (1, 1), (10, 10))
         fld = field_from(dom, lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
-        assert np.allclose(hessian_at(fld, (5, 5)), np.eye(2))
         assert np.allclose(unpack(hessian_field(fld)), np.eye(2)[None])
 
     def test_mixed_exact(self):
         dom = make_domain(2, (-1, -1), (1, 1), (10, 10))
         fld = field_from(dom, lambda p: p[:, 0] * p[:, 1])
-        assert np.allclose(hessian_at(fld, (3, 7)), [[0, 1], [1, 0]])
-
-    def test_requires_interior(self):
-        dom = make_domain(2, (-1, -1), (1, 1), (10, 10))
-        fld = field_from(dom, lambda p: p[:, 0])
-        with pytest.raises(ValueError):
-            hessian_at(fld, (0, 5))
+        assert np.allclose(unpack(hessian_field(fld)), [[0, 1], [1, 0]])
 
     def test_sine_taylor_remainder(self):
         # diagonal entry error at a fixed point is O(h^2): ratio ~ 4
@@ -103,7 +95,8 @@ class TestStencils:
             dom = make_domain(2, (-1, -1), (1, 1), (cells, cells))
             fld = field_from(dom, lambda p: np.sin(p[:, 0]))
             point = (round((x_target + 1.0) / dom.h), cells // 2)
-            errs.append(abs(hessian_at(fld, point)[0, 0] - (-np.sin(x_target))))
+            row = np.searchsorted(dom.interior_idx, np.ravel_multi_index(point, dom.shape))
+            errs.append(abs(hessian_field(fld)[0, row] - (-np.sin(x_target))))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
     def test_gradient_centered(self):
@@ -142,15 +135,6 @@ class TestPackedLayout:
         assert np.array_equal(stack, stack.transpose(0, 2, 1))
         repacked = np.stack([stack[:, a, b] for a, b in sym_pairs(dim)])
         assert repacked.tobytes() == packed.tobytes()
-
-    @pytest.mark.parametrize("dim,mask", [(2, "box"), (3, "ball")])
-    def test_hessian_at_is_the_unpacked_column(self, dim, mask):
-        fld = random_field(dim, mask)
-        dom = fld.domain
-        stack = unpack(hessian_field(fld))
-        for i in (0, dom.interior_idx.size // 2, dom.interior_idx.size - 1):
-            point = np.unravel_index(dom.interior_idx[i], dom.shape)
-            assert hessian_at(fld, point).tobytes() == stack[i].tobytes()
 
     @pytest.mark.parametrize("dim,mask", [(2, "box"), (2, "ball"), (3, "box"), (3, "ball")])
     def test_gradient_matches_per_entry_formula(self, dim, mask):

@@ -745,6 +745,43 @@ class TestNewton:
                                   f"step 2^-20, at residual {trace[-1].residual:.3e}")
         assert len(masks) == 1 + 21  # the guess, then every step 2^0 .. 2^-20
 
+    def test_stall_frees_the_jacobian(self, monkeypatch):
+        import sumhessian.solver as solver_mod
+        from sumhessian.errors import NonConvergenceError
+
+        # the traceback keeps the raising frame alive: it must not keep the
+        # Jacobian or the V-cycle hierarchy with it
+        monkeypatch.setattr(solver_mod, "_solve_linear",
+                            lambda mat, rhs_vec, rtol, pattern: (np.zeros(mat.shape[0]), 0, 1.0))
+        dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
+        with pytest.raises(NonConvergenceError) as err:
+            newton_solve(dom, SumHessianParams(2, 2, 1.0), RhsSpec.parse("8"), ZERO)
+        tb = err.value.__traceback__
+        while tb is not None:
+            held = [name for name, value in tb.tb_frame.f_locals.items()
+                    if sp.issparse(value) or isinstance(value, _JacobianPattern)]
+            assert not held, (tb.tb_frame.f_code.co_name, held)
+            tb = tb.tb_next
+
+    def test_line_search_rejects_a_trial_that_raises(self, monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        # the first trial's residual fails to evaluate: the search halves the
+        # step instead of giving up
+        calls = []
+
+        def first_trial_fails(fld, params, rhs, **kwargs):
+            calls.append(fld)
+            if len(calls) == 2:     # the guess, then the first trial
+                raise InstanceError("right-hand side evaluated non-finite")
+            return residual(fld, params, rhs, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "residual", first_trial_fails)
+        dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
+        result = newton_solve(dom, SumHessianParams(2, 2, 1.0), RhsSpec.parse("8"), ZERO)
+        assert result.converged(1e-10)
+        assert result.trace[1].step == 0.5
+
     def test_f_of_x_evaluated_once_per_solve(self, monkeypatch):
         calls = []
         evaluate = expr.evaluate

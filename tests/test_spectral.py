@@ -18,7 +18,6 @@ from sumhessian import (
     sum_hessian_hess,
     u_operator,
 )
-from sumhessian.errors import ConeViolationError
 from sumhessian.spectral import lambda_space_hessian
 
 
@@ -104,14 +103,6 @@ class TestStacks:
         with pytest.raises(ValueError):
             operator_hess_quad(mats, mats[:2], SumHessianParams(3, 2, 0.5))
 
-    def test_normalized_stack_needs_every_value_positive(self):
-        params = SumHessianParams(3, 2, 0.0)
-        mats = np.stack([np.eye(3), np.diag([2.0, -1.0, -1.0])])
-        with pytest.raises(ConeViolationError):
-            operator_value(mats, params, normalized=True)
-        roots = operator_value(mats[:1], params, normalized=True)
-        assert roots == pytest.approx([np.sqrt(12.0)])
-
 
 class TestEigenSym:
     def test_diagonal(self):
@@ -166,14 +157,6 @@ class TestOperatorValue:
             lam = eigen_sym(m).values
             want = sum_hessian(eta(lam), 2, 0.5)
             assert operator_value(m, params) == pytest.approx(want, rel=1e-12)
-
-    def test_normalized_mode(self):
-        params = SumHessianParams(3, 2, 1.0)
-        assert operator_value(np.eye(3), params, normalized=True) == pytest.approx(np.sqrt(18.0))
-        # eta(diag(2,-1,-1)) = (-2,1,1) has sigma_2 = -3
-        with pytest.raises(ConeViolationError):
-            operator_value(np.diag([2.0, -1.0, -1.0]), SumHessianParams(3, 2, 0.0),
-                           normalized=True)
 
     def test_frame_invariance(self):
         rng = np.random.default_rng(11)
