@@ -51,6 +51,6 @@ from .estimates import (
     build_report,
     stable_weight,
 )
-from .suites import SuiteResult, Tolerances, run_suites
+from .suites import SuiteResult, run_suites
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .grid import read_field, write_field
 from .solver import newton_solve
-from .suites import Tolerances, run_suites
+from .suites import run_suites
 from .symfun import SumHessianParams
 
 
@@ -72,7 +72,7 @@ def _output(path: str):
 
 def _cmd_verify(args) -> int:
     params = SumHessianParams(n=args.n, k=args.k, alpha=args.alpha)
-    results = run_suites(params, count=args.count, seed=args.seed, tol=Tolerances())
+    results = run_suites(params, count=args.count, seed=args.seed)
     for res in results:
         print(res.line())
     failed = sum(not res.passed for res in results)

@@ -51,10 +51,7 @@ def in_gamma(lam, m: int):
     m = 0 is vacuous (always True).
     """
     lam = np.asarray(lam, dtype=float)
-    if m == 0:
-        out = np.ones(lam.shape[:-1], dtype=bool)
-        return bool(out) if out.ndim == 0 else out
-    if not 1 <= m <= lam.shape[-1]:
+    if not 0 <= m <= lam.shape[-1]:
         raise ValueError(f"cone order m={m} out of range for n={lam.shape[-1]}")
     e = sigma_all(lam, m)
     out = np.all(e[..., 1:] > 0, axis=-1)

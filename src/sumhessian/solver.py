@@ -299,8 +299,6 @@ def _eval_rhs(rhs: RhsSpec, env: dict, n_pts: int) -> np.ndarray:
     vals = _eval_interior(rhs.expression, env, n_pts, "right-hand side")
     if np.min(vals) <= 0:
         raise InstanceError(f"right-hand side must stay positive, min {float(np.min(vals))}")
-    if not np.all(np.isfinite(vals)):
-        raise InstanceError("right-hand side evaluated non-finite")
     return vals
 
 
@@ -590,7 +588,11 @@ def _solve_linear(mat: sp.csr_matrix, rhs_vec: np.ndarray, rtol: float,
                          M=_vcycle(mat, pattern), callback=count)
     achieved = float(np.linalg.norm(mat @ x - b_unit))
     if not achieved <= rtol:
-        raise LinearSolveError(rtol, achieved, iterations, mat.shape[0])
+        unknowns = mat.shape[0]
+        # the traceback keeps this frame alive: free the matrix and the
+        # V-cycle hierarchy before raising
+        del mat, pattern
+        raise LinearSolveError(rtol, achieved, iterations, unknowns)
     return x * rhs_norm, iterations, achieved
 
 
@@ -845,6 +847,7 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
             delta_int, krylov, linear_residual = _solve_linear(mat, -f_int, eta, pattern)
         except LinearSolveError as exc:
             exc.trace = trace
+            del mat, pattern    # as for a stall below
             raise
         delta = np.zeros(dom.n_points)
         delta[idx] = delta_int

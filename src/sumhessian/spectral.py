@@ -9,9 +9,10 @@ evaluates
     hessian    = quadratic form A -> d2 value    (operator_hess_quad)
 
 The second derivative of a spectral function combines the eigenvalue-space
-Hessian with a divided-difference term over eigenvalue pairs; the divided
-difference is removable for symmetric functions, and near-degenerate pairs
-are replaced by the analytic limit.
+Hessian with divided differences of the gradient over eigenvalue pairs. For
+S_k at mu = eta(lam) the divided difference is exact: sigma_m(mu|q) -
+sigma_m(mu|p) = (mu_p - mu_q) sigma_{m-1}(mu|p,q), so the whole form is
+read off the doubly deleted values S_{k-2}(mu|p,q), with no gap test.
 
 Every function takes a single matrix (n, n) or a stack (..., n, n) and
 works on the whole stack at once; the eigen decomposition is LAPACK's
@@ -30,7 +31,6 @@ from .symfun import MAX_N, SumHessianParams, sum_hessian, sum_hessian_grad, sum_
 MIN_DIM = 2
 MAX_DIM = MAX_N
 SYMMETRY_ATOL = 1e-14
-DEGENERATE_GAP = 1e-8
 
 
 def _transpose(a: np.ndarray) -> np.ndarray:
@@ -113,29 +113,19 @@ def operator_hess_quad(matrix, direction, params: SumHessianParams):
     """Second derivative quadratic form of H -> S_k(eta(lam(H))) along a
     symmetric direction A (one direction per matrix of a stack).
 
-    In the eigenframe of H the form splits into the eigenvalue-space Hessian
-    contracted with the diagonal of A, plus divided differences of the
-    gradient against the off-diagonal entries. Pairs p < q with
-    |lam_p - lam_q| < 1e-8 * max(1, ||H||_F) use the analytic limit
-    hess[p, p] - hess[p, q].
+    The value is S_k(lam(U)) with U = trace(H) I - H, so the form is the
+    second derivative of S_k(lam(U)) along B = trace(A) I - A. In the
+    eigenframe Q of H, with A' = Q^T A Q, e_p = trace(A) - A'_pp and
+    S[p, q] = S_{k-2}(eta|p,q) (zero diagonal):
+
+        quad = e^T S e - sum_{p,q} S[p, q] A'_pq^2.
     """
     dec = eigen_sym(matrix)
     a = as_sym_matrix(direction)
     if a.shape != dec.frame.shape:
         raise ValueError("direction must have the same shape as the matrix")
     at = _transpose(dec.frame) @ a @ dec.frame
-    lam = dec.values
-    hess = lambda_space_hessian(lam, params)
-    grad = grad_coefficients(lam, params)
-    diag = np.diagonal(at, axis1=-2, axis2=-1)
-    total = np.einsum("...p,...pq,...q->...", diag, hess, diag)
-
-    gap = lam[..., :, None] - lam[..., None, :]
-    gap_tol = DEGENERATE_GAP * np.maximum(1.0, np.linalg.norm(matrix, axis=(-2, -1)))
-    degenerate = np.abs(gap) < gap_tol[..., None, None]
-    limit = np.diagonal(hess, axis1=-2, axis2=-1)[..., :, None] - hess
-    with np.errstate(divide="ignore", invalid="ignore"):
-        divided = (grad[..., :, None] - grad[..., None, :]) / gap
-    w = np.where(degenerate, limit, divided)
-    total = total + 2.0 * np.sum(np.triu(w * at**2, k=1), axis=(-2, -1))
+    s = sum_hessian_hess(eta(dec.values), params.k, params.alpha)
+    e = eta(np.diagonal(at, axis1=-2, axis2=-1))
+    total = np.einsum("...p,...pq,...q->...", e, s, e) - np.sum(s * at**2, axis=(-2, -1))
     return float(total) if total.ndim == 0 else total

@@ -4,7 +4,7 @@ cone properties, and spectral concavity/ordering facts.
 Each suite draws deterministic samples, checks one identity or
 inequality at its stated tolerance, and reports the worst value
 observed (including the empirical constants of the ratio bounds).
-Tolerances are configuration, not hard-coded in the checks.
+The tolerances are the module constants below.
 """
 from __future__ import annotations
 
@@ -39,24 +39,19 @@ MATRIX_HESS_FD_STEP = 1e-3
 FD4_STEPS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 FD4_WEIGHTS = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Default tolerances of the verification suites."""
-
-    identity_rel: float = 1e-10
-    quadratic_slack: float = 1e-12      # S_k^2 - S_{k-1} S_{k+1} >= -slack * max(1, S_k^2)
-    grad_sum_slack: float = 1e-10
-    grad_fd_rel: float = 1e-6
-    hess_fd_rel: float = 1e-5
-    chain_slack: float = 1e-12
-    concavity_eta: float = 1e-9
-    concavity_matrix: float = 1e-8
-    matrix_grad_fd_rel: float = 1e-6
-    matrix_hess_fd_abs: float = 1e-4
-    ordering_slack: float = 1e-10
-    ratio_floor: float = 1e-8
-    frame_invariance_rel: float = 1e-10
+IDENTITY_REL = 1e-10
+QUADRATIC_SLACK = 1e-12     # S_k^2 - S_{k-1} S_{k+1} >= -slack * max(1, S_k^2)
+GRAD_SUM_SLACK = 1e-10
+GRAD_FD_REL = 1e-6
+HESS_FD_REL = 1e-5
+CHAIN_SLACK = 1e-12
+CONCAVITY_ETA = 1e-9
+CONCAVITY_MATRIX = 1e-8
+MATRIX_GRAD_FD_REL = 1e-6
+MATRIX_HESS_FD_ABS = 1e-4
+ORDERING_SLACK = 1e-10
+RATIO_FLOOR = 1e-8
+FRAME_INVARIANCE_REL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,7 @@ def _rel(err: np.ndarray, scale: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # identity suites (any real lambda)
 
-def suite_identity_split(params, count, seed, tol):
+def suite_identity_split(params, count, seed):
     rng = np.random.default_rng(seed)
     lam = _uniform_lams(params, count, rng)
     k, a = params.k, params.alpha
@@ -98,10 +93,10 @@ def suite_identity_split(params, count, seed, tol):
     for i in range(params.n):
         rest = sum_hessian(np.delete(lam, i, axis=-1), k, a)
         worst = max(worst, float(np.max(_rel(s - (lam[:, i] * grad[:, i] + rest), s))))
-    return _result("identity-split", worst <= tol.identity_rel, f"max rel err {worst:.3e}")
+    return _result("identity-split", worst <= IDENTITY_REL, f"max rel err {worst:.3e}")
 
 
-def suite_identity_deleted_sum(params, count, seed, tol):
+def suite_identity_deleted_sum(params, count, seed):
     rng = np.random.default_rng(seed)
     lam = _uniform_lams(params, count, rng)
     k, a, n = params.k, params.alpha, params.n
@@ -110,20 +105,20 @@ def suite_identity_deleted_sum(params, count, seed, tol):
         lhs += sum_hessian(np.delete(lam, i, axis=-1), k, a)
     rhs = (n - k) * sum_hessian(lam, k, a) + a * sigma(lam, k - 1)
     worst = float(np.max(_rel(lhs - rhs, rhs)))
-    return _result("identity-deleted-sum", worst <= tol.identity_rel, f"max rel err {worst:.3e}")
+    return _result("identity-deleted-sum", worst <= IDENTITY_REL, f"max rel err {worst:.3e}")
 
 
-def suite_identity_euler(params, count, seed, tol):
+def suite_identity_euler(params, count, seed):
     rng = np.random.default_rng(seed)
     lam = _uniform_lams(params, count, rng)
     k, a = params.k, params.alpha
     lhs = np.sum(lam * sum_hessian_grad(lam, k, a), axis=-1)
     rhs = k * sum_hessian(lam, k, a) - a * sigma(lam, k - 1)
     worst = float(np.max(_rel(lhs - rhs, rhs)))
-    return _result("identity-euler", worst <= tol.identity_rel, f"max rel err {worst:.3e}")
+    return _result("identity-euler", worst <= IDENTITY_REL, f"max rel err {worst:.3e}")
 
 
-def suite_grad_fd(params, count, seed, tol):
+def suite_grad_fd(params, count, seed):
     rng = np.random.default_rng(seed)
     lam = _uniform_lams(params, count, rng)
     k, a = params.k, params.alpha
@@ -135,10 +130,10 @@ def suite_grad_fd(params, count, seed, tol):
         delta[i] = h
         fd = (sum_hessian(lam + delta, k, a) - sum_hessian(lam - delta, k, a)) / (2 * h)
         worst = max(worst, float(np.max(_rel(fd - grad[:, i], grad[:, i]))))
-    return _result("gradient-fd", worst <= tol.grad_fd_rel, f"max rel err {worst:.3e}")
+    return _result("gradient-fd", worst <= GRAD_FD_REL, f"max rel err {worst:.3e}")
 
 
-def suite_hess_fd(params, count, seed, tol):
+def suite_hess_fd(params, count, seed):
     rng = np.random.default_rng(seed)
     lam = _uniform_lams(params, min(count, 200), rng)
     k, a, n = params.k, params.alpha, params.n
@@ -158,21 +153,21 @@ def suite_hess_fd(params, count, seed, tol):
     fd[p, q] = (pp - pm - mp + mm) / (4 * h**2)
     fd[q, p] = (pp - mp - pm + mm) / (4 * h**2)
     worst = float(np.max(_rel(fd - hess, hess)))
-    return _result("hessian-fd", worst <= tol.hess_fd_rel, f"max rel err {worst:.3e}")
+    return _result("hessian-fd", worst <= HESS_FD_REL, f"max rel err {worst:.3e}")
 
 
-def suite_quadratic_bound(params, count, seed, tol):
+def suite_quadratic_bound(params, count, seed):
     rng = np.random.default_rng(seed)
     lam = _uniform_lams(params, count, rng)
     k, a = params.k, params.alpha
     gap = sum_hessian(lam, k, a) ** 2 - sum_hessian(lam, k - 1, a) * sum_hessian(lam, k + 1, a)
-    floor = -tol.quadratic_slack * np.maximum(1.0, sum_hessian(lam, k, a) ** 2)
+    floor = -QUADRATIC_SLACK * np.maximum(1.0, sum_hessian(lam, k, a) ** 2)
     worst = float(np.min(gap - floor))
     return _result("consecutive-quadratic-bound", bool(np.all(gap >= floor)),
                    f"min margin {worst:.3e}")
 
 
-def suite_grad_sum_root(params, count, seed, tol):
+def suite_grad_sum_root(params, count, seed):
     from math import comb
 
     k = params.k
@@ -181,7 +176,7 @@ def suite_grad_sum_root(params, count, seed, tol):
     sig_k = sigma(lam, k)
     grad_sigma = sum_hessian_grad(lam, k, 0.0)
     total = (1.0 / k) * sig_k ** (1.0 / k - 1.0) * grad_sigma.sum(axis=-1)
-    bound = comb(params.n, k) ** (1.0 / k) - tol.grad_sum_slack
+    bound = comb(params.n, k) ** (1.0 / k) - GRAD_SUM_SLACK
     worst = float(np.min(total - bound))
     return _result("root-gradient-sum", bool(np.all(total >= bound)),
                    f"min margin {worst:.3e}")
@@ -190,17 +185,17 @@ def suite_grad_sum_root(params, count, seed, tol):
 # ---------------------------------------------------------------------------
 # chain / cone suites
 
-def suite_maclaurin(params, count, seed, tol):
+def suite_maclaurin(params, count, seed):
     full = replace(params, k=params.n)
     batch = sample_cone(Cone.GAMMA, full, count, seed)
     chain = maclaurin_chain(batch.samples)
     diffs = chain[:, :-1] - chain[:, 1:]
-    slack = -tol.chain_slack * np.maximum(1.0, np.abs(chain[:, :-1]))
+    slack = -CHAIN_SLACK * np.maximum(1.0, np.abs(chain[:, :-1]))
     ok = bool(np.all(diffs >= slack))
     return _result("maclaurin-chain", ok, f"min step {float(np.min(diffs)):.3e}")
 
 
-def suite_power_chain(params, count, seed, tol):
+def suite_power_chain(params, count, seed):
     if params.n < 3:
         return SuiteResult("root-chain", "SKIP", "requires n >= 3")
     batch = sample_cone(Cone.GAMMA_TILDE, params, count, seed)
@@ -208,12 +203,12 @@ def suite_power_chain(params, count, seed, tol):
     if params.k == 1:
         return _result("root-chain", True, "single entry (k=1)")
     diffs = chain[:, :-1] - chain[:, 1:]
-    slack = -tol.chain_slack * np.maximum(1.0, np.abs(chain[:, :-1]))
+    slack = -CHAIN_SLACK * np.maximum(1.0, np.abs(chain[:, :-1]))
     ok = bool(np.all(diffs >= slack))
     return _result("root-chain", ok, f"min step {float(np.min(diffs)):.3e}")
 
 
-def suite_concavity_quadform(params, count, seed, tol):
+def suite_concavity_quadform(params, count, seed):
     rng = np.random.default_rng(seed)
     batch = sample_cone(Cone.GAMMA_TILDE, params, count, seed)
     lam = batch.samples
@@ -222,12 +217,12 @@ def suite_concavity_quadform(params, count, seed, tol):
     hess = sum_hessian_hess(lam, k, a)
     lhs = np.einsum("bi,bij,bj->b", xi, hess, xi)
     grad_dot = np.sum(sum_hessian_grad(lam, k, a) * xi, axis=-1)
-    rhs = (1.0 - 1.0 / k) * grad_dot ** 2 / sum_hessian(lam, k, a) + tol.concavity_eta
+    rhs = (1.0 - 1.0 / k) * grad_dot ** 2 / sum_hessian(lam, k, a) + CONCAVITY_ETA
     worst = float(np.max(lhs - rhs))
     return _result("concavity-quadform", bool(np.all(lhs <= rhs)), f"max excess {worst:.3e}")
 
 
-def suite_tilde_nesting(params, count, seed, tol):
+def suite_tilde_nesting(params, count, seed):
     batch = sample_cone(Cone.GAMMA_TILDE, params, count, seed)
     ok = True
     for j in range(1, params.k + 1):
@@ -236,7 +231,7 @@ def suite_tilde_nesting(params, count, seed, tol):
     return _result("tilde-nesting", ok, f"orders 1..{params.k} all contain the batch")
 
 
-def suite_tilde_convex_cone(params, count, seed, tol):
+def suite_tilde_convex_cone(params, count, seed):
     """Midpoints and scalings of admissible samples stay admissible.
 
     With a positive lower-order weight the admissible set is convex and
@@ -259,7 +254,7 @@ def suite_tilde_convex_cone(params, count, seed, tol):
     return _result("tilde-convex-cone", mid_ok and scale_ok, f"{pairs} {note}")
 
 
-def suite_eta_linear(params, count, seed, tol):
+def suite_eta_linear(params, count, seed):
     rng = np.random.default_rng(seed)
     lam = _uniform_lams(params, count, rng)
     e = eta(lam)
@@ -271,7 +266,7 @@ def suite_eta_linear(params, count, seed, tol):
                    f"exact linear form; double-transform rel err {rel:.3e}")
 
 
-def suite_eta_order(params, count, seed, tol):
+def suite_eta_order(params, count, seed):
     batch = sample_cone(Cone.GAMMA_TILDE_PRIME, params, count, seed)
     lam = np.sort(batch.samples, axis=-1)[:, ::-1]
     e = eta(lam)
@@ -282,12 +277,12 @@ def suite_eta_order(params, count, seed, tol):
                    f"eta ascending; entry {pos_idx} min {float(np.min(e[:, min(pos_idx, params.n - 1)])):.3e}")
 
 
-def suite_deleted_ordering(params, count, seed, tol):
+def suite_deleted_ordering(params, count, seed):
     batch = sample_cone(Cone.GAMMA_TILDE, params, count, seed)
     lam = np.sort(batch.samples, axis=-1)[:, ::-1]
     grad = sum_hessian_grad(lam, params.k, params.alpha)
     diffs = np.diff(grad, axis=-1)
-    slack = -tol.ordering_slack * np.maximum(1.0, np.abs(grad[:, :-1]))
+    slack = -ORDERING_SLACK * np.maximum(1.0, np.abs(grad[:, :-1]))
     ordered = bool(np.all(diffs >= slack))
     positive = bool(np.all(grad[:, 0] > 0))
     lam_pos = bool(np.all(lam[:, params.k - 2] > 0)) if params.k >= 2 else True
@@ -295,12 +290,12 @@ def suite_deleted_ordering(params, count, seed, tol):
     ratio = float(np.min(grad[:, params.k - 1]
                          / sum_hessian(lam, params.k - 1, params.alpha)))
     return _result("deleted-ordering", ordered and positive and lam_pos
-                   and ratio > tol.ratio_floor,
+                   and ratio > RATIO_FLOOR,
                    f"min first entry {float(np.min(grad[:, 0])):.3e}, "
                    f"empirical share at k {ratio:.3e}")
 
 
-def suite_eta_deleted_ratio(params, count, seed, tol):
+def suite_eta_deleted_ratio(params, count, seed):
     if not 0 < params.k < params.n:
         return SuiteResult("eta-deleted-ratio", "SKIP", "requires 0 < k < n")
     batch = sample_cone(Cone.GAMMA_TILDE_PRIME, params, count, seed)
@@ -311,7 +306,7 @@ def suite_eta_deleted_ratio(params, count, seed, tol):
     num = sum_hessian(np.delete(e, drop, axis=-1), k - 1, a)
     den = sum_hessian(e, k - 1, a)
     ratio = float(np.min(num / den))
-    return _result("eta-deleted-ratio", ratio > tol.ratio_floor,
+    return _result("eta-deleted-ratio", ratio > RATIO_FLOOR,
                    f"empirical theta {ratio:.3e}")
 
 
@@ -336,7 +331,7 @@ def _cone_matrices(params, count, seed):
     return _sym((q * lam[:, None, :]) @ np.swapaxes(q, -1, -2))
 
 
-def suite_matrix_grad_fd(params, count, seed, tol):
+def suite_matrix_grad_fd(params, count, seed):
     rng = np.random.default_rng(seed)
     n = params.n
     h = MATRIX_GRAD_FD_STEP
@@ -353,18 +348,18 @@ def suite_matrix_grad_fd(params, count, seed, tol):
     fd = (values[:, 0] - values[:, 1]) / (2 * h)
     fd = np.where(i != j, 0.5 * fd, fd)  # symmetric perturbation moves two entries
     worst = float(np.max(_rel(fd - grad[:, i, j], grad[:, i, j])))
-    return _result("matrix-gradient-fd", worst <= tol.matrix_grad_fd_rel,
+    return _result("matrix-gradient-fd", worst <= MATRIX_GRAD_FD_REL,
                    f"max rel err {worst:.3e}")
 
 
-def suite_matrix_hess_fd(params, count, seed, tol):
+def suite_matrix_hess_fd(params, count, seed):
     rng = np.random.default_rng(seed)
     n = params.n
     h = MATRIX_HESS_FD_STEP
     mats, dirs = [], []
     for trial in range(min(count, 25)):
         if trial % 3 == 2:
-            mats.append(np.eye(n))  # repeated eigenvalues exercise the degenerate branch
+            mats.append(np.eye(n))  # every eigenvalue repeated
         else:
             mats.append(_sym(rng.normal(size=(n, n))))
         dirs.append(_sym(rng.normal(size=(n, n))))
@@ -381,11 +376,11 @@ def suite_matrix_hess_fd(params, count, seed, tol):
     # quadratic form reaches ~1e3 at unit complement norm.
     values = operator_value(m + h * FD4_STEPS[:, None, None, None] * a, params)
     worst = float(np.max(np.abs(quad - FD4_WEIGHTS @ values / h**2)))
-    return _result("matrix-hessian-fd", worst <= tol.matrix_hess_fd_abs,
+    return _result("matrix-hessian-fd", worst <= MATRIX_HESS_FD_ABS,
                    f"max abs err {worst:.3e}")
 
 
-def suite_matrix_concavity(params, count, seed, tol):
+def suite_matrix_concavity(params, count, seed):
     rng = np.random.default_rng(seed + 2)
     k = params.k
     m = _cone_matrices(params, count, seed)
@@ -397,11 +392,11 @@ def suite_matrix_concavity(params, count, seed, tol):
     root_second = (1.0 / k) * value ** (1.0 / k - 1.0) * (
         d2 - (1.0 - 1.0 / k) * d1 * d1 / value)
     worst = float(np.max(root_second))
-    return _result("matrix-concavity", worst <= tol.concavity_matrix,
+    return _result("matrix-concavity", worst <= CONCAVITY_MATRIX,
                    f"max root second derivative {worst:.3e}")
 
 
-def suite_lambda_concavity(params, count, seed, tol):
+def suite_lambda_concavity(params, count, seed):
     batch = sample_cone(Cone.GAMMA_TILDE_PRIME, params, count, seed)
     lam = batch.samples
     rng = np.random.default_rng(seed + 3)
@@ -411,32 +406,32 @@ def suite_lambda_concavity(params, count, seed, tol):
     grad = grad_coefficients(lam, params)
     value = sum_hessian(eta(lam), k, a)
     lhs = np.einsum("bi,bij,bj->b", xi, hess, xi)
-    rhs = (1.0 - 1.0 / k) * np.sum(grad * xi, axis=-1) ** 2 / value + tol.concavity_matrix
+    rhs = (1.0 - 1.0 / k) * np.sum(grad * xi, axis=-1) ** 2 / value + CONCAVITY_MATRIX
     worst = float(np.max(lhs - rhs))
     return _result("eta-concavity-quadform", bool(np.all(lhs <= rhs)),
                    f"max excess {worst:.3e}")
 
 
-def suite_partials_ordering(params, count, seed, tol):
+def suite_partials_ordering(params, count, seed):
     batch = sample_cone(Cone.GAMMA_TILDE_PRIME, params, count, seed)
     lam = np.sort(batch.samples, axis=-1)[:, ::-1]
     k, a = params.k, params.alpha
     e = eta(lam)
     eta_partials = sum_hessian_grad(e, k, a)           # indexed by the lam ordering
     t = eta_partials.sum(axis=-1, keepdims=True) - eta_partials
-    slack_eta = tol.ordering_slack * np.maximum(1.0, np.abs(eta_partials[:, :-1]))
-    slack_t = -tol.ordering_slack * np.maximum(1.0, np.abs(t[:, :-1]))
+    slack_eta = ORDERING_SLACK * np.maximum(1.0, np.abs(eta_partials[:, :-1]))
+    slack_t = -ORDERING_SLACK * np.maximum(1.0, np.abs(t[:, :-1]))
     eta_ok = bool(np.all(np.diff(eta_partials, axis=-1) <= slack_eta))
     t_ok = bool(np.all(np.diff(t, axis=-1) >= slack_t))
     value = sum_hessian(e, k, a)
     normalized = (1.0 / k) * value[:, None] ** (1.0 / k - 1.0) * t
-    norm_ok = bool(np.all(np.diff(normalized, axis=-1) >= -tol.ordering_slack
+    norm_ok = bool(np.all(np.diff(normalized, axis=-1) >= -ORDERING_SLACK
                           * np.maximum(1.0, np.abs(normalized[:, :-1]))))
     return _result("partials-ordering", eta_ok and t_ok and norm_ok,
                    "eta-side non-increasing, lam-side non-decreasing (raw and normalized)")
 
 
-def suite_min_partial_ratio(params, count, seed, tol):
+def suite_min_partial_ratio(params, count, seed):
     if not 0 < params.k < params.n:
         return SuiteResult("min-partial-ratio", "SKIP", "requires 0 < k < n")
     batch = sample_cone(Cone.GAMMA_TILDE_PRIME, params, count, seed)
@@ -444,11 +439,11 @@ def suite_min_partial_ratio(params, count, seed, tol):
     eta_partials = sum_hessian_grad(e, params.k, params.alpha)
     t = eta_partials.sum(axis=-1, keepdims=True) - eta_partials
     ratio = float(np.min(t.min(axis=-1) / t.sum(axis=-1)))
-    return _result("min-partial-ratio", ratio > tol.ratio_floor,
+    return _result("min-partial-ratio", ratio > RATIO_FLOOR,
                    f"empirical c {ratio:.3e}")
 
 
-def suite_grad_sum_lower(params, count, seed, tol):
+def suite_grad_sum_lower(params, count, seed):
     batch = sample_cone(Cone.GAMMA_TILDE_PRIME, params, count, seed)
     e = eta(batch.samples)
     n, k, a = params.n, params.k, params.alpha
@@ -460,11 +455,11 @@ def suite_grad_sum_lower(params, count, seed, tol):
     value = sum_hessian(e, k, a)
     ratio = float(np.min(t_sum / value ** (1.0 - 1.0 / k)))
     return _result("gradient-sum-lower",
-                   ratio > tol.ratio_floor and exact <= tol.identity_rel,
+                   ratio > RATIO_FLOOR and exact <= IDENTITY_REL,
                    f"empirical c {ratio:.3e}; closed form rel err {exact:.1e}")
 
 
-def suite_frame_invariance(params, count, seed, tol):
+def suite_frame_invariance(params, count, seed):
     rng = np.random.default_rng(seed + 4)
     n = params.n
     trials = min(count, 50)
@@ -475,7 +470,7 @@ def suite_frame_invariance(params, count, seed, tol):
     values = operator_value(np.concatenate([m, rotated]), params)
     v1, v2 = values[:trials], values[trials:]
     worst = float(np.max(np.abs(v1 - v2) / np.maximum(1.0, np.abs(v1))))
-    return _result("frame-invariance", worst <= tol.frame_invariance_rel,
+    return _result("frame-invariance", worst <= FRAME_INVARIANCE_REL,
                    f"max rel err {worst:.3e}")
 
 
@@ -507,11 +502,6 @@ SUITES = (
 )
 
 
-def run_suites(params: SumHessianParams, count: int = 1000, seed: int = 0,
-               tol: Tolerances | None = None) -> list[SuiteResult]:
+def run_suites(params: SumHessianParams, count: int = 1000, seed: int = 0) -> list[SuiteResult]:
     """Run every suite; per-suite seeds derive deterministically from `seed`."""
-    tol = tol or Tolerances()
-    out = []
-    for idx, fn in enumerate(SUITES):
-        out.append(fn(params, count, seed + 1009 * idx, tol))
-    return out
+    return [fn(params, count, seed + 1009 * idx) for idx, fn in enumerate(SUITES)]

@@ -68,9 +68,7 @@ def sigma(lam, m: int):
     """m-th elementary symmetric polynomial; 1 for m = 0, 0 for m < 0 or m > n."""
     lam = _as_batch(lam)
     n = lam.shape[-1]
-    if m == 0:
-        out = np.ones(lam.shape[:-1])
-    elif m < 0 or m > n:
+    if m < 0 or m > n:
         out = np.zeros(lam.shape[:-1])
     else:
         out = sigma_all(lam, m)[..., m]

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines. The heavy
 Dirichlet solves are shared through session fixtures; every tolerance is
 pinned here, not configured elsewhere.
 """
-import itertools
 import time
 
 import numpy as np

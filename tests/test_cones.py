@@ -45,6 +45,13 @@ class TestMembership:
         assert in_gamma([1., 1, 1], 3)
         assert not in_gamma([3., 1, -1], 2)
         assert not in_gamma([2., 2, -1], 2)  # sigma_2 = 0: open cone
+        # order 0 is vacuous, for a single tuple and a batch
+        assert in_gamma([-1., -2, -3], 0) is True
+        batch = in_gamma(np.array([[-1., -2, -3], [1., 1, 1]]), 0)
+        assert batch.dtype == bool and batch.tolist() == [True, True]
+        for m in (-1, 4):
+            with pytest.raises(ValueError):
+                in_gamma([1., 1, 1], m)
 
     def test_gamma_tilde_examples(self):
         assert in_gamma_tilde([1., 1, -0.9], SumHessianParams(3, 2, 1.0))

@@ -607,6 +607,18 @@ class TestInitialGuess:
             boundary_values(dom, expr.parse("log(x1)"))
 
 
+def held_jacobians(exc) -> list:
+    """(function, local name) of every sparse matrix or _JacobianPattern
+    that the frames of the exception's traceback still hold."""
+    held = []
+    tb = exc.__traceback__
+    while tb is not None:
+        held += [(tb.tb_frame.f_code.co_name, name) for name, value in tb.tb_frame.f_locals.items()
+                 if sp.issparse(value) or isinstance(value, _JacobianPattern)]
+        tb = tb.tb_next
+    return held
+
+
 class TestNewton:
     def test_exact_quadratic_instance(self):
         dom = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3)
@@ -756,12 +768,7 @@ class TestNewton:
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
         with pytest.raises(NonConvergenceError) as err:
             newton_solve(dom, SumHessianParams(2, 2, 1.0), RhsSpec.parse("8"), ZERO)
-        tb = err.value.__traceback__
-        while tb is not None:
-            held = [name for name, value in tb.tb_frame.f_locals.items()
-                    if sp.issparse(value) or isinstance(value, _JacobianPattern)]
-            assert not held, (tb.tb_frame.f_code.co_name, held)
-            tb = tb.tb_next
+        assert not held_jacobians(err.value)
 
     def test_line_search_rejects_a_trial_that_raises(self, monkeypatch):
         import sumhessian.solver as solver_mod
@@ -877,6 +884,18 @@ class TestNewton:
         # solve's, and the error carries them from the guess's entry on
         assert exc.trace[0].iteration == 0
         assert exc.trace == full[:len(exc.trace)]
+
+    def test_linear_solve_error_frees_the_jacobian(self, monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        # as for a stall: the traceback of a failed step solve must not keep
+        # the Jacobian or the V-cycle hierarchy alive
+        monkeypatch.setattr(solver_mod, "KRYLOV_MAXITER", 1)
+        dom = make_domain(2, (-1, -1), (1, 1), (32, 32))
+        with pytest.raises(LinearSolveError) as err:
+            newton_solve(dom, SumHessianParams(2, 2, 1.0), RhsSpec.parse(EXP2D_RHS),
+                         expr.parse("exp((x1^2+x2^2)/2)"))
+        assert not held_jacobians(err.value)
 
     def test_discrete_scale_covariance(self):
         params = SumHessianParams(3, 2, 1.0)

@@ -12,7 +12,6 @@ from sumhessian import (
     operator_grad,
     operator_hess_quad,
     operator_value,
-    sigma,
     sum_hessian,
     sum_hessian_grad,
     sum_hessian_hess,
@@ -42,7 +41,7 @@ class TestSymMatrix:
 
 def mixed_stack(rng, n, size=7):
     """Random symmetric matrices with the identity (all eigenvalues equal)
-    in every third row, so that the degenerate branch runs."""
+    in every third row, so that repeated eigenvalues are covered."""
     return np.stack([np.eye(n) if i % 3 == 0 else random_sym(rng, n) for i in range(size)])
 
 
@@ -238,8 +237,25 @@ class TestOperatorHessQuad:
                       + operator_value(m - h * a, params)) / h**2
                 assert abs(quad - fd) < 1e-4
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_near_degenerate_pair_exact_k2(self, n, alpha):
+        """At k = 2 the form is (n^2 - 3n + 3) tr(A)^2 - |A|_F^2 at every H.
+        A pair of eigenvalues 2e-8 * max(1, |lam|) apart, in a random frame,
+        must meet it to 1e-12 relative."""
+        rng = np.random.default_rng(19 + n)
+        params = SumHessianParams(n, 2, alpha)
+        for _ in range(10):
+            lam = rng.normal(size=n)
+            lam[1] = lam[0] + 2e-8 * max(1.0, np.linalg.norm(lam))
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            m = (q * lam) @ q.T
+            m, a = 0.5 * (m + m.T), random_sym(rng, n)
+            want = (n * n - 3 * n + 3) * np.trace(a) ** 2 - np.sum(a * a)
+            assert rel_err(operator_hess_quad(m, a, params), want) <= 1e-12
+
     def test_repeated_eigenvalues_match_nearby(self):
-        # the degenerate branch must agree with the generic branch nearby
+        # a repeated eigenvalue gives what a nearly repeated one gives
         params = SumHessianParams(3, 2, 1.0)
         rng = np.random.default_rng(17)
         a = random_sym(rng, 3)

@@ -4,7 +4,7 @@ import pytest
 
 import sumhessian.suites as suites
 from sumhessian import SumHessianParams, sum_hessian, sum_hessian_hess
-from sumhessian.suites import SUITES, Tolerances, run_suites
+from sumhessian.suites import SUITES, run_suites
 
 
 class TestRunSuites:
@@ -29,10 +29,10 @@ class TestRunSuites:
         res = run_suites(SumHessianParams(3, 1, 0.0), count=50, seed=1)[0]
         assert res.line().startswith(("PASS ", "FAIL ", "SKIP "))
 
-    def test_tolerances_are_configurable(self):
+    def test_tight_tolerance_fails(self, monkeypatch):
         # absurdly tight tolerance must flip identity suites to FAIL
-        tight = Tolerances(identity_rel=1e-18)
-        results = run_suites(SumHessianParams(5, 3, 2.0), count=100, seed=2, tol=tight)
+        monkeypatch.setattr(suites, "IDENTITY_REL", 1e-18)
+        results = run_suites(SumHessianParams(5, 3, 2.0), count=100, seed=2)
         names = {r.name: r for r in results}
         assert names["identity-split"].status == "FAIL"
 
@@ -66,6 +66,6 @@ class TestRunSuites:
         calls = []
         monkeypatch.setattr(suites, "sum_hessian",
                             lambda *args: calls.append(1) or sum_hessian(*args))
-        result = suites.suite_hess_fd(params, count, seed, Tolerances())
+        result = suites.suite_hess_fd(params, count, seed)
         assert result.line() == f"PASS hessian-fd: max rel err {worst:.3e}"
         assert len(calls) == 2
