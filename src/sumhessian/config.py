@@ -95,6 +95,13 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split())
 
 
+def _required(section: configparser.SectionProxy, key: str) -> str:
+    value = section.get(key)
+    if value is None:
+        raise ConfigError(f"missing required key '{key}' in section [{section.name}]")
+    return value
+
+
 def load_config(path: str) -> RunConfig:
     """Parse and validate one configuration file."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
@@ -115,8 +122,8 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         if not parser.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
     op = parser["operator"]
-    n = op.getint("n")
-    k = op.getint("k")
+    n = int(_required(op, "n"))
+    k = int(_required(op, "k"))
     alpha = op.getfloat("alpha", fallback=0.0)
     if not 1 <= k <= n <= MAX_SOLVE_DIM:
         raise ConfigError(f"solve configs require 1 <= k <= n <= {MAX_SOLVE_DIM}, got n={n}, k={k}")
@@ -126,16 +133,16 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     dom = parser["domain"]
-    lower = _floats(dom.get("lower"))
-    upper = _floats(dom.get("upper"))
-    cells = _ints(dom.get("cells"))
+    lower = _floats(_required(dom, "lower"))
+    upper = _floats(_required(dom, "upper"))
+    cells = _ints(_required(dom, "cells"))
     mask_name = dom.get("mask", fallback="box").strip()
     if len(lower) != n or len(upper) != n or len(cells) != n:
         raise ConfigError("lower/upper/cells must each list one value per dimension")
     if mask_name not in MASK_NAMES:
         raise ConfigError(f"mask must be 'box' or 'ball', got '{mask_name}'")
 
-    rhs_source = _unquote(parser["rhs"].get("f"))
+    rhs_source = _unquote(_required(parser["rhs"], "f"))
     boundary_source = "0"
     if parser.has_section("boundary"):
         boundary_source = _unquote(parser["boundary"].get("g", fallback="0"))

@@ -40,6 +40,11 @@ rows. Only ``ellipticity_margins`` unpacks, for eigvalsh. Assembly is
 data-parallel over interior points and fills the CSR values a block of rows
 at a time; the Newton loop is sequential and single-threaded runs produce
 bitwise-identical traces for identical configurations.
+
+scipy's sparse stack is imported inside the functions that build a sparse
+matrix or run a Krylov solve, not at module level: importing the package,
+the algebra suites and ``estimate <field>`` never load it, and the first
+linear solve of a process pays the import once.
 """
 from __future__ import annotations
 
@@ -47,10 +52,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import expr
 from .errors import (
@@ -70,6 +74,10 @@ from .grid import (
     unpack,
 )
 from .symfun import SumHessianParams, sum_hessian
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 MIN_STEP = 2.0 ** -20   # the line search stalls below this damping step
 EXTENSION_RTOL = 1e-10  # relative residual of the harmonic-extension solve
@@ -392,6 +400,8 @@ def _prolongation(fine_shape: tuple[int, ...], fine_idx: np.ndarray,
     interpolation per axis, where fine point m reads coarse points m // 2
     and (m + 1) // 2 with weight 1/2 each (one point, weight 1, for even m),
     restricted to rows ``fine_idx`` and columns ``coarse_idx``."""
+    import scipy.sparse as sp
+
     full = None
     for n_fine, n_coarse in zip(fine_shape, coarse_shape):
         m = np.arange(n_fine)
@@ -471,6 +481,8 @@ def _assemble(dom: GridDomain, pattern: _JacobianPattern, coeff: np.ndarray,
     weights fill a column of one reused block, whose present entries are
     that stretch of ``data``.
     """
+    import scipy.sparse as sp
+
     h2 = dom.h * dom.h
     center = -f_u
     for a in range(dom.dim):
@@ -537,6 +549,9 @@ def _vcycle(mat: sp.csr_matrix, pattern: _JacobianPattern) -> spla.LinearOperato
     that cannot be coarsened, takes MG_COARSEST_SWEEPS sweeps from zero. The
     cycle is therefore linear in its input.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     ops = [mat]
     for _, indptr, indices, src in pattern.levels:
         n = indptr.size - 1
@@ -572,6 +587,8 @@ def _solve_linear(mat: sp.csr_matrix, rhs_vec: np.ndarray, rtol: float,
     Returns x, the Krylov iterations and the relative residual reached,
     recomputed from x; raises LinearSolveError when that exceeds rtol.
     """
+    import scipy.sparse.linalg as spla
+
     rhs_norm = float(np.linalg.norm(rhs_vec))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs_vec), 0, 0.0
@@ -759,6 +776,7 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     extent = max(1.0, c, float(np.max(np.abs(bvals))))
 
     def with_extension(use_blend: bool) -> ScalarField:
+        nonlocal pattern
         flat = c * quad
         mismatch = np.zeros(dom.n_points)
         mismatch[bdry] = bvals[bdry] - flat[bdry]
@@ -774,7 +792,14 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                 lap = _assemble(dom, pattern, np.broadcast_to(eye, (eye.size, n_int)),
                                 np.zeros(n_int), np.zeros((n_int, d)))
                 lap_m = _trace(hessian_field(ScalarField(dom, mismatch.reshape(dom.shape))), d)
-                x, krylov, linear_residual = _solve_linear(lap, -lap_m, EXTENSION_RTOL, pattern)
+                try:
+                    x, krylov, linear_residual = _solve_linear(lap, -lap_m, EXTENSION_RTOL,
+                                                               pattern)
+                except LinearSolveError:
+                    # the traceback keeps this frame and initial_guess's alive:
+                    # free the Laplacian and the pattern (a cell of both) first
+                    del lap, pattern
+                    raise
                 flat[dom.interior_idx] += x
                 if krylov_log is not None:
                     krylov_log.append((krylov, linear_residual))
@@ -820,7 +845,11 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     _check_dim(dom, params)
     pattern = _JacobianPattern(dom)
     extension = []
-    fld = initial_guess(dom, params, rhs, boundary, pattern=pattern, krylov_log=extension)
+    try:
+        fld = initial_guess(dom, params, rhs, boundary, pattern=pattern, krylov_log=extension)
+    except LinearSolveError:
+        del pattern     # as for a failed step solve below
+        raise
     idx = dom.interior_idx
 
     offender = _first_violation(dom, admissible_mask(fld, params))

@@ -1,5 +1,8 @@
 """Config loading and the command-line frontend (exit codes, determinism)."""
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,7 @@ output = {out}
 """
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 TRACE_HEADER = "iteration,residual,step,admissible,krylov,linear_residual"
 
 BALL_3D = """
@@ -183,6 +187,18 @@ class TestCliSolve:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[operator]\nn = 3\n")
         assert main(["solve", str(bad)]) == 2
+
+    @pytest.mark.parametrize("section,key", [
+        ("operator", "n"), ("operator", "k"), ("domain", "lower"), ("domain", "upper"),
+        ("domain", "cells"), ("rhs", "f"),
+    ])
+    def test_missing_key_exits_2(self, tmp_path, capsys, section, key):
+        text = (CONFIGS / "ball18.cfg").read_text()
+        cfg = tmp_path / "missing.cfg"
+        cfg.write_text("\n".join(line for line in text.splitlines()
+                                 if not line.startswith(f"{key} = ")))
+        assert main(["solve", str(cfg), "--out", str(tmp_path / "missing.field")]) == 2
+        assert f"missing required key '{key}' in section [{section}]" in capsys.readouterr().err
 
     def test_trace_bitwise_deterministic(self, tmp_path, quad_cfg):
         path, out = quad_cfg
@@ -365,3 +381,44 @@ class TestCliReport:
         lines = csv_out.read_text().strip().split("\n")
         assert len(lines) == 4  # header + 2 instances + family max
         assert lines[-1].startswith("FAMILY_MAX")
+
+
+# Run in a fresh interpreter: this process already holds scipy.
+COLD_START = """
+import sys
+
+import numpy as np
+
+from sumhessian import RhsSpec, ScalarField, SumHessianParams, cli, expr, make_domain, \\
+    newton_solve, write_field
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+dom = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3, mask_name="ball")
+quad = 0.5 * (np.sum(dom.points ** 2, axis=1) - 1.0)
+with open("quad.field", "w") as stream:
+    write_field(ScalarField(dom, quad.reshape(dom.shape)), stream)
+for argv in (["verify", "--n", "3", "--k", "2", "--alpha", "0.5", "--count", "40", "--seed", "1"],
+             ["sample", "--n", "3", "--k", "2", "--count", "40", "--out", "sample.csv"],
+             ["estimate", "quad.field", "--out", "quad.csv"]):
+    assert cli.main(argv) == 0, argv
+assert not scipy_modules(), scipy_modules()[:5]
+result = newton_solve(dom, SumHessianParams(3, 2, 1.0), RhsSpec.parse("18"), expr.parse("0"))
+assert result.converged(1e-10)
+assert "scipy.sparse.linalg" in sys.modules
+print("cold start ok")
+"""
+
+
+class TestColdStart:
+    def test_algebra_and_field_estimates_never_load_scipy(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", COLD_START], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.endswith("cold start ok\n")
+        assert (tmp_path / "quad.csv").read_text().count("\n") == 2

@@ -897,6 +897,22 @@ class TestNewton:
                          expr.parse("exp((x1^2+x2^2)/2)"))
         assert not held_jacobians(err.value)
 
+    def test_extension_solve_error_frees_the_laplacian(self, monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        # the ball's guess solves a harmonic extension before any Newton
+        # step; when that solve fails, no frame may keep its Laplacian or
+        # the pattern alive, and the error carries an empty trace
+        monkeypatch.setattr(solver_mod, "KRYLOV_MAXITER", 1)
+        dom = make_domain(3, (-1,) * 3, (1,) * 3, (16,) * 3, mask_name="ball")
+        with pytest.raises(LinearSolveError) as err:
+            newton_solve(dom, SumHessianParams(3, 2, 1.0), RhsSpec.parse("18"), ZERO)
+        exc = err.value
+        assert exc.iterations == 1 and exc.unknowns == dom.interior_idx.size
+        assert exc.achieved > exc.required == solver_mod.EXTENSION_RTOL
+        assert exc.trace == []
+        assert not held_jacobians(exc)
+
     def test_discrete_scale_covariance(self):
         params = SumHessianParams(3, 2, 1.0)
         fields = {}
