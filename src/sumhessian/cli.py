@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     estimate = sub.add_parser("estimate", help="estimate quantities for a field or config")
     estimate.add_argument("input", help="field file, or a .cfg run configuration (solved first)")
     estimate.add_argument("--beta", default=None,
-                          help="comma-separated weight exponents (default 1,2,4 or the config's)")
+                          help="comma-separated weight exponents (default: the config's, "
+                               f"else {','.join(f'{b:g}' for b in estimates.BETAS)})")
     estimate.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
 
     report = sub.add_parser("report", help="family table over several configs")
@@ -90,8 +91,22 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+# what a solve can raise on a well-formed config; the CLI exits 1 on it
+SOLVER_TROUBLE = (NonConvergenceError, LinearSolveError, ConeViolationError, InstanceError)
+
+
 def _solve_from_config(cfg):
-    return newton_solve(cfg.domain(), cfg.params, cfg.rhs(), cfg.boundary(), cfg.solve_config())
+    return newton_solve(cfg.domain(), cfg.params, cfg.rhs(), cfg.boundary(), cfg.solve)
+
+
+def _config_row(path: str, cfg, betas=None):
+    """The estimate row of a config's solve, under the config's weights
+    unless betas overrides them; None when the solve stops above its tol."""
+    result = _solve_from_config(cfg)
+    if not result.converged(cfg.solve.tol):
+        return None
+    return estimates.build_report(path, result.field, betas or cfg.betas,
+                                  cfg.p_beta, cfg.p_a, cfg.p_big_a)
 
 
 def _write_trace(trace, path: str) -> None:
@@ -118,51 +133,47 @@ def _cmd_solve(args) -> int:
     _write_trace(result.trace, out_path + ".trace.csv")
     print(f"iterations={result.iterations} residual={result.residual:.3e} "
           f"admissible={result.admissible} field={out_path}")
-    if not result.converged(cfg.tol):
-        print(f"solver did not reach tol={cfg.tol:g}", file=sys.stderr)
+    if not result.converged(cfg.solve.tol):
+        print(f"solver did not reach tol={cfg.solve.tol:g}", file=sys.stderr)
         return 1
     return 0
 
 
 def _cmd_estimate(args) -> int:
     betas = tuple(float(v) for v in args.beta.split(",")) if args.beta else None
-    p_args = {}
     if args.input.endswith(".cfg"):
-        cfg = load_config(args.input)
-        result = _solve_from_config(cfg)
-        if not result.converged(cfg.tol):
+        report = _config_row(args.input, load_config(args.input), betas)
+        if report is None:
             print("solver did not converge; refusing to report estimates", file=sys.stderr)
             return 1
-        fld = result.field
-        betas = betas or cfg.betas
-        p_args = {"p_beta": cfg.p_beta, "p_a": cfg.p_a, "p_big_a": cfg.p_big_a}
     else:
         with open(args.input) as stream:
             fld = read_field(stream)
-    report = estimates.build_report(args.input, fld, betas or (1.0, 2.0, 4.0), **p_args)
+        report = estimates.build_report(args.input, fld, betas or estimates.BETAS)
     with _output(args.out) as stream:
         estimates.write_reports([report], stream)
     return 0
 
 
 def _cmd_report(args) -> int:
+    """Skip, with status 1, a member whose solve fails or stops above tol."""
     reports = []
-    status = 0
     for path in args.configs:
-        cfg = load_config(path)
-        result = _solve_from_config(cfg)
-        if not result.converged(cfg.tol):
-            print(f"{path}: solver did not converge", file=sys.stderr)
-            status = 1
+        try:
+            report = _config_row(path, load_config(path))
+        except SOLVER_TROUBLE as exc:
+            print(f"{path}: {exc}", file=sys.stderr)
             continue
-        reports.append(estimates.build_report(path, result.field, cfg.betas,
-                                              cfg.p_beta, cfg.p_a, cfg.p_big_a))
+        if report is None:
+            print(f"{path}: solver did not converge", file=sys.stderr)
+            continue
+        reports.append(report)
     if not reports:
         print("no converged instances to report", file=sys.stderr)
         return 1
     with _output(args.out) as stream:
         estimates.write_reports(reports, stream, family_max=True)
-    return status
+    return int(len(reports) < len(args.configs))
 
 
 def main(argv=None) -> int:
@@ -178,8 +189,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     # solver trouble first: InstanceError and ConeViolationError are ValueErrors
-    except (NonConvergenceError, LinearSolveError, ConeViolationError,
-            InstanceError, SamplingExhaustedError) as exc:
+    except SOLVER_TROUBLE + (SamplingExhaustedError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, expr.ExprError, FileNotFoundError, ValueError) as exc:

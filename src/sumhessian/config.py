@@ -1,7 +1,11 @@
 """Run configuration files: INI-style sections with flat key = value pairs.
 
 Expressions are quoted strings over the identifiers x1..x3, u, p1..p3.
-Keys and sections the loader does not know are ignored. Example:
+Keys and sections the loader does not know are ignored. Only [operator] n
+and k, [domain] lower, upper and cells, and [rhs] f are required. A missing
+key takes its fallback: tol and max_iter those of solver.SolveConfig, beta,
+p_beta, a and A those of estimates.build_report, and alpha 0, mask box,
+g "0" and output out.field. Example:
 
     [operator]
     n = 3
@@ -38,7 +42,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass
 
-from . import expr
+from . import estimates, expr
 from .errors import ConfigError
 from .grid import MASK_NAMES, GridDomain, make_domain
 from .solver import RhsSpec, SolveConfig
@@ -56,13 +60,12 @@ class RunConfig:
     mask_name: str
     rhs_source: str
     boundary_source: str
-    tol: float = 1e-10
-    max_iter: int = 50
-    betas: tuple[float, ...] = (1.0, 2.0, 4.0)
-    p_beta: float = 2.0
-    p_a: float = 0.1
-    p_big_a: float = 1.0
-    output: str = "out.field"
+    solve: SolveConfig
+    betas: tuple[float, ...]
+    p_beta: float
+    p_a: float
+    p_big_a: float
+    output: str
 
     def domain(self) -> GridDomain:
         try:
@@ -76,9 +79,6 @@ class RunConfig:
     def boundary(self) -> expr.Node:
         return expr.parse(self.boundary_source)
 
-    def solve_config(self) -> SolveConfig:
-        return SolveConfig(tol=self.tol, max_iter=self.max_iter)
-
 
 def _unquote(text: str) -> str:
     text = text.strip()
@@ -91,10 +91,6 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split())
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split())
-
-
 def _required(section: configparser.SectionProxy, key: str) -> str:
     value = section.get(key)
     if value is None:
@@ -104,10 +100,10 @@ def _required(section: configparser.SectionProxy, key: str) -> str:
 
 def load_config(path: str) -> RunConfig:
     """Parse and validate one configuration file."""
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",),
+                                       converters={"floats": _floats})
     parser.optionxform = str  # keep key case ('a' and 'A' are distinct)
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file '{path}'")
     try:
         return _build(parser)
@@ -135,24 +131,22 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     dom = parser["domain"]
     lower = _floats(_required(dom, "lower"))
     upper = _floats(_required(dom, "upper"))
-    cells = _ints(_required(dom, "cells"))
-    mask_name = dom.get("mask", fallback="box").strip()
+    cells = tuple(int(v) for v in _required(dom, "cells").split())
+    mask_name = dom.get("mask", fallback="box")
     if len(lower) != n or len(upper) != n or len(cells) != n:
         raise ConfigError("lower/upper/cells must each list one value per dimension")
     if mask_name not in MASK_NAMES:
         raise ConfigError(f"mask must be 'box' or 'ball', got '{mask_name}'")
 
     rhs_source = _unquote(_required(parser["rhs"], "f"))
-    boundary_source = "0"
-    if parser.has_section("boundary"):
-        boundary_source = _unquote(parser["boundary"].get("g", fallback="0"))
+    boundary_source = _unquote(parser.get("boundary", "g", fallback="0"))
     for label, source in (("rhs", rhs_source), ("boundary", boundary_source)):
         try:
             expr.parse(source)
         except expr.ExprError as exc:
             raise ConfigError(f"bad {label} expression: {exc}") from exc
 
-    cfg = RunConfig(
+    return RunConfig(
         params=params,
         lower=lower,
         upper=upper,
@@ -160,19 +154,12 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         mask_name=mask_name,
         rhs_source=rhs_source,
         boundary_source=boundary_source,
+        solve=SolveConfig(
+            tol=parser.getfloat("solver", "tol", fallback=SolveConfig.tol),
+            max_iter=parser.getint("solver", "max_iter", fallback=SolveConfig.max_iter)),
+        betas=parser.getfloats("estimates", "beta", fallback=estimates.BETAS),
+        p_beta=parser.getfloat("estimates", "p_beta", fallback=estimates.P_BETA),
+        p_a=parser.getfloat("estimates", "a", fallback=estimates.P_A),
+        p_big_a=parser.getfloat("estimates", "A", fallback=estimates.P_BIG_A),
+        output=parser.get("run", "output", fallback="out.field"),
     )
-    if parser.has_section("solver"):
-        sol = parser["solver"]
-        cfg.tol = sol.getfloat("tol", fallback=cfg.tol)
-        cfg.max_iter = sol.getint("max_iter", fallback=cfg.max_iter)
-    if parser.has_section("estimates"):
-        est = parser["estimates"]
-        if est.get("beta", fallback=None) is not None:
-            cfg.betas = _floats(est.get("beta"))
-        cfg.p_beta = est.getfloat("p_beta", fallback=cfg.p_beta)
-        cfg.p_a = est.getfloat("a", fallback=cfg.p_a)
-        cfg.p_big_a = est.getfloat("A", fallback=cfg.p_big_a)
-    if parser.has_section("run"):
-        run = parser["run"]
-        cfg.output = run.get("output", fallback=cfg.output).strip()
-    return cfg

@@ -27,6 +27,10 @@ import numpy as np
 from .errors import DegenerateFieldError, MaxPrincipleError
 from .grid import GridDomain, ScalarField, gradient_field, hessian_field, unpack
 
+# defaults of build_report, which the config loader and the CLI read from here
+BETAS = (1.0, 2.0, 4.0)    # weights of the products (-u)^beta |D^2 u|
+P_BETA, P_A, P_BIG_A = 2.0, 0.1, 1.0  # beta, a and A of the log diagnostic P
+
 
 def _pogorelov_product(u_int: np.ndarray, spectral_norm: np.ndarray, beta: float) -> float:
     if beta < 1:
@@ -99,8 +103,9 @@ class EstimateReport:
     rho_rescaled: bool
 
 
-def build_report(instance: str, fld: ScalarField, betas: tuple[float, ...] = (1.0, 2.0, 4.0),
-                 p_beta: float = 2.0, p_a: float = 0.1, p_big_a: float = 1.0) -> EstimateReport:
+def build_report(instance: str, fld: ScalarField, betas: tuple[float, ...] = BETAS,
+                 p_beta: float = P_BETA, p_a: float = P_A,
+                 p_big_a: float = P_BIG_A) -> EstimateReport:
     """Evaluate every estimate quantity on one field.
 
     Weighted products and the log diagnostic are present only when the

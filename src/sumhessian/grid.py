@@ -54,6 +54,8 @@ class GridDomain:
             raise ValueError("lower/upper/cells must all have length dim")
         if any(c < MIN_CELLS for c in self.cells):
             raise ValueError(f"cells per axis must be >= {MIN_CELLS}, got {self.cells}")
+        if not all(math.isfinite(v) for v in self.lower + self.upper):
+            raise ValueError(f"corners must be finite, got {self.lower} and {self.upper}")
         spacings = [(u - l) / c for l, u, c in zip(self.lower, self.upper, self.cells)]
         if any(s <= 0 for s in spacings):
             raise ValueError("upper corner must exceed lower corner on every axis")
@@ -224,44 +226,42 @@ def gradient_field(fld: ScalarField) -> np.ndarray:
 
 
 def write_field(fld: ScalarField, stream) -> None:
-    """Plain-text format: header 'dim nx [ny [nz]] x0 y0 ... h', then one
+    """Plain-text format: header 'dim nx [ny [nz]] x0 y0 ... h mask X0 Y0 ...'
+    (point counts, lower corner, spacing, mask name, upper corner), then one
     value per line in row-major order.
 
-    A masked domain appends its mask name and upper corner to the header,
-    'dim nx ... x0 ... h mask X0 ...', so that reading the file rebuilds
-    the same interior. The upper corner is stored rather than rebuilt as
-    lower + h * cells, which can round to a different ball mask.
+    The upper corner is stored rather than rebuilt as lower + h * cells,
+    which can round to a different corner: on a ball a different mask, on
+    any domain a center and inscribed radius an ulp off.
     """
     dom = fld.domain
-    header = [str(dom.dim)] + [str(n) for n in dom.shape] \
-        + [repr(v) for v in dom.lower] + [repr(dom.h)]
-    if dom.mask_name != "box":
-        header += [dom.mask_name] + [repr(v) for v in dom.upper]
+    header = [str(dom.dim)] + [str(n) for n in dom.shape] + [repr(v) for v in dom.lower] \
+        + [repr(dom.h), dom.mask_name] + [repr(v) for v in dom.upper]
     stream.write(" ".join(header) + "\n")
     stream.write("\n".join(map(repr, fld.flat.tolist())) + "\n")
 
 
 def read_field(stream) -> ScalarField:
     """Read the plain-text format of write_field. A header without the mask
-    name and upper corner is read as a plain box."""
+    name and upper corner, as older files have, is read as a plain box."""
     header = stream.readline().split()
     if not header:
         raise ValueError("empty field file")
     dim = int(header[0])
-    box_len = 1 + dim + dim + 1
-    if len(header) not in (box_len, box_len + 1 + dim):
-        raise ValueError(f"malformed field header: expected {box_len} or "
-                         f"{box_len + 1 + dim} entries, got {len(header)}")
+    short = 1 + dim + dim + 1  # an older box file's header ends at h
+    if len(header) not in (short, short + 1 + dim):
+        raise ValueError(f"malformed field header: expected {short} or "
+                         f"{short + 1 + dim} entries, got {len(header)}")
     shape = tuple(int(v) for v in header[1:1 + dim])
     lower = tuple(float(v) for v in header[1 + dim:1 + 2 * dim])
-    h = float(header[box_len - 1])
+    h = float(header[short - 1])
     cells = tuple(n - 1 for n in shape)
-    if len(header) == box_len:
+    if len(header) == short:
         upper = tuple(l + h * c for l, c in zip(lower, cells))
         dom = GridDomain(dim, lower, upper, cells)
     else:
-        upper = tuple(float(v) for v in header[box_len + 1:])
-        dom = GridDomain(dim, lower, upper, cells, header[box_len])
+        upper = tuple(float(v) for v in header[short + 1:])
+        dom = GridDomain(dim, lower, upper, cells, header[short])
         if dom.h != h:
             raise ValueError(f"field header spacing {h!r} does not match its corners ({dom.h!r})")
     values = np.fromiter(map(float, stream.read().split()), dtype=float)

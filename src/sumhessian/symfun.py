@@ -34,8 +34,8 @@ class SumHessianParams:
             raise ValueError(f"n must be in [2, {MAX_N}], got {self.n}")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"k must satisfy 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
 
 
 def _as_batch(lam) -> np.ndarray:

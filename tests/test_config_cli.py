@@ -112,6 +112,8 @@ class TestConfig:
         ('f = "18"', 'f = "18 +"'),
         ("cells = 8 8 8", "cells = 8 8"),
         ("mask = box", "mask = disc"),
+        ("alpha = 1.0", "alpha = nan"),
+        ("alpha = 1.0", "alpha = inf"),
     ])
     def test_invalid_configs(self, tmp_path, quad_cfg, mangle):
         path, out = quad_cfg
@@ -168,6 +170,14 @@ class TestCliSample:
             main(["sample", "--n", "3"])  # missing --k
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exits_2(self, capsys, command, alpha):
+        assert main([command, "--n", "3", "--k", "2", "--alpha", alpha, "--count", "10"]) == 2
+        captured = capsys.readouterr()
+        assert "alpha must be finite" in captured.err
+        assert captured.out == ""
+
 
 class TestCliSolve:
     def test_solve_writes_field_and_trace(self, quad_cfg, capsys):
@@ -187,6 +197,16 @@ class TestCliSolve:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[operator]\nn = 3\n")
         assert main(["solve", str(bad)]) == 2
+
+    @pytest.mark.parametrize("mangle", [("lower = -1 -1 -1", "lower = nan -1 -1"),
+                                        ("upper = 1 1 1", "upper = 1 1 inf")])
+    def test_non_finite_corner_exits_2(self, tmp_path, quad_cfg, capsys, mangle):
+        path, out = quad_cfg
+        cfg = tmp_path / "corner.cfg"
+        cfg.write_text(path.read_text().replace(*mangle))
+        assert main(["solve", str(cfg)]) == 2
+        assert "corners must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section,key", [
         ("operator", "n"), ("operator", "k"), ("domain", "lower"), ("domain", "upper"),
@@ -354,9 +374,15 @@ class TestCliReport:
         good = tmp_path / "f18.cfg"
         good.write_text(BALL_3D.format(f="18", out=tmp_path / "f18.field"))
         stalled = stalled_cfg(tmp_path, "stall")
+        # a member whose solve raises is skipped like one that stops above tol
+        nonpositive = tmp_path / "x1.cfg"
+        nonpositive.write_text(BALL_3D.format(f="x1", out=tmp_path / "x1.field"))
         csv_out = tmp_path / "family.csv"
-        assert main(["report", str(good), stalled, "--out", str(csv_out)]) == 1
-        assert f"{stalled}: solver did not converge" in capsys.readouterr().err
+        assert main(["report", str(good), stalled, str(nonpositive),
+                     "--out", str(csv_out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{stalled}: solver did not converge" in err
+        assert f"{nonpositive}: right-hand side must stay positive" in err
         lines = csv_out.read_text().splitlines()
         assert len(lines) == 3  # header, the converged instance, family max
         assert lines[1].startswith(f"{good},")

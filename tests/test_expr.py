@@ -85,6 +85,9 @@ class TestParse:
             parse("1 + * 2")
         assert err.value.offset == 4
         assert "expected" in str(err.value)
+        with pytest.raises(SyntaxErrorAt) as err:
+            parse("2 $ 3")  # no token starts at '$'
+        assert (err.value.offset, err.value.expected) == (2, "a token")
 
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifierError) as err:

@@ -1,10 +1,12 @@
 """Grid domains, stencils, and the field file format."""
 import io
+import math
 
 import numpy as np
 import pytest
 
 from sumhessian import GridDomain, ScalarField, make_domain, read_field, write_field
+from sumhessian.estimates import build_report, write_reports
 from sumhessian.grid import (
     _hessian_stencil,
     gradient_field,
@@ -52,6 +54,10 @@ class TestDomain:
             make_domain(2, (0, 0), (1, 1), (8, 8), mask_name="disc")
         with pytest.raises(ValueError):
             GridDomain(2, (0, 0), (1, 1), (8, 8), mask_name="disc")
+        for lower, upper in (((math.nan, 0), (1, 1)), ((0, 0), (1, math.inf)),
+                             ((-math.inf, 0), (1, 1))):
+            with pytest.raises(ValueError, match="corners must be finite"):
+                make_domain(2, lower, upper, (8, 8))
 
     def test_geometry(self):
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
@@ -200,7 +206,27 @@ class TestFieldIO:
         header = buf.getvalue().split("\n")[0].split()
         assert header[0] == "3"
         assert header[1:4] == ["9", "9", "9"]
-        assert len(header) == 1 + 3 + 3 + 1
+        assert len(header) == 1 + 3 + 3 + 1 + 1 + 3
+        assert header[8:] == ["box", "1.0", "1.0", "1.0"]
+
+    def test_round_trip_keeps_box_corner(self):
+        # lower + h * cells rounds the upper corner here to 0.8999999999999999,
+        # which moves the center, the inscribed radius and phi_max by an ulp
+        dom = make_domain(2, (-1.0, -1.0), (0.9, 0.9), (20, 20))
+        vals = np.exp(np.sum(dom.points ** 2, axis=1) / 2)
+        fld = ScalarField(dom, vals.reshape(dom.shape))
+        buf = io.StringIO()
+        write_field(fld, buf)
+        back = read_field(io.StringIO(buf.getvalue()))
+        assert back.domain.upper == dom.upper
+        assert np.array_equal(back.domain.center, dom.center)
+        assert back.domain.inscribed_radius == dom.inscribed_radius
+        rows = []
+        for f in (fld, back):
+            out = io.StringIO()
+            write_reports([build_report("box", f)], out)
+            rows.append(out.getvalue())
+        assert rows[0] == rows[1]
 
     @pytest.mark.parametrize("dim,mask", [(2, "box"), (2, "ball"), (3, "box"), (3, "ball")])
     def test_bytes_match_per_value_format(self, dim, mask):

@@ -107,6 +107,9 @@ class TestSumHessian:
             SumHessianParams(3, 2, -0.5)
         with pytest.raises(ValueError):
             SumHessianParams(17, 2, 0.0)
+        for alpha in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                SumHessianParams(3, 2, alpha)
 
 
 class TestGradient:
