@@ -13,8 +13,10 @@
 Of phi and P the maximum and its maximizer are reported. |D^2 u| is the
 spectral norm (largest-magnitude eigenvalue); the top signed eigenvalue
 plays the role of the maximal second directional derivative. A report reads
-one Hessian stack, decomposed by one ``eigvalsh``, and one gradient field,
-whatever the number of weights.
+one Hessian stack and one gradient field, whatever the number of weights.
+The stack is decomposed by ``eigvalsh`` one block of ``grid.BLOCK_POINTS``
+points at a time, and of each point only the top eigenvalue and the
+spectral norm are kept.
 """
 from __future__ import annotations
 
@@ -25,7 +27,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFieldError, MaxPrincipleError
-from .grid import GridDomain, ScalarField, gradient_field, hessian_field, unpack
+from .grid import (
+    GridDomain,
+    ScalarField,
+    gradient_field,
+    hessian_field,
+    point_blocks,
+    squared_distance,
+    unpack,
+)
 
 # defaults of build_report, which the config loader and the CLI read from here
 BETAS = (1.0, 2.0, 4.0)    # weights of the products (-u)^beta |D^2 u|
@@ -45,8 +55,7 @@ def _phi_values(dom: GridDomain, radius: float, grad2: np.ndarray,
 
     For a constant field (sup|Du| = 0) g is taken identically 1.
     """
-    pts = dom.points[dom.interior_idx]
-    rho = 1.0 - np.sum((pts - dom.center) ** 2, axis=1) / (radius * radius)
+    rho = 1.0 - squared_distance(dom.points, dom.center, dom.interior_idx) / (radius * radius)
     a_sup = float(np.max(grad2))
     if a_sup == 0.0:
         g = np.ones_like(grad2)
@@ -66,13 +75,13 @@ def _p_values(dom: GridDomain, u_int: np.ndarray, top: np.ndarray, grad2: np.nda
     include = (u_int < 0) & (top > 0)
     if not include.any():
         raise DegenerateFieldError("every interior point was excluded from the diagnostic")
-    pts = dom.points[dom.interior_idx]
     vals = np.full(u_int.shape, -np.inf)
     vals[include] = (
         beta * np.log(-u_int[include])
         + np.log(top[include])
         + 0.5 * a * grad2[include]
-        + 0.5 * big_a * np.sum(pts[include] ** 2, axis=1)
+        + 0.5 * big_a * squared_distance(dom.points, np.zeros(dom.dim),
+                                         dom.interior_idx[include])
     )
     return vals
 
@@ -117,13 +126,17 @@ def build_report(instance: str, fld: ScalarField, betas: tuple[float, ...] = BET
     dom = fld.domain
     radius = dom.inscribed_radius
     u_int = fld.flat[dom.interior_idx]
-    # the packed Hessians and their (n_interior, d, d) unpacking are never
-    # bound, so both are freed as soon as eigvalsh returns
-    eigs = np.linalg.eigvalsh(unpack(hessian_field(fld)))
-    grad = gradient_field(fld)
-    grad2 = np.sum(grad ** 2, axis=1)
-    top = eigs[:, -1]
-    spectral_norm = np.max(np.abs(eigs), axis=1)
+    # eigvalsh runs on one block of points at a time, so only the block's
+    # (n, d, d) unpacking and eigenvalues are ever held, and of every point
+    # only the two values the report reads
+    hp = hessian_field(fld)
+    top, spectral_norm = np.empty((2, hp.shape[1]))
+    for block in point_blocks(hp.shape[1]):
+        eigs = np.linalg.eigvalsh(unpack(hp[:, block]))
+        top[block] = eigs[:, -1]
+        spectral_norm[block] = np.max(np.abs(eigs), axis=1)
+    del hp, eigs
+    grad2 = np.sum(gradient_field(fld) ** 2, axis=1)
     phi_max, phi_argmax = _interior_max(dom, _phi_values(dom, radius, grad2, top))
     if np.all(fld.flat[~dom.interior_flat] == 0.0):
         if np.any(fld.flat > 0):
@@ -140,7 +153,7 @@ def build_report(instance: str, fld: ScalarField, betas: tuple[float, ...] = BET
     flat = int(np.ravel_multi_index(center, dom.shape))
     if not dom.interior_flat[flat]:
         raise ValueError(f"center point {center} is not interior")
-    sup_du = float(np.max(np.linalg.norm(grad, axis=1)))
+    sup_du = float(np.sqrt(np.max(grad2)))
     d2u_center = float(spectral_norm[np.searchsorted(dom.interior_idx, flat)])
     return EstimateReport(
         instance=instance,

@@ -12,19 +12,30 @@ diagonal first. ``hessian_field`` returns the discrete Hessians this way,
 reading shifted slices of the grid-shaped values on a box and gathering at
 the interior indices on a masked domain, and the solver keeps the layout
 through its invariant kernel and assembly. ``unpack`` rebuilds the
-(N, d, d) stack where LAPACK's ``eigvalsh`` needs it: in the estimates and
-in ``solver.ellipticity_margins``.
+(n, d, d) stack where LAPACK's ``eigvalsh`` needs it: in the estimates, on
+one block of ``BLOCK_POINTS`` columns at a time, and in
+``solver.ellipticity_margins``.
+
+Building a domain, writing a field and reading one make no (N, dim)
+temporary and no Python object per grid value: coordinates are written in
+place, the ball test sums squared distances axis by axis
+(``squared_distance``), the writer formats ``BLOCK_POINTS`` values at a
+time, and the reader parses with numpy's C parser.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MIN_CELLS = 8
 MASK_NAMES = ("box", "ball")
+# points per block of the per-point stages (the solver's invariant kernel,
+# the estimates' eigvalsh, the field writer), small enough to stay in cache
+BLOCK_POINTS = 8192
 
 
 @dataclass
@@ -66,9 +77,15 @@ class GridDomain:
         self._build()
 
     def _build(self):
-        axes = [self.lower[a] + self.h * np.arange(self.shape[a]) for a in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self._points = np.stack([m.ravel() for m in mesh], axis=-1)  # (N, dim)
+        # the coordinates are written axis by axis into the (N, dim) array,
+        # and the ball test sums the squared distance axis by axis: no
+        # (N, dim) temporary
+        self._points = np.empty((self.n_points, self.dim))
+        coords = self._points.reshape(self.shape + (self.dim,))
+        for a in range(self.dim):
+            along = [1] * self.dim
+            along[a] = self.shape[a]
+            coords[..., a] = (self.lower[a] + self.h * np.arange(self.shape[a])).reshape(along)
         strict = np.ones(self.shape, dtype=bool)
         for a in range(self.dim):
             sl = [slice(None)] * self.dim
@@ -79,7 +96,7 @@ class GridDomain:
         interior = strict.ravel()
         if self.mask_name == "ball":
             radius = 0.5 * float(np.min(np.asarray(self.upper) - np.asarray(self.lower)))
-            interior &= np.linalg.norm(self._points - self.center, axis=-1) < radius
+            interior &= np.sqrt(squared_distance(self._points, self.center)) < radius
         self._interior_flat = interior
         self._interior_idx = np.flatnonzero(interior)
         self._strides = tuple(int(np.prod(self.shape[a + 1:], dtype=int)) for a in range(self.dim))
@@ -115,12 +132,28 @@ class GridDomain:
     @property
     def inscribed_radius(self) -> float:
         """Distance from the domain center to the nearest boundary grid point."""
-        bdry = self._points[~self._interior_flat]
-        return float(np.min(np.linalg.norm(bdry - self.center, axis=1)))
+        bdry = np.flatnonzero(~self._interior_flat)
+        return float(np.sqrt(np.min(squared_distance(self._points, self.center, bdry))))
 
     def center_index(self) -> tuple[int, ...]:
         """Multi-index of the grid point nearest the domain center."""
         return tuple(int(round((c - l) / self.h)) for c, l in zip(self.center, self.lower))
+
+
+def squared_distance(points: np.ndarray, center, idx: np.ndarray | None = None) -> np.ndarray:
+    """|x - center|^2 for each row x of points, (N, dim), or for the rows idx
+    only. The squares are summed axis by axis, in axis order, which is
+    bitwise what ``np.sum((points - center) ** 2, axis=1)`` gives, without
+    its (N, dim) temporaries."""
+    out = np.zeros(len(points) if idx is None else idx.size)
+    for a, c in enumerate(center):
+        out += ((points[:, a] if idx is None else points[idx, a]) - c) ** 2
+    return out
+
+
+def point_blocks(n: int):
+    """Consecutive slices of at most BLOCK_POINTS points covering range(n)."""
+    return (slice(start, min(start + BLOCK_POINTS, n)) for start in range(0, n, BLOCK_POINTS))
 
 
 def make_domain(dim, lower, upper, cells, mask_name="box") -> GridDomain:
@@ -238,7 +271,9 @@ def write_field(fld: ScalarField, stream) -> None:
     header = [str(dom.dim)] + [str(n) for n in dom.shape] + [repr(v) for v in dom.lower] \
         + [repr(dom.h), dom.mask_name] + [repr(v) for v in dom.upper]
     stream.write(" ".join(header) + "\n")
-    stream.write("\n".join(map(repr, fld.flat.tolist())) + "\n")
+    flat = fld.flat
+    for block in point_blocks(flat.size):
+        stream.write("\n".join(map(repr, flat[block].tolist())) + "\n")
 
 
 def read_field(stream) -> ScalarField:
@@ -264,7 +299,13 @@ def read_field(stream) -> ScalarField:
         dom = GridDomain(dim, lower, upper, cells, header[short])
         if dom.h != h:
             raise ValueError(f"field header spacing {h!r} does not match its corners ({dom.h!r})")
-    values = np.fromiter(map(float, stream.read().split()), dtype=float)
+    # numpy's C parser: correctly rounded, so every value written by repr
+    # reads back bit for bit, with no token list; a bad token raises
+    # ValueError, and an empty body, which loadtxt only warns about, reads
+    # as zero values
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        values = np.loadtxt(stream, dtype=float, comments=None, ndmin=1)
     if values.size != np.prod(shape):
         raise ValueError(
             f"field file has {values.size} values, expected {int(np.prod(shape))}"

@@ -36,9 +36,16 @@ a trace recurrence read errors of 3e-6 against eigh's 2e-12.) Every matrix
 of that path (H, U, the powers of U and the coefficients) is packed as in
 ``grid``: one contiguous (N,) row per symmetric entry, so a matrix product
 is a few sums of products of rows and a trace is a sum of the diagonal
-rows. Only ``ellipticity_margins`` unpacks, for eigvalsh. Assembly is
-data-parallel over interior points and fills the CSR values a block of rows
-at a time; the Newton loop is sequential and single-threaded runs produce
+rows. Only ``ellipticity_margins`` unpacks, for eigvalsh.
+
+Every per-point stage works in fixed-size blocks of interior points, so no
+stage holds more than the packed Hessian, the Jacobian and the field. The
+kernel (admissibility, residual, linearization, the guess's repair) runs
+on blocks of ``grid.BLOCK_POINTS`` columns of one ``hessian_field`` stack
+(``_blockwise``); assembly forms the stencil weights and fills the CSR
+values ``ASSEMBLY_ROWS`` rows at a time. A point's arithmetic does not
+depend on its block, so the results are bitwise those of one whole-grid
+pass. The Newton loop is sequential and single-threaded runs produce
 bitwise-identical traces for identical configurations.
 
 scipy's sparse stack is imported inside the functions that build a sparse
@@ -70,6 +77,8 @@ from .grid import (
     _hessian_stencil,
     gradient_field,
     hessian_field,
+    point_blocks,
+    squared_distance,
     sym_pairs,
     unpack,
 )
@@ -249,9 +258,28 @@ def _cone_margins(sig: np.ndarray, params: SumHessianParams) -> np.ndarray:
     return np.minimum(np.min(sig[1:params.k], axis=0, initial=np.inf), s_k)
 
 
+def _blockwise(kernel, hp: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The per-point arrays that ``kernel`` returns for packed matrices,
+    evaluated on blocks of ``grid.BLOCK_POINTS`` columns of hp, (d(d+1)/2, N):
+    a tuple of arrays (..., N), each filled block by block into one
+    preallocated result. A point's arithmetic does not depend on its block,
+    so the results are those of one call on all of hp, bitwise; only the
+    kernel's temporaries shrink to the size of a block."""
+    outs = None
+    for block in point_blocks(hp.shape[1]):
+        parts = kernel(hp[:, block])
+        if outs is None:
+            outs = tuple(np.empty(part.shape[:-1] + hp.shape[1:], part.dtype) for part in parts)
+        for out, part in zip(outs, parts):
+            out[..., block] = part
+    return outs
+
+
 def _margins(fld: ScalarField, params: SumHessianParams) -> np.ndarray:
     """``_cone_margins`` of the field's discrete Hessians, per interior point."""
-    return _cone_margins(_invariants(hessian_field(fld), params.k)[0], params)
+    (margins,) = _blockwise(
+        lambda hp: (_cone_margins(_invariants(hp, params.k)[0], params),), hessian_field(fld))
+    return margins
 
 
 def admissible_mask(fld: ScalarField, params: SumHessianParams) -> np.ndarray:
@@ -331,12 +359,17 @@ def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
     """
     dom = fld.domain
     _check_dim(dom, params)
-    sig, _ = _invariants(hessian_field(fld), params.k)
-    s_k = sig[params.k] + params.alpha * sig[params.k - 1]
+
+    def s_k(hp: np.ndarray):
+        sig, _ = _invariants(hp, params.k)
+        return (sig[params.k] + params.alpha * sig[params.k - 1],)
+
+    (values,) = _blockwise(s_k, hessian_field(fld))
     if f_values is None:
         f_values = _eval_rhs(rhs, _interior_env(fld), dom.interior_idx.size)
+    values -= f_values
     out = np.zeros(dom.n_points)
-    out[dom.interior_idx] = s_k - f_values
+    out[dom.interior_idx] = values
     return out.reshape(dom.shape)
 
 
@@ -471,29 +504,36 @@ class _JacobianPattern:
         return levels
 
 
+def _stencil_weights(h: float, coeff: np.ndarray, f_u: np.ndarray,
+                     f_p: np.ndarray) -> list[np.ndarray]:
+    """Per-point weight of each stencil offset, in ``_stencil_offsets``
+    order, of the operator that ``_assemble`` describes."""
+    dim = f_p.shape[1]
+    h2 = h * h
+    center = -f_u
+    for a in range(dim):
+        center -= 2.0 * coeff[a] / h2
+    weights = [center]
+    for a in range(dim):
+        for sign in (+1, -1):
+            weights.append(coeff[a] / h2 - sign * f_p[:, a] / (2.0 * h))
+    for mixed in coeff[dim:]:   # the (a, b), a < b, rows, in stencil order
+        w = mixed / (2.0 * h2)
+        weights += [w, w, -w, -w]
+    return weights
+
+
 def _assemble(dom: GridDomain, pattern: _JacobianPattern, coeff: np.ndarray,
               f_u: np.ndarray, f_p: np.ndarray) -> sp.csr_matrix:
     """Sparse operator on the interior unknowns, (n_int, n_int): second-order
     term with per-point packed coefficient matrices, (d(d+1)/2, n_int),
     contracted against the Hessian stencil, minus first/zeroth-order terms.
     ``pattern`` is the domain's ``_JacobianPattern``; only ``data`` is
-    computed here, ASSEMBLY_ROWS rows at a time: each stencil direction's
-    weights fill a column of one reused block, whose present entries are
-    that stretch of ``data``.
+    computed here, ASSEMBLY_ROWS rows at a time: the block's stencil
+    weights fill the columns of one reused block, one per direction, whose
+    present entries are that stretch of ``data``.
     """
     import scipy.sparse as sp
-
-    h2 = dom.h * dom.h
-    center = -f_u
-    for a in range(dom.dim):
-        center -= 2.0 * coeff[a] / h2
-    weights = [center]          # one per stencil offset, in _stencil_offsets order
-    for a in range(dom.dim):
-        for sign in (+1, -1):
-            weights.append(coeff[a] / h2 - sign * f_p[:, a] / (2.0 * dom.h))
-    for mixed in coeff[dom.dim:]:   # the (a, b), a < b, rows, in stencil order
-        w = mixed / (2.0 * h2)
-        weights += [w, w, -w, -w]
 
     order, present, indptr, indices = pattern.arrays
     n_int = f_u.size
@@ -501,9 +541,11 @@ def _assemble(dom: GridDomain, pattern: _JacobianPattern, coeff: np.ndarray,
     block = np.empty((min(ASSEMBLY_ROWS, n_int), order.size))
     for start in range(0, n_int, ASSEMBLY_ROWS):
         stop = min(start + ASSEMBLY_ROWS, n_int)
+        weights = _stencil_weights(dom.h, coeff[:, start:stop], f_u[start:stop],
+                                   f_p[start:stop])
         filled = block[:stop - start]
         for column, j in zip(filled.T, order):
-            column[:] = weights[j][start:stop]
+            column[:] = weights[j]
         data[indptr[start]:indptr[stop]] = filled[present[start:stop]]
     return sp.csr_matrix((data, indices, indptr), shape=(n_int, n_int))
 
@@ -519,12 +561,15 @@ def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
     """
     dom = fld.domain
     _check_dim(dom, params)
-    sig, powers = _invariants(hessian_field(fld), params.k)
-    offender = _first_violation(dom, _cone_margins(sig, params) > 0)
+
+    def kernel(hp: np.ndarray):
+        sig, powers = _invariants(hp, params.k)
+        return _cone_margins(sig, params) > 0, _grad_coeff_matrices(sig, powers, params)
+
+    admissible, coeff = _blockwise(kernel, hessian_field(fld))
+    offender = _first_violation(dom, admissible)
     if offender is not None:
         raise ConeViolationError(f"field is not admissible at grid point {offender}")
-    coeff = _grad_coeff_matrices(sig, powers, params)
-    del sig, powers     # free the kernel's stacks before assembly
     f_u, f_p = _rhs_derivatives(fld, rhs)
     return _assemble(dom, pattern or _JacobianPattern(dom), coeff, f_u, f_p)
 
@@ -681,7 +726,10 @@ def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
     flat = trial.flat   # a view: lowering it lowers trial
 
     def margin_ok(hp: np.ndarray) -> np.ndarray:
-        return _cone_margins(_invariants(hp - shift, params.k)[0], params) > 0
+        (ok,) = _blockwise(
+            lambda block: (_cone_margins(_invariants(block - shift, params.k)[0], params) > 0,),
+            hp)
+        return ok
 
     ok = margin_ok(hessian_field(trial))
     for _ in range(REPAIR_SWEEPS):
@@ -734,25 +782,24 @@ def transfinite_blend(values: np.ndarray) -> np.ndarray:
     return blend
 
 
-def guess_scale(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec) -> float:
-    """quadratic_scale of sup f over the interior, evaluated at u = 0, Du = 0."""
-    n_int = dom.interior_idx.size
-    env = {"u": np.zeros(n_int)}
-    for a in range(dom.dim):
-        env[f"x{a + 1}"] = dom.points[dom.interior_idx, a]
-        env[f"p{a + 1}"] = np.zeros(n_int)
-    return quadratic_scale(params, float(np.max(_eval_rhs(rhs, env, n_int))))
+def _rhs_at_rest(dom: GridDomain, rhs: RhsSpec) -> np.ndarray:
+    """f on the interior at u = 0, Du = 0: on the interior env of the zero
+    field. For a ``_state_free`` f these are its values on every field."""
+    zero = ScalarField(dom, np.zeros(dom.shape))
+    return _eval_rhs(rhs, _interior_env(zero), dom.interior_idx.size)
 
 
 def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                   boundary: expr.Node, *, pattern: _JacobianPattern | None = None,
-                  krylov_log: list | None = None) -> ScalarField:
+                  krylov_log: list | None = None,
+                  f_rest: np.ndarray | None = None) -> ScalarField:
     """Starting field c (|x - x_c|^2 - r^2)/2 plus an interpolation of the
     boundary mismatch.
 
     The scale c is the smallest power of two making the constant-Hessian
-    value dominate sup f (evaluated at u = 0, Du = 0), from ``guess_scale``.
-    On plain boxes the mismatch is
+    value dominate sup f over the interior, evaluated at u = 0, Du = 0:
+    ``f_rest``, those values as ``_rhs_at_rest`` gives them, or evaluated
+    here when omitted. On plain boxes the mismatch is
     interpolated by the transfinite face blend (no corner singularities;
     exact on the quadratic, so the guess coincides with the blended
     boundary data). On masked domains the mismatch lives on the staircase
@@ -765,11 +812,11 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     """
     _check_dim(dom, params)
     pattern = pattern or _JacobianPattern(dom)
-    c = guess_scale(dom, params, rhs)
-    pts = dom.points
-    center = dom.center
+    if f_rest is None:
+        f_rest = _rhs_at_rest(dom, rhs)
+    c = quadratic_scale(params, float(np.max(f_rest)))
     radius = dom.inscribed_radius
-    quad = 0.5 * (np.sum((pts - center) ** 2, axis=1) - radius * radius)
+    quad = 0.5 * (squared_distance(dom.points, dom.center) - radius * radius)
 
     bvals = boundary_values(dom, boundary)
     bdry = ~dom.interior_flat
@@ -837,28 +884,29 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     rounding is monotone), and its residual is the iterate's: the search
     stops there, unevaluated, saying the step no longer changes the
     iterate. Otherwise it stalls when no step down to MIN_STEP gives an
-    admissible decrease. An f(x) right-hand side (``_state_free``) is
-    evaluated once, next to the guess's residual, and every residual of
-    the solve reads those values.
+    admissible decrease. f is evaluated once at u = 0, Du = 0, for the
+    guess's scale. An f(x) right-hand side (``_state_free``) is evaluated
+    there only: every residual of the solve reads those values.
     """
     config = config or SolveConfig()
     _check_dim(dom, params)
+    f_values = _rhs_at_rest(dom, rhs)
     pattern = _JacobianPattern(dom)
     extension = []
     try:
-        fld = initial_guess(dom, params, rhs, boundary, pattern=pattern, krylov_log=extension)
+        fld = initial_guess(dom, params, rhs, boundary, pattern=pattern, krylov_log=extension,
+                            f_rest=f_values)
     except LinearSolveError:
         del pattern     # as for a failed step solve below
         raise
+    if not _state_free(rhs, dom.dim):
+        f_values = None     # f is then evaluated on every residual's field
     idx = dom.interior_idx
 
     offender = _first_violation(dom, admissible_mask(fld, params))
     if offender is not None:
         raise ConeViolationError(f"initial guess is not admissible at grid point {offender}")
 
-    f_values = None
-    if _state_free(rhs, dom.dim):
-        f_values = _eval_rhs(rhs, _interior_env(fld), idx.size)
     res = residual(fld, params, rhs, f_values=f_values)
     res_norm = float(np.max(np.abs(res)))
     krylov, linear_residual = extension[0] if extension else (0, 0.0)

@@ -807,8 +807,8 @@ class TestNewton:
             result = newton_solve(dom, params, rhs, bnd, SolveConfig(max_iter=max_iter))
             counts[result.iterations] = len(calls)
         assert max(counts) > 1
-        # the guess's scale, the boundary data and the solve's f values
-        assert list(counts.values()) == [3, 3]
+        # f once, for the guess's scale and every residual, and the boundary data
+        assert list(counts.values()) == [2, 2]
 
     def test_state_dependent_f_evaluated_every_trial(self, monkeypatch):
         import sumhessian.solver as solver_mod
