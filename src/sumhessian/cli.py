@@ -141,6 +141,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_estimate(args) -> int:
     betas = tuple(float(v) for v in args.beta.split(",")) if args.beta else None
+    estimates.check_betas(betas or ())
     if args.input.endswith(".cfg"):
         report = _config_row(args.input, load_config(args.input), betas)
         if report is None:

@@ -146,6 +146,8 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         except expr.ExprError as exc:
             raise ConfigError(f"bad {label} expression: {exc}") from exc
 
+    betas = parser.getfloats("estimates", "beta", fallback=estimates.BETAS)
+    estimates.check_betas(betas)
     return RunConfig(
         params=params,
         lower=lower,
@@ -157,7 +159,7 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         solve=SolveConfig(
             tol=parser.getfloat("solver", "tol", fallback=SolveConfig.tol),
             max_iter=parser.getint("solver", "max_iter", fallback=SolveConfig.max_iter)),
-        betas=parser.getfloats("estimates", "beta", fallback=estimates.BETAS),
+        betas=betas,
         p_beta=parser.getfloat("estimates", "p_beta", fallback=estimates.P_BETA),
         p_a=parser.getfloat("estimates", "a", fallback=estimates.P_A),
         p_big_a=parser.getfloat("estimates", "A", fallback=estimates.P_BIG_A),

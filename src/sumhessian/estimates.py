@@ -13,10 +13,11 @@
 Of phi and P the maximum and its maximizer are reported. |D^2 u| is the
 spectral norm (largest-magnitude eigenvalue); the top signed eigenvalue
 plays the role of the maximal second directional derivative. A report reads
-one Hessian stack and one gradient field, whatever the number of weights.
-The stack is decomposed by ``eigvalsh`` one block of ``grid.BLOCK_POINTS``
-points at a time, and of each point only the top eigenvalue and the
-spectral norm are kept.
+each interior point's Hessian stencil once and one gradient field, whatever
+the number of weights. The stencil is read and decomposed by ``eigvalsh``
+one ``grid.interior_blocks`` block at a time, and of each point only the
+top eigenvalue and the spectral norm are kept. Every weight must be a
+finite number >= 1 (``check_betas``).
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .grid import (
     ScalarField,
     gradient_field,
     hessian_field,
-    point_blocks,
+    interior_blocks,
     squared_distance,
     unpack,
 )
@@ -42,9 +43,14 @@ BETAS = (1.0, 2.0, 4.0)    # weights of the products (-u)^beta |D^2 u|
 P_BETA, P_A, P_BIG_A = 2.0, 0.1, 1.0  # beta, a and A of the log diagnostic P
 
 
+def check_betas(betas) -> None:
+    """Raise ValueError unless every weight is a finite number >= 1."""
+    for beta in betas:
+        if not 1.0 <= beta < np.inf:
+            raise ValueError(f"beta must be a finite number >= 1, got {beta!r}")
+
+
 def _pogorelov_product(u_int: np.ndarray, spectral_norm: np.ndarray, beta: float) -> float:
-    if beta < 1:
-        raise ValueError(f"beta must be >= 1, got {beta}")
     return float(np.max((-u_int) ** beta * spectral_norm))
 
 
@@ -55,7 +61,7 @@ def _phi_values(dom: GridDomain, radius: float, grad2: np.ndarray,
 
     For a constant field (sup|Du| = 0) g is taken identically 1.
     """
-    rho = 1.0 - squared_distance(dom.points, dom.center, dom.interior_idx) / (radius * radius)
+    rho = 1.0 - squared_distance(dom, dom.center, dom.interior_idx) / (radius * radius)
     a_sup = float(np.max(grad2))
     if a_sup == 0.0:
         g = np.ones_like(grad2)
@@ -80,8 +86,7 @@ def _p_values(dom: GridDomain, u_int: np.ndarray, top: np.ndarray, grad2: np.nda
         beta * np.log(-u_int[include])
         + np.log(top[include])
         + 0.5 * a * grad2[include]
-        + 0.5 * big_a * squared_distance(dom.points, np.zeros(dom.dim),
-                                         dom.interior_idx[include])
+        + 0.5 * big_a * squared_distance(dom, np.zeros(dom.dim), dom.interior_idx[include])
     )
     return vals
 
@@ -120,23 +125,29 @@ def build_report(instance: str, fld: ScalarField, betas: tuple[float, ...] = BET
     Weighted products and the log diagnostic are present only when the
     boundary data is identically zero. Then a field positive anywhere raises
     MaxPrincipleError (a solution of the zero-boundary problem with positive
-    right-hand side is nonpositive), and a weight below 1 ValueError.
-    ValueError also when the point nearest the center is not interior.
+    right-hand side is nonpositive). A weight that is not a finite number
+    >= 1 raises ValueError (``check_betas``) before any work, whatever the
+    boundary data; so does a point nearest the center that is not interior.
     """
+    check_betas(betas)
     dom = fld.domain
     radius = dom.inscribed_radius
     u_int = fld.flat[dom.interior_idx]
-    # eigvalsh runs on one block of points at a time, so only the block's
-    # (n, d, d) unpacking and eigenvalues are ever held, and of every point
-    # only the two values the report reads
-    hp = hessian_field(fld)
-    top, spectral_norm = np.empty((2, hp.shape[1]))
-    for block in point_blocks(hp.shape[1]):
-        eigs = np.linalg.eigvalsh(unpack(hp[:, block]))
+    # the stencil and eigvalsh run on one block of points at a time, so only
+    # the block's Hessians, their (n, d, d) unpacking and eigenvalues are
+    # ever held, and of every point only the two values the report reads
+    top, spectral_norm = np.empty((2, u_int.size))
+    for block in interior_blocks(dom):
+        eigs = np.linalg.eigvalsh(unpack(hessian_field(fld, block)))
         top[block] = eigs[:, -1]
         spectral_norm[block] = np.max(np.abs(eigs), axis=1)
-    del hp, eigs
-    grad2 = np.sum(gradient_field(fld) ** 2, axis=1)
+    del eigs
+    # |Du|^2 summed over the gradient's contiguous columns, in axis order
+    grad = gradient_field(fld)
+    grad2 = np.zeros(u_int.size)
+    for a in range(dom.dim):
+        grad2 += grad[:, a] ** 2
+    del grad
     phi_max, phi_argmax = _interior_max(dom, _phi_values(dom, radius, grad2, top))
     if np.all(fld.flat[~dom.interior_flat] == 0.0):
         if np.any(fld.flat > 0):

@@ -4,23 +4,27 @@ A domain is a box split into equal cells (same spacing on every axis),
 optionally intersected with the open ball inscribed in the box: grid points
 outside the ball are treated as boundary points and carry Dirichlet values,
 which yields staircase approximations of discs and balls. Fields store one
-value per grid point, boundary layer included.
+value per grid point, boundary layer included. A domain keeps its mask,
+interior indices and strides, not its coordinates: the coordinate on axis
+a is lower[a] + h i_a, built per axis for every point or for an index
+array (``GridDomain.coordinate``).
 
-Per-point symmetric matrices are packed: an array (d(d+1)/2, N) holds one
+Per-point symmetric matrices are packed: an array (d(d+1)/2, n) holds one
 contiguous row per entry (a, b), a <= b, in ``sym_pairs`` order, the
 diagonal first. ``hessian_field`` returns the discrete Hessians this way,
-reading shifted slices of the grid-shaped values on a box and gathering at
-the interior indices on a masked domain, and the solver keeps the layout
-through its invariant kernel and assembly. ``unpack`` rebuilds the
-(n, d, d) stack where LAPACK's ``eigvalsh`` needs it: in the estimates, on
-one block of ``BLOCK_POINTS`` columns at a time, and in
+of every interior point or of one block of them (``interior_blocks``):
+whole inner planes along axis 0 of a box, read as shifted slices of the
+grid-shaped values, or about ``BLOCK_POINTS`` interior points of a ball,
+gathered at their indices. Every per-point stage of the package reads the
+stencil block by block, and the solver keeps the layout through its
+invariant kernel and assembly. ``unpack`` rebuilds the (n, d, d) stack of
+a block where LAPACK's ``eigvalsh`` needs it: in the estimates and in
 ``solver.ellipticity_margins``.
 
-Building a domain, writing a field and reading one make no (N, dim)
-temporary and no Python object per grid value: coordinates are written in
-place, the ball test sums squared distances axis by axis
-(``squared_distance``), the writer formats ``BLOCK_POINTS`` values at a
-time, and the reader parses with numpy's C parser.
+Building a domain, writing a field and reading one make no (N, dim) array
+and no Python object per grid value: the ball test sums squared distances
+axis by axis (``squared_distance``), the writer formats ``WRITE_CHUNK``
+values at a time, and the reader parses with numpy's C parser.
 """
 from __future__ import annotations
 
@@ -33,9 +37,13 @@ import numpy as np
 
 MIN_CELLS = 8
 MASK_NAMES = ("box", "ball")
-# points per block of the per-point stages (the solver's invariant kernel,
-# the estimates' eigvalsh, the field writer), small enough to stay in cache
-BLOCK_POINTS = 8192
+# interior points per block of the per-point stages (the Hessian stencil,
+# the solver's invariant kernel, the estimates' eigvalsh; see
+# interior_blocks): a 32^3 ball or box is one block, as in a whole-grid
+# pass, and 64^3 grids run as fast as at 16384; 8192 slowed the 64^3 box's
+# admissibility test, each block paying ~25 small stencil operations
+BLOCK_POINTS = 32768
+WRITE_CHUNK = 8192  # values formatted per write of write_field
 
 
 @dataclass
@@ -77,15 +85,7 @@ class GridDomain:
         self._build()
 
     def _build(self):
-        # the coordinates are written axis by axis into the (N, dim) array,
-        # and the ball test sums the squared distance axis by axis: no
-        # (N, dim) temporary
-        self._points = np.empty((self.n_points, self.dim))
-        coords = self._points.reshape(self.shape + (self.dim,))
-        for a in range(self.dim):
-            along = [1] * self.dim
-            along[a] = self.shape[a]
-            coords[..., a] = (self.lower[a] + self.h * np.arange(self.shape[a])).reshape(along)
+        self._strides = tuple(int(np.prod(self.shape[a + 1:], dtype=int)) for a in range(self.dim))
         strict = np.ones(self.shape, dtype=bool)
         for a in range(self.dim):
             sl = [slice(None)] * self.dim
@@ -96,19 +96,30 @@ class GridDomain:
         interior = strict.ravel()
         if self.mask_name == "ball":
             radius = 0.5 * float(np.min(np.asarray(self.upper) - np.asarray(self.lower)))
-            interior &= np.sqrt(squared_distance(self._points, self.center)) < radius
+            interior &= np.sqrt(squared_distance(self, self.center)) < radius
         self._interior_flat = interior
         self._interior_idx = np.flatnonzero(interior)
-        self._strides = tuple(int(np.prod(self.shape[a + 1:], dtype=int)) for a in range(self.dim))
 
     @property
     def n_points(self) -> int:
         return int(np.prod(self.shape))
 
+    def coordinate(self, axis: int, idx: np.ndarray | None = None) -> np.ndarray:
+        """Coordinate lower + h i on one axis of every grid point, (n_points,)
+        in row-major order, or of the points at the flat indices idx."""
+        values = self.lower[axis] + self.h * np.arange(self.shape[axis])
+        if idx is None:
+            along = [1] * self.dim
+            along[axis] = self.shape[axis]
+            return np.broadcast_to(values.reshape(along), self.shape).ravel()
+        return values[idx // self._strides[axis] % self.shape[axis]]
+
     @property
     def points(self) -> np.ndarray:
-        """All grid point coordinates, shape (n_points, dim), row-major order."""
-        return self._points
+        """All grid point coordinates, shape (n_points, dim), row-major order.
+        Built on access from ``coordinate``, not stored; the package itself
+        never reads it."""
+        return np.stack([self.coordinate(a) for a in range(self.dim)], axis=1)
 
     @property
     def interior_flat(self) -> np.ndarray:
@@ -133,27 +144,42 @@ class GridDomain:
     def inscribed_radius(self) -> float:
         """Distance from the domain center to the nearest boundary grid point."""
         bdry = np.flatnonzero(~self._interior_flat)
-        return float(np.sqrt(np.min(squared_distance(self._points, self.center, bdry))))
+        return float(np.sqrt(np.min(squared_distance(self, self.center, bdry))))
 
     def center_index(self) -> tuple[int, ...]:
         """Multi-index of the grid point nearest the domain center."""
         return tuple(int(round((c - l) / self.h)) for c, l in zip(self.center, self.lower))
 
 
-def squared_distance(points: np.ndarray, center, idx: np.ndarray | None = None) -> np.ndarray:
-    """|x - center|^2 for each row x of points, (N, dim), or for the rows idx
-    only. The squares are summed axis by axis, in axis order, which is
-    bitwise what ``np.sum((points - center) ** 2, axis=1)`` gives, without
-    its (N, dim) temporaries."""
-    out = np.zeros(len(points) if idx is None else idx.size)
+def squared_distance(dom: GridDomain, center, idx: np.ndarray | None = None) -> np.ndarray:
+    """|x - center|^2 for every grid point x of dom, or for the points at the
+    flat indices idx. The squares are summed axis by axis, in axis order,
+    which is bitwise what ``np.sum((dom.points - center) ** 2, axis=1)``
+    gives, without its (N, dim) arrays."""
+    out = np.zeros(dom.n_points if idx is None else idx.size)
     for a, c in enumerate(center):
-        out += ((points[:, a] if idx is None else points[idx, a]) - c) ** 2
+        out += (dom.coordinate(a, idx) - c) ** 2
     return out
 
 
-def point_blocks(n: int):
-    """Consecutive slices of at most BLOCK_POINTS points covering range(n)."""
-    return (slice(start, min(start + BLOCK_POINTS, n)) for start in range(0, n, BLOCK_POINTS))
+def point_blocks(n: int, size: int | None = None):
+    """Consecutive slices of at most size items, BLOCK_POINTS when None,
+    covering range(n)."""
+    size = size or BLOCK_POINTS
+    return (slice(start, min(start + size, n)) for start in range(0, n, size))
+
+
+def interior_blocks(dom: GridDomain):
+    """Consecutive slices of interior positions (of ``interior_idx``) covering
+    every interior point, about BLOCK_POINTS each. On a box a block is
+    whole inner planes along axis 0, at least one, which ``hessian_field``
+    reads as slices of the grid; on a ball it is BLOCK_POINTS points."""
+    n = dom.interior_idx.size
+    size = BLOCK_POINTS
+    if dom.mask_name == "box":
+        plane = n // (dom.shape[0] - 2)
+        size = max(1, BLOCK_POINTS // plane) * plane
+    return point_blocks(n, size)
 
 
 def make_domain(dim, lower, upper, cells, mask_name="box") -> GridDomain:
@@ -196,18 +222,27 @@ def unpack(packed: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shifted(fld: ScalarField, idx: np.ndarray | None):
-    """(at, shape): at(o) is the field's values, an array of this shape, at
-    the points idx, or every interior point when idx is None, moved by the
-    integer offset vector o. Every interior point of a box is read as a
-    slice of the grid-shaped values (in interior_idx order); other points
-    are gathered from the flat values."""
+def _shifted(fld: ScalarField, where):
+    """(at, shape): at(o) is the field's values, an array of this shape, moved
+    by the integer offset vector o, at the points ``where`` names: every
+    interior point when None, a block of interior positions from
+    ``interior_blocks`` when a slice, or the flat indices of an array. A
+    box's interior or block is read as a slice of the grid-shaped values (in
+    interior_idx order); other points are gathered from the flat values."""
     dom = fld.domain
-    if idx is None and dom.mask_name == "box":
-        return (lambda o: fld.values[tuple(slice(1 + c, n - 1 + c)
-                                           for c, n in zip(o.tolist(), dom.shape))],
-                tuple(n - 2 for n in dom.shape))
-    idx = dom.interior_idx if idx is None else idx
+    if where is None:
+        where = slice(0, dom.interior_idx.size)
+    if isinstance(where, slice) and dom.mask_name == "box":
+        plane = dom.interior_idx.size // (dom.shape[0] - 2)
+        first, last = where.start // plane, where.stop // plane
+
+        def at(o):
+            o = o.tolist()
+            return fld.values[(slice(1 + first + o[0], 1 + last + o[0]),)
+                              + tuple(slice(1 + c, n - 1 + c) for c, n in zip(o[1:], dom.shape[1:]))]
+
+        return at, (last - first,) + tuple(n - 2 for n in dom.shape[1:])
+    idx = dom.interior_idx[where] if isinstance(where, slice) else where
     # an interior point is at least one step from the lower faces, so the
     # base of one shared index array is never negative; each offset is then
     # a view of the flat values, with no index arithmetic per gather
@@ -216,16 +251,16 @@ def _shifted(fld: ScalarField, idx: np.ndarray | None):
     return lambda o: flat[lowest + int(np.dot(o, dom.strides)):][base], idx.shape
 
 
-def _hessian_stencil(fld: ScalarField, idx: np.ndarray | None) -> np.ndarray:
-    """Packed discrete Hessians, (d(d+1)/2, n), at the interior flat indices
-    idx, or at every interior point when idx is None (``_shifted``).
+def _hessian_stencil(fld: ScalarField, where) -> np.ndarray:
+    """Packed discrete Hessians, (d(d+1)/2, n), at the points ``where`` names
+    (``_shifted``): every interior point, a block or flat indices.
 
     Second-order central differences: diagonal entries from the 3-point
     stencil, mixed entries from the 4-point cross stencil. Exact on
     quadratics.
     """
     dom = fld.domain
-    at, shape = _shifted(fld, idx)
+    at, shape = _shifted(fld, where)
     h2 = dom.h * dom.h
     unit = np.eye(dom.dim, dtype=int)
     centre = at(np.zeros(dom.dim, dtype=int))
@@ -241,10 +276,11 @@ def _hessian_stencil(fld: ScalarField, idx: np.ndarray | None) -> np.ndarray:
     return out.reshape(len(pairs), -1)
 
 
-def hessian_field(fld: ScalarField) -> np.ndarray:
-    """Packed discrete Hessians at every interior point, shape
-    (d(d+1)/2, n_interior), rows in ``sym_pairs`` order."""
-    return _hessian_stencil(fld, None)
+def hessian_field(fld: ScalarField, block: slice | None = None) -> np.ndarray:
+    """Packed discrete Hessians at every interior point, or at the interior
+    positions of one ``interior_blocks`` block, shape (d(d+1)/2, n), rows in
+    ``sym_pairs`` order."""
+    return _hessian_stencil(fld, block)
 
 
 def gradient_field(fld: ScalarField) -> np.ndarray:
@@ -272,7 +308,7 @@ def write_field(fld: ScalarField, stream) -> None:
         + [repr(dom.h), dom.mask_name] + [repr(v) for v in dom.upper]
     stream.write(" ".join(header) + "\n")
     flat = fld.flat
-    for block in point_blocks(flat.size):
+    for block in point_blocks(flat.size, WRITE_CHUNK):
         stream.write("\n".join(map(repr, flat[block].tolist())) + "\n")
 
 

@@ -39,14 +39,17 @@ is a few sums of products of rows and a trace is a sum of the diagonal
 rows. Only ``ellipticity_margins`` unpacks, for eigvalsh.
 
 Every per-point stage works in fixed-size blocks of interior points, so no
-stage holds more than the packed Hessian, the Jacobian and the field. The
-kernel (admissibility, residual, linearization, the guess's repair) runs
-on blocks of ``grid.BLOCK_POINTS`` columns of one ``hessian_field`` stack
-(``_blockwise``); assembly forms the stencil weights and fills the CSR
-values ``ASSEMBLY_ROWS`` rows at a time. A point's arithmetic does not
-depend on its block, so the results are bitwise those of one whole-grid
-pass. The Newton loop is sequential and single-threaded runs produce
-bitwise-identical traces for identical configurations.
+stage holds a whole-grid Hessian or kernel temporary. The kernel
+(admissibility, residual, linearization, the guess's repair, the
+extension's Laplacian of the boundary mismatch, ``ellipticity_margins``)
+reads the stencil of one ``grid.interior_blocks`` block at a time through
+``hessian_field`` and runs on it (``_blockwise``); assembly forms the
+stencil weights and fills the CSR values ``ASSEMBLY_ROWS`` rows at a time.
+An expression's env holds only the coordinates, u and gradient it reads.
+A point's arithmetic does not depend on its block, so the results are
+bitwise those of one whole-grid pass. The Newton loop is sequential and
+single-threaded runs produce bitwise-identical traces for identical
+configurations.
 
 scipy's sparse stack is imported inside the functions that build a sparse
 matrix or run a Krylov solve, not at module level: importing the package,
@@ -77,6 +80,7 @@ from .grid import (
     _hessian_stencil,
     gradient_field,
     hessian_field,
+    interior_blocks,
     point_blocks,
     squared_distance,
     sym_pairs,
@@ -258,18 +262,21 @@ def _cone_margins(sig: np.ndarray, params: SumHessianParams) -> np.ndarray:
     return np.minimum(np.min(sig[1:params.k], axis=0, initial=np.inf), s_k)
 
 
-def _blockwise(kernel, hp: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The per-point arrays that ``kernel`` returns for packed matrices,
-    evaluated on blocks of ``grid.BLOCK_POINTS`` columns of hp, (d(d+1)/2, N):
-    a tuple of arrays (..., N), each filled block by block into one
-    preallocated result. A point's arithmetic does not depend on its block,
-    so the results are those of one call on all of hp, bitwise; only the
-    kernel's temporaries shrink to the size of a block."""
+def _blockwise(kernel, fld: ScalarField) -> tuple[np.ndarray, ...]:
+    """The per-point arrays that ``kernel`` returns for packed Hessians,
+    (d(d+1)/2, n), evaluated on the field's ``grid.interior_blocks``: a
+    tuple of arrays (..., n_interior), each filled block by block into one
+    preallocated result. Each block's stencil is read by its own
+    ``hessian_field`` call. A point's arithmetic does not depend on its
+    block, so the results are those of one call on the whole interior,
+    bitwise; only the stencil and the kernel's temporaries shrink to the
+    size of a block."""
+    n = fld.domain.interior_idx.size
     outs = None
-    for block in point_blocks(hp.shape[1]):
-        parts = kernel(hp[:, block])
+    for block in interior_blocks(fld.domain):
+        parts = kernel(hessian_field(fld, block))
         if outs is None:
-            outs = tuple(np.empty(part.shape[:-1] + hp.shape[1:], part.dtype) for part in parts)
+            outs = tuple(np.empty(part.shape[:-1] + (n,), part.dtype) for part in parts)
         for out, part in zip(outs, parts):
             out[..., block] = part
     return outs
@@ -278,7 +285,7 @@ def _blockwise(kernel, hp: np.ndarray) -> tuple[np.ndarray, ...]:
 def _margins(fld: ScalarField, params: SumHessianParams) -> np.ndarray:
     """``_cone_margins`` of the field's discrete Hessians, per interior point."""
     (margins,) = _blockwise(
-        lambda hp: (_cone_margins(_invariants(hp, params.k)[0], params),), hessian_field(fld))
+        lambda hp: (_cone_margins(_invariants(hp, params.k)[0], params),), fld)
     return margins
 
 
@@ -302,22 +309,34 @@ def ellipticity_margins(fld: ScalarField, params: SumHessianParams):
     """(min eigenvalue, eigenvalue sum) of the coefficient matrix per interior
     point; positive minima witness ellipticity on admissible fields."""
     _check_dim(fld.domain, params)
-    sig, powers = _invariants(hessian_field(fld), params.k)
-    eigs = np.linalg.eigvalsh(unpack(_grad_coeff_matrices(sig, powers, params)))
-    return eigs[:, 0], eigs.sum(axis=1)
+
+    def kernel(hp: np.ndarray):
+        sig, powers = _invariants(hp, params.k)
+        eigs = np.linalg.eigvalsh(unpack(_grad_coeff_matrices(sig, powers, params)))
+        return eigs[:, 0], eigs.sum(axis=1)
+
+    return _blockwise(kernel, fld)
 
 
 # ---------------------------------------------------------------------------
 # right-hand side evaluation
 
-def _interior_env(fld: ScalarField) -> dict:
+def _coordinate_env(dom: GridDomain, names: set, idx: np.ndarray | None = None) -> dict:
+    """x1..x_dim, those among ``names`` only, at every grid point or at the
+    flat indices idx."""
+    return {f"x{a + 1}": dom.coordinate(a, idx) for a in range(dom.dim) if f"x{a + 1}" in names}
+
+
+def _interior_env(fld: ScalarField, names: set) -> dict:
+    """The env at the interior points of a tree reading ``names``: u, the
+    gradient's p1..p_dim and the coordinates x1..x_dim, only those read."""
     dom = fld.domain
-    pts = dom.points[dom.interior_idx]
-    grad = gradient_field(fld)
-    env = {"u": fld.flat[dom.interior_idx]}
-    for a in range(dom.dim):
-        env[f"x{a + 1}"] = pts[:, a]
-        env[f"p{a + 1}"] = grad[:, a]
+    env = _coordinate_env(dom, names, dom.interior_idx)
+    if "u" in names:
+        env["u"] = fld.flat[dom.interior_idx]
+    gradient = [f"p{a + 1}" for a in range(dom.dim)]
+    if not names.isdisjoint(gradient):
+        env.update(zip(gradient, gradient_field(fld).T))
     return env
 
 
@@ -364,9 +383,10 @@ def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
         sig, _ = _invariants(hp, params.k)
         return (sig[params.k] + params.alpha * sig[params.k - 1],)
 
-    (values,) = _blockwise(s_k, hessian_field(fld))
+    (values,) = _blockwise(s_k, fld)
     if f_values is None:
-        f_values = _eval_rhs(rhs, _interior_env(fld), dom.interior_idx.size)
+        f_values = _eval_rhs(rhs, _interior_env(fld, expr.variables(rhs.expression)),
+                             dom.interior_idx.size)
     values -= f_values
     out = np.zeros(dom.n_points)
     out[dom.interior_idx] = values
@@ -381,7 +401,7 @@ def _rhs_derivatives(fld: ScalarField, rhs: RhsSpec):
     if _state_free(rhs, dom.dim):
         return np.zeros(n_int), np.zeros((n_int, dom.dim))
     keys = _state_keys(dom.dim)
-    env = _interior_env(fld)
+    env = _interior_env(fld, expr.variables(rhs.expression))
     f_u, *f_p = (_eval_interior(expr.diff(rhs.expression, key), env, n_int, "right-hand side")
                  for key in keys)
     return f_u, np.stack(f_p, axis=1)
@@ -566,7 +586,7 @@ def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
         sig, powers = _invariants(hp, params.k)
         return _cone_margins(sig, params) > 0, _grad_coeff_matrices(sig, powers, params)
 
-    admissible, coeff = _blockwise(kernel, hessian_field(fld))
+    admissible, coeff = _blockwise(kernel, fld)
     offender = _first_violation(dom, admissible)
     if offender is not None:
         raise ConeViolationError(f"field is not admissible at grid point {offender}")
@@ -695,8 +715,7 @@ def boundary_values(dom: GridDomain, boundary: expr.Node) -> np.ndarray:
         raise InstanceError(
             f"boundary data may only reference {sorted(allowed)}, got {sorted(names)}"
         )
-    env = {f"x{a + 1}": dom.points[:, a] for a in range(dom.dim)}
-    return _eval_interior(boundary, env, dom.n_points, "boundary data")
+    return _eval_interior(boundary, _coordinate_env(dom, names), dom.n_points, "boundary data")
 
 
 REPAIR_SWEEPS = 200
@@ -726,12 +745,9 @@ def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
     flat = trial.flat   # a view: lowering it lowers trial
 
     def margin_ok(hp: np.ndarray) -> np.ndarray:
-        (ok,) = _blockwise(
-            lambda block: (_cone_margins(_invariants(block - shift, params.k)[0], params) > 0,),
-            hp)
-        return ok
+        return _cone_margins(_invariants(hp - shift, params.k)[0], params) > 0
 
-    ok = margin_ok(hessian_field(trial))
+    (ok,) = _blockwise(lambda hp: (margin_ok(hp),), trial)
     for _ in range(REPAIR_SWEEPS):
         bad = idx[~ok]
         if bad.size == 0:
@@ -740,7 +756,9 @@ def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
         touched = np.zeros(dom.n_points, dtype=bool)
         touched[bad[:, None] + offsets] = True
         near = np.flatnonzero(touched & dom.interior_flat)
-        ok[np.searchsorted(idx, near)] = margin_ok(_hessian_stencil(trial, near))
+        rows = np.searchsorted(idx, near)
+        for part in point_blocks(near.size):
+            ok[rows[part]] = margin_ok(_hessian_stencil(trial, near[part]))
     if (_margins(trial, params) > 0).all():
         return trial
     raise ConeViolationError(
@@ -784,9 +802,14 @@ def transfinite_blend(values: np.ndarray) -> np.ndarray:
 
 def _rhs_at_rest(dom: GridDomain, rhs: RhsSpec) -> np.ndarray:
     """f on the interior at u = 0, Du = 0: on the interior env of the zero
-    field. For a ``_state_free`` f these are its values on every field."""
+    field. For a ``_state_free`` f these are its values on every field.
+
+    The env holds the zero field's whole state, its gradient included, even
+    for an f(x): perfbench's traced run requires the solver's
+    ``gradient_field`` to record a call on every solve."""
     zero = ScalarField(dom, np.zeros(dom.shape))
-    return _eval_rhs(rhs, _interior_env(zero), dom.interior_idx.size)
+    names = expr.variables(rhs.expression) | set(_state_keys(dom.dim))
+    return _eval_rhs(rhs, _interior_env(zero, names), dom.interior_idx.size)
 
 
 def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
@@ -816,7 +839,7 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         f_rest = _rhs_at_rest(dom, rhs)
     c = quadratic_scale(params, float(np.max(f_rest)))
     radius = dom.inscribed_radius
-    quad = 0.5 * (squared_distance(dom.points, dom.center) - radius * radius)
+    quad = 0.5 * (squared_distance(dom, dom.center) - radius * radius)
 
     bvals = boundary_values(dom, boundary)
     bdry = ~dom.interior_flat
@@ -838,7 +861,8 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                 eye = _packed_eye(d)
                 lap = _assemble(dom, pattern, np.broadcast_to(eye, (eye.size, n_int)),
                                 np.zeros(n_int), np.zeros((n_int, d)))
-                lap_m = _trace(hessian_field(ScalarField(dom, mismatch.reshape(dom.shape))), d)
+                (lap_m,) = _blockwise(lambda hp: (_trace(hp, d),),
+                                      ScalarField(dom, mismatch.reshape(dom.shape)))
                 try:
                     x, krylov, linear_residual = _solve_linear(lap, -lap_m, EXTENSION_RTOL,
                                                                pattern)

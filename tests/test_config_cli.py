@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sumhessian.cli as cli
 from sumhessian.cli import main
 from sumhessian.config import load_config
 from sumhessian.errors import ConfigError, LinearSolveError
@@ -351,6 +352,38 @@ class TestCliEstimate:
         header = csv_out.read_text().split("\n")[0]
         assert "weighted_pogorelov_b8" in header
         assert header.count("weighted_pogorelov") == 2
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "0.5"])
+    @pytest.mark.parametrize("shipped", ["ball18.cfg", "quadratic3d.cfg"])
+    def test_bad_config_weight_exits_2_before_solving(self, shipped, beta, tmp_path, capsys,
+                                                      monkeypatch):
+        """A weight that is not a finite number >= 1 stops every command that
+        loads the config with status 2 before any solve, whatever the
+        boundary data (ball18 has zero data, quadratic3d not)."""
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / shipped
+        text = (CONFIGS / shipped).read_text()
+        path.write_text("\n".join(f"beta = {beta} 2" if line.startswith("beta =") else line
+                                  for line in text.splitlines()))
+        monkeypatch.setattr(cli, "newton_solve", self.must_not_run)
+        for argv in (["solve", str(path)], ["estimate", str(path)], ["report", str(path)]):
+            assert main(argv) == 2
+            assert "beta must be a finite number >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "0.5", "1,0.5"])
+    def test_bad_beta_flag_exits_2_before_any_work(self, beta, quad_cfg, tmp_path, capsys,
+                                                   monkeypatch):
+        """--beta is checked before the field is read or the config solved."""
+        path, _ = quad_cfg
+        monkeypatch.setattr(cli, "read_field", self.must_not_run)
+        monkeypatch.setattr(cli, "newton_solve", self.must_not_run)
+        for target in (tmp_path / "any.field", path):
+            assert main(["estimate", str(target), "--beta", beta]) == 2
+            assert "beta must be a finite number >= 1" in capsys.readouterr().err
+
+    @staticmethod
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("called before the weights were checked")
 
     def test_estimate_refuses_unconverged(self, tmp_path, capsys):
         csv_out = tmp_path / "est.csv"

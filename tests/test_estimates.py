@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sumhessian.expr as expr
+import sumhessian.grid as grid
 from sumhessian import (
     RhsSpec,
     ScalarField,
@@ -81,6 +82,17 @@ class TestPogorelov:
     def test_beta_validation(self):
         with pytest.raises(ValueError, match="beta"):
             build_report("disc", paraboloid_disc(), betas=(0.5,))
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, 0.5])
+    @pytest.mark.parametrize("boundary", ["zero", "nonzero"])
+    def test_weight_must_be_finite_and_at_least_1(self, beta, boundary):
+        """Checked before any work, whatever the boundary data: a nonzero
+        boundary, which reports no weighted product, rejects it too."""
+        fld = paraboloid_disc()
+        if boundary == "nonzero":
+            fld = ScalarField(fld.domain, fld.values + 1.0)
+        with pytest.raises(ValueError, match="finite number >= 1"):
+            build_report("disc", fld, betas=(1.0, beta))
 
 
 class TestPhi:
@@ -162,16 +174,20 @@ class TestBuildReport:
 
     @staticmethod
     def count_calls(monkeypatch):
+        """Call counts of the report's stencil reads, gradient and eigvalsh,
+        and under "blocks" the block argument of each stencil read."""
         import sumhessian.estimates as est
 
-        calls = {"hessian_field": 0, "gradient_field": 0, "eigvalsh": 0}
+        calls = {"hessian_field": 0, "gradient_field": 0, "eigvalsh": 0, "blocks": []}
         for owner, name in ((est, "hessian_field"), (est, "gradient_field"),
                             (np.linalg, "eigvalsh")):
             original = getattr(owner, name)
 
-            def counted(arg, _name=name, _original=original):
+            def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
-                return _original(arg)
+                if _name == "hessian_field":
+                    calls["blocks"].append(args[1] if len(args) > 1 else None)
+                return _original(*args)
 
             monkeypatch.setattr(owner, name, counted)
         return calls
@@ -224,10 +240,20 @@ class TestBuildReport:
 
     @pytest.mark.parametrize("make", ["zero_boundary_ball", "nonzero_boundary_box"])
     def test_one_stencil_pass_per_report(self, make, monkeypatch):
+        """A report reads each interior point's stencil exactly once, one
+        block at a time, decomposes each block once, and reads one gradient
+        field, whatever the number of weights."""
         fld = getattr(self, make)()
+        n_int = fld.domain.interior_idx.size
+        monkeypatch.setattr(grid, "BLOCK_POINTS", n_int // 3)
         calls = self.count_calls(monkeypatch)
         build_report("inst", fld, self.BETAS)
-        assert calls == {"hessian_field": 1, "gradient_field": 1, "eigvalsh": 1}
+        blocks = calls.pop("blocks")
+        assert len(blocks) >= 3 and all(isinstance(b, slice) for b in blocks)
+        read = np.concatenate([np.arange(n_int)[b] for b in blocks])
+        assert np.array_equal(np.sort(read), np.arange(n_int))
+        assert calls == {"hessian_field": len(blocks), "gradient_field": 1,
+                         "eigvalsh": len(blocks)}
 
     def test_errors_raise_through_report(self):
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
