@@ -1,6 +1,10 @@
 """Run configuration files: INI-style sections with flat key = value pairs.
 
-Expressions are quoted strings over the identifiers x1..x3, u, p1..p3.
+Expressions are quoted strings over the identifiers x1..x3, u, p1..p3:
+f may read x1..x_n, u and p1..p_n, g only x1..x_n, with n the [operator]
+dimension; g is read on the boundary layer only, so it may be undefined
+inside. tol must be a finite number > 0 and max_iter >= 0. A config that
+breaks one of these rules is a ConfigError, raised before any solve.
 Keys and sections the loader does not know are ignored. Only [operator] n
 and k, [domain] lower, upper and cells, and [rhs] f are required. A missing
 key takes its fallback: tol and max_iter those of solver.SolveConfig, beta,
@@ -40,6 +44,7 @@ g "0" and output out.field. Example:
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from . import estimates, expr
@@ -140,11 +145,27 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
 
     rhs_source = _unquote(_required(parser["rhs"], "f"))
     boundary_source = _unquote(parser.get("boundary", "g", fallback="0"))
+    coordinates = [f"x{a + 1}" for a in range(n)]
+    # f(x, u, Du) reads the coordinates and gradient of n dimensions, g(x)
+    # the coordinates alone
+    readable = {"rhs": set(coordinates) | {"u"} | {f"p{a + 1}" for a in range(n)},
+                "boundary": set(coordinates)}
     for label, source in (("rhs", rhs_source), ("boundary", boundary_source)):
         try:
-            expr.parse(source)
+            names = expr.variables(expr.parse(source))
         except expr.ExprError as exc:
             raise ConfigError(f"bad {label} expression: {exc}") from exc
+        if not names <= readable[label]:
+            raise ConfigError(f"{label} expression may only reference "
+                              f"{sorted(readable[label])} in {n}D, got {sorted(names)}")
+
+    solve = SolveConfig(
+        tol=parser.getfloat("solver", "tol", fallback=SolveConfig.tol),
+        max_iter=parser.getint("solver", "max_iter", fallback=SolveConfig.max_iter))
+    if not 0 < solve.tol < math.inf:
+        raise ConfigError(f"tol must be a finite number > 0, got {solve.tol!r}")
+    if solve.max_iter < 0:
+        raise ConfigError(f"max_iter must be >= 0, got {solve.max_iter}")
 
     betas = parser.getfloats("estimates", "beta", fallback=estimates.BETAS)
     estimates.check_betas(betas)
@@ -156,9 +177,7 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         mask_name=mask_name,
         rhs_source=rhs_source,
         boundary_source=boundary_source,
-        solve=SolveConfig(
-            tol=parser.getfloat("solver", "tol", fallback=SolveConfig.tol),
-            max_iter=parser.getint("solver", "max_iter", fallback=SolveConfig.max_iter)),
+        solve=solve,
         betas=betas,
         p_beta=parser.getfloat("estimates", "p_beta", fallback=estimates.P_BETA),
         p_a=parser.getfloat("estimates", "a", fallback=estimates.P_A),

@@ -12,12 +12,16 @@
 
 Of phi and P the maximum and its maximizer are reported. |D^2 u| is the
 spectral norm (largest-magnitude eigenvalue); the top signed eigenvalue
-plays the role of the maximal second directional derivative. A report reads
-each interior point's Hessian stencil once and one gradient field, whatever
-the number of weights. The stencil is read and decomposed by ``eigvalsh``
-one ``grid.interior_blocks`` block at a time, and of each point only the
-top eigenvalue and the spectral norm are kept. Every weight must be a
-finite number >= 1 (``check_betas``).
+plays the role of the maximal second directional derivative. A report
+streams over the ``grid.interior_blocks`` blocks twice, whatever the
+number of weights, and keeps no per-point array of the whole interior. The
+first pass reads each block's gradient for sup|Du|^2, which the weight of
+phi needs at every point. The second reads each block's Hessian stencil
+once, decomposes it by ``eigvalsh``, reads the gradient again, and keeps
+only running maxima and the first maximizer in interior order (the point
+``np.argmax`` picks over the whole interior), so a report is bitwise that
+of one whole-interior pass. Every weight must be a finite number >= 1
+(``check_betas``).
 """
 from __future__ import annotations
 
@@ -31,6 +35,7 @@ from .errors import DegenerateFieldError, MaxPrincipleError
 from .grid import (
     GridDomain,
     ScalarField,
+    boundary_pieces,
     gradient_field,
     hessian_field,
     interior_blocks,
@@ -50,19 +55,15 @@ def check_betas(betas) -> None:
             raise ValueError(f"beta must be a finite number >= 1, got {beta!r}")
 
 
-def _pogorelov_product(u_int: np.ndarray, spectral_norm: np.ndarray, beta: float) -> float:
-    return float(np.max((-u_int) ** beta * spectral_norm))
-
-
-def _phi_values(dom: GridDomain, radius: float, grad2: np.ndarray,
-                top: np.ndarray) -> np.ndarray:
-    """rho(x) g(|Du|^2/2) u_tt at interior points, with rho = 1 - |x - x_c|^2 / r^2,
-    g(t) = (1 - t/(sup|Du|^2))^(-1/3) and u_tt the top Hessian eigenvalue.
+def _phi_values(dom: GridDomain, idx: np.ndarray, radius: float, grad2: np.ndarray,
+                a_sup: float, top: np.ndarray) -> np.ndarray:
+    """rho(x) g(|Du|^2/2) u_tt at the interior points idx, with
+    rho = 1 - |x - x_c|^2 / r^2, g(t) = (1 - t/a_sup)^(-1/3), a_sup = sup|Du|^2,
+    and u_tt the top Hessian eigenvalue.
 
     For a constant field (sup|Du| = 0) g is taken identically 1.
     """
-    rho = 1.0 - squared_distance(dom, dom.center, dom.interior_idx) / (radius * radius)
-    a_sup = float(np.max(grad2))
+    rho = 1.0 - squared_distance(dom, dom.center, idx) / (radius * radius)
     if a_sup == 0.0:
         g = np.ones_like(grad2)
     else:
@@ -70,32 +71,50 @@ def _phi_values(dom: GridDomain, radius: float, grad2: np.ndarray,
     return rho * g * top
 
 
-def _p_values(dom: GridDomain, u_int: np.ndarray, top: np.ndarray, grad2: np.ndarray,
-              beta: float, a: float, big_a: float) -> np.ndarray:
-    """beta log(-u) + log u_11 + (a/2)|Du|^2 + (A/2)|x|^2 at interior points,
-    u_11 the top Hessian eigenvalue.
+def _p_values(dom: GridDomain, idx: np.ndarray, u: np.ndarray, top: np.ndarray,
+              grad2: np.ndarray, include: np.ndarray, beta: float, a: float,
+              big_a: float) -> np.ndarray:
+    """beta log(-u) + log u_11 + (a/2)|Du|^2 + (A/2)|x|^2 at the interior
+    points idx, u_11 the top Hessian eigenvalue.
 
-    Points with u >= 0 or a nonpositive top eigenvalue (log undefined) read
-    -inf. Raises DegenerateFieldError when every interior point is excluded.
+    Points outside ``include``, those with u >= 0 or a nonpositive top
+    eigenvalue (log undefined), read -inf.
     """
-    include = (u_int < 0) & (top > 0)
-    if not include.any():
-        raise DegenerateFieldError("every interior point was excluded from the diagnostic")
-    vals = np.full(u_int.shape, -np.inf)
+    vals = np.full(u.shape, -np.inf)
     vals[include] = (
-        beta * np.log(-u_int[include])
+        beta * np.log(-u[include])
         + np.log(top[include])
         + 0.5 * a * grad2[include]
-        + 0.5 * big_a * squared_distance(dom, np.zeros(dom.dim), dom.interior_idx[include])
+        + 0.5 * big_a * squared_distance(dom, np.zeros(dom.dim), idx[include])
     )
     return vals
 
 
-def _interior_max(dom: GridDomain, vals: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """Max of per-interior-point values and the grid multi-index attaining it."""
-    best = int(np.argmax(vals))
-    point = np.unravel_index(dom.interior_idx[best], dom.shape)
-    return float(vals[best]), tuple(int(v) for v in point)
+class _RunningMax:
+    """Maximum of per-interior-point values seen block by block, and the
+    grid multi-index of its first maximizer in interior order: the point
+    ``np.argmax`` picks over the whole interior, a NaN first of all."""
+
+    def __init__(self, dom: GridDomain):
+        self.dom = dom
+        self.value, self.position = -np.inf, None
+
+    def update(self, vals: np.ndarray, block: slice) -> None:
+        best = int(np.argmax(vals))
+        value = vals[best]
+        if self.position is None or value > self.value \
+                or (np.isnan(value) and not np.isnan(self.value)):
+            self.value, self.position = float(value), block.start + best
+
+    @property
+    def argmax(self) -> tuple[int, ...]:
+        point = np.unravel_index(self.dom.interior_idx[self.position], self.dom.shape)
+        return tuple(int(v) for v in point)
+
+
+def _zero_boundary(fld: ScalarField) -> bool:
+    """Whether the field is zero on its whole boundary layer."""
+    return all(np.all(fld.flat[idx] == 0.0) for idx in boundary_pieces(fld.domain))
 
 
 @dataclass
@@ -131,52 +150,74 @@ def build_report(instance: str, fld: ScalarField, betas: tuple[float, ...] = BET
     """
     check_betas(betas)
     dom = fld.domain
+    center = dom.center_index()
+    center_flat = int(np.ravel_multi_index(center, dom.shape))
+    if not dom.interior_flat[center_flat]:
+        raise ValueError(f"center point {center} is not interior")
+    center_row = int(np.searchsorted(dom.interior_idx, center_flat))
     radius = dom.inscribed_radius
-    u_int = fld.flat[dom.interior_idx]
-    # the stencil and eigvalsh run on one block of points at a time, so only
-    # the block's Hessians, their (n, d, d) unpacking and eigenvalues are
-    # ever held, and of every point only the two values the report reads
-    top, spectral_norm = np.empty((2, u_int.size))
+    zero_data = _zero_boundary(fld)
+    if zero_data and np.any(fld.flat > 0):
+        raise MaxPrincipleError("field is positive somewhere; maximum principle violated")
+
+    def grad2(block: slice) -> np.ndarray:
+        """|Du|^2 of the block, summed over the gradient's contiguous
+        columns in axis order."""
+        grad = gradient_field(fld, block)
+        out = np.zeros(grad.shape[0])
+        for a in range(dom.dim):
+            out += grad[:, a] ** 2
+        return out
+
+    # first pass: sup |Du|^2, which the weight g of phi reads at every point
+    a_sup = float(np.max([np.max(grad2(block)) for block in interior_blocks(dom)]))
+    # second pass: the stencil and eigvalsh run on one block at a time, and
+    # of each point only the top eigenvalue and the spectral norm are read
+    products = dict.fromkeys(tuple(betas) + (1.0,), -np.inf)
+    sup_d2u, d2u_center = -np.inf, None
+    phi, p_diag = _RunningMax(dom), _RunningMax(dom)
+    included = False
     for block in interior_blocks(dom):
         eigs = np.linalg.eigvalsh(unpack(hessian_field(fld, block)))
-        top[block] = eigs[:, -1]
-        spectral_norm[block] = np.max(np.abs(eigs), axis=1)
-    del eigs
-    # |Du|^2 summed over the gradient's contiguous columns, in axis order
-    grad = gradient_field(fld)
-    grad2 = np.zeros(u_int.size)
-    for a in range(dom.dim):
-        grad2 += grad[:, a] ** 2
-    del grad
-    phi_max, phi_argmax = _interior_max(dom, _phi_values(dom, radius, grad2, top))
-    if np.all(fld.flat[~dom.interior_flat] == 0.0):
-        if np.any(fld.flat > 0):
-            raise MaxPrincipleError("field is positive somewhere; maximum principle violated")
-        weighted = {b: _pogorelov_product(u_int, spectral_norm, b) for b in betas}
-        pog = weighted[1.0] if 1.0 in weighted else _pogorelov_product(u_int, spectral_norm, 1.0)
-        p_max, p_argmax = _interior_max(
-            dom, _p_values(dom, u_int, top, grad2, p_beta, p_a, p_big_a))
+        top = eigs[:, -1]
+        spectral_norm = np.max(np.abs(eigs), axis=1)
+        del eigs
+        sup_d2u = float(np.maximum(sup_d2u, np.max(spectral_norm)))
+        if block.start <= center_row < block.stop:
+            d2u_center = float(spectral_norm[center_row - block.start])
+        idx = dom.interior_idx[block]
+        g2 = grad2(block)
+        phi.update(_phi_values(dom, idx, radius, g2, a_sup, top), block)
+        if zero_data:
+            u = fld.flat[idx]
+            for beta in products:
+                products[beta] = float(np.maximum(products[beta],
+                                                  np.max((-u) ** beta * spectral_norm)))
+            include = (u < 0) & (top > 0)
+            included |= bool(include.any())
+            p_diag.update(_p_values(dom, idx, u, top, g2, include, p_beta, p_a, p_big_a), block)
+    if zero_data:
+        if not included:
+            raise DegenerateFieldError("every interior point was excluded from the diagnostic")
+        weighted = {b: products[b] for b in betas}
+        pog = products[1.0]
+        p_max, p_argmax = p_diag.value, p_diag.argmax
     else:
         pog = None
         weighted = {b: None for b in betas}
         p_max, p_argmax = None, None
-    center = dom.center_index()
-    flat = int(np.ravel_multi_index(center, dom.shape))
-    if not dom.interior_flat[flat]:
-        raise ValueError(f"center point {center} is not interior")
-    sup_du = float(np.sqrt(np.max(grad2)))
-    d2u_center = float(spectral_norm[np.searchsorted(dom.interior_idx, flat)])
+    sup_du = float(np.sqrt(a_sup))
     return EstimateReport(
         instance=instance,
         h=dom.h,
         sup_du=sup_du,
-        sup_d2u=float(np.max(spectral_norm)),
+        sup_d2u=sup_d2u,
         d2u_center=d2u_center,
         interior_ratio=d2u_center / (1.0 + sup_du / radius),
         pogorelov=pog,
         weighted=weighted,
-        phi_max=phi_max,
-        phi_argmax=phi_argmax,
+        phi_max=phi.value,
+        phi_argmax=phi.argmax,
         p_max=p_max,
         p_argmax=p_argmax,
         rho_rescaled=not (abs(radius - 1.0) < 1e-12 and np.all(np.abs(dom.center) < 1e-12)),

@@ -45,7 +45,12 @@ extension's Laplacian of the boundary mismatch, ``ellipticity_margins``)
 reads the stencil of one ``grid.interior_blocks`` block at a time through
 ``hessian_field`` and runs on it (``_blockwise``); assembly forms the
 stencil weights and fills the CSR values ``ASSEMBLY_ROWS`` rows at a time.
-An expression's env holds only the coordinates, u and gradient it reads.
+f and its derivatives are evaluated on one block's env at a time
+(``_interior_values``), an env holding only the coordinates, u and
+gradient the tree reads. g is evaluated on pieces of the boundary layer
+only (``boundary_values``), and the box guess forms its transfinite blend
+on one block of whole axis-0 planes at a time, writing into g's array, so
+no stage outside the Jacobian holds whole-grid f, g or blend arrays.
 A point's arithmetic does not depend on its block, so the results are
 bitwise those of one whole-grid pass. The Newton loop is sequential and
 single-threaded runs produce bitwise-identical traces for identical
@@ -78,6 +83,7 @@ from .grid import (
     GridDomain,
     ScalarField,
     _hessian_stencil,
+    boundary_pieces,
     gradient_field,
     hessian_field,
     interior_blocks,
@@ -321,37 +327,52 @@ def ellipticity_margins(fld: ScalarField, params: SumHessianParams):
 # ---------------------------------------------------------------------------
 # right-hand side evaluation
 
-def _coordinate_env(dom: GridDomain, names: set, idx: np.ndarray | None = None) -> dict:
-    """x1..x_dim, those among ``names`` only, at every grid point or at the
-    flat indices idx."""
+def _coordinate_env(dom: GridDomain, names: set, idx: np.ndarray) -> dict:
+    """x1..x_dim, those among ``names`` only, at the flat indices idx."""
     return {f"x{a + 1}": dom.coordinate(a, idx) for a in range(dom.dim) if f"x{a + 1}" in names}
 
 
-def _interior_env(fld: ScalarField, names: set) -> dict:
-    """The env at the interior points of a tree reading ``names``: u, the
-    gradient's p1..p_dim and the coordinates x1..x_dim, only those read."""
+def _interior_env(fld: ScalarField, names: set, block: slice) -> dict:
+    """The env at the interior positions of one ``grid.interior_blocks``
+    block of a tree reading ``names``: u, the gradient's p1..p_dim and the
+    coordinates x1..x_dim, only those read."""
     dom = fld.domain
-    env = _coordinate_env(dom, names, dom.interior_idx)
+    idx = dom.interior_idx[block]
+    env = _coordinate_env(dom, names, idx)
     if "u" in names:
-        env["u"] = fld.flat[dom.interior_idx]
+        env["u"] = fld.flat[idx]
     gradient = [f"p{a + 1}" for a in range(dom.dim)]
     if not names.isdisjoint(gradient):
-        env.update(zip(gradient, gradient_field(fld).T))
+        env.update(zip(gradient, gradient_field(fld, block).T))
     return env
 
 
-def _eval_interior(node: expr.Node, env: dict, n_pts: int, label: str) -> np.ndarray:
-    """The tree on ``env`` as an (n_pts,) array; EvalError -> InstanceError,
+def _evaluate(node: expr.Node, env: dict, label: str):
+    """The tree on ``env``, an array or a scalar; EvalError -> InstanceError,
     whose message names the tree by ``label``."""
     try:
-        vals = expr.evaluate(node, env)
+        return expr.evaluate(node, env)
     except expr.EvalError as exc:
         raise InstanceError(f"{label} failed to evaluate: {exc}") from exc
-    return np.broadcast_to(np.asarray(vals, dtype=float), (n_pts,)).copy()
 
 
-def _eval_rhs(rhs: RhsSpec, env: dict, n_pts: int) -> np.ndarray:
-    vals = _eval_interior(rhs.expression, env, n_pts, "right-hand side")
+def _interior_values(fld: ScalarField, nodes: list, names: set, label: str) -> np.ndarray:
+    """Each tree of ``nodes`` on the interior env of the field for ``names``,
+    (len(nodes), n_interior): one env per ``grid.interior_blocks`` block,
+    read by every tree, whose values fill that block of one preallocated
+    result. A point's value does not depend on its block."""
+    out = np.empty((len(nodes), fld.domain.interior_idx.size))
+    for block in interior_blocks(fld.domain):
+        env = _interior_env(fld, names, block)
+        for row, node in zip(out, nodes):
+            row[block] = _evaluate(node, env, label)
+    return out
+
+
+def _eval_rhs(rhs: RhsSpec, fld: ScalarField, names: set) -> np.ndarray:
+    """f on the interior of the field, (n_interior,), on envs holding
+    ``names``; InstanceError unless it is positive at every point."""
+    (vals,) = _interior_values(fld, [rhs.expression], names, "right-hand side")
     if np.min(vals) <= 0:
         raise InstanceError(f"right-hand side must stay positive, min {float(np.min(vals))}")
     return vals
@@ -385,8 +406,7 @@ def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
 
     (values,) = _blockwise(s_k, fld)
     if f_values is None:
-        f_values = _eval_rhs(rhs, _interior_env(fld, expr.variables(rhs.expression)),
-                             dom.interior_idx.size)
+        f_values = _eval_rhs(rhs, fld, expr.variables(rhs.expression))
     values -= f_values
     out = np.zeros(dom.n_points)
     out[dom.interior_idx] = values
@@ -395,16 +415,14 @@ def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
 
 def _rhs_derivatives(fld: ScalarField, rhs: RhsSpec):
     """Exact df/du, (n_int,), and df/dp, (n_int, dim): f's ``expr.diff`` trees
-    on the interior env, or zeros, with no env built, for an f(x)."""
+    on the interior envs of f, or zeros, with no env built, for an f(x)."""
     dom = fld.domain
     n_int = dom.interior_idx.size
     if _state_free(rhs, dom.dim):
         return np.zeros(n_int), np.zeros((n_int, dom.dim))
-    keys = _state_keys(dom.dim)
-    env = _interior_env(fld, expr.variables(rhs.expression))
-    f_u, *f_p = (_eval_interior(expr.diff(rhs.expression, key), env, n_int, "right-hand side")
-                 for key in keys)
-    return f_u, np.stack(f_p, axis=1)
+    trees = [expr.diff(rhs.expression, key) for key in _state_keys(dom.dim)]
+    derivs = _interior_values(fld, trees, expr.variables(rhs.expression), "right-hand side")
+    return derivs[0], derivs[1:].T
 
 
 def _stencil_offsets(strides: tuple[int, ...]) -> list[int]:
@@ -708,14 +726,19 @@ def quadratic_scale(params: SumHessianParams, f_sup: float) -> float:
 
 
 def boundary_values(dom: GridDomain, boundary: expr.Node) -> np.ndarray:
-    """Dirichlet data evaluated at every grid point (used on the boundary layer)."""
+    """Dirichlet data on the boundary layer, as an (n_points,) array that is
+    zero at interior points. g is evaluated only where it is read, one
+    ``grid.boundary_pieces`` piece at a time, so it may be undefined inside."""
     names = expr.variables(boundary)
     allowed = {f"x{a + 1}" for a in range(dom.dim)}
     if not names <= allowed:
         raise InstanceError(
             f"boundary data may only reference {sorted(allowed)}, got {sorted(names)}"
         )
-    return _eval_interior(boundary, _coordinate_env(dom, names), dom.n_points, "boundary data")
+    out = np.zeros(dom.n_points)
+    for idx in boundary_pieces(dom):
+        out[idx] = _evaluate(boundary, _coordinate_env(dom, names, idx), "boundary data")
+    return out
 
 
 REPAIR_SWEEPS = 200
@@ -777,22 +800,40 @@ def _axis_blend(values: np.ndarray, axis: int) -> np.ndarray:
     return (1.0 - w) * lo + w * hi
 
 
-def transfinite_blend(values: np.ndarray) -> np.ndarray:
-    """Boolean-sum (transfinite) interpolation of the box-face values.
+def transfinite_blend(slab: np.ndarray, ends: np.ndarray, rows: slice,
+                      cells: int) -> np.ndarray:
+    """Boolean-sum (transfinite) interpolation of the box-face values, on
+    the axis-0 planes ``rows`` (a slice of range(cells + 1)) of a box with
+    ``cells`` cells along axis 0.
 
-    Matches the input on every face of the box; smooth in the interior
-    with no corner singularities, and exact on additively separable
-    functions.
+    ``slab`` holds the values on those planes, which contain their faces
+    along the other axes, and ``ends``, shape (2,) + slab.shape[1:], the
+    values on the two axis-0 faces, planes 0 and ``cells``. Only face values
+    are read. The blend matches the input on every face of the box, is
+    smooth in the interior with no corner singularities, and is exact on
+    additively separable functions. A point's value does not depend on the
+    planes blended with it, so slabs give the bits of one pass over the box
+    (rows = slice(0, cells + 1), ends = values[[0, -1]]).
 
     The boolean sum of the axis projections P_a is the inclusion-exclusion
-    sum over nonempty axis subsets S of (-1)^(|S|+1) prod_{a in S} P_a.
+    sum over nonempty axis subsets S of (-1)^(|S|+1) prod_{a in S} P_a,
+    the projections applied from the last axis of S to the first; P_0 reads
+    the other axes' projections of ``ends``.
     """
+    def along(values: np.ndarray, axes) -> np.ndarray:
+        for a in reversed(axes):
+            values = _axis_blend(values, a)
+        return values
+
+    w0 = (np.arange(rows.start, rows.stop) / cells).reshape((-1,) + (1,) * (slab.ndim - 1))
     blend = None
-    for size in range(1, values.ndim + 1):
-        for axes in itertools.combinations(range(values.ndim), size):
-            term = values
-            for a in reversed(axes):
-                term = _axis_blend(term, a)
+    for size in range(1, slab.ndim + 1):
+        for axes in itertools.combinations(range(slab.ndim), size):
+            if axes[0] == 0:
+                lo, hi = (along(end[None], axes[1:]) for end in ends)
+                term = (1.0 - w0) * lo + w0 * hi
+            else:
+                term = along(slab, axes)
             if blend is None:
                 blend = term
             else:
@@ -801,23 +842,22 @@ def transfinite_blend(values: np.ndarray) -> np.ndarray:
 
 
 def _rhs_at_rest(dom: GridDomain, rhs: RhsSpec) -> np.ndarray:
-    """f on the interior at u = 0, Du = 0: on the interior env of the zero
+    """f on the interior at u = 0, Du = 0: on the interior envs of the zero
     field. For a ``_state_free`` f these are its values on every field.
 
-    The env holds the zero field's whole state, its gradient included, even
+    The envs hold the zero field's whole state, its gradient included, even
     for an f(x): perfbench's traced run requires the solver's
     ``gradient_field`` to record a call on every solve."""
     zero = ScalarField(dom, np.zeros(dom.shape))
-    names = expr.variables(rhs.expression) | set(_state_keys(dom.dim))
-    return _eval_rhs(rhs, _interior_env(zero, names), dom.interior_idx.size)
+    return _eval_rhs(rhs, zero, expr.variables(rhs.expression) | set(_state_keys(dom.dim)))
 
 
 def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                   boundary: expr.Node, *, pattern: _JacobianPattern | None = None,
                   krylov_log: list | None = None,
                   f_rest: np.ndarray | None = None) -> ScalarField:
-    """Starting field c (|x - x_c|^2 - r^2)/2 plus an interpolation of the
-    boundary mismatch.
+    """Starting field c q, q = (|x - x_c|^2 - r^2)/2, plus an interpolation of
+    the boundary mismatch g - c q.
 
     The scale c is the smallest power of two making the constant-Hessian
     value dominate sup f over the interior, evaluated at u = 0, Du = 0:
@@ -832,6 +872,12 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     ``_JacobianPattern`` for the extension's Laplacian, made here when
     omitted. The extension appends its (Krylov iterations, linear residual)
     to ``krylov_log`` when one is given.
+
+    g is read on the boundary layer only (``boundary_values``), and the
+    guess is written into that one grid array: c q and the blend are formed
+    one ``grid.interior_blocks`` block at a time, the blend on whole axis-0
+    planes from its two precomputed axis-0 face planes; only the
+    extension's mismatch, which its stencil reads, is a second grid array.
     """
     _check_dim(dom, params)
     pattern = pattern or _JacobianPattern(dom)
@@ -839,51 +885,77 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         f_rest = _rhs_at_rest(dom, rhs)
     c = quadratic_scale(params, float(np.max(f_rest)))
     radius = dom.inscribed_radius
-    quad = 0.5 * (squared_distance(dom, dom.center) - radius * radius)
+    idx = dom.interior_idx
 
-    bvals = boundary_values(dom, boundary)
-    bdry = ~dom.interior_flat
-    extent = max(1.0, c, float(np.max(np.abs(bvals))))
+    def quad(points: np.ndarray) -> np.ndarray:
+        """c q at the flat indices ``points``."""
+        return c * (0.5 * (squared_distance(dom, dom.center, points) - radius * radius))
 
-    def with_extension(use_blend: bool) -> ScalarField:
+    flat = boundary_values(dom, boundary)
+    values = flat.reshape(dom.shape)
+    fld = ScalarField(dom, values)      # holds flat, whose interior is written below
+    extent = max(1.0, c, float(np.max(flat)), -float(np.min(flat)))
+    mismatched = max(float(np.max(np.abs(flat[b] - quad(b))))
+                     for b in boundary_pieces(dom)) > 1e-14 * extent
+
+    def quadratic():
+        for block in interior_blocks(dom):
+            flat[idx[block]] = quad(idx[block])
+
+    def blended():
+        plane = values[0].size
+        inner = idx.size // (dom.shape[0] - 2)
+        inside = dom.interior_flat.reshape(dom.shape)
+
+        def on_planes(rows: slice):
+            """g - c q (read on the faces only) and c q on the axis-0 planes rows."""
+            cq = quad(np.arange(rows.start * plane, rows.stop * plane)).reshape(
+                (-1,) + dom.shape[1:])
+            return values[rows] - cq, cq
+
+        cells = dom.cells[0]
+        ends = np.concatenate([on_planes(slice(0, 1))[0], on_planes(slice(cells, cells + 1))[0]])
+        for block in interior_blocks(dom):
+            rows = slice(1 + block.start // inner, 1 + block.stop // inner)
+            mismatch, cq = on_planes(rows)
+            np.copyto(values[rows], cq + transfinite_blend(mismatch, ends, rows, cells),
+                      where=inside[rows])
+
+    def extended():
+        # harmonic extension x of the mismatch m: x = m on the boundary
+        # layer and Lap_h x = 0 inside, i.e. A_II x_I = -(Lap_h m)_I with
+        # A_II the interior Laplacian
         nonlocal pattern
-        flat = c * quad
         mismatch = np.zeros(dom.n_points)
-        mismatch[bdry] = bvals[bdry] - flat[bdry]
-        if np.max(np.abs(mismatch)) > 1e-14 * extent:
-            if use_blend:
-                flat = flat + transfinite_blend((bvals - flat).reshape(dom.shape)).ravel()
-            else:
-                # harmonic extension x of the mismatch m: x = m on the
-                # boundary layer and Lap_h x = 0 inside, i.e.
-                # A_II x_I = -(Lap_h m)_I with A_II the interior Laplacian
-                n_int, d = dom.interior_idx.size, dom.dim
-                eye = _packed_eye(d)
-                lap = _assemble(dom, pattern, np.broadcast_to(eye, (eye.size, n_int)),
-                                np.zeros(n_int), np.zeros((n_int, d)))
-                (lap_m,) = _blockwise(lambda hp: (_trace(hp, d),),
-                                      ScalarField(dom, mismatch.reshape(dom.shape)))
-                try:
-                    x, krylov, linear_residual = _solve_linear(lap, -lap_m, EXTENSION_RTOL,
-                                                               pattern)
-                except LinearSolveError:
-                    # the traceback keeps this frame and initial_guess's alive:
-                    # free the Laplacian and the pattern (a cell of both) first
-                    del lap, pattern
-                    raise
-                flat[dom.interior_idx] += x
-                if krylov_log is not None:
-                    krylov_log.append((krylov, linear_residual))
-        flat[bdry] = bvals[bdry]
-        return ScalarField(dom, flat.reshape(dom.shape))
+        for b in boundary_pieces(dom):
+            mismatch[b] = flat[b] - quad(b)
+        n_int, d = idx.size, dom.dim
+        eye = _packed_eye(d)
+        lap = _assemble(dom, pattern, np.broadcast_to(eye, (eye.size, n_int)),
+                        np.zeros(n_int), np.zeros((n_int, d)))
+        (lap_m,) = _blockwise(lambda hp: (_trace(hp, d),),
+                              ScalarField(dom, mismatch.reshape(dom.shape)))
+        del mismatch
+        try:
+            x, krylov, linear_residual = _solve_linear(lap, -lap_m, EXTENSION_RTOL, pattern)
+        except LinearSolveError:
+            # the traceback keeps this frame and initial_guess's alive:
+            # free the Laplacian and the pattern (a cell of both) first
+            del lap, pattern
+            raise
+        for block in interior_blocks(dom):
+            flat[idx[block]] = quad(idx[block]) + x[block]
+        if krylov_log is not None:
+            krylov_log.append((krylov, linear_residual))
 
-    if dom.mask_name == "box":
-        fld = with_extension(use_blend=True)
-        if (_margins(fld, params) > 0).all():
-            return fld
-        fld = with_extension(use_blend=False)
-    else:
-        fld = with_extension(use_blend=False)
+    if not mismatched:
+        quadratic()
+    elif dom.mask_name == "box":
+        blended()
+    if dom.mask_name == "box" and (_margins(fld, params) > 0).all():
+        return fld
+    if mismatched:
+        extended()
     return _repair_admissibility(fld, params, c)
 
 

@@ -23,7 +23,10 @@ from sumhessian.estimates import build_report
 from sumhessian.solver import (
     _JacobianPattern,
     _repair_admissibility,
+    _rhs_at_rest,
+    _rhs_derivatives,
     admissible_mask,
+    boundary_values,
     ellipticity_margins,
     initial_guess,
     linearize,
@@ -54,7 +57,8 @@ class TestBlocksChangeNoBit:
     def test_every_stage(self, dim, mask, monkeypatch):
         smooth, rough = bowl(dim, mask), bowl(dim, mask, dent=0.05)
         rhs = RhsSpec.parse("20 + exp(u/10) + p1^2/100 + x2/10")
-        n_int = smooth.domain.interior_idx.size
+        dom = smooth.domain
+        n_int = dom.interior_idx.size
         assert n_int > 4 * ODD_BLOCK
         results = []
         for block in (n_int, ODD_BLOCK):
@@ -67,9 +71,13 @@ class TestBlocksChangeNoBit:
                 stages[k, "linearize"] = linearize(smooth, params, rhs).data
                 stages[k, "repaired"] = _repair_admissibility(rough, params, 1.0).values
                 stages[k, "ellipticity"] = np.concatenate(ellipticity_margins(smooth, params))
-            # the harmonic extension's Laplacian of the boundary mismatch
-            stages["guess"] = initial_guess(smooth.domain, SumHessianParams(dim, 2, 1.0), rhs,
-                                            expr.parse("x1 / 10")).values
+            # the box's transfinite blend, the ball's harmonic extension
+            for g in ("x1 / 10", "x1 * x2 / 10 + exp(x2) / 20"):
+                stages["guess", g] = initial_guess(dom, SumHessianParams(dim, 2, 1.0), rhs,
+                                                   expr.parse(g)).values
+            stages["boundary"] = boundary_values(dom, expr.parse("exp(x1) + x2 / 10"))
+            stages["f at rest"] = _rhs_at_rest(dom, rhs)
+            stages["f"] = np.concatenate([np.ravel(d) for d in _rhs_derivatives(rough, rhs)])
             stages["report"] = build_report("bowl", rough, (1.0, 2.0))
             results.append(stages)
         whole, blocked = results
@@ -177,19 +185,26 @@ class TestDomainBuild:
 
 
 # Traced peak of each stage on 64^3 grids, in multiples of the field's
-# bytes: the ratio measured when the stencil went block by block, plus at
+# bytes: the ratio measured when the stages went block by block, plus at
 # most 25%. At 64^3 a block of grid.BLOCK_POINTS is 13% of the box's
 # interior and 24% of the ball's; at 48^3 it would be half the ball's.
 # Reading the whole packed Hessian at once peaked at 7.3 / 8.2 / 8.6 / 5.2
 # / 11.4 (box) and 5.0 / 5.0 / 5.5 / 5.1 / 9.6 (ball) for admissible_mask /
-# residual / build_report / read_field / initial_guess. The guess runs on
-# the box's transfinite blend and the ball's repair, with the Jacobian
-# pattern built beforehand.
+# residual / build_report / read_field / initial_guess. With the stencil
+# blocked but f, g, the box's blend and the report's gradient and
+# per-point arrays still whole, boundary_values / residual with a
+# state-dependent f / build_report / initial_guess peaked at 6.13 / 7.40 /
+# 7.29 / 8.04 (box) and 6.13 / 4.06 / 5.02 / 7.63 (ball); blocked, they
+# measure 1.16 / 3.11 / 2.32 / 5.03 (box) and 1.29 / 2.77 / 2.52 / 5.44
+# (ball). The guess runs on the box's transfinite blend and the ball's
+# repair, with the Jacobian pattern built beforehand.
 PEAK_BOUNDS = {
-    "box": {"admissible_mask": 3.85, "residual": 3.85, "build_report": 9.0,
-            "write_field": 0.47, "read_field": 2.75, "initial_guess": 10.0},
-    "ball": {"admissible_mask": 3.4, "residual": 3.4, "build_report": 6.25,
-             "write_field": 0.46, "read_field": 2.65, "initial_guess": 9.5},
+    "box": {"admissible_mask": 3.85, "residual": 3.85, "residual_state_f": 3.85,
+            "boundary_values": 1.4, "build_report": 2.9, "write_field": 0.47,
+            "read_field": 2.75, "initial_guess": 6.25},
+    "ball": {"admissible_mask": 3.4, "residual": 3.4, "residual_state_f": 3.4,
+             "boundary_values": 1.5, "build_report": 3.0, "write_field": 0.46,
+             "read_field": 2.65, "initial_guess": 6.8},
 }
 # what a domain keeps, mask and interior indices; it kept 4.0 (box) and
 # 3.6 (ball) times the field with its (N, 3) coordinate array
@@ -224,6 +239,7 @@ def stage_ratios(mask: str, path: Path) -> dict:
         vals[~dom.interior_flat] = 0.0    # zero data: the weighted products run too
     fld = ScalarField(dom, vals.reshape(dom.shape))
     params, rhs = SumHessianParams(3, 2, 1.0), RhsSpec.parse("18")
+    state_rhs = RhsSpec.parse("18 + u + p1^2")
     pattern = _JacobianPattern(dom)
     pattern.levels
 
@@ -246,6 +262,8 @@ def stage_ratios(mask: str, path: Path) -> dict:
 
     stages = {"admissible_mask": lambda: admissible_mask(fld, params),
               "residual": lambda: residual(fld, params, rhs),
+              "residual_state_f": lambda: residual(fld, params, state_rhs),
+              "boundary_values": lambda: boundary_values(dom, expr.parse(quad)),
               "build_report": lambda: build_report("bowl", fld),
               "write_field": write, "read_field": read,
               "initial_guess": lambda: initial_guess(dom, params, rhs, expr.parse(quad),

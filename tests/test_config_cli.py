@@ -370,6 +370,30 @@ class TestCliEstimate:
             assert main(argv) == 2
             assert "beta must be a finite number >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shipped,line,message", [
+        ("quadratic3d.cfg", 'g = "u + 1"', "boundary expression may only reference"),
+        ("expradial2d.cfg", 'f = "x3 + 5"', "rhs expression may only reference"),
+        ("quadratic3d.cfg", "tol = nan", "tol must be a finite number > 0"),
+        ("quadratic3d.cfg", "max_iter = -3", "max_iter must be >= 0"),
+    ])
+    def test_bad_config_exits_2_before_solving(self, shipped, line, message, tmp_path, capsys,
+                                               monkeypatch):
+        """Data that reads u or a coordinate beyond n, a right-hand side
+        that reads a coordinate beyond n, a tol that is not a finite number
+        > 0 and a negative max_iter stop every command that loads the config
+        with status 2 before any solve."""
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / shipped
+        key = line.split(" = ")[0] + " ="
+        text = (CONFIGS / shipped).read_text()
+        assert key in text
+        path.write_text("\n".join(line if row.startswith(key) else row
+                                  for row in text.splitlines()))
+        monkeypatch.setattr(cli, "newton_solve", self.must_not_run)
+        for argv in (["solve", str(path)], ["estimate", str(path)], ["report", str(path)]):
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("beta", ["nan", "inf", "0.5", "1,0.5"])
     def test_bad_beta_flag_exits_2_before_any_work(self, beta, quad_cfg, tmp_path, capsys,
                                                    monkeypatch):

@@ -174,19 +174,22 @@ class TestBuildReport:
 
     @staticmethod
     def count_calls(monkeypatch):
-        """Call counts of the report's stencil reads, gradient and eigvalsh,
-        and under "blocks" the block argument of each stencil read."""
+        """Call counts of the report's stencil reads, gradient reads and
+        eigvalsh, and under "hessian_blocks" and "gradient_blocks" the block
+        argument of each stencil and gradient read."""
         import sumhessian.estimates as est
 
-        calls = {"hessian_field": 0, "gradient_field": 0, "eigvalsh": 0, "blocks": []}
+        calls = {"hessian_field": 0, "gradient_field": 0, "eigvalsh": 0,
+                 "hessian_blocks": [], "gradient_blocks": []}
         for owner, name in ((est, "hessian_field"), (est, "gradient_field"),
                             (np.linalg, "eigvalsh")):
             original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
-                if _name == "hessian_field":
-                    calls["blocks"].append(args[1] if len(args) > 1 else None)
+                if _name != "eigvalsh":
+                    calls[_name.split("_")[0] + "_blocks"].append(
+                        args[1] if len(args) > 1 else None)
                 return _original(*args)
 
             monkeypatch.setattr(owner, name, counted)
@@ -241,18 +244,21 @@ class TestBuildReport:
     @pytest.mark.parametrize("make", ["zero_boundary_ball", "nonzero_boundary_box"])
     def test_one_stencil_pass_per_report(self, make, monkeypatch):
         """A report reads each interior point's stencil exactly once, one
-        block at a time, decomposes each block once, and reads one gradient
-        field, whatever the number of weights."""
+        block at a time, and decomposes each block once. It reads the
+        gradient in two passes over the same blocks, sup|Du| first, each
+        interior point once per pass. Neither count depends on the number
+        of weights."""
         fld = getattr(self, make)()
         n_int = fld.domain.interior_idx.size
         monkeypatch.setattr(grid, "BLOCK_POINTS", n_int // 3)
         calls = self.count_calls(monkeypatch)
         build_report("inst", fld, self.BETAS)
-        blocks = calls.pop("blocks")
+        blocks = calls.pop("hessian_blocks")
         assert len(blocks) >= 3 and all(isinstance(b, slice) for b in blocks)
         read = np.concatenate([np.arange(n_int)[b] for b in blocks])
-        assert np.array_equal(np.sort(read), np.arange(n_int))
-        assert calls == {"hessian_field": len(blocks), "gradient_field": 1,
+        assert np.array_equal(read, np.arange(n_int))
+        assert calls.pop("gradient_blocks") == blocks + blocks
+        assert calls == {"hessian_field": len(blocks), "gradient_field": 2 * len(blocks),
                          "eigvalsh": len(blocks)}
 
     def test_errors_raise_through_report(self):

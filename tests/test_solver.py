@@ -175,11 +175,17 @@ class TestInvariantKernel:
                 == np.trace(stack, axis1=-2, axis2=-1).tobytes())
 
 
+def whole_blend(values: np.ndarray) -> np.ndarray:
+    """transfinite_blend over every axis-0 plane of the box at once."""
+    cells = values.shape[0] - 1
+    return transfinite_blend(values, values[[0, -1]], slice(0, cells + 1), cells)
+
+
 class TestTransfiniteBlend:
     @pytest.mark.parametrize("shape", [(9, 12), (9, 10, 11)])
     def test_reproduces_every_face(self, shape):
         values = np.random.default_rng(2).normal(size=shape)
-        blend = transfinite_blend(values)
+        blend = whole_blend(values)
         for a in range(len(shape)):
             for face in (0, shape[a] - 1):
                 assert np.allclose(np.take(blend, face, axis=a), np.take(values, face, axis=a),
@@ -192,7 +198,21 @@ class TestTransfiniteBlend:
         faces_only = exact.copy()
         faces_only[(slice(1, -1),) * len(shape)] = np.random.default_rng(4).normal(
             size=tuple(n - 2 for n in shape))
-        assert np.max(np.abs(transfinite_blend(faces_only) - exact)) <= 1e-13
+        assert np.max(np.abs(whole_blend(faces_only) - exact)) <= 1e-13
+
+    @pytest.mark.parametrize("shape", [(9, 12), (9, 10, 11)])
+    def test_slabs_give_the_whole_blend(self, shape):
+        """Blending slabs of axis-0 planes from the two axis-0 faces gives
+        the bits of one pass over the box, and reads no inner value."""
+        values = np.random.default_rng(3).normal(size=shape)
+        whole = whole_blend(values)
+        faces_only = values.copy()
+        faces_only[(slice(1, -1),) * len(shape)] = np.nan
+        cells = shape[0] - 1
+        for start, stop in ((0, 1), (1, 4), (4, 8), (8, 9)):
+            rows = slice(start, stop)
+            slab = transfinite_blend(faces_only[rows], values[[0, -1]], rows, cells)
+            assert slab.tobytes() == whole[rows].tobytes()
 
 
 class TestAdmissibility:
@@ -598,6 +618,26 @@ class TestInitialGuess:
         bvals = boundary_values(dom, g)
         bdry = ~dom.interior_flat
         assert np.array_equal(fld.flat[bdry], bvals[bdry])
+
+    # Dirichlet data undefined at the origin, an interior grid point: g is
+    # read on the boundary layer only, so the guess and the solve go through
+    SINGULAR_INSIDE = [("box", "-1/sqrt(x1^2 + x2^2 + x3^2)"),
+                       ("ball", "log(x1^2 + x2^2 + x3^2)")]
+
+    @pytest.mark.parametrize("mask,g", SINGULAR_INSIDE)
+    def test_data_singular_inside(self, mask, g):
+        dom = make_domain(3, (-1,) * 3, (1,) * 3, (16,) * 3, mask_name=mask)
+        assert dom.interior_flat[np.ravel_multi_index(dom.center_index(), dom.shape)]
+        params, rhs, boundary = SumHessianParams(3, 2, 1.0), RhsSpec.parse("18"), expr.parse(g)
+        bvals = boundary_values(dom, boundary)
+        assert np.all(bvals[dom.interior_flat] == 0.0)
+        bdry = ~dom.interior_flat
+        fld = initial_guess(dom, params, rhs, boundary)
+        assert np.array_equal(fld.flat[bdry], bvals[bdry])
+        assert admissible_mask(fld, params).all()
+        result = newton_solve(dom, params, rhs, boundary)
+        assert result.converged(1e-10) and result.admissible
+        assert np.array_equal(result.field.flat[bdry], bvals[bdry])
 
     def test_boundary_expression_restricted(self):
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
