@@ -14,16 +14,21 @@ asked of each step is the Eisenstat-Walker "choice 1" forcing term, which
 loosens the solve far from the solution and tightens it as the linear model
 becomes predictive. The derivatives df/du and df/dp are exact (``expr.diff``).
 
-The Jacobian's sparsity pattern (CSR ``indptr``/``indices``, and which
-stencil neighbours have entries) depends on the domain only. Each
-``newton_solve`` makes one pattern, built on first use, and hands it to the
-harmonic extension and to every linearization, which then fill ``data``
-alone. The pattern lives for one solve: it is not kept on the domain. It
-also owns the V-cycle's grid hierarchy, built on the first linear solve:
-the cells halve while every axis stays even and at least ``MIN_CELLS``.
-Each level keeps its n-linear prolongation P, the Kronecker product of one
-1-D linear interpolation per axis (restriction is P^T / 2^d), and its
-coarse sparsity pattern; a coarse operator takes the fine row of its
+A sparsity pattern (CSR ``indptr``/``indices``, and which stencil
+neighbours have entries) depends on the domain and the stencil only. Each
+``newton_solve`` makes one Jacobian pattern on the Hessian's stencil,
+built on first use, and hands it to every linearization, which then fills
+``data`` alone. The harmonic extension of the ball's guess assembles its
+Laplacian on a pattern of its own, the (2d + 1)-point stencil, so no row
+stores the mixed slots' zeros; that pattern is freed with the extension.
+Neither pattern is kept on the domain. The V-cycle's grid hierarchy
+(``_CoarseGrids``) depends on the domain only, so a solve builds it once,
+on the first linear solve, and both patterns' levels use it: the cells
+halve while every axis stays even and at least ``MIN_CELLS``, and each
+coarse grid keeps its n-linear prolongation P, the Kronecker product of
+one 1-D linear interpolation per axis (restriction is P^T / 2^d), built
+block by block from the interior index sets. Each pattern keeps one coarse
+sparsity pattern per grid; a coarse operator takes the fine row of its
 injected point 2j, slot by slot, scaled by (h / 2h)^2, so no Galerkin
 product is formed.
 
@@ -52,7 +57,12 @@ only (``boundary_values``), and the box guess forms its transfinite blend
 on one block of whole axis-0 planes at a time, writing into g's array, so
 no stage outside the Jacobian holds whole-grid f, g or blend arrays.
 A point's arithmetic does not depend on its block, so the results are
-bitwise those of one whole-grid pass. The Newton loop is sequential and
+bitwise those of one whole-grid pass. The Newton loop evaluates each
+iterate once: the guess and every line-search trial are read-only
+iterates (``_Iterate``), whose one ``_blockwise`` pass of the sigma kernel
+keeps the admissibility mask, the smallest cone margin and S_k, which
+``admissible_mask``, ``residual``, the trace and the result read; a
+linearization reads its own stencil. The Newton loop is sequential and
 single-threaded runs produce bitwise-identical traces for identical
 configurations.
 
@@ -260,12 +270,16 @@ def _grad_coeff_matrices(sig: np.ndarray, powers: list, params: SumHessianParams
     return coeff
 
 
+def _s_k(sig: np.ndarray, params: SumHessianParams) -> np.ndarray:
+    """S_k of eta(lam(H)) per point, from the sigmas of ``_invariants``."""
+    return sig[params.k] + params.alpha * sig[params.k - 1]
+
+
 def _cone_margins(sig: np.ndarray, params: SumHessianParams) -> np.ndarray:
     """Per point, the smallest of sigma_1..sigma_{k-1} and S_k of eta(lam(H)),
     from the sigmas of ``_invariants``; positive exactly on the tilde-prime
     cone."""
-    s_k = sig[params.k] + params.alpha * sig[params.k - 1]
-    return np.minimum(np.min(sig[1:params.k], axis=0, initial=np.inf), s_k)
+    return np.minimum(np.min(sig[1:params.k], axis=0, initial=np.inf), _s_k(sig, params))
 
 
 def _blockwise(kernel, fld: ScalarField) -> tuple[np.ndarray, ...]:
@@ -288,18 +302,72 @@ def _blockwise(kernel, fld: ScalarField) -> tuple[np.ndarray, ...]:
     return outs
 
 
-def _margins(fld: ScalarField, params: SumHessianParams) -> np.ndarray:
-    """``_cone_margins`` of the field's discrete Hessians, per interior point."""
-    (margins,) = _blockwise(
-        lambda hp: (_cone_margins(_invariants(hp, params.k)[0], params),), fld)
-    return margins
+@dataclass
+class _Evaluation:
+    """What the admissibility test, the residual and the trace read of one
+    field: the mask ``margins > 0`` (read-only), the smallest margin, and
+    S_k per interior point until ``residual`` takes it (then None)."""
+
+    mask: np.ndarray
+    min_margin: float
+    s_k: np.ndarray | None
+
+
+def _evaluate_field(fld: ScalarField, params: SumHessianParams) -> _Evaluation:
+    """The ``_Evaluation`` of a field: one ``_blockwise`` pass of the sigma
+    kernel. The float margins live one block at a time: each block yields
+    its mask and its smallest margin, whose minimum, NaN included, is that
+    of the whole grid's."""
+    lowest = np.inf
+
+    def kernel(hp: np.ndarray):
+        nonlocal lowest
+        sig, _ = _invariants(hp, params.k)
+        margins = _cone_margins(sig, params)
+        lowest = np.minimum(lowest, np.min(margins))
+        return margins > 0, _s_k(sig, params)
+
+    mask, s_k = _blockwise(kernel, fld)
+    mask.flags.writeable = False
+    return _Evaluation(mask, float(lowest), s_k)
+
+
+class _Iterate(ScalarField):
+    """A Newton iterate: the guess or a line-search trial. Its values are
+    read-only, so one evaluation for ``params`` (``_evaluated``) serves
+    every call on it: ``admissible_mask``, ``residual``, the trace margin and
+    the result's admissibility. The evaluation is made on first request,
+    or handed over by the code that built the values and evaluated them."""
+
+    def __init__(self, domain: GridDomain, values: np.ndarray, params: SumHessianParams,
+                 evaluation: _Evaluation | None = None):
+        super().__init__(domain, values)
+        self.values.flags.writeable = False
+        self.params = params
+        self.evaluation = evaluation
+
+
+def _evaluated(fld: ScalarField, params: SumHessianParams) -> _Evaluation | None:
+    """The evaluation of a Newton iterate for its own params, made on first
+    request; None for any other field or params, which are evaluated as
+    plain fields."""
+    if not isinstance(fld, _Iterate) or fld.params != params:
+        return None
+    if fld.evaluation is None:
+        fld.evaluation = _evaluate_field(fld, params)
+    return fld.evaluation
 
 
 def admissible_mask(fld: ScalarField, params: SumHessianParams) -> np.ndarray:
     """Per-interior-point admissibility: eta(lam(H)) has sigma_1..sigma_{k-1}
     positive and S_k positive (the tilde-prime cone test)."""
     _check_dim(fld.domain, params)
-    return _margins(fld, params) > 0
+    evaluation = _evaluated(fld, params)
+    if evaluation is not None:
+        return evaluation.mask
+    (margins,) = _blockwise(
+        lambda hp: (_cone_margins(_invariants(hp, params.k)[0], params),), fld)
+    return margins > 0
 
 
 def _first_violation(dom: GridDomain, mask: np.ndarray):
@@ -395,16 +463,16 @@ def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
 
     ``f_values``, when given, is f on the interior as ``_eval_rhs``
     returns it, for a ``_state_free`` f, whose values do not depend on the
-    field; the result is the same as when f is evaluated here.
+    field; the result is the same as when f is evaluated here. On a Newton
+    iterate, S_k is taken from its evaluation (``_evaluated``).
     """
     dom = fld.domain
     _check_dim(dom, params)
-
-    def s_k(hp: np.ndarray):
-        sig, _ = _invariants(hp, params.k)
-        return (sig[params.k] + params.alpha * sig[params.k - 1],)
-
-    (values,) = _blockwise(s_k, fld)
+    evaluation = _evaluated(fld, params)
+    if evaluation is not None and evaluation.s_k is not None:
+        values, evaluation.s_k = evaluation.s_k, None
+    else:
+        (values,) = _blockwise(lambda hp: (_s_k(_invariants(hp, params.k)[0], params),), fld)
     if f_values is None:
         f_values = _eval_rhs(rhs, fld, expr.variables(rhs.expression))
     values -= f_values
@@ -446,13 +514,13 @@ def _local_index(n_points: int, idx: np.ndarray) -> np.ndarray:
     return local
 
 
-def _pattern_arrays(shape: tuple[int, ...], idx: np.ndarray):
-    """``_JacobianPattern.arrays`` of the stencil operator on the interior
-    flat indices idx (sorted, none on the outer layer) of a grid of this
-    shape."""
+def _pattern_arrays(shape: tuple[int, ...], idx: np.ndarray, n_offsets: int | None = None):
+    """``_JacobianPattern.arrays`` of the operator on the first ``n_offsets``
+    offsets of ``_stencil_offsets`` (all when None) at the interior flat
+    indices idx (sorted, none on the outer layer) of a grid of this shape."""
     local = _local_index(int(np.prod(shape)), idx)
     strides = tuple(int(np.prod(shape[a + 1:], dtype=int)) for a in range(len(shape)))
-    offsets = np.array(_stencil_offsets(strides))
+    offsets = np.array(_stencil_offsets(strides)[:n_offsets])
     order = np.argsort(offsets)
     cols = np.empty((idx.size, order.size), dtype=np.int32)
     for j, offset in enumerate(offsets[order]):
@@ -467,58 +535,68 @@ def _prolongation(fine_shape: tuple[int, ...], fine_idx: np.ndarray,
                   coarse_shape: tuple[int, ...], coarse_idx: np.ndarray) -> sp.csr_matrix:
     """n-linear interpolation from the coarse interior unknowns to the fine
     ones, (fine_idx.size, coarse_idx.size) CSR; values at coarse boundary
-    points are zero. It is the Kronecker product of one 1-D linear
-    interpolation per axis, where fine point m reads coarse points m // 2
+    points are zero. Along each axis, fine point m reads coarse points m // 2
     and (m + 1) // 2 with weight 1/2 each (one point, weight 1, for even m),
-    restricted to rows ``fine_idx`` and columns ``coarse_idx``."""
+    and a row's weights are the products of one per axis: the Kronecker
+    product of the 1-D interpolations, restricted to rows ``fine_idx`` and
+    columns ``coarse_idx``.
+
+    It is built one ``point_blocks`` block of rows at a time, with no
+    whole-grid matrix, and the blocks' CSR matrices are stacked. Each of the
+    2^d choices of one parent per axis gives every row of a block one
+    candidate entry, kept where its weight is nonzero and its parent
+    interior. The choices are taken in lexicographic order of the parents'
+    multi-indices, so each row's columns come in increasing order, which
+    the conversion from coordinates to CSR keeps: the matrix is the
+    product's, bit for bit."""
     import scipy.sparse as sp
 
-    full = None
-    for n_fine, n_coarse in zip(fine_shape, coarse_shape):
-        m = np.arange(n_fine)
-        eye = sp.identity(n_coarse, format="csr")
-        axis = 0.5 * (eye[m // 2] + eye[(m + 1) // 2])
-        full = axis if full is None else sp.kron(full, axis, format="csr")
-    return full[fine_idx][:, coarse_idx]
+    local = _local_index(int(np.prod(coarse_shape)), coarse_idx)
+    # per axis, for each fine m: (coarse flat offset, weight) of each choice;
+    # an even m's second choice repeats its one parent with weight 0
+    choices = []
+    for a, n_fine in enumerate(fine_shape):
+        m, stride = np.arange(n_fine), int(np.prod(coarse_shape[a + 1:], dtype=int))
+        odd = m % 2 == 1
+        choices.append((((m // 2) * stride, np.where(odd, 0.5, 1.0)),
+                        (((m + 1) // 2) * stride, np.where(odd, 0.5, 0.0))))
+    blocks = []
+    for block in point_blocks(fine_idx.size):
+        row = np.arange(block.stop - block.start, dtype=np.int32)
+        per_axis = [[(offset[m], weight[m]) for offset, weight in axis]
+                    for m, axis in zip(np.unravel_index(fine_idx[block], fine_shape), choices)]
+        data, rows, cols = [], [], []
+        for pick in itertools.product(*per_axis):
+            col = local[sum(offset for offset, _ in pick)]
+            weight = math.prod(weight for _, weight in pick)
+            keep = (weight != 0.0) & (col >= 0)
+            data.append(weight[keep])
+            rows.append(row[keep])
+            cols.append(col[keep])
+        blocks.append(sp.csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(row.size, coarse_idx.size)))
+    return sp.vstack(blocks, format="csr")
 
 
-class _JacobianPattern:
-    """Sparsity pattern of the operator on the interior unknowns of one
-    domain, and the V-cycle's grid hierarchy, each built on first use, so a
-    solve that never assembles builds neither.
+class _CoarseGrids:
+    """The V-cycle's grid hierarchy of one domain, built on first use. It
+    depends on the domain only, so the patterns of one solve share it.
 
-    ``arrays`` is (order, present, indptr, indices). ``order`` sorts the
-    stencil offsets of ``_stencil_offsets``; interior indices grow with the
-    flat index, so taking the offsets in that order yields each row's
-    columns sorted. ``present[i, j]`` marks that interior row i has an entry
-    at the j-th sorted offset: a neighbour on the boundary layer holds
-    Dirichlet data and has none. The marked entries, row by row, are the
-    slots of ``data``. ``indptr`` and ``indices`` are int32.
+    ``levels`` holds one (P, shape, idx, rows) per coarse grid, finest
+    first. The cells halve while every axis stays even and at least
+    ``MIN_CELLS``; a coarse point j is interior when the finer point 2j is.
+    ``idx`` is the grid's interior flat indices, ``rows`` the finer grid's
+    interior row of each injected point 2j, and P interpolates from the
+    grid's interior unknowns to the finer grid's (``_prolongation``).
     """
 
     def __init__(self, dom: GridDomain):
         self.dom = dom
 
     @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return _pattern_arrays(self.dom.shape, self.dom.interior_idx)
-
-    @cached_property
-    def levels(self) -> list[tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]]:
-        """Coarse levels, finest first: (P, indptr, indices, src) each.
-
-        The cells halve while every axis stays even and at least
-        ``MIN_CELLS``. A coarse point j is interior when the finer point 2j
-        is. P interpolates from the level's interior unknowns to the finer
-        level's (``_prolongation``). ``indptr`` and ``indices`` are the
-        level's pattern; its ``data`` is the finer level's ``data`` at
-        ``src``: coarse row j, slot by stencil direction e, takes the finer
-        row of 2j at the same direction. That entry exists: 2j + 2e is
-        interior, so 2j + e is too (the midpoint of two points of a box or
-        ball lies in it).
-        """
+    def levels(self) -> list[tuple[sp.csr_matrix, tuple[int, ...], np.ndarray, np.ndarray]]:
         dom = self.dom
-        order, present, indptr, _ = self.arrays
         shape, idx = dom.shape, dom.interior_idx
         inside = dom.interior_flat.reshape(shape)
         cells = np.array(dom.cells)
@@ -529,16 +607,61 @@ class _JacobianPattern:
             coarse_idx = np.flatnonzero(inside)
             injected = np.ravel_multi_index(
                 tuple(2 * m for m in np.unravel_index(coarse_idx, inside.shape)), shape)
-            rows = np.searchsorted(idx, injected)
-            coarse = _pattern_arrays(inside.shape, coarse_idx)
+            levels.append((_prolongation(shape, idx, inside.shape, coarse_idx), inside.shape,
+                           coarse_idx, np.searchsorted(idx, injected)))
+            shape, idx = inside.shape, coarse_idx
+        return levels
+
+
+class _JacobianPattern:
+    """Sparsity pattern of a stencil operator on the interior unknowns of one
+    domain, and its levels of the V-cycle, each built on first use, so a
+    solve that never assembles builds neither. The stencil is the first
+    ``n_offsets`` offsets of ``_stencil_offsets``: all of them for the
+    Jacobian, the centre and the +/- axis offsets (2d + 1) for the
+    Laplacian. ``grids`` is the domain's ``_CoarseGrids``, made here when
+    omitted; patterns of one domain may share them.
+
+    ``arrays`` is (order, present, indptr, indices). ``order`` sorts the
+    stencil offsets; interior indices grow with the flat index, so taking
+    the offsets in that order yields each row's columns sorted.
+    ``present[i, j]`` marks that interior row i has an entry at the j-th
+    sorted offset: a neighbour on the boundary layer holds Dirichlet data
+    and has none. The marked entries, row by row, are the slots of
+    ``data``. ``indptr`` and ``indices`` are int32.
+    """
+
+    def __init__(self, dom: GridDomain, n_offsets: int | None = None,
+                 grids: _CoarseGrids | None = None):
+        self.dom = dom
+        self.n_offsets = n_offsets
+        self.grids = grids or _CoarseGrids(dom)
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return _pattern_arrays(self.dom.shape, self.dom.interior_idx, self.n_offsets)
+
+    @cached_property
+    def levels(self) -> list[tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]]:
+        """Coarse levels, finest first: (P, indptr, indices, src) each, on
+        the grids of ``grids``, whose P it shares.
+
+        ``indptr`` and ``indices`` are the level's pattern; its ``data`` is
+        the finer level's ``data`` at ``src``: coarse row j, slot by stencil
+        direction e, takes the finer row of 2j at the same direction. That
+        entry exists: 2j + 2e is interior, so 2j + e is too (the midpoint of
+        two points of a box or ball lies in it).
+        """
+        order, present, indptr, _ = self.arrays
+        levels = []
+        for prolong, shape, idx, rows in self.grids.levels:
+            coarse = _pattern_arrays(shape, idx, self.n_offsets)
             # the finer slot of each coarse slot's direction
             slot = np.argsort(order)[coarse[0]]
             position = np.cumsum(present[rows], axis=1, dtype=np.int32) \
                 + (indptr[rows] - 1)[:, None]
-            levels.append((_prolongation(shape, idx, inside.shape, coarse_idx),
-                           coarse[2], coarse[3], position[:, slot][coarse[1]]))
+            levels.append((prolong, coarse[2], coarse[3], position[:, slot][coarse[1]]))
             order, present, indptr, _ = coarse
-            shape, idx = inside.shape, coarse_idx
         return levels
 
 
@@ -745,9 +868,10 @@ REPAIR_SWEEPS = 200
 
 
 def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
-                          scale: float) -> ScalarField:
+                          scale: float) -> _Iterate:
     """Lower interior values at inadmissible points until the field is
-    admissible with a uniform margin on the complement eigenvalues.
+    admissible with a uniform margin on the complement eigenvalues; the
+    repaired field is returned as a Newton iterate.
 
     Lowering u at a grid point adds an isotropic positive matrix to its
     discrete Hessian, which always pushes the point back into the cone;
@@ -774,7 +898,7 @@ def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
     for _ in range(REPAIR_SWEEPS):
         bad = idx[~ok]
         if bad.size == 0:
-            return trial
+            return _Iterate(dom, trial.values, params)
         flat[bad] -= delta
         touched = np.zeros(dom.n_points, dtype=bool)
         touched[bad[:, None] + offsets] = True
@@ -782,8 +906,9 @@ def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
         rows = np.searchsorted(idx, near)
         for part in point_blocks(near.size):
             ok[rows[part]] = margin_ok(_hessian_stencil(trial, near[part]))
-    if (_margins(trial, params) > 0).all():
-        return trial
+    evaluation = _evaluate_field(trial, params)
+    if evaluation.mask.all():
+        return _Iterate(dom, trial.values, params, evaluation)
     raise ConeViolationError(
         f"initial guess could not be repaired to admissibility in {REPAIR_SWEEPS} sweeps"
     )
@@ -855,7 +980,7 @@ def _rhs_at_rest(dom: GridDomain, rhs: RhsSpec) -> np.ndarray:
 def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                   boundary: expr.Node, *, pattern: _JacobianPattern | None = None,
                   krylov_log: list | None = None,
-                  f_rest: np.ndarray | None = None) -> ScalarField:
+                  f_rest: np.ndarray | None = None) -> _Iterate:
     """Starting field c q, q = (|x - x_c|^2 - r^2)/2, plus an interpolation of
     the boundary mismatch g - c q.
 
@@ -868,10 +993,15 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     boundary data). On masked domains the mismatch lives on the staircase
     ring and is small, and the discrete harmonic extension is used instead,
     which keeps the trace of the Hessian exact. Boundary values equal the
-    Dirichlet data exactly in both cases. ``pattern`` is the domain's
-    ``_JacobianPattern`` for the extension's Laplacian, made here when
-    omitted. The extension appends its (Krylov iterations, linear residual)
-    to ``krylov_log`` when one is given.
+    Dirichlet data exactly in both cases. The extension's Laplacian has its
+    own (2d + 1)-point ``_JacobianPattern``, which shares the coarse grids
+    of ``pattern``, the domain's Jacobian pattern (made here when omitted),
+    and is freed with the Laplacian. The extension appends its (Krylov
+    iterations, linear residual) to ``krylov_log`` when one is given.
+
+    The guess is returned as a Newton iterate. The box's admissibility
+    check is the iterate's evaluation, and so is the repair's last check
+    when the repair runs out of sweeps.
 
     g is read on the boundary layer only (``boundary_values``), and the
     guess is written into that one grid array: c q and the blend are formed
@@ -931,17 +1061,19 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
             mismatch[b] = flat[b] - quad(b)
         n_int, d = idx.size, dom.dim
         eye = _packed_eye(d)
-        lap = _assemble(dom, pattern, np.broadcast_to(eye, (eye.size, n_int)),
-                        np.zeros(n_int), np.zeros((n_int, d)))
+        laplacian = _JacobianPattern(dom, 2 * d + 1, pattern.grids)
+        lap = _assemble(dom, laplacian, np.broadcast_to(eye, (eye.size, n_int)),
+                        np.broadcast_to(0.0, (n_int,)), np.broadcast_to(0.0, (n_int, d)))
         (lap_m,) = _blockwise(lambda hp: (_trace(hp, d),),
                               ScalarField(dom, mismatch.reshape(dom.shape)))
         del mismatch
         try:
-            x, krylov, linear_residual = _solve_linear(lap, -lap_m, EXTENSION_RTOL, pattern)
+            x, krylov, linear_residual = _solve_linear(lap, -lap_m, EXTENSION_RTOL, laplacian)
         except LinearSolveError:
-            # the traceback keeps this frame and initial_guess's alive:
-            # free the Laplacian and the pattern (a cell of both) first
-            del lap, pattern
+            # the traceback keeps this frame and initial_guess's alive: free
+            # the Laplacian, its pattern and the Jacobian pattern (a cell of
+            # both frames) first
+            del lap, laplacian, pattern
             raise
         for block in interior_blocks(dom):
             flat[idx[block]] = quad(idx[block]) + x[block]
@@ -952,8 +1084,11 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         quadratic()
     elif dom.mask_name == "box":
         blended()
-    if dom.mask_name == "box" and (_margins(fld, params) > 0).all():
-        return fld
+    if dom.mask_name == "box":
+        evaluation = _evaluate_field(fld, params)
+        if evaluation.mask.all():
+            return _Iterate(dom, values, params, evaluation)
+        del evaluation
     if mismatched:
         extended()
     return _repair_admissibility(fld, params, c)
@@ -1006,7 +1141,7 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     res = residual(fld, params, rhs, f_values=f_values)
     res_norm = float(np.max(np.abs(res)))
     krylov, linear_residual = extension[0] if extension else (0, 0.0)
-    trace = [TraceEntry(0, res_norm, 0.0, float(np.min(_margins(fld, params))),
+    trace = [TraceEntry(0, res_norm, 0.0, _evaluated(fld, params).min_margin,
                         krylov, linear_residual)]
     iterations = 0
     forcing = None      # (||F||_2, ||model of the next F||_2) of the last step
@@ -1028,7 +1163,7 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         accepted = None
         stall = f"no admissible decrease down to step 2^{math.log2(MIN_STEP):.0f}"
         while step >= MIN_STEP:
-            trial = ScalarField(dom, fld.values + step * delta.reshape(dom.shape))
+            trial = _Iterate(dom, fld.values + step * delta.reshape(dom.shape), params)
             if np.array_equal(trial.values.view(np.int64), fld.values.view(np.int64)):
                 stall = f"step 2^{math.log2(step):.0f} no longer changes the iterate"
                 break
@@ -1055,13 +1190,17 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         forcing = (f_norm, model_norm)
         fld, res, res_norm = accepted
         iterations += 1
-        trace.append(TraceEntry(iterations, res_norm, step, float(np.min(_margins(fld, params))),
+        trace.append(TraceEntry(iterations, res_norm, step, _evaluated(fld, params).min_margin,
                                 krylov, linear_residual))
 
+    admissible = bool(admissible_mask(fld, params).all())
+    # the solve is done with the iterate: its values go out as a plain,
+    # writeable field
+    fld.values.flags.writeable = True
     return SolveResult(
-        field=fld,
+        field=ScalarField(dom, fld.values),
         iterations=iterations,
         residual=res_norm,
-        admissible=bool(admissible_mask(fld, params).all()),
+        admissible=admissible,
         trace=trace,
     )

@@ -21,6 +21,7 @@ from sumhessian import expr
 from sumhessian.config import load_config
 from sumhessian.estimates import build_report
 from sumhessian.solver import (
+    _Iterate,
     _JacobianPattern,
     _repair_admissibility,
     _rhs_at_rest,
@@ -198,14 +199,31 @@ class TestDomainBuild:
 # measure 1.16 / 3.11 / 2.32 / 5.03 (box) and 1.29 / 2.77 / 2.52 / 5.44
 # (ball). The guess runs on the box's transfinite blend and the ball's
 # repair, with the Jacobian pattern built beforehand.
+#
+# "iterate" is admissible_mask, then residual, on a Newton iterate, as the
+# loop calls them: 3.12 (box) and 2.77 (ball) when each evaluated the
+# stencil itself, 3.26 and 2.85 with the iterate's one evaluation, which
+# keeps the mask. "extension" is the ball guess with zero data, whose
+# staircase mismatch runs the harmonic extension, with the Jacobian
+# pattern built beforehand: 22.2 with the Laplacian on the Jacobian's
+# 19-point pattern, 18.5 on its own 7-point pattern. "pattern" is the
+# traced peak of building a Jacobian pattern and its V-cycle levels:
+# 29.4 (box) and 21.4 (ball) when each prolongation was sliced out of
+# the whole grid's Kronecker product, 22.6 and 12.5 built block by block.
+# Those two bounds are the second figures, plus at most 4%.
 PEAK_BOUNDS = {
     "box": {"admissible_mask": 3.85, "residual": 3.85, "residual_state_f": 3.85,
             "boundary_values": 1.4, "build_report": 2.9, "write_field": 0.47,
-            "read_field": 2.75, "initial_guess": 6.25},
+            "read_field": 2.75, "initial_guess": 6.25, "iterate": 3.85, "pattern": 23.5},
     "ball": {"admissible_mask": 3.4, "residual": 3.4, "residual_state_f": 3.4,
              "boundary_values": 1.5, "build_report": 3.0, "write_field": 0.46,
-             "read_field": 2.65, "initial_guess": 6.8},
+             "read_field": 2.65, "initial_guess": 6.8, "iterate": 3.4, "pattern": 13.0,
+             "extension": 19.0},
 }
+# what a Jacobian pattern keeps, its V-cycle levels and their shared
+# prolongations included: 18.8 (box) and 10.4 (ball), then 19.0 and 10.5
+# with the coarse grids' interior index sets kept for a second pattern
+PATTERN_BOUNDS = {"box": 19.5, "ball": 11.0}
 # what a domain keeps, mask and interior indices; it kept 4.0 (box) and
 # 3.6 (ball) times the field with its (N, 3) coordinate array
 DOMAIN_BOUND = 1.1
@@ -251,14 +269,24 @@ def stage_ratios(mask: str, path: Path) -> dict:
         with open(path) as stream:
             return read_field(stream)
 
-    def kept_by_domain() -> int:
+    def kept(build):
         tracemalloc.start()
         before = tracemalloc.get_traced_memory()[0]
-        built = unit_grid()
+        built = build()
         kept = tracemalloc.get_traced_memory()[0] - before
         tracemalloc.stop()
-        assert built.interior_idx.size == dom.interior_idx.size
-        return kept
+        return built, kept
+
+    def pattern_levels():
+        built = _JacobianPattern(dom)
+        built.levels
+        return built
+
+    def iterate():
+        admissible_mask(newton_iterate, params)
+        residual(newton_iterate, params, rhs)
+
+    newton_iterate = _Iterate(dom, fld.values.copy(), params)
 
     stages = {"admissible_mask": lambda: admissible_mask(fld, params),
               "residual": lambda: residual(fld, params, rhs),
@@ -267,10 +295,17 @@ def stage_ratios(mask: str, path: Path) -> dict:
               "build_report": lambda: build_report("bowl", fld),
               "write_field": write, "read_field": read,
               "initial_guess": lambda: initial_guess(dom, params, rhs, expr.parse(quad),
-                                                     pattern=pattern)}
+                                                     pattern=pattern),
+              "iterate": iterate, "pattern": pattern_levels}
+    if mask == "ball":
+        stages["extension"] = lambda: initial_guess(dom, params, rhs, expr.parse("0"),
+                                                    pattern=pattern)
     ratios = {name: traced_peak(fn) / fld.values.nbytes for name, fn in stages.items()}
     assert read().values.tobytes() == fld.values.tobytes()
-    ratios["domain"] = kept_by_domain() / fld.values.nbytes
+    built, domain_bytes = kept(unit_grid)
+    assert built.interior_idx.size == dom.interior_idx.size
+    ratios["domain"] = domain_bytes / fld.values.nbytes
+    ratios["pattern_kept"] = kept(pattern_levels)[1] / fld.values.nbytes
     return ratios
 
 
@@ -279,3 +314,4 @@ def test_working_memory_bounded(tmp_path):
         ratios = stage_ratios(mask, tmp_path / f"{mask}.field")
         assert all(ratios[name] <= bound for name, bound in bounds.items()), (mask, ratios)
         assert ratios["domain"] <= DOMAIN_BOUND, (mask, ratios)
+        assert ratios["pattern_kept"] <= PATTERN_BOUNDS[mask], (mask, ratios)

@@ -31,6 +31,7 @@ from sumhessian.solver import (
     _grad_coeff_matrices,
     _invariants,
     _repair_admissibility,
+    _solve_linear,
     _trace,
     _vcycle,
     admissible_mask,
@@ -323,27 +324,65 @@ class TestAssembly:
     def test_one_pattern_per_solve_built_on_first_use(self, monkeypatch):
         import sumhessian.solver as solver_mod
 
-        built = []
-        build = solver_mod._JacobianPattern.arrays.func
+        built, grids = [], []
 
-        def counting(self):
-            built.append(self.dom)
-            return build(self)
+        def count(cls, attr, log):
+            build = getattr(cls, attr).func
 
-        arrays = cached_property(counting)
-        arrays.__set_name__(solver_mod._JacobianPattern, "arrays")
-        monkeypatch.setattr(solver_mod._JacobianPattern, "arrays", arrays)
+            def counting(self):
+                log.append(self)
+                return build(self)
+
+            prop = cached_property(counting)
+            prop.__set_name__(cls, attr)
+            monkeypatch.setattr(cls, attr, prop)
+
+        count(solver_mod._JacobianPattern, "arrays", built)
+        count(solver_mod._CoarseGrids, "levels", grids)
         params = SumHessianParams(3, 2, 1.0)
-        # the extension and every Newton step share one pattern
-        ball = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3, mask_name="ball")
+        # a ball solve builds the extension's (2d + 1)-point Laplacian
+        # pattern, then the one Jacobian pattern of every Newton step; both
+        # are built on one set of coarse grids, whose prolongations they share
+        ball = make_domain(3, (-1,) * 3, (1,) * 3, (16,) * 3, mask_name="ball")
         assert newton_solve(ball, params, RhsSpec.parse("18"), ZERO).iterations > 0
-        assert built == [ball]
+        assert [(p.dom, p.n_offsets) for p in built] == [(ball, 7), (ball, None)]
+        assert len(grids) == 1 and all(p.grids is grids[0] for p in built)
+        laplacian, jacobian = built
+        assert len(jacobian.levels) == 1
+        assert laplacian.levels[0][0] is jacobian.levels[0][0] is grids[0].levels[0][0]
         # an exact guess on a box assembles nothing and builds nothing
         box = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3)
         exact = newton_solve(box, params, RhsSpec.parse("18"),
                              expr.parse("(x1^2 + x2^2 + x3^2 - 1)/2"))
         assert exact.iterations == 0
-        assert built == [ball]
+        assert len(built) == 2 and len(grids) == 1
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_laplacian_pattern_drops_only_the_zero_slots(self, dim):
+        dom = make_domain(dim, (-1,) * dim, (1,) * dim, (16,) * dim, mask_name="ball")
+        full = _JacobianPattern(dom)
+        lean = _JacobianPattern(dom, 2 * dim + 1, full.grids)
+        n_int = dom.interior_idx.size
+        eye = pack(np.eye(dim)[None])
+        args = (np.broadcast_to(eye, (eye.shape[0], n_int)), np.zeros(n_int), np.zeros((n_int, dim)))
+        lap = _assemble(dom, lean, *args)
+        assert np.diff(lap.indptr).max() == 2 * dim + 1
+        # the full pattern's Laplacian with its explicit zeros eliminated (on
+        # a copy: the matrix shares its index arrays with the pattern)
+        full_lap = _assemble(dom, full, *args)
+        want = full_lap.copy()
+        want.eliminate_zeros()
+        assert want.nnz < full_lap.nnz
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(lap, attr), getattr(want, attr)), attr
+        assert lap.data.tobytes() == want.data.tobytes()
+        # the extension's solve: the same x, bit for bit, in as many iterations
+        b = np.random.default_rng(dim).normal(size=n_int)
+        x, krylov, achieved = _solve_linear(lap, b, EXTENSION_RTOL, lean)
+        x_full, krylov_full, achieved_full = _solve_linear(full_lap, b, EXTENSION_RTOL, full)
+        assert krylov == krylov_full > 0 and achieved == achieved_full
+        assert x.tobytes() == x_full.tobytes()
+        assert lean.levels[0][0] is full.levels[0][0]
 
 
 def coarse_domains(dom):
@@ -353,6 +392,19 @@ def coarse_domains(dom):
         cells //= 2
         out.append(make_domain(dom.dim, dom.lower, dom.upper, tuple(cells), dom.mask_name))
     return out
+
+
+def kronecker_prolongation(fine, coarse):
+    """The prolongation as the whole grid's Kronecker product of 1-D linear
+    interpolations, sliced to the fine interior rows and the coarse
+    interior columns."""
+    full = None
+    for n_fine, n_coarse in zip(fine.shape, coarse.shape):
+        m = np.arange(n_fine)
+        eye = sp.identity(n_coarse, format="csr")
+        axis = 0.5 * (eye[m // 2] + eye[(m + 1) // 2])
+        full = axis if full is None else sp.kron(full, axis, format="csr")
+    return full[fine.interior_idx][:, coarse.interior_idx]
 
 
 def grid_points(dom, idx):
@@ -395,6 +447,23 @@ class TestMultigrid:
         reference = RegularGridInterpolator(axes, zeroed.reshape(coarse.shape))(
             dom.points[dom.interior_idx])
         assert np.max(np.abs(fine - reference)) <= 1e-13
+
+    @pytest.mark.parametrize("dim,cells,mask", [(2, 32, "box"), (2, 40, "ball"),
+                                                (3, 16, "box"), (3, 32, "ball")])
+    def test_prolongation_is_the_sliced_kronecker_product(self, dim, cells, mask, monkeypatch):
+        import sumhessian.grid as grid
+
+        dom = make_domain(dim, (-1,) * dim, (1,) * dim, (cells,) * dim, mask_name=mask)
+        # built block by block: many blocks and a short last one
+        monkeypatch.setattr(grid, "BLOCK_POINTS", 97)
+        assert dom.interior_idx.size > 4 * 97
+        fine = dom
+        for (prolong, _, _, _), coarse in zip(_JacobianPattern(dom).levels, coarse_domains(dom)):
+            want = kronecker_prolongation(fine, coarse)
+            for attr in ("data", "indices", "indptr"):
+                assert getattr(prolong, attr).tobytes() == getattr(want, attr).tobytes(), attr
+            fine = coarse
+        assert fine is not dom
 
     @pytest.mark.parametrize("dim,cells,mask", [(3, 16, "ball"), (3, 32, "ball"),
                                                 (2, 32, "box")])
@@ -809,6 +878,63 @@ class TestNewton:
         with pytest.raises(NonConvergenceError) as err:
             newton_solve(dom, SumHessianParams(2, 2, 1.0), RhsSpec.parse("8"), ZERO)
         assert not held_jacobians(err.value)
+
+    # (domain, params, f, g, calls of admissible_mask, residual and linearize
+    # at the parent commit): each line search rejects one trial
+    EVALUATION_CASES = {
+        "box": ((2, 64, "box"), (2, 2), EXP2D_RHS, "exp((x1^2+x2^2)/2)", (9, 8, 6)),
+        "ball": ((3, 24, "ball"), (3, 3), "20", "0", (8, 7, 5)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EVALUATION_CASES))
+    def test_one_evaluation_per_iterate(self, monkeypatch, case):
+        import sumhessian.solver as solver_mod
+
+        (dim, cells, mask), (n, k), f, g, parent_calls = self.EVALUATION_CASES[case]
+        dom = make_domain(dim, (-1,) * dim, (1,) * dim, (cells,) * dim, mask_name=mask)
+        calls, iterates, guessing = {}, [], []
+
+        def counted(name):
+            fn = getattr(solver_mod, name)
+
+            def call(*args, **kwargs):
+                key = (name, "guess" if guessing else "solve")
+                calls[key] = calls.get(key, 0) + 1
+                if name == "admissible_mask":
+                    iterates.append(args[0])
+                if name != "initial_guess":
+                    return fn(*args, **kwargs)
+                guessing.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    guessing.pop()
+
+            monkeypatch.setattr(solver_mod, name, call)
+
+        for name in ("admissible_mask", "residual", "linearize", "hessian_field", "initial_guess"):
+            counted(name)
+        result = newton_solve(dom, SumHessianParams(n, k, 1.0), RhsSpec.parse(f), expr.parse(g))
+        assert result.converged(1e-10)
+        masks, residuals, linearizes = (calls.get((name, "solve"), 0) for name in
+                                        ("admissible_mask", "residual", "linearize"))
+        assert (masks, residuals, linearizes) == parent_calls
+        trials = masks - 2      # every call but the guess's and the result's
+        assert trials > result.iterations   # a trial was rejected
+        # the stencil runs once per trial and once per linearize; the box's
+        # guess reuses the evaluation of its blend check, the ball's guess,
+        # repaired, is evaluated once
+        guess = int(mask == "ball")
+        assert calls[("hessian_field", "solve")] == guess + trials + linearizes
+        assert calls[("hessian_field", "guess")] == (1 if mask == "box" else 2)
+        # every iterate but the returned one stays read-only; the result's
+        # field is writeable
+        held = [fld for fld in iterates if fld.values is not result.field.values]
+        assert len(held) == len(iterates) - 2   # the last trial's and the result's call
+        for fld in held:
+            with pytest.raises(ValueError, match="read-only"):
+                fld.values[(1,) * dim] = 0.0
+        result.field.values[(1,) * dim] += 0.0
 
     def test_line_search_rejects_a_trial_that_raises(self, monkeypatch):
         import sumhessian.solver as solver_mod
