@@ -20,8 +20,7 @@ Every per-point stage of the package reads the stencil and the gradient
 block by block, and the boundary layer in ``boundary_pieces``; the
 solver keeps the layout through its invariant kernel and assembly.
 ``unpack`` rebuilds the (n, d, d) stack of a block where LAPACK's
-``eigvalsh`` needs it: in the estimates and in
-``solver.ellipticity_margins``.
+``eigvalsh`` needs it: in the estimates.
 
 Building a domain, writing a field and reading one make no (N, dim) array
 and no Python object per grid value: the ball test sums squared distances

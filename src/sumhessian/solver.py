@@ -41,15 +41,15 @@ a trace recurrence read errors of 3e-6 against eigh's 2e-12.) Every matrix
 of that path (H, U, the powers of U and the coefficients) is packed as in
 ``grid``: one contiguous (N,) row per symmetric entry, so a matrix product
 is a few sums of products of rows and a trace is a sum of the diagonal
-rows. Only ``ellipticity_margins`` unpacks, for eigvalsh.
+rows; nothing here unpacks.
 
 Every per-point stage works in fixed-size blocks of interior points, so no
 stage holds a whole-grid Hessian or kernel temporary. The kernel
 (admissibility, residual, linearization, the guess's repair, the
-extension's Laplacian of the boundary mismatch, ``ellipticity_margins``)
-reads the stencil of one ``grid.interior_blocks`` block at a time through
-``hessian_field`` and runs on it (``_blockwise``); assembly forms the
-stencil weights and fills the CSR values ``ASSEMBLY_ROWS`` rows at a time.
+extension's Laplacian of the boundary mismatch) reads the stencil of one
+``grid.interior_blocks`` block at a time through ``hessian_field`` and
+runs on it (``_blockwise``); assembly forms the stencil weights and fills
+the CSR values ``ASSEMBLY_ROWS`` rows at a time.
 f and its derivatives are evaluated on one block's env at a time
 (``_interior_values``), an env holding only the coordinates, u and
 gradient the tree reads. g is evaluated on pieces of the boundary layer
@@ -57,12 +57,13 @@ only (``boundary_values``), and the box guess forms its transfinite blend
 on one block of whole axis-0 planes at a time, writing into g's array, so
 no stage outside the Jacobian holds whole-grid f, g or blend arrays.
 A point's arithmetic does not depend on its block, so the results are
-bitwise those of one whole-grid pass. The Newton loop evaluates each
-iterate once: the guess and every line-search trial are read-only
-iterates (``_Iterate``), whose one ``_blockwise`` pass of the sigma kernel
-keeps the admissibility mask, the smallest cone margin and S_k, which
-``admissible_mask``, ``residual``, the trace and the result read; a
-linearization reads its own stencil. The Newton loop is sequential and
+bitwise those of one whole-grid pass. ``_evaluate_field`` is the one
+kernel of a field's admissibility and S_k: one ``_blockwise`` pass that
+keeps the mask, the smallest cone margin and S_k, which
+``admissible_mask``, ``residual``, ``linearize`` and the trace read
+(``_evaluated``). A Newton iterate (``_Iterate``: the guess or a
+line-search trial) is read-only and keeps its evaluation; any other field
+is evaluated afresh on each call. The Newton loop is sequential and
 single-threaded runs produce bitwise-identical traces for identical
 configurations.
 
@@ -100,7 +101,6 @@ from .grid import (
     point_blocks,
     squared_distance,
     sym_pairs,
-    unpack,
 )
 from .symfun import SumHessianParams, sum_hessian
 
@@ -304,9 +304,10 @@ def _blockwise(kernel, fld: ScalarField) -> tuple[np.ndarray, ...]:
 
 @dataclass
 class _Evaluation:
-    """What the admissibility test, the residual and the trace read of one
-    field: the mask ``margins > 0`` (read-only), the smallest margin, and
-    S_k per interior point until ``residual`` takes it (then None)."""
+    """What the admissibility test, the residual, the linearization and the
+    trace read of one field: the mask ``margins > 0`` (read-only), the
+    smallest margin, and S_k per interior point until ``residual`` takes it
+    (then None)."""
 
     mask: np.ndarray
     min_margin: float
@@ -315,9 +316,10 @@ class _Evaluation:
 
 def _evaluate_field(fld: ScalarField, params: SumHessianParams) -> _Evaluation:
     """The ``_Evaluation`` of a field: one ``_blockwise`` pass of the sigma
-    kernel. The float margins live one block at a time: each block yields
-    its mask and its smallest margin, whose minimum, NaN included, is that
-    of the whole grid's."""
+    kernel, the only code that computes a field's cone margins and S_k (the
+    repair's shifted cone aside). The float margins live one block at a
+    time: each block yields its mask and its smallest margin, whose
+    minimum, NaN included, is that of the whole grid's."""
     lowest = np.inf
 
     def kernel(hp: np.ndarray):
@@ -335,9 +337,10 @@ def _evaluate_field(fld: ScalarField, params: SumHessianParams) -> _Evaluation:
 class _Iterate(ScalarField):
     """A Newton iterate: the guess or a line-search trial. Its values are
     read-only, so one evaluation for ``params`` (``_evaluated``) serves
-    every call on it: ``admissible_mask``, ``residual``, the trace margin and
-    the result's admissibility. The evaluation is made on first request,
-    or handed over by the code that built the values and evaluated them."""
+    every call on it: ``admissible_mask``, ``residual``, ``linearize``, the
+    trace margin and the result's admissibility. The evaluation is made on
+    first request, or handed over by the code that built the values and
+    evaluated them."""
 
     def __init__(self, domain: GridDomain, values: np.ndarray, params: SumHessianParams,
                  evaluation: _Evaluation | None = None):
@@ -347,27 +350,23 @@ class _Iterate(ScalarField):
         self.evaluation = evaluation
 
 
-def _evaluated(fld: ScalarField, params: SumHessianParams) -> _Evaluation | None:
-    """The evaluation of a Newton iterate for its own params, made on first
-    request; None for any other field or params, which are evaluated as
-    plain fields."""
+def _evaluated(fld: ScalarField, params: SumHessianParams) -> _Evaluation:
+    """The evaluation of a field for ``params``: a Newton iterate's own for
+    its own params, made on first request; a fresh one for any other field
+    or params."""
     if not isinstance(fld, _Iterate) or fld.params != params:
-        return None
+        return _evaluate_field(fld, params)
     if fld.evaluation is None:
         fld.evaluation = _evaluate_field(fld, params)
     return fld.evaluation
 
 
 def admissible_mask(fld: ScalarField, params: SumHessianParams) -> np.ndarray:
-    """Per-interior-point admissibility: eta(lam(H)) has sigma_1..sigma_{k-1}
-    positive and S_k positive (the tilde-prime cone test)."""
+    """Per-interior-point admissibility, read-only: eta(lam(H)) has
+    sigma_1..sigma_{k-1} positive and S_k positive (the tilde-prime cone
+    test)."""
     _check_dim(fld.domain, params)
-    evaluation = _evaluated(fld, params)
-    if evaluation is not None:
-        return evaluation.mask
-    (margins,) = _blockwise(
-        lambda hp: (_cone_margins(_invariants(hp, params.k)[0], params),), fld)
-    return margins > 0
+    return _evaluated(fld, params).mask
 
 
 def _first_violation(dom: GridDomain, mask: np.ndarray):
@@ -377,19 +376,6 @@ def _first_violation(dom: GridDomain, mask: np.ndarray):
         return None
     bad = dom.interior_idx[np.flatnonzero(~mask)[0]]
     return tuple(int(v) for v in np.unravel_index(bad, dom.shape))
-
-
-def ellipticity_margins(fld: ScalarField, params: SumHessianParams):
-    """(min eigenvalue, eigenvalue sum) of the coefficient matrix per interior
-    point; positive minima witness ellipticity on admissible fields."""
-    _check_dim(fld.domain, params)
-
-    def kernel(hp: np.ndarray):
-        sig, powers = _invariants(hp, params.k)
-        eigs = np.linalg.eigvalsh(unpack(_grad_coeff_matrices(sig, powers, params)))
-        return eigs[:, 0], eigs.sum(axis=1)
-
-    return _blockwise(kernel, fld)
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +449,16 @@ def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
 
     ``f_values``, when given, is f on the interior as ``_eval_rhs``
     returns it, for a ``_state_free`` f, whose values do not depend on the
-    field; the result is the same as when f is evaluated here. On a Newton
-    iterate, S_k is taken from its evaluation (``_evaluated``).
+    field; the result is the same as when f is evaluated here. S_k is taken
+    from the field's evaluation (``_evaluated``); a Newton iterate whose
+    S_k an earlier residual took is evaluated afresh.
     """
     dom = fld.domain
     _check_dim(dom, params)
     evaluation = _evaluated(fld, params)
-    if evaluation is not None and evaluation.s_k is not None:
-        values, evaluation.s_k = evaluation.s_k, None
-    else:
-        (values,) = _blockwise(lambda hp: (_s_k(_invariants(hp, params.k)[0], params),), fld)
+    if evaluation.s_k is None:
+        evaluation = _evaluate_field(fld, params)
+    values, evaluation.s_k = evaluation.s_k, None
     if f_values is None:
         f_values = _eval_rhs(rhs, fld, expr.variables(rhs.expression))
     values -= f_values
@@ -528,7 +514,10 @@ def _pattern_arrays(shape: tuple[int, ...], idx: np.ndarray, n_offsets: int | No
     present = cols >= 0
     indptr = np.zeros(idx.size + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
-    return order, present, indptr, cols[present]
+    indices = cols[present]
+    for array in (present, indptr, indices):
+        array.flags.writeable = False
+    return order, present, indptr, indices
 
 
 def _prolongation(fine_shape: tuple[int, ...], fine_idx: np.ndarray,
@@ -628,7 +617,11 @@ class _JacobianPattern:
     ``present[i, j]`` marks that interior row i has an entry at the j-th
     sorted offset: a neighbour on the boundary layer holds Dirichlet data
     and has none. The marked entries, row by row, are the slots of
-    ``data``. ``indptr`` and ``indices`` are int32.
+    ``data``. ``indptr`` and ``indices`` are int32. Every matrix assembled
+    on the pattern shares them, so they, ``present`` and each level's
+    ``indptr``, ``indices`` and ``src`` are read-only: an in-place CSR
+    operation (``eliminate_zeros``) on such a matrix raises instead of
+    rewriting the pattern.
     """
 
     def __init__(self, dom: GridDomain, n_offsets: int | None = None,
@@ -660,7 +653,9 @@ class _JacobianPattern:
             slot = np.argsort(order)[coarse[0]]
             position = np.cumsum(present[rows], axis=1, dtype=np.int32) \
                 + (indptr[rows] - 1)[:, None]
-            levels.append((prolong, coarse[2], coarse[3], position[:, slot][coarse[1]]))
+            src = position[:, slot][coarse[1]]
+            src.flags.writeable = False
+            levels.append((prolong, coarse[2], coarse[3], src))
             order, present, indptr, _ = coarse
         return levels
 
@@ -718,19 +713,16 @@ def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
 
     ``pattern`` is the domain's ``_JacobianPattern``, made here when
     omitted; the matrix is the same either way.
-    Raises ConeViolationError naming the first inadmissible interior point.
+    Raises ConeViolationError naming the first inadmissible interior point
+    of the field's evaluation (``_evaluated``).
     """
     dom = fld.domain
     _check_dim(dom, params)
-
-    def kernel(hp: np.ndarray):
-        sig, powers = _invariants(hp, params.k)
-        return _cone_margins(sig, params) > 0, _grad_coeff_matrices(sig, powers, params)
-
-    admissible, coeff = _blockwise(kernel, fld)
-    offender = _first_violation(dom, admissible)
+    offender = _first_violation(dom, _evaluated(fld, params).mask)
     if offender is not None:
         raise ConeViolationError(f"field is not admissible at grid point {offender}")
+    (coeff,) = _blockwise(
+        lambda hp: (_grad_coeff_matrices(*_invariants(hp, params.k), params),), fld)
     f_u, f_p = _rhs_derivatives(fld, rhs)
     return _assemble(dom, pattern or _JacobianPattern(dom), coeff, f_u, f_p)
 

@@ -28,7 +28,6 @@ from sumhessian.solver import (
     _rhs_derivatives,
     admissible_mask,
     boundary_values,
-    ellipticity_margins,
     initial_guess,
     linearize,
     residual,
@@ -71,7 +70,6 @@ class TestBlocksChangeNoBit:
                 stages[k, "residual"] = residual(smooth, params, rhs)
                 stages[k, "linearize"] = linearize(smooth, params, rhs).data
                 stages[k, "repaired"] = _repair_admissibility(rough, params, 1.0).values
-                stages[k, "ellipticity"] = np.concatenate(ellipticity_margins(smooth, params))
             # the box's transfinite blend, the ball's harmonic extension
             for g in ("x1 / 10", "x1 * x2 / 10 + exp(x2) / 20"):
                 stages["guess", g] = initial_guess(dom, SumHessianParams(dim, 2, 1.0), rhs,
@@ -203,10 +201,12 @@ class TestDomainBuild:
 # "iterate" is admissible_mask, then residual, on a Newton iterate, as the
 # loop calls them: 3.12 (box) and 2.77 (ball) when each evaluated the
 # stencil itself, 3.26 and 2.85 with the iterate's one evaluation, which
-# keeps the mask. "extension" is the ball guess with zero data, whose
-# staircase mismatch runs the harmonic extension, with the Jacobian
-# pattern built beforehand: 22.2 with the Laplacian on the Jacobian's
-# 19-point pattern, 18.5 on its own 7-point pattern. "pattern" is the
+# keeps the mask. A plain field's admissible_mask and residual run that
+# same evaluation, so they measure 3.26 and 2.85 as well. "extension" is
+# the ball guess with zero data, whose staircase mismatch runs the
+# harmonic extension, with the Jacobian pattern built beforehand: 22.2
+# with the Laplacian on the Jacobian's 19-point pattern, 18.5 on its own
+# 7-point pattern. "pattern" is the
 # traced peak of building a Jacobian pattern and its V-cycle levels:
 # 29.4 (box) and 21.4 (ball) when each prolongation was sliced out of
 # the whole grid's Kronecker product, 22.6 and 12.5 built block by block.

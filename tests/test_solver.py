@@ -36,7 +36,6 @@ from sumhessian.solver import (
     _vcycle,
     admissible_mask,
     boundary_values,
-    ellipticity_margins,
     initial_guess,
     linearize,
     quadratic_scale,
@@ -114,7 +113,6 @@ class TestResidual:
         params, rhs = SumHessianParams(2, 2, 1.0), RhsSpec.parse("1")
         calls = (lambda: admissible_mask(fld, params),
                  lambda: linearize(fld, params, rhs),
-                 lambda: ellipticity_margins(fld, params),
                  lambda: initial_guess(dom, params, rhs, ZERO),
                  lambda: residual(fld, params, rhs),
                  lambda: newton_solve(dom, params, rhs, ZERO))
@@ -384,6 +382,26 @@ class TestAssembly:
         assert x.tobytes() == x_full.tobytes()
         assert lean.levels[0][0] is full.levels[0][0]
 
+    def test_pattern_index_arrays_are_read_only(self):
+        # an assembled matrix shares the pattern's indptr and indices, so an
+        # in-place CSR operation on it raises instead of rewriting the
+        # pattern of the next assembly
+        dom = make_domain(3, (-1,) * 3, (1,) * 3, (16,) * 3, mask_name="ball")
+        pattern = _JacobianPattern(dom)
+        n_int = dom.interior_idx.size
+        eye = pack(np.eye(3)[None])
+        args = (np.broadcast_to(eye, (eye.shape[0], n_int)), np.zeros(n_int), np.zeros((n_int, 3)))
+        lap = _assemble(dom, pattern, *args)
+        want = [getattr(lap, attr).tobytes() for attr in ("indptr", "indices", "data")]
+        assert np.count_nonzero(lap.data) < lap.nnz     # the mixed slots' zeros
+        with pytest.raises(ValueError, match="read-only"):
+            lap.eliminate_zeros()
+        again = _assemble(dom, pattern, *args)
+        assert [getattr(again, attr).tobytes() for attr in ("indptr", "indices", "data")] == want
+        _, present, indptr, indices = pattern.arrays
+        arrays = [present, indptr, indices] + [a for level in pattern.levels for a in level[1:]]
+        assert len(arrays) == 6 and not any(a.flags.writeable for a in arrays)
+
 
 def coarse_domains(dom):
     """The coarse grids of the V-cycle as domains, finest first."""
@@ -524,6 +542,21 @@ class TestMultigrid:
         finally:
             gc.enable()
 
+    def test_zero_rhs_runs_no_krylov_solve(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def bicgstab(*args, **kwargs):
+            raise AssertionError("BiCGSTAB ran on a zero right-hand side")
+
+        monkeypatch.setattr(spla, "bicgstab", bicgstab)
+        dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
+        fld = field_from(dom, lambda p: 0.5 * np.sum(p**2, axis=1))
+        mat = linearize(fld, SumHessianParams(2, 1, 0.0), RhsSpec.parse("1"))
+        n_int = dom.interior_idx.size
+        x, krylov, achieved = _solve_linear(mat, np.zeros(n_int), 1e-10, _JacobianPattern(dom))
+        assert (krylov, achieved) == (0, 0.0)
+        assert x.tobytes() == np.zeros(n_int).tobytes()
+
     def test_trace_records_krylov_and_linear_residual(self):
         params = SumHessianParams(3, 2, 1.0)
         # an 8-cell grid has no coarse level: its V-cycle is Jacobi sweeps alone
@@ -575,6 +608,21 @@ class TestLocalRepair:
         want, sweeps = full_sweep_repair(unrepaired, params, scale)
         assert sweeps >= 3
         assert repaired.values.tobytes() == want.values.tobytes()
+
+    def test_out_of_sweeps_but_admissible(self, monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        # admissible, but short of the repair's uniform margin: the sweeps
+        # lower it, and with none left the last check takes it as it is
+        dom = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3)
+        fld = field_from(dom, lambda p: 0.005 * np.sum(p**2, axis=1))
+        params = SumHessianParams(3, 2, 1.0)
+        assert _repair_admissibility(fld, params, 1.0).values.tobytes() != fld.values.tobytes()
+        monkeypatch.setattr(solver_mod, "REPAIR_SWEEPS", 0)
+        repaired = _repair_admissibility(fld, params, 1.0)
+        assert isinstance(repaired, solver_mod._Iterate)
+        assert repaired.evaluation is not None and repaired.evaluation.mask.all()
+        assert repaired.values.tobytes() == fld.values.tobytes()
 
     def test_unrepairable_raises(self, monkeypatch):
         import sumhessian.solver as solver_mod
@@ -645,11 +693,46 @@ class TestLinearize:
             linearize(fld, params, RhsSpec.parse("8 + abs(u)"))
         assert "'(u / abs(u))'" in str(err.value)
 
+    def test_admissibility_read_from_the_evaluation(self, monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        dom = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3)
+        params, rhs = SumHessianParams(3, 2, 1.0), RhsSpec.parse("18")
+        values = 0.5 * np.sum(dom.points**2, axis=1).reshape(dom.shape)
+        iterate = solver_mod._Iterate(dom, values.copy(), params)
+        assert admissible_mask(iterate, params).all()     # evaluates the iterate
+        calls = []
+        cone_margins = solver_mod._cone_margins
+
+        def counted(*args):
+            calls.append(args)
+            return cone_margins(*args)
+
+        monkeypatch.setattr(solver_mod, "_cone_margins", counted)
+        mat = linearize(iterate, params, rhs)
+        assert calls == []
+        # a plain field is evaluated afresh, to the same matrix
+        plain = linearize(ScalarField(dom, values), params, rhs)
+        assert calls
+        assert plain.data.tobytes() == mat.data.tobytes()
+        # an inadmissible plain field: the first bad point is named
+        values[3, 4, 5] += 0.1
+        values[5, 2, 2] += 0.1
+        bad = dom.interior_idx[~admissible_mask(ScalarField(dom, values), params)]
+        assert bad.tolist() == np.ravel_multi_index(([3, 5], [4, 2], [5, 2]), dom.shape).tolist()
+        with pytest.raises(ConeViolationError, match=r"grid point \(3, 4, 5\)"):
+            linearize(ScalarField(dom, values), params, rhs)
+
     def test_ellipticity_witness(self):
+        # the coefficient matrices of an admissible field are positive
+        # definite: eigenvalues of dF per interior point
         dom = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3)
         params = SumHessianParams(3, 2, 1.0)
         fld = field_from(dom, lambda p: 0.5 * np.sum(p**2, axis=1))
-        mins, sums = ellipticity_margins(fld, params)
+        sig, powers = _invariants(hessian_field(fld), params.k)
+        eigs = np.linalg.eigvalsh(unpack(_grad_coeff_matrices(sig, powers, params)))
+        assert eigs.shape == (dom.interior_idx.size, 3)
+        mins, sums = eigs[:, 0], eigs.sum(axis=1)
         assert np.min(mins) > 0
         assert np.min(mins / sums) > 0  # uniform ratio for 0 < k < n
 
@@ -664,6 +747,10 @@ class TestInitialGuess:
         assert quadratic_scale(params, 288.0) == 8.0
         # c=2 also satisfies the inequality for f=18, but is not minimal
         assert 12 * 4 + 6 * 2 >= 18
+
+    def test_scale_beyond_the_cap_raises(self):
+        with pytest.raises(InstanceError, match="below 2\\^40"):
+            quadratic_scale(SumHessianParams(3, 2, 1.0), 1e30)
 
     def test_scale_minimality(self):
         params = SumHessianParams(3, 2, 1.0)
