@@ -14,23 +14,31 @@ asked of each step is the Eisenstat-Walker "choice 1" forcing term, which
 loosens the solve far from the solution and tightens it as the linear model
 becomes predictive. The derivatives df/du and df/dp are exact (``expr.diff``).
 
-A sparsity pattern (CSR ``indptr``/``indices``, and which stencil
-neighbours have entries) depends on the domain and the stencil only. Each
-``newton_solve`` makes one Jacobian pattern on the Hessian's stencil,
-built on first use, and hands it to every linearization, which then fills
-``data`` alone. The harmonic extension of the ball's guess assembles its
-Laplacian on a pattern of its own, the (2d + 1)-point stencil, so no row
-stores the mixed slots' zeros; that pattern is freed with the extension.
-Neither pattern is kept on the domain. The V-cycle's grid hierarchy
-(``_CoarseGrids``) depends on the domain only, so a solve builds it once,
-on the first linear solve, and both patterns' levels use it: the cells
-halve while every axis stays even and at least ``MIN_CELLS``, and each
-coarse grid keeps its n-linear prolongation P, the Kronecker product of
-one 1-D linear interpolation per axis (restriction is P^T / 2^d), built
-block by block from the interior index sets. Each pattern keeps one coarse
-sparsity pattern per grid; a coarse operator takes the fine row of its
-injected point 2j, slot by slot, scaled by (h / 2h)^2, so no Galerkin
-product is formed.
+A sparsity pattern depends on the domain and the stencil only. Its rows
+have a fixed width, one slot per stencil offset: a neighbour on the
+boundary layer keeps its slot, which points at the row's own column and
+holds an exact +0.0, so the pattern is the int32 column of each slot and
+the short list of those absent slots, with no mask of present entries.
+Each ``newton_solve`` makes one Jacobian pattern on the Hessian's stencil,
+built on first use, and hands it to every linearization, which then writes
+each offset's weights into its column of ``data``. The harmonic extension
+of the ball's guess assembles its Laplacian on a pattern of its own, the
+(2d + 1)-point stencil, so no row stores the mixed slots' zeros; that
+pattern is freed with the extension. Neither pattern is kept on the
+domain. The V-cycle's grid hierarchy (``_CoarseGrids``) depends on the
+domain only, so a solve builds it once, on the first linear solve, and both
+patterns' levels use it: the cells halve while every axis stays even and at
+least ``MIN_CELLS``, and each coarse grid keeps its n-linear prolongation
+P, the Kronecker product of one 1-D linear interpolation per axis
+(restriction is P^T / 2^d), built block by block from the interior index
+sets. A coarse operator takes the fine row of its injected point 2j, slot
+by slot, scaled by (h / 2h)^2: a gather of whole rows, zeroed at the coarse
+level's own absent slots, so no Galerkin product is formed. The V-cycle
+forms its residuals and corrections in place and never writes its input.
+Across its linear solve a Newton step holds the iterate, its interior
+residual, the Jacobian and the pattern alone: the grid residual goes once
+its interior is read, and the last step's Jacobian and step go once that
+step is accepted.
 
 The bulk path never eigendecomposes: one loop kernel, valid in any grid
 dimension and order k, evaluates sigma_m of eta(lam(H)) from the power sums
@@ -508,16 +516,18 @@ def _pattern_arrays(shape: tuple[int, ...], idx: np.ndarray, n_offsets: int | No
     strides = tuple(int(np.prod(shape[a + 1:], dtype=int)) for a in range(len(shape)))
     offsets = np.array(_stencil_offsets(strides)[:n_offsets])
     order = np.argsort(offsets)
-    cols = np.empty((idx.size, order.size), dtype=np.int32)
+    indices = np.empty((idx.size, order.size), dtype=np.int32)
+    absent = []
     for j, offset in enumerate(offsets[order]):
-        cols[:, j] = local[idx + offset]
-    present = cols >= 0
-    indptr = np.zeros(idx.size + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(present, axis=1), out=indptr[1:])
-    indices = cols[present]
-    for array in (present, indptr, indices):
+        column = local[idx + offset]
+        missing = np.flatnonzero(column < 0)    # rows whose neighbour is data
+        column[missing] = missing               # the row's own column
+        indices[:, j] = column
+        absent.append(missing * order.size + j)
+    absent = np.concatenate(absent)
+    for array in (indices, absent):
         array.flags.writeable = False
-    return order, present, indptr, indices
+    return order, indices, absent
 
 
 def _prolongation(fine_shape: tuple[int, ...], fine_idx: np.ndarray,
@@ -611,17 +621,19 @@ class _JacobianPattern:
     Laplacian. ``grids`` is the domain's ``_CoarseGrids``, made here when
     omitted; patterns of one domain may share them.
 
-    ``arrays`` is (order, present, indptr, indices). ``order`` sorts the
-    stencil offsets; interior indices grow with the flat index, so taking
-    the offsets in that order yields each row's columns sorted.
-    ``present[i, j]`` marks that interior row i has an entry at the j-th
-    sorted offset: a neighbour on the boundary layer holds Dirichlet data
-    and has none. The marked entries, row by row, are the slots of
-    ``data``. ``indptr`` and ``indices`` are int32. Every matrix assembled
-    on the pattern shares them, so they, ``present`` and each level's
-    ``indptr``, ``indices`` and ``src`` are read-only: an in-place CSR
-    operation (``eliminate_zeros``) on such a matrix raises instead of
-    rewriting the pattern.
+    Rows have a fixed width: one slot per stencil offset. ``arrays`` is
+    (order, indices, absent). ``order`` sorts the stencil offsets, so slot j
+    of every row is the j-th offset in increasing order; the offsets pair up
+    around 0, so the centre is the middle slot. ``indices`` (int32,
+    n_int x width) is the column of each slot. A neighbour on the boundary
+    layer holds Dirichlet data and has no unknown: its slot points at the
+    row's own column and holds an exact +0.0, which adds nothing to a
+    product (a CSR row sum starts from +0.0). ``absent`` lists those slots
+    as flat positions in (n_int x width), only rows next to the boundary.
+    Every matrix assembled on the pattern shares ``indices``, so it and
+    ``absent`` are read-only: an in-place CSR operation
+    (``eliminate_zeros``) on such a matrix raises instead of rewriting the
+    pattern.
     """
 
     def __init__(self, dom: GridDomain, n_offsets: int | None = None,
@@ -631,33 +643,42 @@ class _JacobianPattern:
         self.grids = grids or _CoarseGrids(dom)
 
     @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _pattern_arrays(self.dom.shape, self.dom.interior_idx, self.n_offsets)
 
     @cached_property
-    def levels(self) -> list[tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]]:
-        """Coarse levels, finest first: (P, indptr, indices, src) each, on
-        the grids of ``grids``, whose P it shares.
+    def levels(self) -> list[tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Coarse levels, finest first: (P, rows, slot, indices, absent)
+        each, on the grids of ``grids``, whose P and ``rows`` it shares.
 
-        ``indptr`` and ``indices`` are the level's pattern; its ``data`` is
-        the finer level's ``data`` at ``src``: coarse row j, slot by stencil
-        direction e, takes the finer row of 2j at the same direction. That
-        entry exists: 2j + 2e is interior, so 2j + e is too (the midpoint of
-        two points of a box or ball lies in it).
+        ``indices`` and ``absent`` are the level's pattern. Its data is a
+        gather of the finer level's (``_vcycle``): coarse row j takes the
+        finer row ``rows[j]``, that of the injected point 2j, and its slot s
+        the finer slot ``slot[s]`` of the same stencil direction e. Where
+        2j + 2e is interior, 2j + e is too (the midpoint of two points of a
+        box or ball lies in it), so the finer slot is present; where it is
+        not, the coarse slot is absent and is zeroed.
         """
-        order, present, indptr, _ = self.arrays
+        order = self.arrays[0]
         levels = []
         for prolong, shape, idx, rows in self.grids.levels:
-            coarse = _pattern_arrays(shape, idx, self.n_offsets)
+            coarse_order, indices, absent = _pattern_arrays(shape, idx, self.n_offsets)
             # the finer slot of each coarse slot's direction
-            slot = np.argsort(order)[coarse[0]]
-            position = np.cumsum(present[rows], axis=1, dtype=np.int32) \
-                + (indptr[rows] - 1)[:, None]
-            src = position[:, slot][coarse[1]]
-            src.flags.writeable = False
-            levels.append((prolong, coarse[2], coarse[3], src))
-            order, present, indptr, _ = coarse
+            slot = np.argsort(order)[coarse_order]
+            levels.append((prolong, rows, slot, indices, absent))
+            order = coarse_order
         return levels
+
+
+def _fixed_width_csr(data: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
+    """The square CSR matrix whose row i holds data[i] at columns
+    indices[i], both (n, width); its ``data`` and ``indices`` are views of
+    them."""
+    import scipy.sparse as sp
+
+    n, width = indices.shape
+    indptr = np.arange(0, n * width + 1, width, dtype=np.int32)
+    return sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
 
 
 def _stencil_weights(h: float, coeff: np.ndarray, f_u: np.ndarray,
@@ -684,26 +705,21 @@ def _assemble(dom: GridDomain, pattern: _JacobianPattern, coeff: np.ndarray,
     """Sparse operator on the interior unknowns, (n_int, n_int): second-order
     term with per-point packed coefficient matrices, (d(d+1)/2, n_int),
     contracted against the Hessian stencil, minus first/zeroth-order terms.
-    ``pattern`` is the domain's ``_JacobianPattern``; only ``data`` is
-    computed here, ASSEMBLY_ROWS rows at a time: the block's stencil
-    weights fill the columns of one reused block, one per direction, whose
-    present entries are that stretch of ``data``.
+    ``pattern`` is the domain's ``_JacobianPattern``; only ``data``, one
+    fixed-width row per unknown, is computed here, ASSEMBLY_ROWS rows at a
+    time: each stencil offset's weights go straight into its column of
+    ``data``. The absent slots are then set to +0.0.
     """
-    import scipy.sparse as sp
-
-    order, present, indptr, indices = pattern.arrays
-    n_int = f_u.size
-    data = np.empty(indices.size)
-    block = np.empty((min(ASSEMBLY_ROWS, n_int), order.size))
-    for start in range(0, n_int, ASSEMBLY_ROWS):
-        stop = min(start + ASSEMBLY_ROWS, n_int)
+    order, indices, absent = pattern.arrays
+    data = np.empty(indices.shape)
+    for start in range(0, f_u.size, ASSEMBLY_ROWS):
+        stop = start + ASSEMBLY_ROWS
         weights = _stencil_weights(dom.h, coeff[:, start:stop], f_u[start:stop],
                                    f_p[start:stop])
-        filled = block[:stop - start]
-        for column, j in zip(filled.T, order):
+        for column, j in zip(data[start:stop].T, order):
             column[:] = weights[j]
-        data[indptr[start]:indptr[stop]] = filled[present[start:stop]]
-    return sp.csr_matrix((data, indices, indptr), shape=(n_int, n_int))
+    data.reshape(-1)[absent] = 0.0
+    return _fixed_width_csr(data, indices)
 
 
 def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
@@ -730,9 +746,13 @@ def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
 def _jacobi(a: sp.csr_matrix, damped: np.ndarray, r: np.ndarray, x: np.ndarray,
             sweeps: int) -> np.ndarray:
     """x after ``sweeps`` damped-Jacobi sweeps on a x = r, where ``damped``
-    is MG_OMEGA / diag(a); x is updated in place."""
+    is MG_OMEGA / diag(a); x is updated in place, and each sweep's
+    correction is formed in the array that ``a @ x`` returns."""
     for _ in range(sweeps):
-        x += damped * (r - a @ x)
+        correction = a @ x
+        np.subtract(r, correction, out=correction)
+        correction *= damped
+        x += correction
     return x
 
 
@@ -740,21 +760,29 @@ def _vcycle(mat: sp.csr_matrix, pattern: _JacobianPattern) -> spla.LinearOperato
     """One V-cycle over ``pattern.levels`` as a linear operator, an
     approximate inverse of ``mat``, which fills ``pattern``.
 
-    Each level's operator is the finer one's data at ``src`` scaled by
-    (h / 2h)^2 = 1/4. A level smooths with MG_SMOOTH_SWEEPS damped-Jacobi
-    sweeps from zero, corrects from the next level through P and the
-    restriction P^T / 2^d, and smooths again; the coarsest level, or a grid
-    that cannot be coarsened, takes MG_COARSEST_SWEEPS sweeps from zero. The
-    cycle is therefore linear in its input.
+    Each level's fixed-width rows are the finer level's data gathered by
+    the level's ``rows`` and ``slot``, scaled by (h / 2h)^2 = 1/4, with the
+    level's own absent slots set to +0.0. Each level's inverse diagonal is
+    read from the centre slot. A level smooths with MG_SMOOTH_SWEEPS
+    damped-Jacobi sweeps from zero, corrects from the next level through P
+    and the restriction P^T / 2^d, and smooths again; the coarsest level,
+    or a grid that cannot be coarsened, takes MG_COARSEST_SWEEPS sweeps
+    from zero. The cycle is therefore linear in its input, which it never
+    writes: BiCGSTAB hands it vectors it reads again. Each level's residual
+    is formed in the array that ``a @ x`` returns, its restriction is
+    scaled in place, and the prolonged correction is added into the
+    level's first smoothed x.
     """
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     ops = [mat]
-    for _, indptr, indices, src in pattern.levels:
-        n = indptr.size - 1
-        ops.append(sp.csr_matrix((0.25 * ops[-1].data[src], indices, indptr), shape=(n, n)))
-    damped = [MG_OMEGA / a.diagonal() for a in ops]
+    width = pattern.arrays[1].shape[1]
+    for _, rows, slot, indices, absent in pattern.levels:
+        data = ops[-1].data.reshape(-1, width)[rows[:, None], slot]
+        data *= 0.25
+        data.reshape(-1)[absent] = 0.0
+        ops.append(_fixed_width_csr(data, indices))
+    damped = [MG_OMEGA / a.data.reshape(-1, width)[:, width // 2] for a in ops]
     # P.T is a CSC view of P's arrays, not a copy
     transfers = [(level[0], level[0].T) for level in pattern.levels]
     restrict = 0.5 ** pattern.dom.dim
@@ -767,32 +795,39 @@ def _vcycle(mat: sp.csr_matrix, pattern: _JacobianPattern) -> spla.LinearOperato
         for a, w, (_, p_t) in zip(ops, damped, transfers):
             x = _jacobi(a, w, r, w * r, MG_SMOOTH_SWEEPS - 1)
             down.append((r, x))
-            r = restrict * (p_t @ (r - a @ x))
+            defect = a @ x
+            np.subtract(r, defect, out=defect)
+            r = p_t @ defect
+            r *= restrict
         x = _jacobi(ops[-1], damped[-1], r, damped[-1] * r, MG_COARSEST_SWEEPS - 1)
         for lv in reversed(range(len(transfers))):
             r, x_fine = down[lv]
-            x = _jacobi(ops[lv], damped[lv], r, x_fine + transfers[lv][0] @ x, MG_SMOOTH_SWEEPS)
+            x_fine += transfers[lv][0] @ x
+            x = _jacobi(ops[lv], damped[lv], r, x_fine, MG_SMOOTH_SWEEPS)
         return x
 
     return spla.LinearOperator(mat.shape, matvec=cycle, dtype=np.float64)
 
 
-def _solve_linear(mat: sp.csr_matrix, rhs_vec: np.ndarray, rtol: float,
+def _solve_linear(mat: sp.csr_matrix, b: np.ndarray, rtol: float,
                   pattern: _JacobianPattern) -> tuple[np.ndarray, int, float]:
-    """Solve mat x = rhs_vec by BiCGSTAB, preconditioned with one V-cycle
-    (``_vcycle``; ``mat`` fills ``pattern``), to relative residual rtol.
+    """Solve mat x = -b by BiCGSTAB, preconditioned with one V-cycle
+    (``_vcycle``; ``mat`` fills ``pattern``), to relative residual rtol:
+    x is the correction that cancels a residual b to first order.
 
-    Returns x, the Krylov iterations and the relative residual reached,
-    recomputed from x; raises LinearSolveError when that exceeds rtol.
+    The solve runs on the unit right-hand side -b / ||b||, built in one
+    array as b / -||b||, which is it exactly. Returns x, the Krylov
+    iterations and the relative residual reached, recomputed from x;
+    raises LinearSolveError when that exceeds rtol.
     """
     import scipy.sparse.linalg as spla
 
-    rhs_norm = float(np.linalg.norm(rhs_vec))
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs_vec), 0, 0.0
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return np.zeros_like(b), 0, 0.0
     # unit-norm right-hand side keeps BiCGSTAB clear of its absolute
     # breakdown thresholds on late Newton steps
-    b_unit = rhs_vec / rhs_norm
+    b_unit = b / -b_norm
     iterations = 0
 
     def count(_xk):
@@ -801,14 +836,17 @@ def _solve_linear(mat: sp.csr_matrix, rhs_vec: np.ndarray, rtol: float,
 
     x, _ = spla.bicgstab(mat, b_unit, rtol=rtol, atol=0.0, maxiter=KRYLOV_MAXITER,
                          M=_vcycle(mat, pattern), callback=count)
-    achieved = float(np.linalg.norm(mat @ x - b_unit))
+    remainder = mat @ x
+    remainder -= b_unit
+    achieved = float(np.linalg.norm(remainder))
     if not achieved <= rtol:
         unknowns = mat.shape[0]
         # the traceback keeps this frame alive: free the matrix and the
         # V-cycle hierarchy before raising
         del mat, pattern
         raise LinearSolveError(rtol, achieved, iterations, unknowns)
-    return x * rhs_norm, iterations, achieved
+    x *= b_norm
+    return x, iterations, achieved
 
 
 def _forcing_term(f_norm: float, prev: tuple[float, float], tol: float) -> float:
@@ -1060,7 +1098,7 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                               ScalarField(dom, mismatch.reshape(dom.shape)))
         del mismatch
         try:
-            x, krylov, linear_residual = _solve_linear(lap, -lap_m, EXTENSION_RTOL, laplacian)
+            x, krylov, linear_residual = _solve_linear(lap, lap_m, EXTENSION_RTOL, laplacian)
         except LinearSolveError:
             # the traceback keeps this frame and initial_guess's alive: free
             # the Laplacian, its pattern and the Jacobian pattern (a cell of
@@ -1140,11 +1178,12 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
 
     while res_norm > config.tol and iterations < config.max_iter:
         f_int = res.ravel()[idx]
+        del res     # the grid residual: f_int holds its interior
         f_norm = float(np.linalg.norm(f_int))
         eta = ETA_MAX if forcing is None else _forcing_term(f_norm, forcing, config.tol)
         mat = linearize(fld, params, rhs, pattern=pattern)
         try:
-            delta_int, krylov, linear_residual = _solve_linear(mat, -f_int, eta, pattern)
+            delta_int, krylov, linear_residual = _solve_linear(mat, f_int, eta, pattern)
         except LinearSolveError as exc:
             exc.trace = trace
             del mat, pattern    # as for a stall below
@@ -1178,9 +1217,11 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                 f"line search stalled: {stall}, at residual {res_norm:.3e}", trace=trace)
         # (1 - step) F + step r_lin = F + step J delta
         model_norm = float(np.linalg.norm(f_int + step * (mat @ delta_int)))
-        del mat     # free this Jacobian before the next one is assembled
         forcing = (f_norm, model_norm)
         fld, res, res_norm = accepted
+        # free this Jacobian and this step before the next ones are made;
+        # the accepted trial and its residual live on as fld and res alone
+        del mat, delta, delta_int, accepted, res_try
         iterations += 1
         trace.append(TraceEntry(iterations, res_norm, step, _evaluated(fld, params).min_margin,
                                 krylov, linear_residual))

@@ -21,11 +21,13 @@ from sumhessian import expr
 from sumhessian.config import load_config
 from sumhessian.estimates import build_report
 from sumhessian.solver import (
+    ETA_MAX,
     _Iterate,
     _JacobianPattern,
     _repair_admissibility,
     _rhs_at_rest,
     _rhs_derivatives,
+    _solve_linear,
     admissible_mask,
     boundary_values,
     initial_guess,
@@ -206,24 +208,36 @@ class TestDomainBuild:
 # the ball guess with zero data, whose staircase mismatch runs the
 # harmonic extension, with the Jacobian pattern built beforehand: 22.2
 # with the Laplacian on the Jacobian's 19-point pattern, 18.5 on its own
-# 7-point pattern. "pattern" is the
+# 7-point pattern, 17.1 with the prolongations built block by block, and
+# 15.2 with fixed-width rows and the in-place V-cycle. "pattern" is the
 # traced peak of building a Jacobian pattern and its V-cycle levels:
 # 29.4 (box) and 21.4 (ball) when each prolongation was sliced out of
-# the whole grid's Kronecker product, 22.6 and 12.5 built block by block.
-# Those two bounds are the second figures, plus at most 4%.
+# the whole grid's Kronecker product, 22.6 and 12.5 built block by block,
+# 20.6 and 11.4 with fixed-width rows (no present mask, no cumsum of it,
+# no level src maps). "linear_solve" is one _solve_linear at ETA_MAX on
+# the Jacobian of the quadratic for f = 18 + u + p1^2: BiCGSTAB's vectors
+# and one V-cycle's coarse operators and temporaries. It measured 17.7
+# (box) and 9.0 (ball) with the V-cycle forming new arrays for each
+# residual, restriction and correction, 16.1 and 8.1 in place, with
+# fixed-width rows. The pattern, extension and linear_solve bounds are the
+# last figures, plus at most 4%.
 PEAK_BOUNDS = {
     "box": {"admissible_mask": 3.85, "residual": 3.85, "residual_state_f": 3.85,
             "boundary_values": 1.4, "build_report": 2.9, "write_field": 0.47,
-            "read_field": 2.75, "initial_guess": 6.25, "iterate": 3.85, "pattern": 23.5},
+            "read_field": 2.75, "initial_guess": 6.25, "iterate": 3.85, "pattern": 21.4,
+            "linear_solve": 16.7},
     "ball": {"admissible_mask": 3.4, "residual": 3.4, "residual_state_f": 3.4,
              "boundary_values": 1.5, "build_report": 3.0, "write_field": 0.46,
-             "read_field": 2.65, "initial_guess": 6.8, "iterate": 3.4, "pattern": 13.0,
-             "extension": 19.0},
+             "read_field": 2.65, "initial_guess": 6.8, "iterate": 3.4, "pattern": 11.85,
+             "extension": 15.75, "linear_solve": 8.45},
 }
 # what a Jacobian pattern keeps, its V-cycle levels and their shared
 # prolongations included: 18.8 (box) and 10.4 (ball), then 19.0 and 10.5
-# with the coarse grids' interior index sets kept for a second pattern
-PATTERN_BOUNDS = {"box": 19.5, "ball": 11.0}
+# with the coarse grids' interior index sets kept for a second pattern,
+# then 16.1 and 9.0 with fixed-width rows: the int32 column of every slot
+# and the list of absent slots, in place of the present mask, the CSR
+# indptr and each level's src map
+PATTERN_BOUNDS = {"box": 16.7, "ball": 9.3}
 # what a domain keeps, mask and interior indices; it kept 4.0 (box) and
 # 3.6 (ball) times the field with its (N, 3) coordinate array
 DOMAIN_BOUND = 1.1
@@ -287,6 +301,10 @@ def stage_ratios(mask: str, path: Path) -> dict:
         residual(newton_iterate, params, rhs)
 
     newton_iterate = _Iterate(dom, fld.values.copy(), params)
+    # a Newton step's linear solve, at an admissible field on either mask
+    quadratic = ScalarField(dom, (0.5 * (np.sum(dom.points ** 2, axis=1) - 1.0)).reshape(dom.shape))
+    jacobian = linearize(quadratic, params, state_rhs, pattern=pattern)
+    f_int = residual(quadratic, params, state_rhs).ravel()[dom.interior_idx]
 
     stages = {"admissible_mask": lambda: admissible_mask(fld, params),
               "residual": lambda: residual(fld, params, rhs),
@@ -296,7 +314,8 @@ def stage_ratios(mask: str, path: Path) -> dict:
               "write_field": write, "read_field": read,
               "initial_guess": lambda: initial_guess(dom, params, rhs, expr.parse(quad),
                                                      pattern=pattern),
-              "iterate": iterate, "pattern": pattern_levels}
+              "iterate": iterate, "pattern": pattern_levels,
+              "linear_solve": lambda: _solve_linear(jacobian, f_int, ETA_MAX, pattern)}
     if mask == "ball":
         stages["extension"] = lambda: initial_guess(dom, params, rhs, expr.parse("0"),
                                                     pattern=pattern)

@@ -296,14 +296,26 @@ class TestAssembly:
         coeff = coeff + coeff.transpose(0, 2, 1)
         f_u, f_p = rng.normal(size=n_int), rng.normal(size=(n_int, dim))
         want = coo_reference(dom, coeff, f_u, f_p)
+        width = 2 * dim * dim + 1
         # every row in one block, then many blocks and a short last one
         for rows in (n_int, 97):
             monkeypatch.setattr(solver_mod, "ASSEMBLY_ROWS", rows)
-            got = _assemble(dom, _JacobianPattern(dom), pack(coeff), f_u, f_p)
+            pattern = _JacobianPattern(dom)
+            got = _assemble(dom, pattern, pack(coeff), f_u, f_p)
             assert got.indptr.dtype == got.indices.dtype == np.int32
+            assert np.array_equal(got.indptr, width * np.arange(n_int + 1))
+            # every absent slot is +0.0 on its own row's column
+            _, indices, absent = pattern.arrays
+            assert absent.size > 0
+            assert np.array_equal(got.indices[absent], absent // width)
+            assert not got.data[absent].view(np.int64).any()
+            # the operator, its duplicates summed as tocsr sums the
+            # reference's, is the reference's bit for bit
+            summed = sp.csr_matrix((got.data.copy(), got.indices.copy(), got.indptr.copy()),
+                                   shape=got.shape)
+            summed.sum_duplicates()
             for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
-            assert got.has_sorted_indices
+                assert getattr(summed, attr).tobytes() == getattr(want, attr).tobytes(), attr
 
     def test_shared_pattern_gives_the_same_matrix(self):
         dom = make_domain(3, (-1,) * 3, (1,) * 3, (10,) * 3, mask_name="ball")
@@ -364,16 +376,17 @@ class TestAssembly:
         eye = pack(np.eye(dim)[None])
         args = (np.broadcast_to(eye, (eye.shape[0], n_int)), np.zeros(n_int), np.zeros((n_int, dim)))
         lap = _assemble(dom, lean, *args)
-        assert np.diff(lap.indptr).max() == 2 * dim + 1
-        # the full pattern's Laplacian with its explicit zeros eliminated (on
-        # a copy: the matrix shares its index arrays with the pattern)
+        assert np.array_equal(np.diff(lap.indptr), np.full(n_int, 2 * dim + 1))
+        # both Laplacians with their explicit zeros eliminated (on copies:
+        # a matrix shares its index arrays with the pattern) are the same
+        # matrix: the full pattern's extra slots are all zeros
         full_lap = _assemble(dom, full, *args)
-        want = full_lap.copy()
+        want, got = full_lap.copy(), lap.copy()
         want.eliminate_zeros()
-        assert want.nnz < full_lap.nnz
+        got.eliminate_zeros()
+        assert want.nnz == got.nnz < lap.nnz < full_lap.nnz
         for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(lap, attr), getattr(want, attr)), attr
-        assert lap.data.tobytes() == want.data.tobytes()
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
         # the extension's solve: the same x, bit for bit, in as many iterations
         b = np.random.default_rng(dim).normal(size=n_int)
         x, krylov, achieved = _solve_linear(lap, b, EXTENSION_RTOL, lean)
@@ -383,9 +396,9 @@ class TestAssembly:
         assert lean.levels[0][0] is full.levels[0][0]
 
     def test_pattern_index_arrays_are_read_only(self):
-        # an assembled matrix shares the pattern's indptr and indices, so an
-        # in-place CSR operation on it raises instead of rewriting the
-        # pattern of the next assembly
+        # an assembled matrix shares the pattern's indices, so an in-place
+        # CSR operation on it raises instead of rewriting the pattern of
+        # the next assembly
         dom = make_domain(3, (-1,) * 3, (1,) * 3, (16,) * 3, mask_name="ball")
         pattern = _JacobianPattern(dom)
         n_int = dom.interior_idx.size
@@ -393,14 +406,14 @@ class TestAssembly:
         args = (np.broadcast_to(eye, (eye.shape[0], n_int)), np.zeros(n_int), np.zeros((n_int, 3)))
         lap = _assemble(dom, pattern, *args)
         want = [getattr(lap, attr).tobytes() for attr in ("indptr", "indices", "data")]
-        assert np.count_nonzero(lap.data) < lap.nnz     # the mixed slots' zeros
+        assert np.count_nonzero(lap.data) < lap.nnz     # the mixed and absent slots' zeros
         with pytest.raises(ValueError, match="read-only"):
             lap.eliminate_zeros()
         again = _assemble(dom, pattern, *args)
         assert [getattr(again, attr).tobytes() for attr in ("indptr", "indices", "data")] == want
-        _, present, indptr, indices = pattern.arrays
-        arrays = [present, indptr, indices] + [a for level in pattern.levels for a in level[1:]]
-        assert len(arrays) == 6 and not any(a.flags.writeable for a in arrays)
+        _, indices, absent = pattern.arrays
+        arrays = [indices, absent] + [a for level in pattern.levels for a in level[3:]]
+        assert len(arrays) == 4 and not any(a.flags.writeable for a in arrays)
 
 
 def coarse_domains(dom):
@@ -438,8 +451,8 @@ class TestMultigrid:
         dom = make_domain(dim, (-1,) * dim, (1,) * dim, (cells,) * dim, mask_name=mask)
         levels = _JacobianPattern(dom).levels
         assert len(levels) == depth == len(coarse_domains(dom))
-        for (prolong, indptr, _, _), coarse in zip(levels, coarse_domains(dom)):
-            assert indptr.size - 1 == prolong.shape[1] == coarse.interior_idx.size
+        for (prolong, rows, _, indices, _), coarse in zip(levels, coarse_domains(dom)):
+            assert indices.shape[0] == rows.size == prolong.shape[1] == coarse.interior_idx.size
 
     @pytest.mark.parametrize("dim,cells,mask", [(2, 32, "box"), (3, 16, "ball"),
                                                 (3, 16, "box"), (2, 32, "ball")])
@@ -476,7 +489,7 @@ class TestMultigrid:
         monkeypatch.setattr(grid, "BLOCK_POINTS", 97)
         assert dom.interior_idx.size > 4 * 97
         fine = dom
-        for (prolong, _, _, _), coarse in zip(_JacobianPattern(dom).levels, coarse_domains(dom)):
+        for (prolong, *_), coarse in zip(_JacobianPattern(dom).levels, coarse_domains(dom)):
             want = kronecker_prolongation(fine, coarse)
             for attr in ("data", "indices", "indptr"):
                 assert getattr(prolong, attr).tobytes() == getattr(want, attr).tobytes(), attr
@@ -485,27 +498,59 @@ class TestMultigrid:
 
     @pytest.mark.parametrize("dim,cells,mask", [(3, 16, "ball"), (3, 32, "ball"),
                                                 (2, 32, "box")])
-    def test_coarse_rows_take_the_injected_fine_row(self, dim, cells, mask):
+    def test_coarse_rows_take_the_injected_fine_row(self, dim, cells, mask, monkeypatch):
+        import sumhessian.solver as solver_mod
+
         dom = make_domain(dim, (-1,) * dim, (1,) * dim, (cells,) * dim, mask_name=mask)
         pattern = _JacobianPattern(dom)
-        fine, (_, _, f_indptr, f_indices) = dom, pattern.arrays
-        for (_, indptr, indices, src), coarse in zip(pattern.levels, coarse_domains(dom)):
+        n_int = dom.interior_idx.size
+        rng = np.random.default_rng(cells)
+        coeff = rng.normal(size=(n_int, dim, dim))
+        mat = _assemble(dom, pattern, pack(coeff + coeff.transpose(0, 2, 1)),
+                        rng.normal(size=n_int), rng.normal(size=(n_int, dim)))
+        # the coarse operators, as the V-cycle builds them
+        built, fixed_width_csr = [], solver_mod._fixed_width_csr
+        monkeypatch.setattr(solver_mod, "_fixed_width_csr",
+                            lambda *args: built.append(fixed_width_csr(*args)) or built[-1])
+        _vcycle(mat, pattern)
+        assert len(built) == len(pattern.levels) > 0
+
+        def present(indices, absent):
+            mask = np.ones(indices.shape, dtype=bool)
+            mask.reshape(-1)[absent] = False
+            return mask
+
+        fine, (_, f_indices, f_absent), f_op = dom, pattern.arrays, mat
+        width = f_indices.shape[1]
+        for (_, rows, slot, indices, absent), op, coarse in zip(pattern.levels, built,
+                                                                coarse_domains(dom)):
+            n = rows.size
             # every coarse interior point injects to a fine interior point
             injected = np.ravel_multi_index(tuple(2 * grid_points(coarse, coarse.interior_idx).T),
                                             fine.shape)
-            assert fine.interior_flat[injected].all()
-            rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-            fine_rows = np.searchsorted(fine.interior_idx, injected)[rows]
-            # each coarse entry takes an entry of its injected fine row ...
-            assert np.all((src >= f_indptr[fine_rows]) & (src < f_indptr[fine_rows + 1]))
-            # ... in the same stencil direction, so the coarse row's present
-            # slots are a subset of the fine row's
-            c_step = grid_points(coarse, coarse.interior_idx[indices]) \
-                - grid_points(coarse, coarse.interior_idx[rows])
-            f_step = grid_points(fine, fine.interior_idx[f_indices[src]]) \
-                - grid_points(fine, fine.interior_idx[fine_rows])
+            assert np.array_equal(fine.interior_idx[rows], injected)
+            # the centre is the middle slot, present in every row
+            assert np.array_equal(indices[:, width // 2], np.arange(n))
+            # each present coarse slot takes a present slot of its injected
+            # fine row, in the same stencil direction
+            keep = present(indices, absent)
+            assert present(f_indices, f_absent)[rows[:, None], slot][keep].all()
+            row_of = np.broadcast_to(np.arange(n)[:, None], indices.shape)
+            own = row_of[keep]
+            c_step = grid_points(coarse, coarse.interior_idx[indices[keep]]) \
+                - grid_points(coarse, coarse.interior_idx[own])
+            f_cols = f_indices[rows[:, None], slot][keep]
+            f_step = grid_points(fine, fine.interior_idx[f_cols]) \
+                - grid_points(fine, injected[own])
             assert np.array_equal(c_step, f_step)
-            fine, f_indptr, f_indices = coarse, indptr, indices
+            # ... and is 1/4 of that fine entry; an absent slot is +0.0
+            # on its own row's column
+            data = op.data.reshape(n, width)
+            fine_data = f_op.data.reshape(-1, width)[rows[:, None], slot]
+            assert data[keep].tobytes() == (0.25 * fine_data[keep]).tobytes()
+            assert not data[~keep].view(np.int64).any()
+            assert np.array_equal(indices[~keep], row_of[~keep])
+            fine, f_indices, f_absent, f_op = coarse, indices, absent, op
 
     @pytest.mark.parametrize("cells", [8, 32])
     def test_vcycle_is_linear_and_repeatable(self, cells):
@@ -518,11 +563,16 @@ class TestMultigrid:
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=(2, mat.shape[0]))
         a, b = 0.7, -2.3
-        combined = cycle.matvec(a * x + b * y)
+        given = a * x + b * y
+        kept = given.copy()
+        combined = cycle.matvec(given)
+        # BiCGSTAB reads its p and s again after preconditioning them
+        assert given.tobytes() == kept.tobytes()
         separate = a * cycle.matvec(x) + b * cycle.matvec(y)
         assert np.linalg.norm(combined - separate) <= 1e-12 * np.linalg.norm(separate)
-        again = _vcycle(mat, pattern).matvec(a * x + b * y)
+        again = _vcycle(mat, pattern).matvec(given)
         assert again.tobytes() == combined.tobytes()
+        assert given.tobytes() == kept.tobytes()
 
     def test_vcycle_is_freed_without_the_collector(self):
         # a reference cycle would keep every level's operator alive after
