@@ -53,17 +53,17 @@ rows; nothing here unpacks.
 
 Every per-point stage works in fixed-size blocks of interior points, so no
 stage holds a whole-grid Hessian or kernel temporary. The kernel
-(admissibility, residual, linearization, the guess's repair, the
-extension's Laplacian of the boundary mismatch) reads the stencil of one
-``grid.interior_blocks`` block at a time through ``hessian_field`` and
-runs on it (``_blockwise``); assembly forms the stencil weights and fills
-the CSR values ``ASSEMBLY_ROWS`` rows at a time.
-f and its derivatives are evaluated on one block's env at a time
-(``_interior_values``), an env holding only the coordinates, u and
-gradient the tree reads. g is evaluated on pieces of the boundary layer
-only (``boundary_values``), and the box guess forms its transfinite blend
-on one block of whole axis-0 planes at a time, writing into g's array, so
-no stage outside the Jacobian holds whole-grid f, g or blend arrays.
+(admissibility, residual, the guess's repair, the extension's Laplacian
+of the boundary mismatch) reads the stencil of one ``grid.interior_blocks``
+block at a time through ``hessian_field`` and runs on it (``_blockwise``);
+linearization is one such pass (``_assemble``), in which each block's
+coefficient matrices and f's derivatives go straight into its fixed-width
+rows. f and its derivatives are evaluated on one block's env at a time
+(``_interior_env``), an env holding only the coordinates, u and gradient
+the tree reads. g is evaluated on pieces of the boundary layer only
+(``boundary_values``), and the box guess forms its transfinite blend on
+one block of whole axis-0 planes at a time, writing into g's array, so no
+stage holds whole-grid f, g, blend or coefficient arrays.
 A point's arithmetic does not depend on its block, so the results are
 bitwise those of one whole-grid pass. ``_evaluate_field`` is the one
 kernel of a field's admissibility and S_k: one ``_blockwise`` pass that
@@ -119,7 +119,6 @@ if TYPE_CHECKING:
 MIN_STEP = 2.0 ** -20   # the line search stalls below this damping step
 EXTENSION_RTOL = 1e-10  # relative residual of the harmonic-extension solve
 KRYLOV_MAXITER = 4000   # BiCGSTAB iteration cap of every linear solve
-ASSEMBLY_ROWS = 2048    # rows per assembly block, small enough to stay in cache
 # the multigrid V-cycle that preconditions every BiCGSTAB solve
 MG_OMEGA = 0.8          # damping of every Jacobi sweep
 MG_SMOOTH_SWEEPS = 1    # Jacobi sweeps before and after each coarse correction
@@ -418,23 +417,14 @@ def _evaluate(node: expr.Node, env: dict, label: str):
         raise InstanceError(f"{label} failed to evaluate: {exc}") from exc
 
 
-def _interior_values(fld: ScalarField, nodes: list, names: set, label: str) -> np.ndarray:
-    """Each tree of ``nodes`` on the interior env of the field for ``names``,
-    (len(nodes), n_interior): one env per ``grid.interior_blocks`` block,
-    read by every tree, whose values fill that block of one preallocated
-    result. A point's value does not depend on its block."""
-    out = np.empty((len(nodes), fld.domain.interior_idx.size))
-    for block in interior_blocks(fld.domain):
-        env = _interior_env(fld, names, block)
-        for row, node in zip(out, nodes):
-            row[block] = _evaluate(node, env, label)
-    return out
-
-
 def _eval_rhs(rhs: RhsSpec, fld: ScalarField, names: set) -> np.ndarray:
     """f on the interior of the field, (n_interior,), on envs holding
-    ``names``; InstanceError unless it is positive at every point."""
-    (vals,) = _interior_values(fld, [rhs.expression], names, "right-hand side")
+    ``names``, one ``grid.interior_blocks`` block at a time; InstanceError
+    unless it is positive at every point."""
+    vals = np.empty(fld.domain.interior_idx.size)
+    for block in interior_blocks(fld.domain):
+        vals[block] = _evaluate(rhs.expression, _interior_env(fld, names, block),
+                                "right-hand side")
     if np.min(vals) <= 0:
         raise InstanceError(f"right-hand side must stay positive, min {float(np.min(vals))}")
     return vals
@@ -473,18 +463,6 @@ def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
     out = np.zeros(dom.n_points)
     out[dom.interior_idx] = values
     return out.reshape(dom.shape)
-
-
-def _rhs_derivatives(fld: ScalarField, rhs: RhsSpec):
-    """Exact df/du, (n_int,), and df/dp, (n_int, dim): f's ``expr.diff`` trees
-    on the interior envs of f, or zeros, with no env built, for an f(x)."""
-    dom = fld.domain
-    n_int = dom.interior_idx.size
-    if _state_free(rhs, dom.dim):
-        return np.zeros(n_int), np.zeros((n_int, dom.dim))
-    trees = [expr.diff(rhs.expression, key) for key in _state_keys(dom.dim)]
-    derivs = _interior_values(fld, trees, expr.variables(rhs.expression), "right-hand side")
-    return derivs[0], derivs[1:].T
 
 
 def _stencil_offsets(strides: tuple[int, ...]) -> list[int]:
@@ -681,10 +659,11 @@ def _fixed_width_csr(data: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
 
 
-def _stencil_weights(h: float, coeff: np.ndarray, f_u: np.ndarray,
+def _stencil_weights(h: float, coeff: np.ndarray, f_u: np.ndarray | float,
                      f_p: np.ndarray) -> list[np.ndarray]:
     """Per-point weight of each stencil offset, in ``_stencil_offsets``
-    order, of the operator that ``_assemble`` describes."""
+    order, of the operator that ``_assemble`` describes, for one block's
+    terms; a term constant over the block broadcasts."""
     dim = f_p.shape[1]
     h2 = h * h
     center = -f_u
@@ -700,24 +679,24 @@ def _stencil_weights(h: float, coeff: np.ndarray, f_u: np.ndarray,
     return weights
 
 
-def _assemble(dom: GridDomain, pattern: _JacobianPattern, coeff: np.ndarray,
-              f_u: np.ndarray, f_p: np.ndarray) -> sp.csr_matrix:
+def _assemble(dom: GridDomain, pattern: _JacobianPattern, terms) -> sp.csr_matrix:
     """Sparse operator on the interior unknowns, (n_int, n_int): second-order
-    term with per-point packed coefficient matrices, (d(d+1)/2, n_int),
-    contracted against the Hessian stencil, minus first/zeroth-order terms.
-    ``pattern`` is the domain's ``_JacobianPattern``; only ``data``, one
-    fixed-width row per unknown, is computed here, ASSEMBLY_ROWS rows at a
-    time: each stencil offset's weights go straight into its column of
-    ``data``. The absent slots are then set to +0.0.
+    term with per-point packed coefficient matrices contracted against the
+    Hessian stencil, minus first/zeroth-order terms. ``pattern`` is the
+    domain's ``_JacobianPattern``; only ``data``, one fixed-width row per
+    unknown, is computed here, in one pass over ``grid.interior_blocks``:
+    ``terms(block)`` gives the block's packed coefficient matrices, df/du
+    and df/dp, (d(d+1)/2, n), (n,) and (n, d), or constants that broadcast,
+    and each stencil offset's weights go straight into its column of the
+    block's rows of ``data``. The absent slots are then set to +0.0.
     """
     order, indices, absent = pattern.arrays
     data = np.empty(indices.shape)
-    for start in range(0, f_u.size, ASSEMBLY_ROWS):
-        stop = start + ASSEMBLY_ROWS
-        weights = _stencil_weights(dom.h, coeff[:, start:stop], f_u[start:stop],
-                                   f_p[start:stop])
-        for column, j in zip(data[start:stop].T, order):
+    for block in interior_blocks(dom):
+        weights = _stencil_weights(dom.h, *terms(block))
+        for column, j in zip(data[block].T, order):
             column[:] = weights[j]
+        del weights     # before the next block's terms are formed
     data.reshape(-1)[absent] = 0.0
     return _fixed_width_csr(data, indices)
 
@@ -731,16 +710,32 @@ def linearize(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
     omitted; the matrix is the same either way.
     Raises ConeViolationError naming the first inadmissible interior point
     of the field's evaluation (``_evaluated``).
+
+    One ``_assemble`` pass: each block's stencil (its own ``hessian_field``
+    call), coefficient matrices and exact df/du and df/dp go straight into
+    its rows; an f(x)'s zero derivatives are constants, with no env built.
     """
     dom = fld.domain
     _check_dim(dom, params)
     offender = _first_violation(dom, _evaluated(fld, params).mask)
     if offender is not None:
         raise ConeViolationError(f"field is not admissible at grid point {offender}")
-    (coeff,) = _blockwise(
-        lambda hp: (_grad_coeff_matrices(*_invariants(hp, params.k), params),), fld)
-    f_u, f_p = _rhs_derivatives(fld, rhs)
-    return _assemble(dom, pattern or _JacobianPattern(dom), coeff, f_u, f_p)
+    names = expr.variables(rhs.expression)
+    trees = [] if _state_free(rhs, dom.dim) else [
+        expr.diff(rhs.expression, key) for key in _state_keys(dom.dim)]
+    zero_row = np.zeros((1, dom.dim))
+
+    def terms(block: slice):
+        coeff = _grad_coeff_matrices(*_invariants(hessian_field(fld, block), params.k), params)
+        if not trees:
+            return coeff, 0.0, zero_row
+        env = _interior_env(fld, names, block)
+        derivs = np.empty((len(trees), block.stop - block.start))
+        for row, tree in zip(derivs, trees):
+            row[:] = _evaluate(tree, env, "right-hand side")
+        return coeff, derivs[0], derivs[1:].T
+
+    return _assemble(dom, pattern or _JacobianPattern(dom), terms)
 
 
 def _jacobi(a: sp.csr_matrix, damped: np.ndarray, r: np.ndarray, x: np.ndarray,
@@ -1089,11 +1084,10 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         mismatch = np.zeros(dom.n_points)
         for b in boundary_pieces(dom):
             mismatch[b] = flat[b] - quad(b)
-        n_int, d = idx.size, dom.dim
-        eye = _packed_eye(d)
+        d = dom.dim
+        eye, zero_row = _packed_eye(d), np.zeros((1, d))
         laplacian = _JacobianPattern(dom, 2 * d + 1, pattern.grids)
-        lap = _assemble(dom, laplacian, np.broadcast_to(eye, (eye.size, n_int)),
-                        np.broadcast_to(0.0, (n_int,)), np.broadcast_to(0.0, (n_int, d)))
+        lap = _assemble(dom, laplacian, lambda block: (eye, 0.0, zero_row))
         (lap_m,) = _blockwise(lambda hp: (_trace(hp, d),),
                               ScalarField(dom, mismatch.reshape(dom.shape)))
         del mismatch

@@ -26,7 +26,6 @@ from sumhessian.solver import (
     _JacobianPattern,
     _repair_admissibility,
     _rhs_at_rest,
-    _rhs_derivatives,
     _solve_linear,
     admissible_mask,
     boundary_values,
@@ -78,7 +77,6 @@ class TestBlocksChangeNoBit:
                                                    expr.parse(g)).values
             stages["boundary"] = boundary_values(dom, expr.parse("exp(x1) + x2 / 10"))
             stages["f at rest"] = _rhs_at_rest(dom, rhs)
-            stages["f"] = np.concatenate([np.ravel(d) for d in _rhs_derivatives(rough, rhs)])
             stages["report"] = build_report("bowl", rough, (1.0, 2.0))
             results.append(stages)
         whole, blocked = results
@@ -219,17 +217,23 @@ class TestDomainBuild:
 # and one V-cycle's coarse operators and temporaries. It measured 17.7
 # (box) and 9.0 (ball) with the V-cycle forming new arrays for each
 # residual, restriction and correction, 16.1 and 8.1 in place, with
-# fixed-width rows. The pattern, extension and linear_solve bounds are the
-# last figures, plus at most 4%.
+# fixed-width rows. "linearize" is linearize at that quadratic for the same
+# f, with the pattern built beforehand: 26.9 (box) and 14.8 (ball) when it
+# formed the whole grid's packed coefficient matrices, and df/du and df/dp
+# as whole-grid arrays, before assembling the fixed-width data; 20.3 and
+# 12.6 with each block's terms going straight into its rows (19.9 and
+# 12.1 for an f(x), whose zero derivatives are constants). The data alone
+# is 17.3 (box). The pattern, extension, linearize and linear_solve bounds
+# are the last figures, plus at most 4%.
 PEAK_BOUNDS = {
     "box": {"admissible_mask": 3.85, "residual": 3.85, "residual_state_f": 3.85,
             "boundary_values": 1.4, "build_report": 2.9, "write_field": 0.47,
             "read_field": 2.75, "initial_guess": 6.25, "iterate": 3.85, "pattern": 21.4,
-            "linear_solve": 16.7},
+            "linearize": 21.1, "linear_solve": 16.7},
     "ball": {"admissible_mask": 3.4, "residual": 3.4, "residual_state_f": 3.4,
              "boundary_values": 1.5, "build_report": 3.0, "write_field": 0.46,
              "read_field": 2.65, "initial_guess": 6.8, "iterate": 3.4, "pattern": 11.85,
-             "extension": 15.75, "linear_solve": 8.45},
+             "extension": 15.75, "linearize": 13.05, "linear_solve": 8.45},
 }
 # what a Jacobian pattern keeps, its V-cycle levels and their shared
 # prolongations included: 18.8 (box) and 10.4 (ball), then 19.0 and 10.5
@@ -315,6 +319,7 @@ def stage_ratios(mask: str, path: Path) -> dict:
               "initial_guess": lambda: initial_guess(dom, params, rhs, expr.parse(quad),
                                                      pattern=pattern),
               "iterate": iterate, "pattern": pattern_levels,
+              "linearize": lambda: linearize(quadratic, params, state_rhs, pattern=pattern),
               "linear_solve": lambda: _solve_linear(jacobian, f_int, ETA_MAX, pattern)}
     if mask == "ball":
         stages["extension"] = lambda: initial_guess(dom, params, rhs, expr.parse("0"),

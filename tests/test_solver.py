@@ -287,7 +287,7 @@ def full_sweep_repair(fld, params, scale):
 class TestAssembly:
     @pytest.mark.parametrize("dim,mask", [(2, "box"), (2, "ball"), (3, "box"), (3, "ball")])
     def test_matches_coo_reference(self, dim, mask, monkeypatch):
-        import sumhessian.solver as solver_mod
+        import sumhessian.grid as grid
 
         dom = make_domain(dim, (-1,) * dim, (1,) * dim, (12,) * dim, mask_name=mask)
         rng = np.random.default_rng(dim)
@@ -297,11 +297,13 @@ class TestAssembly:
         f_u, f_p = rng.normal(size=n_int), rng.normal(size=(n_int, dim))
         want = coo_reference(dom, coeff, f_u, f_p)
         width = 2 * dim * dim + 1
+        packed = pack(coeff)
         # every row in one block, then many blocks and a short last one
         for rows in (n_int, 97):
-            monkeypatch.setattr(solver_mod, "ASSEMBLY_ROWS", rows)
+            monkeypatch.setattr(grid, "BLOCK_POINTS", rows)
+            assert (len(list(grid.interior_blocks(dom))) > 1) == (rows < n_int)
             pattern = _JacobianPattern(dom)
-            got = _assemble(dom, pattern, pack(coeff), f_u, f_p)
+            got = _assemble(dom, pattern, lambda b: (packed[:, b], f_u[b], f_p[b]))
             assert got.indptr.dtype == got.indices.dtype == np.int32
             assert np.array_equal(got.indptr, width * np.arange(n_int + 1))
             # every absent slot is +0.0 on its own row's column
@@ -374,13 +376,16 @@ class TestAssembly:
         lean = _JacobianPattern(dom, 2 * dim + 1, full.grids)
         n_int = dom.interior_idx.size
         eye = pack(np.eye(dim)[None])
-        args = (np.broadcast_to(eye, (eye.shape[0], n_int)), np.zeros(n_int), np.zeros((n_int, dim)))
-        lap = _assemble(dom, lean, *args)
+
+        def terms(block):
+            return eye, np.zeros(block.stop - block.start), np.zeros((1, dim))
+
+        lap = _assemble(dom, lean, terms)
         assert np.array_equal(np.diff(lap.indptr), np.full(n_int, 2 * dim + 1))
         # both Laplacians with their explicit zeros eliminated (on copies:
         # a matrix shares its index arrays with the pattern) are the same
         # matrix: the full pattern's extra slots are all zeros
-        full_lap = _assemble(dom, full, *args)
+        full_lap = _assemble(dom, full, terms)
         want, got = full_lap.copy(), lap.copy()
         want.eliminate_zeros()
         got.eliminate_zeros()
@@ -401,15 +406,17 @@ class TestAssembly:
         # the next assembly
         dom = make_domain(3, (-1,) * 3, (1,) * 3, (16,) * 3, mask_name="ball")
         pattern = _JacobianPattern(dom)
-        n_int = dom.interior_idx.size
         eye = pack(np.eye(3)[None])
-        args = (np.broadcast_to(eye, (eye.shape[0], n_int)), np.zeros(n_int), np.zeros((n_int, 3)))
-        lap = _assemble(dom, pattern, *args)
+
+        def terms(block):
+            return eye, 0.0, np.zeros((1, 3))
+
+        lap = _assemble(dom, pattern, terms)
         want = [getattr(lap, attr).tobytes() for attr in ("indptr", "indices", "data")]
         assert np.count_nonzero(lap.data) < lap.nnz     # the mixed and absent slots' zeros
         with pytest.raises(ValueError, match="read-only"):
             lap.eliminate_zeros()
-        again = _assemble(dom, pattern, *args)
+        again = _assemble(dom, pattern, terms)
         assert [getattr(again, attr).tobytes() for attr in ("indptr", "indices", "data")] == want
         _, indices, absent = pattern.arrays
         arrays = [indices, absent] + [a for level in pattern.levels for a in level[3:]]
@@ -506,8 +513,9 @@ class TestMultigrid:
         n_int = dom.interior_idx.size
         rng = np.random.default_rng(cells)
         coeff = rng.normal(size=(n_int, dim, dim))
-        mat = _assemble(dom, pattern, pack(coeff + coeff.transpose(0, 2, 1)),
-                        rng.normal(size=n_int), rng.normal(size=(n_int, dim)))
+        packed = pack(coeff + coeff.transpose(0, 2, 1))
+        f_u, f_p = rng.normal(size=n_int), rng.normal(size=(n_int, dim))
+        mat = _assemble(dom, pattern, lambda b: (packed[:, b], f_u[b], f_p[b]))
         # the coarse operators, as the V-cycle builds them
         built, fixed_width_csr = [], solver_mod._fixed_width_csr
         monkeypatch.setattr(solver_mod, "_fixed_width_csr",
@@ -580,8 +588,8 @@ class TestMultigrid:
         dom = make_domain(2, (-1, -1), (1, 1), (32, 32))
         pattern = _JacobianPattern(dom)
         n_int = dom.interior_idx.size
-        lap = _assemble(dom, pattern, np.broadcast_to(pack(np.eye(2)[None]), (3, n_int)),
-                        np.zeros(n_int), np.zeros((n_int, 2)))
+        eye = pack(np.eye(2)[None])
+        lap = _assemble(dom, pattern, lambda b: (eye, 0.0, np.zeros((1, 2))))
         gc.disable()
         try:
             cycle = _vcycle(lap, pattern)
@@ -716,6 +724,37 @@ class TestLinearize:
         m1 = linearize(fld, params, RhsSpec.parse("3"))
         m2 = linearize(fld, params, RhsSpec.parse("3 + 0*u"))
         assert np.allclose((m1 - m2).toarray(), 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("dim,mask,cells", [(3, "ball", 12), (2, "box", 24)])
+    @pytest.mark.parametrize("source,f_u,f_p1", [("18 - u + p1", -1.0, 1.0),
+                                                 ("18 - u/2 + p1/4", -0.5, 0.25)])
+    def test_constant_derivatives_broadcast(self, dim, mask, cells, source, f_u, f_p1,
+                                            monkeypatch):
+        """A derivative tree that evaluates to a scalar on a block's env is
+        broadcast over the block's rows: the Jacobian is, bit for bit, the
+        one assembled from whole-interior arrays of the same constants."""
+        import sumhessian.grid as grid
+
+        dom = make_domain(dim, (-1,) * dim, (1,) * dim, (cells,) * dim, mask_name=mask)
+        params, rhs = SumHessianParams(dim, 2, 1.0), RhsSpec.parse(source)
+        fld = field_from(dom, lambda p: 0.5 * np.sum(p**2, axis=1) + 0.1 * p[:, 0] ** 3)
+        env = {"u": np.ones(3), "p1": np.ones(3)}
+        scalars = [np.ndim(expr.evaluate(expr.diff(rhs.expression, key), env)) == 0
+                   for key in ["u"] + [f"p{a + 1}" for a in range(dim)]]
+        assert scalars == ([True] * (dim + 1) if source == "18 - u + p1"
+                           else [False, False] + [True] * (dim - 1))
+        n_int = dom.interior_idx.size
+        coeff = _grad_coeff_matrices(*_invariants(hessian_field(fld), 2), params)
+        f_u_whole = np.full(n_int, f_u)
+        f_p_whole = np.zeros((n_int, dim))
+        f_p_whole[:, 0] = f_p1
+        pattern = _JacobianPattern(dom)
+        want = _assemble(dom, pattern, lambda b: (coeff[:, b], f_u_whole[b], f_p_whole[b]))
+        monkeypatch.setattr(grid, "BLOCK_POINTS", 97)
+        assert n_int > 4 * 97
+        got = linearize(fld, params, rhs, pattern=pattern)
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
 
     def test_directional_derivative_oracle(self):
         rng = np.random.default_rng(1)
