@@ -60,7 +60,8 @@ linearization is one such pass (``_assemble``), in which each block's
 coefficient matrices and f's derivatives go straight into its fixed-width
 rows. f and its derivatives are evaluated on one block's env at a time
 (``_interior_env``), an env holding only the coordinates, u and gradient
-the tree reads. g is evaluated on pieces of the boundary layer only
+the tree reads; a constant f is one value, never an (n_interior,)
+array. g is evaluated on pieces of the boundary layer only
 (``boundary_values``), and the box guess forms its transfinite blend on
 one block of whole axis-0 planes at a time, writing into g's array, so no
 stage holds whole-grid f, g, blend or coefficient arrays.
@@ -417,14 +418,20 @@ def _evaluate(node: expr.Node, env: dict, label: str):
         raise InstanceError(f"{label} failed to evaluate: {exc}") from exc
 
 
-def _eval_rhs(rhs: RhsSpec, fld: ScalarField, names: set) -> np.ndarray:
-    """f on the interior of the field, (n_interior,), on envs holding
-    ``names``, one ``grid.interior_blocks`` block at a time; InstanceError
-    unless it is positive at every point."""
-    vals = np.empty(fld.domain.interior_idx.size)
-    for block in interior_blocks(fld.domain):
-        vals[block] = _evaluate(rhs.expression, _interior_env(fld, names, block),
-                                "right-hand side")
+def _eval_rhs(rhs: RhsSpec, fld: ScalarField, names: set) -> np.ndarray | np.float64:
+    """f on the interior of the field, on envs holding ``names``, one
+    ``grid.interior_blocks`` block at a time: (n_interior,), or one value,
+    evaluated on the first block's env, for a constant f (a tree reading no
+    variable). InstanceError unless it is positive at every point."""
+    blocks = interior_blocks(fld.domain)
+    if not expr.variables(rhs.expression):
+        vals = np.float64(_evaluate(rhs.expression, _interior_env(fld, names, next(blocks)),
+                                    "right-hand side"))
+    else:
+        vals = np.empty(fld.domain.interior_idx.size)
+        for block in blocks:
+            vals[block] = _evaluate(rhs.expression, _interior_env(fld, names, block),
+                                    "right-hand side")
     if np.min(vals) <= 0:
         raise InstanceError(f"right-hand side must stay positive, min {float(np.min(vals))}")
     return vals
@@ -441,15 +448,16 @@ def _state_free(rhs: RhsSpec, dim: int) -> bool:
 
 
 def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
-             f_values: np.ndarray | None = None) -> np.ndarray:
+             f_values: np.ndarray | np.float64 | None = None) -> np.ndarray:
     """S_k(eta(lam(H))) - f at interior points, zeros on the boundary layer
     (grid-shaped array).
 
     ``f_values``, when given, is f on the interior as ``_eval_rhs``
-    returns it, for a ``_state_free`` f, whose values do not depend on the
-    field; the result is the same as when f is evaluated here. S_k is taken
-    from the field's evaluation (``_evaluated``); a Newton iterate whose
-    S_k an earlier residual took is evaluated afresh.
+    returns it (one value for a constant f), for a ``_state_free`` f, whose
+    values do not depend on the field; the result is the same as when f is
+    evaluated here. S_k is taken from the field's evaluation
+    (``_evaluated``); a Newton iterate whose S_k an earlier residual took
+    is evaluated afresh.
     """
     dom = fld.domain
     _check_dim(dom, params)
@@ -991,12 +999,14 @@ def transfinite_blend(slab: np.ndarray, ends: np.ndarray, rows: slice,
     return blend
 
 
-def _rhs_at_rest(dom: GridDomain, rhs: RhsSpec) -> np.ndarray:
-    """f on the interior at u = 0, Du = 0: on the interior envs of the zero
-    field. For a ``_state_free`` f these are its values on every field.
+def _rhs_at_rest(dom: GridDomain, rhs: RhsSpec) -> np.ndarray | np.float64:
+    """f on the interior at u = 0, Du = 0, as ``_eval_rhs`` gives it (one
+    value for a constant f): on the interior envs of the zero field. For a
+    ``_state_free`` f these are its values on every field.
 
     The envs hold the zero field's whole state, its gradient included, even
-    for an f(x): perfbench's traced run requires the solver's
+    for an f(x) or a constant f, whose one value is read on the first
+    block's env: perfbench's traced run requires the solver's
     ``gradient_field`` to record a call on every solve."""
     zero = ScalarField(dom, np.zeros(dom.shape))
     return _eval_rhs(rhs, zero, expr.variables(rhs.expression) | set(_state_keys(dom.dim)))
@@ -1005,17 +1015,17 @@ def _rhs_at_rest(dom: GridDomain, rhs: RhsSpec) -> np.ndarray:
 def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                   boundary: expr.Node, *, pattern: _JacobianPattern | None = None,
                   krylov_log: list | None = None,
-                  f_rest: np.ndarray | None = None) -> _Iterate:
+                  f_rest: np.ndarray | np.float64 | None = None) -> _Iterate:
     """Starting field c q, q = (|x - x_c|^2 - r^2)/2, plus an interpolation of
     the boundary mismatch g - c q.
 
     The scale c is the smallest power of two making the constant-Hessian
     value dominate sup f over the interior, evaluated at u = 0, Du = 0:
-    ``f_rest``, those values as ``_rhs_at_rest`` gives them, or evaluated
-    here when omitted. On plain boxes the mismatch is
-    interpolated by the transfinite face blend (no corner singularities;
-    exact on the quadratic, so the guess coincides with the blended
-    boundary data). On masked domains the mismatch lives on the staircase
+    ``f_rest``, those values as ``_rhs_at_rest`` gives them (one value for
+    a constant f), or evaluated here when omitted. On plain boxes the
+    mismatch is interpolated by the transfinite face blend (no corner
+    singularities; exact on the quadratic, so the guess coincides with the
+    blended boundary data). On masked domains the mismatch lives on the staircase
     ring and is small, and the discrete harmonic extension is used instead,
     which keeps the trace of the Hessian exact. Boundary values equal the
     Dirichlet data exactly in both cases. The extension's Laplacian has its
@@ -1141,7 +1151,8 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     iterate. Otherwise it stalls when no step down to MIN_STEP gives an
     admissible decrease. f is evaluated once at u = 0, Du = 0, for the
     guess's scale. An f(x) right-hand side (``_state_free``) is evaluated
-    there only: every residual of the solve reads those values.
+    there only: every residual of the solve reads those values, which for
+    a constant f are one value, not an (n_interior,) array.
     """
     config = config or SolveConfig()
     _check_dim(dom, params)

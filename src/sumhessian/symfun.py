@@ -11,6 +11,7 @@ Scalar (1-D) inputs return plain floats / 1-D arrays.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -87,6 +88,13 @@ def _check_deleted(n: int, deleted) -> tuple[int, ...]:
     return idx
 
 
+def _kept(n: int, r: int) -> np.ndarray:
+    """(C(n, r), n - r) table of what is left, in order, after deleting each
+    r-subset of range(n) (``itertools.combinations`` order)."""
+    return np.array([[i for i in range(n) if i not in gone]
+                     for gone in itertools.combinations(range(n), r)], dtype=np.intp)
+
+
 def sigma_deleted(lam, m: int, deleted):
     """sigma_m of the sub-tuple with the listed coordinates removed.
 
@@ -94,9 +102,9 @@ def sigma_deleted(lam, m: int, deleted):
     the recurrence on the sub-tuple (no polynomial division).
     """
     lam = _as_batch(lam)
-    idx = _check_deleted(lam.shape[-1], deleted)
-    sub = np.delete(lam, idx, axis=-1)
-    return sigma(sub, m)
+    n = lam.shape[-1]
+    idx = _check_deleted(n, deleted)
+    return sigma(lam[..., [i for i in range(n) if i not in idx]], m)
 
 
 def sum_hessian(lam, k: int, alpha: float):
@@ -114,12 +122,7 @@ def sum_hessian(lam, k: int, alpha: float):
 def sum_hessian_grad(lam, k: int, alpha: float) -> np.ndarray:
     """Gradient of S_k: component p is S_{k-1} of the tuple with coordinate p deleted."""
     lam = _as_batch(lam)
-    n = lam.shape[-1]
-    out = np.empty(lam.shape, dtype=float)
-    for p in range(n):
-        sub = np.delete(lam, p, axis=-1)
-        out[..., p] = sum_hessian(sub, k - 1, alpha)
-    return out
+    return sum_hessian(lam[..., _kept(lam.shape[-1], 1)], k - 1, alpha)
 
 
 def sum_hessian_hess(lam, k: int, alpha: float) -> np.ndarray:
@@ -130,12 +133,8 @@ def sum_hessian_hess(lam, k: int, alpha: float) -> np.ndarray:
     out = np.zeros(lam.shape + (n,), dtype=float)
     if k < 2:
         return out
-    for p in range(n):
-        for q in range(p + 1, n):
-            sub = np.delete(lam, (p, q), axis=-1)
-            val = sum_hessian(sub, k - 2, alpha)
-            out[..., p, q] = val
-            out[..., q, p] = val
+    p, q = np.triu_indices(n, 1)
+    out[..., p, q] = out[..., q, p] = sum_hessian(lam[..., _kept(n, 2)], k - 2, alpha)
     return out
 
 

@@ -196,7 +196,9 @@ class TestDomainBuild:
 # 7.29 / 8.04 (box) and 6.13 / 4.06 / 5.02 / 7.63 (ball); blocked, they
 # measure 1.16 / 3.11 / 2.32 / 5.03 (box) and 1.29 / 2.77 / 2.52 / 5.44
 # (ball). The guess runs on the box's transfinite blend and the ball's
-# repair, with the Jacobian pattern built beforehand.
+# repair, with the Jacobian pattern built beforehand. With f = 18 read as
+# one value, not an (n_interior,) array, the guess fell from 5.17 (box)
+# and 5.44 (ball) to 4.26 and 4.94.
 #
 # "iterate" is admissible_mask, then residual, on a Newton iterate, as the
 # loop calls them: 3.12 (box) and 2.77 (ball) when each evaluated the
@@ -207,7 +209,8 @@ class TestDomainBuild:
 # harmonic extension, with the Jacobian pattern built beforehand: 22.2
 # with the Laplacian on the Jacobian's 19-point pattern, 18.5 on its own
 # 7-point pattern, 17.1 with the prolongations built block by block, and
-# 15.2 with fixed-width rows and the in-place V-cycle. "pattern" is the
+# 15.2 with fixed-width rows and the in-place V-cycle, and from 15.15 to
+# 14.66 with f = 18 as one value. "pattern" is the
 # traced peak of building a Jacobian pattern and its V-cycle levels:
 # 29.4 (box) and 21.4 (ball) when each prolongation was sliced out of
 # the whole grid's Kronecker product, 22.6 and 12.5 built block by block,
@@ -223,17 +226,17 @@ class TestDomainBuild:
 # as whole-grid arrays, before assembling the fixed-width data; 20.3 and
 # 12.6 with each block's terms going straight into its rows (19.9 and
 # 12.1 for an f(x), whose zero derivatives are constants). The data alone
-# is 17.3 (box). The pattern, extension, linearize and linear_solve bounds
-# are the last figures, plus at most 4%.
+# is 17.3 (box). The pattern, extension, linearize and linear_solve bounds,
+# and the initial_guess bounds, are the last figures, plus at most 4%.
 PEAK_BOUNDS = {
     "box": {"admissible_mask": 3.85, "residual": 3.85, "residual_state_f": 3.85,
             "boundary_values": 1.4, "build_report": 2.9, "write_field": 0.47,
-            "read_field": 2.75, "initial_guess": 6.25, "iterate": 3.85, "pattern": 21.4,
+            "read_field": 2.75, "initial_guess": 4.4, "iterate": 3.85, "pattern": 21.4,
             "linearize": 21.1, "linear_solve": 16.7},
     "ball": {"admissible_mask": 3.4, "residual": 3.4, "residual_state_f": 3.4,
              "boundary_values": 1.5, "build_report": 3.0, "write_field": 0.46,
-             "read_field": 2.65, "initial_guess": 6.8, "iterate": 3.4, "pattern": 11.85,
-             "extension": 15.75, "linearize": 13.05, "linear_solve": 8.45},
+             "read_field": 2.65, "initial_guess": 5.1, "iterate": 3.4, "pattern": 11.85,
+             "extension": 15.1, "linearize": 13.05, "linear_solve": 8.45},
 }
 # what a Jacobian pattern keeps, its V-cycle levels and their shared
 # prolongations included: 18.8 (box) and 10.4 (ball), then 19.0 and 10.5

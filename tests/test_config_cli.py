@@ -238,9 +238,10 @@ class TestCliSolve:
 
     @pytest.mark.parametrize("mangle,message", [
         (('f = "18"', 'f = "x1"'), "right-hand side must stay positive, min -0.75\n"),
+        (('f = "18"', 'f = "-1"'), "right-hand side must stay positive, min -1.0\n"),
         (('g = "(x1^2 + x2^2 + x3^2 - 1)/2"', 'g = "log(x1)"'),
          "boundary data failed to evaluate: log of a nonpositive value"),
-    ], ids=["nonpositive-f", "failing-g"])
+    ], ids=["nonpositive-f", "nonpositive-constant-f", "failing-g"])
     def test_instance_error_exits_1(self, tmp_path, quad_cfg, capsys, mangle, message):
         # InstanceError is a ValueError, but an ill-posed instance is solver
         # trouble, not a malformed config

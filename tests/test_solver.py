@@ -31,6 +31,7 @@ from sumhessian.solver import (
     _grad_coeff_matrices,
     _invariants,
     _repair_admissibility,
+    _rhs_at_rest,
     _solve_linear,
     _trace,
     _vcycle,
@@ -1151,6 +1152,38 @@ class TestNewton:
         assert max(counts) > 1
         # f once, for the guess's scale and every residual, and the boundary data
         assert list(counts.values()) == [2, 2]
+
+    def test_constant_f_is_one_value(self):
+        dom = make_domain(3, (-1,) * 3, (1,) * 3, (16,) * 3, mask_name="ball")
+        const = _rhs_at_rest(dom, RhsSpec.parse("18"))
+        assert isinstance(const, np.float64) and np.ndim(const) == 0 and const == 18.0
+        varying = _rhs_at_rest(dom, RhsSpec.parse("18 + x1/10"))
+        assert varying.shape == (dom.interior_idx.size,)
+
+    def test_constant_f_solves_as_its_array(self, monkeypatch):
+        """f = 18 goes through the solve as one value, and f = 18 + 0*x1 as
+        an array of 18.0: the same field and trace, bit for bit."""
+        import sumhessian.solver as solver_mod
+
+        seen = []
+
+        def recorded(fld, params, rhs, **kwargs):
+            seen.append(kwargs["f_values"])
+            return residual(fld, params, rhs, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "residual", recorded)
+        dom = make_domain(3, (-1,) * 3, (1,) * 3, (16,) * 3, mask_name="ball")
+        params = SumHessianParams(3, 2, 1.0)
+        results = {}
+        for source in ("18", "18 + 0*x1"):
+            seen.clear()
+            results[source] = newton_solve(dom, params, RhsSpec.parse(source), ZERO)
+            assert results[source].converged(1e-10)
+            shape = () if source == "18" else (dom.interior_idx.size,)
+            assert seen and all(np.shape(f) == shape and np.all(f == 18.0) for f in seen)
+        one, array = results.values()
+        assert one.field.values.tobytes() == array.field.values.tobytes()
+        assert one.trace == array.trace
 
     def test_state_dependent_f_evaluated_every_trial(self, monkeypatch):
         import sumhessian.solver as solver_mod

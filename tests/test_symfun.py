@@ -172,6 +172,28 @@ class TestHessian:
                     assert np.max(np.abs(fd - hess[:, p, q]) / denom) < 1e-5
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_derivatives_are_the_deleted_values_bitwise(n):
+    """Gradient and Hessian entries equal S_{k-1} and S_{k-2} of the tuples
+    np.delete leaves, bit for bit, for every order k = 0..n+1."""
+    rng = np.random.default_rng(n)
+    lam = rng.uniform(-2, 2, size=(7, n))
+    alpha = 0.5
+    for k in range(n + 2):
+        grad = sum_hessian_grad(lam, k, alpha)
+        hess = sum_hessian_hess(lam, k, alpha)
+        assert grad.shape == (7, n) and hess.shape == (7, n, n)
+        for p in range(n):
+            ref = sum_hessian(np.delete(lam, p, axis=-1), k - 1, alpha)
+            assert grad[:, p].tobytes() == ref.tobytes()
+            assert np.all(hess[:, p, p] == 0.0)
+            for q in range(p + 1, n):
+                ref = (sum_hessian(np.delete(lam, (p, q), axis=-1), k - 2, alpha)
+                       if k >= 2 else np.zeros(7))
+                assert hess[:, p, q].tobytes() == ref.tobytes()
+                assert hess[:, q, p].tobytes() == ref.tobytes()
+
+
 class TestIdentities:
     """Exact algebraic identities over random tuples (the CLI suite runs the
     large sweeps; these pin the math at module level)."""
