@@ -48,6 +48,16 @@ class MaxPrincipleError(ValueError):
     """A field violates the sign expected from the maximum principle."""
 
 
+class NonFiniteFieldError(ValueError):
+    """A field holds a NaN or infinite value; ``point`` is the grid
+    multi-index of the first one in row-major order, ``value`` its value."""
+
+    def __init__(self, point, value):
+        self.point = tuple(int(i) for i in point)
+        self.value = float(value)
+        super().__init__(f"field value {self.value!r} at grid point {self.point} is not finite")
+
+
 class DegenerateFieldError(ValueError):
     """Every interior point was excluded from a diagnostic."""
 

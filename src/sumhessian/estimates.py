@@ -17,11 +17,12 @@ streams over the ``grid.interior_blocks`` blocks twice, whatever the
 number of weights, and keeps no per-point array of the whole interior. The
 first pass reads each block's gradient for sup|Du|^2, which the weight of
 phi needs at every point. The second reads each block's Hessian stencil
-once, decomposes it by ``eigvalsh``, reads the gradient again, and keeps
-only running maxima and the first maximizer in interior order (the point
-``np.argmax`` picks over the whole interior), so a report is bitwise that
-of one whole-interior pass. Every weight must be a finite number >= 1
-(``check_betas``).
+once, takes each point's top eigenvalue and spectral norm from the packed
+rows in closed form (``grid.top_and_norm``), reads the gradient again, and
+keeps only running maxima and the first maximizer in interior order (the
+point ``np.argmax`` picks over the whole interior), so a report is bitwise
+that of one whole-interior pass. Every weight must be a finite number >= 1
+(``check_betas``), and every field value finite.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateFieldError, MaxPrincipleError
+from .errors import DegenerateFieldError, MaxPrincipleError, NonFiniteFieldError
 from .grid import (
     GridDomain,
     ScalarField,
@@ -40,7 +41,7 @@ from .grid import (
     hessian_field,
     interior_blocks,
     squared_distance,
-    unpack,
+    top_and_norm,
 )
 
 # defaults of build_report, which the config loader and the CLI read from here
@@ -147,9 +148,14 @@ def build_report(instance: str, fld: ScalarField, betas: tuple[float, ...] = BET
     right-hand side is nonpositive). A weight that is not a finite number
     >= 1 raises ValueError (``check_betas``) before any work, whatever the
     boundary data; so does a point nearest the center that is not interior.
+    A NaN or infinite field value raises NonFiniteFieldError, naming the
+    first such grid point.
     """
     check_betas(betas)
     dom = fld.domain
+    bad = np.flatnonzero(~np.isfinite(fld.flat))
+    if bad.size:
+        raise NonFiniteFieldError(np.unravel_index(bad[0], dom.shape), fld.flat[bad[0]])
     center = dom.center_index()
     center_flat = int(np.ravel_multi_index(center, dom.shape))
     if not dom.interior_flat[center_flat]:
@@ -171,17 +177,13 @@ def build_report(instance: str, fld: ScalarField, betas: tuple[float, ...] = BET
 
     # first pass: sup |Du|^2, which the weight g of phi reads at every point
     a_sup = float(np.max([np.max(grad2(block)) for block in interior_blocks(dom)]))
-    # second pass: the stencil and eigvalsh run on one block at a time, and
-    # of each point only the top eigenvalue and the spectral norm are read
+    # second pass: the stencil and top_and_norm run on one block at a time
     products = dict.fromkeys(tuple(betas) + (1.0,), -np.inf)
     sup_d2u, d2u_center = -np.inf, None
     phi, p_diag = _RunningMax(dom), _RunningMax(dom)
     included = False
     for block in interior_blocks(dom):
-        eigs = np.linalg.eigvalsh(unpack(hessian_field(fld, block)))
-        top = eigs[:, -1]
-        spectral_norm = np.max(np.abs(eigs), axis=1)
-        del eigs
+        top, spectral_norm = top_and_norm(hessian_field(fld, block))
         sup_d2u = float(np.maximum(sup_d2u, np.max(spectral_norm)))
         if block.start <= center_row < block.stop:
             d2u_center = float(spectral_norm[center_row - block.start])

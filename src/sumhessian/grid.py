@@ -18,9 +18,9 @@ grid-shaped values, or about ``BLOCK_POINTS`` interior points of a ball,
 gathered at their indices. ``gradient_field`` reads the same blocks.
 Every per-point stage of the package reads the stencil and the gradient
 block by block, and the boundary layer in ``boundary_pieces``; the
-solver keeps the layout through its invariant kernel and assembly.
-``unpack`` rebuilds the (n, d, d) stack of a block where LAPACK's
-``eigvalsh`` needs it: in the estimates.
+solver keeps the layout through its invariant kernel and assembly, and
+the estimates read each point's top eigenvalue and spectral norm from the
+packed rows in closed form (``top_and_norm``), with no (n, d, d) stack.
 
 Building a domain, writing a field and reading one make no (N, dim) array
 and no Python object per grid value: the ball test sums squared distances
@@ -39,11 +39,15 @@ import numpy as np
 MIN_CELLS = 8
 MASK_NAMES = ("box", "ball")
 # interior points per block of the per-point stages (the Hessian stencil,
-# the solver's invariant kernel, the estimates' eigvalsh; see
+# the solver's invariant kernel, the estimates' top_and_norm; see
 # interior_blocks): a 32^3 ball or box is one block, as in a whole-grid
 # pass, and 64^3 grids run as fast as at 16384; 8192 slowed the 64^3 box's
 # admissibility test, each block paying ~25 small stencil operations
 BLOCK_POINTS = 32768
+# points per chunk of top_and_norm, whose 3D kernel holds some 25
+# temporaries per point: 4096 keeps them at 0.8 MB, inside a 2 MiB L2
+# cache, and runs within 10% of 8192 and 32768 on a 32^3 ball
+KERNEL_CHUNK = 4096
 WRITE_CHUNK = 8192  # values formatted per write of write_field
 
 
@@ -228,14 +232,71 @@ def sym_pairs(dim: int) -> list[tuple[int, int]]:
     return [(a, a) for a in range(dim)] + list(itertools.combinations(range(dim), 2))
 
 
-def unpack(packed: np.ndarray) -> np.ndarray:
-    """The (N, d, d) stack of packed symmetric matrices (d(d+1)/2, N)."""
-    dim = math.isqrt(2 * packed.shape[0])
-    out = np.empty((packed.shape[1], dim, dim))
-    for row, (a, b) in enumerate(sym_pairs(dim)):
-        out[:, a, b] = packed[row]
-        out[:, b, a] = packed[row]
-    return out
+def top_and_norm(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue and spectral norm (largest |eigenvalue|) of each packed
+    symmetric matrix (d(d+1)/2, N), d = 2 or 3, in closed form, a
+    ``KERNEL_CHUNK`` of points at a time.
+
+    With m the mean of the diagonal and s = A - m I, d = 2 reads m +- r,
+    r = hypot((a - c)/2, b). For d = 3 the eigenvalues of s are
+    2 sqrt(J2/3) cos(theta - 2 pi j/3), J2 = tr(s^2)/2, J3 = det s, 3 theta
+    = atan2(sqrt(Delta/108), J3/2), where Delta = 4 J2^3 - 27 J3^2 is the
+    discriminant prod (l_i - l_j)^2. Delta is formed as a sum of squares,
+    never as that difference, which cancels at nearly double eigenvalues:
+    it is the Gram determinant of I, s, s^2 under the Frobenius product
+    (Cauchy-Binet on the Vandermonde matrix; Harari and Albocher, IJNME
+    2023), and I is orthogonal to s and to the traceless part of s^2, so
+    Delta / 3 is the sum of the squared 2 x 2 minors of their coordinates in
+    an orthonormal basis of traceless symmetric matrices. Each point's s is
+    divided by its largest entry first, so no cube overflows or underflows.
+    """
+    n = packed.shape[1]
+    top, norm = np.empty(n), np.empty(n)
+    kernel = _top_and_norm_2d if packed.shape[0] == 3 else _top_and_norm_3d
+    for chunk in point_blocks(n, KERNEL_CHUNK):
+        kernel(packed[:, chunk], top[chunk], norm[chunk])
+    return top, norm
+
+
+def _top_and_norm_2d(packed, top, norm):
+    a, c, b = packed
+    m = 0.5 * (a + c)
+    r = np.hypot(0.5 * (a - c), b)
+    np.add(m, r, out=top)
+    np.add(np.abs(m), r, out=norm)
+
+
+def _top_and_norm_3d(packed, top, norm):
+    a00, a11, a22, a01, a02, a12 = packed
+    m = (a00 + a11 + a22) / 3.0
+    d = [a00 - m, a11 - m, a22 - m]
+    scale = np.abs(d[0])
+    for row in d[1:] + [a01, a02, a12]:
+        np.maximum(scale, np.abs(row), out=scale)
+    scale[scale == 0.0] = 1.0
+    d0, d1, d2, o01, o02, o12 = (v / scale for v in d + [a01, a02, a12])
+    # s^2: diagonal e, off-diagonal f
+    e0 = d0 * d0 + o01 * o01 + o02 * o02
+    e1 = o01 * o01 + d1 * d1 + o12 * o12
+    e2 = o02 * o02 + o12 * o12 + d2 * d2
+    f = [o01 * (d0 + d1) + o02 * o12, o02 * (d0 + d2) + o01 * o12, o12 * (d1 + d2) + o01 * o02]
+    j2 = 0.5 * (e0 + e1 + e2)
+    j3 = d0 * (d1 * d2 - o12 * o12) - o01 * (o01 * d2 - o12 * o02) + o02 * (o01 * o12 - d1 * o02)
+    # coordinates of s and s^2 in the orthonormal basis (diag(1, -1, 0)/sqrt 2,
+    # diag(1, 1, -2)/sqrt 6, and sqrt 2 times each off-diagonal unit pair),
+    # with the constant factors moved onto the minors' squares
+    o = [o01, o02, o12]
+    xs, ys, xw, yw = d0 - d1, d0 + d1 - 2.0 * d2, e0 - e1, e0 + e1 - 2.0 * e2
+    delta3 = (xs * yw - ys * xw) ** 2 / 12.0
+    for k in range(3):
+        delta3 += (xs * f[k] - o[k] * xw) ** 2 + (ys * f[k] - o[k] * yw) ** 2 / 3.0
+    for j, k in ((0, 1), (0, 2), (1, 2)):
+        delta3 += 4.0 * (o[j] * f[k] - o[k] * f[j]) ** 2
+    # atan2(sqrt(Delta/108), J3/2) with both arguments times 6
+    theta = np.arctan2(np.sqrt(delta3), 3.0 * j3) / 3.0
+    radius = 2.0 * scale * np.sqrt(j2 / 3.0)
+    np.add(m, radius * np.cos(theta), out=top)
+    np.maximum(np.abs(top), np.abs(m - radius * np.cos(np.pi / 3.0 - theta)), out=norm)
 
 
 def _shifted(fld: ScalarField, where):

@@ -12,7 +12,7 @@ import sumhessian.cli as cli
 from sumhessian.cli import main
 from sumhessian.config import load_config
 from sumhessian.errors import ConfigError, LinearSolveError
-from sumhessian.grid import ScalarField, read_field
+from sumhessian.grid import ScalarField, make_domain, read_field, write_field
 
 QUAD_3D = """
 [operator]
@@ -409,6 +409,21 @@ class TestCliEstimate:
     @staticmethod
     def must_not_run(*args, **kwargs):
         raise AssertionError("called before the weights were checked")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_field_exits_2(self, bad, tmp_path, capsys):
+        """A NaN or infinite value in a field file stops estimate with status
+        2, naming the first such grid point in row-major order."""
+        dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
+        vals = np.zeros(dom.shape)
+        vals[2, 6] = vals[5, 1] = float(bad)
+        path, csv_out = tmp_path / "bad.field", tmp_path / "est.csv"
+        with open(path, "w") as stream:
+            write_field(ScalarField(dom, vals), stream)
+        assert main(["estimate", str(path), "--out", str(csv_out)]) == 2
+        assert (f"field value {float(bad)!r} at grid point (2, 6) is not finite"
+                in capsys.readouterr().err)
+        assert not csv_out.exists()
 
     def test_estimate_refuses_unconverged(self, tmp_path, capsys):
         csv_out = tmp_path / "est.csv"

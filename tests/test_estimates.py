@@ -15,9 +15,9 @@ from sumhessian import (
     make_domain,
     newton_solve,
 )
-from sumhessian.errors import DegenerateFieldError, MaxPrincipleError
+from sumhessian.errors import DegenerateFieldError, MaxPrincipleError, NonFiniteFieldError
 from sumhessian.estimates import write_reports
-from sumhessian.grid import gradient_field, hessian_field, unpack
+from sumhessian.grid import gradient_field, hessian_field, top_and_norm
 
 ZERO = expr.parse("0")
 
@@ -142,8 +142,10 @@ class TestPDiagnostic:
 
 
 class TestBuildReport:
-    """build_report against a standalone pointwise evaluation of every
-    quantity, each interior Hessian decomposed on its own."""
+    """build_report against a standalone evaluation of every quantity over
+    the whole interior at once, the Hessians' top eigenvalues and spectral
+    norms from one ``top_and_norm`` call (tests/test_grid.py checks it
+    against eigvalsh)."""
 
     BETAS = (1.0, 2.0, 4.0, 8.0)
 
@@ -160,11 +162,11 @@ class TestBuildReport:
 
     @staticmethod
     def pointwise(fld):
-        """u, the Hessian eigenvalues, the gradient and the coordinates at
-        every interior point."""
+        """u, the Hessian's top eigenvalue and spectral norm, the gradient
+        and the coordinates at every interior point."""
         idx = fld.domain.interior_idx
-        eigs = np.array([np.linalg.eigvalsh(m) for m in unpack(hessian_field(fld))])
-        return fld.flat[idx], eigs, gradient_field(fld), fld.domain.points[idx]
+        top, norm = top_and_norm(hessian_field(fld))
+        return fld.flat[idx], top, norm, gradient_field(fld), fld.domain.points[idx]
 
     @staticmethod
     def at_max(dom, vals):
@@ -175,34 +177,32 @@ class TestBuildReport:
     @staticmethod
     def count_calls(monkeypatch):
         """Call counts of the report's stencil reads, gradient reads and
-        eigvalsh, and under "hessian_blocks" and "gradient_blocks" the block
-        argument of each stencil and gradient read."""
+        eigenvalue kernel, and under "hessian_blocks" and "gradient_blocks"
+        the block argument of each stencil and gradient read."""
         import sumhessian.estimates as est
 
-        calls = {"hessian_field": 0, "gradient_field": 0, "eigvalsh": 0,
+        calls = {"hessian_field": 0, "gradient_field": 0, "top_and_norm": 0,
                  "hessian_blocks": [], "gradient_blocks": []}
-        for owner, name in ((est, "hessian_field"), (est, "gradient_field"),
-                            (np.linalg, "eigvalsh")):
-            original = getattr(owner, name)
+        for name in ("hessian_field", "gradient_field", "top_and_norm"):
+            original = getattr(est, name)
 
             def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
-                if _name != "eigvalsh":
+                if _name != "top_and_norm":
                     calls[_name.split("_")[0] + "_blocks"].append(
                         args[1] if len(args) > 1 else None)
                 return _original(*args)
 
-            monkeypatch.setattr(owner, name, counted)
+            monkeypatch.setattr(est, name, counted)
         return calls
 
     def common_fields_match(self, rep, fld):
         dom = fld.domain
-        _, eigs, grad, pts = self.pointwise(fld)
-        norm = np.max(np.abs(eigs), axis=1)
+        _, top, norm, grad, pts = self.pointwise(fld)
         grad2 = np.sum(grad ** 2, axis=1)
         radius = dom.inscribed_radius
         rho = 1.0 - np.sum((pts - dom.center) ** 2, axis=1) / radius ** 2
-        phi = rho * (1.0 - 0.5 * grad2 / np.max(grad2)) ** (-1.0 / 3.0) * eigs[:, -1]
+        phi = rho * (1.0 - 0.5 * grad2 / np.max(grad2)) ** (-1.0 / 3.0) * top
         assert rep.h == dom.h
         assert rep.sup_du == np.max(np.sqrt(grad2))
         assert rep.sup_d2u == np.max(norm)
@@ -216,11 +216,9 @@ class TestBuildReport:
         dom = fld.domain
         rep = build_report("ball", fld, self.BETAS, p_beta=3.0, p_a=0.2, p_big_a=0.5)
         self.common_fields_match(rep, fld)
-        u, eigs, grad, pts = self.pointwise(fld)
-        norm = np.max(np.abs(eigs), axis=1)
+        u, top, norm, grad, pts = self.pointwise(fld)
         assert rep.weighted == {b: np.max((-u) ** b * norm) for b in self.BETAS}
         assert rep.pogorelov == rep.weighted[1.0]
-        top = eigs[:, -1]
         with np.errstate(invalid="ignore", divide="ignore"):
             p_vals = (3.0 * np.log(-u) + np.log(top) + 0.1 * np.sum(grad ** 2, axis=1)
                       + 0.25 * np.sum(pts ** 2, axis=1))
@@ -244,10 +242,10 @@ class TestBuildReport:
     @pytest.mark.parametrize("make", ["zero_boundary_ball", "nonzero_boundary_box"])
     def test_one_stencil_pass_per_report(self, make, monkeypatch):
         """A report reads each interior point's stencil exactly once, one
-        block at a time, and decomposes each block once. It reads the
-        gradient in two passes over the same blocks, sup|Du| first, each
-        interior point once per pass. Neither count depends on the number
-        of weights."""
+        block at a time, and runs the eigenvalue kernel once per block. It
+        reads the gradient in two passes over the same blocks, sup|Du|
+        first, each interior point once per pass. Neither count depends on
+        the number of weights."""
         fld = getattr(self, make)()
         n_int = fld.domain.interior_idx.size
         monkeypatch.setattr(grid, "BLOCK_POINTS", n_int // 3)
@@ -259,7 +257,23 @@ class TestBuildReport:
         assert np.array_equal(read, np.arange(n_int))
         assert calls.pop("gradient_blocks") == blocks + blocks
         assert calls == {"hessian_field": len(blocks), "gradient_field": 2 * len(blocks),
-                         "eigvalsh": len(blocks)}
+                         "top_and_norm": len(blocks)}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_non_finite_field_names_first_point(self, bad, dim):
+        """A NaN or infinite value, at an interior or a boundary point,
+        raises before any work and names the first one in row-major order."""
+        dom = make_domain(dim, (-1,) * dim, (1,) * dim, (8,) * dim)
+        interior, boundary, later = (2, 6, 3)[:dim], (0, 4, 4)[:dim], (5, 1, 1)[:dim]
+        for first in (interior, boundary):
+            vals = np.zeros(dom.shape)
+            vals[first] = vals[later] = bad
+            with pytest.raises(NonFiniteFieldError) as err:
+                build_report("bad", ScalarField(dom, vals))
+            assert str(err.value).endswith(f"at grid point {first} is not finite")
+            assert err.value.point == first
+            assert repr(err.value.value) == repr(bad)
 
     def test_errors_raise_through_report(self):
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
@@ -342,8 +356,8 @@ class TestReports:
         c_family = max(rep.interior_ratio for rep in reps)
         for fld, rep in zip(fields, reps):
             x0 = dom.points[np.ravel_multi_index(rep.phi_argmax, dom.shape)]
-            hess = unpack(hessian_field(fld))[interior_row(dom, rep.phi_argmax)]
-            lhs = (1.0 - float(np.sum(x0**2))) * np.linalg.eigvalsh(hess)[-1]
+            top = top_and_norm(hessian_field(fld))[0][interior_row(dom, rep.phi_argmax)]
+            lhs = (1.0 - float(np.sum(x0**2))) * top
             assert lhs <= 1.01 * c_family * (1.0 + rep.sup_du)
 
     def test_p_max_stable_under_refinement(self):

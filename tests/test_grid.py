@@ -5,19 +5,39 @@ import math
 import numpy as np
 import pytest
 
-from sumhessian import GridDomain, ScalarField, make_domain, read_field, write_field
+from sumhessian import (
+    GridDomain,
+    RhsSpec,
+    ScalarField,
+    SumHessianParams,
+    expr,
+    make_domain,
+    newton_solve,
+    read_field,
+    write_field,
+)
 from sumhessian.estimates import build_report, write_reports
 from sumhessian.grid import (
     _hessian_stencil,
     gradient_field,
     hessian_field,
     sym_pairs,
-    unpack,
+    top_and_norm,
 )
 
 
 def field_from(dom, fn):
     return ScalarField(dom, fn(dom.points).reshape(dom.shape))
+
+
+def unpack(packed):
+    """The stack of symmetric matrices (N, d, d) of packed rows (d(d+1)/2, N),
+    the layout LAPACK's eigvalsh reads."""
+    dim = math.isqrt(2 * packed.shape[0])
+    out = np.empty((packed.shape[1], dim, dim))
+    for row, (a, b) in enumerate(sym_pairs(dim)):
+        out[:, a, b] = out[:, b, a] = packed[row]
+    return out
 
 
 def per_entry_hessians(fld):
@@ -151,6 +171,51 @@ class TestPackedLayout:
         for a, s in enumerate(dom.strides):
             want = (flat[idx + s] - flat[idx - s]) / (2.0 * dom.h)
             assert grad[:, a].tobytes() == want.tobytes()
+
+
+class TestTopAndNorm:
+    """The closed-form top eigenvalue and spectral norm of packed matrices
+    against LAPACK's eigvalsh of the unpacked stack, within 1e-14 times the
+    spectral norm."""
+
+    @staticmethod
+    def assert_matches_eigvalsh(packed):
+        eigs = np.linalg.eigvalsh(unpack(packed))
+        norm_ref = np.max(np.abs(eigs), axis=1)
+        top, norm = top_and_norm(packed)
+        assert np.all(np.abs(top - eigs[:, -1]) <= 1e-14 * norm_ref)
+        assert np.all(np.abs(norm - norm_ref) <= 1e-14 * norm_ref)
+
+    @staticmethod
+    def matrices(dim):
+        """Rotated diag(1, 1 +- delta, c) (diag(1, 1 +- delta) in 2D) for
+        delta from 1e-1 down to 0, the near-double pair above the third
+        eigenvalue c, below it or at it; then multiples of I, zero, the
+        same spectra unrotated, and random symmetric matrices; packed."""
+        rng = np.random.default_rng(dim)
+        lams = [[1.0, 1.0 + sign * delta, c][:dim]
+                for delta in [10.0 ** -e for e in range(1, 17)] + [0.0]
+                for sign in (1.0, -1.0) for c in (-3.0, -1.0, 0.0, 0.5, 1.0, 4.0)]
+        lams += [[c] * dim for c in (-2.0, 1.0, 1.0 / 3.0)]
+        lams += [[0.0] * dim] + rng.normal(size=(20, dim)).tolist()
+        rot, _ = np.linalg.qr(rng.normal(size=(len(lams), dim, dim)))
+        rotated = rot @ (np.asarray(lams)[:, :, None] * rot.transpose(0, 2, 1))
+        diagonal = np.asarray(lams)[:, :, None] * np.eye(dim)
+        random = rng.normal(size=(200, dim, dim))
+        stack = np.concatenate([rotated, diagonal, random + random.transpose(0, 2, 1)])
+        return np.stack([stack[:, a, b] for a, b in sym_pairs(dim)])
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_eigvalsh(self, dim, scale):
+        self.assert_matches_eigvalsh(scale * self.matrices(dim))
+
+    def test_matches_eigvalsh_on_ball_hessians(self):
+        """The Hessians of the k = 2, f = 18 zero-data ball at 32^3."""
+        dom = make_domain(3, (-1.0,) * 3, (1.0,) * 3, (32,) * 3, mask_name="ball")
+        fld = newton_solve(dom, SumHessianParams(3, 2, 1.0), RhsSpec.parse("18"),
+                           expr.parse("0")).field
+        self.assert_matches_eigvalsh(hessian_field(fld))
 
 
 class TestFieldIO:

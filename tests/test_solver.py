@@ -21,7 +21,7 @@ from sumhessian import (
     operator_value,
 )
 from sumhessian.errors import ConeViolationError, InstanceError, LinearSolveError
-from sumhessian.grid import MIN_CELLS, hessian_field, sym_pairs, unpack
+from sumhessian.grid import MIN_CELLS, hessian_field, sym_pairs
 from sumhessian.solver import (
     EXTENSION_RTOL,
     ETA_MAX,
@@ -55,6 +55,15 @@ def field_from(dom, fn):
 def pack(stack):
     """Packed rows, (d(d+1)/2, N), of a stack of symmetric matrices (N, d, d)."""
     return np.stack([stack[:, a, b] for a, b in sym_pairs(stack.shape[-1])])
+
+
+def unpack(packed):
+    """The stack of symmetric matrices (N, d, d) of packed rows (d(d+1)/2, N)."""
+    dim = math.isqrt(2 * packed.shape[0])
+    out = np.empty((packed.shape[1], dim, dim))
+    for row, (a, b) in enumerate(sym_pairs(dim)):
+        out[:, a, b] = out[:, b, a] = packed[row]
+    return out
 
 
 class TestResidual:
