@@ -305,12 +305,14 @@ def _shifted(fld: ScalarField, where):
     interior point when None, a block of interior positions from
     ``interior_blocks`` when a slice, or the flat indices of an array. A
     box's interior or block is read as a slice of the grid-shaped values (in
-    interior_idx order); other points are gathered from the flat values."""
+    interior_idx order) when the slice covers whole axis-0 planes; other
+    points are gathered from the flat values."""
     dom = fld.domain
     if where is None:
         where = slice(0, dom.interior_idx.size)
-    if isinstance(where, slice) and dom.mask_name == "box":
-        plane = dom.interior_idx.size // (dom.shape[0] - 2)
+    plane = dom.interior_idx.size // (dom.shape[0] - 2)
+    if isinstance(where, slice) and dom.mask_name == "box" \
+            and where.start % plane == where.stop % plane == 0:
         first, last = where.start // plane, where.stop // plane
 
         def at(o):
@@ -328,13 +330,24 @@ def _shifted(fld: ScalarField, where):
     return lambda o: flat[lowest + int(np.dot(o, dom.strides)):][base], idx.shape
 
 
+def stencil_steps(dim: int) -> np.ndarray:
+    """The steps of ``_hessian_stencil``, (m, dim) ints over {-1, 0, 1}: the
+    centre, +/- each axis and the four diagonals of each axis pair, in
+    lexicographic order, which on a grid of at least 3 points per axis is
+    that of their flat offsets step . strides (the gap at the first
+    differing axis a is at least s_a - 2 sum_{b>a} s_b > 0). The centre is
+    the middle row."""
+    return np.array([step for step in itertools.product((-1, 0, 1), repeat=dim)
+                     if np.count_nonzero(step) <= 2])
+
+
 def _hessian_stencil(fld: ScalarField, where) -> np.ndarray:
     """Packed discrete Hessians, (d(d+1)/2, n), at the points ``where`` names
     (``_shifted``): every interior point, a block or flat indices.
 
-    Second-order central differences: diagonal entries from the 3-point
-    stencil, mixed entries from the 4-point cross stencil. Exact on
-    quadratics.
+    Second-order central differences on the steps of ``stencil_steps``:
+    diagonal entries from the 3-point stencil, mixed entries from the
+    4-point cross stencil. Exact on quadratics.
     """
     dom = fld.domain
     at, shape = _shifted(fld, where)

@@ -14,26 +14,26 @@ asked of each step is the Eisenstat-Walker "choice 1" forcing term, which
 loosens the solve far from the solution and tightens it as the linear model
 becomes predictive. The derivatives df/du and df/dp are exact (``expr.diff``).
 
-A sparsity pattern depends on the domain and the stencil only. Its rows
-have a fixed width, one slot per stencil offset: a neighbour on the
-boundary layer keeps its slot, which points at the row's own column and
-holds an exact +0.0, so the pattern is the int32 column of each slot and
-the short list of those absent slots, with no mask of present entries.
-Each ``newton_solve`` makes one Jacobian pattern on the Hessian's stencil,
+A sparsity pattern depends on the domain and its steps, rows of the stencil
+table ``grid.stencil_steps``, only. Its rows have a fixed width, slot j the
+neighbour one step j away: a neighbour on the boundary layer keeps its
+slot, which points at the row's own column and holds an exact +0.0, so the
+pattern is the int32 column of each slot and the short list of those absent
+slots. Each ``newton_solve`` makes one Jacobian pattern on the whole table,
 built on first use, and hands it to every linearization, which then writes
-each offset's weights into its column of ``data``. The harmonic extension
-of the ball's guess assembles its Laplacian on a pattern of its own, the
-(2d + 1)-point stencil, so no row stores the mixed slots' zeros; that
-pattern is freed with the extension. Neither pattern is kept on the
+each step's weights into its column of ``data``. The harmonic extension of
+the ball's guess assembles its Laplacian on a pattern of its own, the
+table's centre and axis steps, so no row stores the mixed slots' zeros;
+that pattern is freed with the extension. Neither pattern is kept on the
 domain. The V-cycle's grid hierarchy (``_CoarseGrids``) depends on the
 domain only, so a solve builds it once, on the first linear solve, and both
 patterns' levels use it: the cells halve while every axis stays even and at
 least ``MIN_CELLS``, and each coarse grid keeps its n-linear prolongation
 P, the Kronecker product of one 1-D linear interpolation per axis
 (restriction is P^T / 2^d), built block by block from the interior index
-sets. A coarse operator takes the fine row of its injected point 2j, slot
-by slot, scaled by (h / 2h)^2: a gather of whole rows, zeroed at the coarse
-level's own absent slots, so no Galerkin product is formed. The V-cycle
+sets. A coarse operator takes the fine row of its injected point 2j, whole
+(slot j is the same step on every level), scaled by (h / 2h)^2 and zeroed
+at its own absent slots, so no Galerkin product is formed. The V-cycle
 forms its residuals and corrections in place and never writes its input.
 Across its linear solve a Newton step holds the iterate, its interior
 residual, the Jacobian and the pattern alone: the grid residual goes once
@@ -109,6 +109,7 @@ from .grid import (
     interior_blocks,
     point_blocks,
     squared_distance,
+    stencil_steps,
     sym_pairs,
 )
 from .symfun import SumHessianParams, sum_hessian
@@ -473,20 +474,6 @@ def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
     return out.reshape(dom.shape)
 
 
-def _stencil_offsets(strides: tuple[int, ...]) -> list[int]:
-    """Flat-index offsets of the Hessian stencil on a grid with these
-    strides: the centre, +/- each axis, then the four diagonal neighbours of
-    each axis pair. The k-th offset is the same direction on every grid."""
-    s = strides
-    offsets = [0]
-    for a in range(len(s)):
-        offsets += [s[a], -s[a]]
-    for a in range(len(s)):
-        for b in range(a + 1, len(s)):
-            offsets += [s[a] + s[b], -s[a] - s[b], s[a] - s[b], -s[a] + s[b]]
-    return offsets
-
-
 def _local_index(n_points: int, idx: np.ndarray) -> np.ndarray:
     """Unknown number of each flat grid index: its position in idx, or -1."""
     local = np.full(n_points, -1, dtype=np.int32)
@@ -494,26 +481,24 @@ def _local_index(n_points: int, idx: np.ndarray) -> np.ndarray:
     return local
 
 
-def _pattern_arrays(shape: tuple[int, ...], idx: np.ndarray, n_offsets: int | None = None):
-    """``_JacobianPattern.arrays`` of the operator on the first ``n_offsets``
-    offsets of ``_stencil_offsets`` (all when None) at the interior flat
-    indices idx (sorted, none on the outer layer) of a grid of this shape."""
+def _pattern_arrays(shape: tuple[int, ...], idx: np.ndarray, directions: np.ndarray):
+    """``_JacobianPattern.arrays`` of the operator on the stencil steps
+    ``directions`` at the interior flat indices idx (sorted, none on the
+    outer layer) of a grid of this shape."""
     local = _local_index(int(np.prod(shape)), idx)
-    strides = tuple(int(np.prod(shape[a + 1:], dtype=int)) for a in range(len(shape)))
-    offsets = np.array(_stencil_offsets(strides)[:n_offsets])
-    order = np.argsort(offsets)
-    indices = np.empty((idx.size, order.size), dtype=np.int32)
+    strides = [int(np.prod(shape[a + 1:], dtype=int)) for a in range(len(shape))]
+    indices = np.empty((idx.size, len(directions)), dtype=np.int32)
     absent = []
-    for j, offset in enumerate(offsets[order]):
+    for j, offset in enumerate(directions @ strides):
         column = local[idx + offset]
         missing = np.flatnonzero(column < 0)    # rows whose neighbour is data
         column[missing] = missing               # the row's own column
         indices[:, j] = column
-        absent.append(missing * order.size + j)
+        absent.append(missing * len(directions) + j)
     absent = np.concatenate(absent)
     for array in (indices, absent):
         array.flags.writeable = False
-    return order, indices, absent
+    return indices, absent
 
 
 def _prolongation(fine_shape: tuple[int, ...], fine_idx: np.ndarray,
@@ -601,16 +586,15 @@ class _CoarseGrids:
 class _JacobianPattern:
     """Sparsity pattern of a stencil operator on the interior unknowns of one
     domain, and its levels of the V-cycle, each built on first use, so a
-    solve that never assembles builds neither. The stencil is the first
-    ``n_offsets`` offsets of ``_stencil_offsets``: all of them for the
-    Jacobian, the centre and the +/- axis offsets (2d + 1) for the
-    Laplacian. ``grids`` is the domain's ``_CoarseGrids``, made here when
-    omitted; patterns of one domain may share them.
+    solve that never assembles builds neither. The stencil's steps are
+    ``directions``, rows of ``grid.stencil_steps`` in its order: all of
+    them for the Jacobian (when None), the centre and the +/- axis steps
+    for the Laplacian. ``grids`` is the domain's ``_CoarseGrids``, made here
+    when omitted; patterns of one domain may share them.
 
-    Rows have a fixed width: one slot per stencil offset. ``arrays`` is
-    (order, indices, absent). ``order`` sorts the stencil offsets, so slot j
-    of every row is the j-th offset in increasing order; the offsets pair up
-    around 0, so the centre is the middle slot. ``indices`` (int32,
+    Rows have a fixed width: slot j of every row, on every level, is the
+    neighbour one step directions[j] away, and the centre is the middle
+    slot. ``arrays`` is (indices, absent). ``indices`` (int32,
     n_int x width) is the column of each slot. A neighbour on the boundary
     layer holds Dirichlet data and has no unknown: its slot points at the
     row's own column and holds an exact +0.0, which adds nothing to a
@@ -622,38 +606,31 @@ class _JacobianPattern:
     pattern.
     """
 
-    def __init__(self, dom: GridDomain, n_offsets: int | None = None,
+    def __init__(self, dom: GridDomain, directions: np.ndarray | None = None,
                  grids: _CoarseGrids | None = None):
         self.dom = dom
-        self.n_offsets = n_offsets
+        self.directions = stencil_steps(dom.dim) if directions is None else directions
         self.grids = grids or _CoarseGrids(dom)
 
     @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _pattern_arrays(self.dom.shape, self.dom.interior_idx, self.n_offsets)
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return _pattern_arrays(self.dom.shape, self.dom.interior_idx, self.directions)
 
     @cached_property
-    def levels(self) -> list[tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Coarse levels, finest first: (P, rows, slot, indices, absent)
-        each, on the grids of ``grids``, whose P and ``rows`` it shares.
+    def levels(self) -> list[tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]]:
+        """Coarse levels, finest first: (P, rows, indices, absent) each, on
+        the grids of ``grids``, whose P and ``rows`` it shares.
 
         ``indices`` and ``absent`` are the level's pattern. Its data is a
         gather of the finer level's (``_vcycle``): coarse row j takes the
-        finer row ``rows[j]``, that of the injected point 2j, and its slot s
-        the finer slot ``slot[s]`` of the same stencil direction e. Where
-        2j + 2e is interior, 2j + e is too (the midpoint of two points of a
-        box or ball lies in it), so the finer slot is present; where it is
-        not, the coarse slot is absent and is zeroed.
+        finer row ``rows[j]``, that of the injected point 2j, whole, since
+        slot s is the same step e on both levels. Where 2j + 2e is
+        interior, 2j + e is too (the midpoint of two points of a box or ball
+        lies in it), so the finer slot is present; where it is not, the
+        coarse slot is absent and is zeroed.
         """
-        order = self.arrays[0]
-        levels = []
-        for prolong, shape, idx, rows in self.grids.levels:
-            coarse_order, indices, absent = _pattern_arrays(shape, idx, self.n_offsets)
-            # the finer slot of each coarse slot's direction
-            slot = np.argsort(order)[coarse_order]
-            levels.append((prolong, rows, slot, indices, absent))
-            order = coarse_order
-        return levels
+        return [(prolong, rows, *_pattern_arrays(shape, idx, self.directions))
+                for prolong, shape, idx, rows in self.grids.levels]
 
 
 def _fixed_width_csr(data: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
@@ -667,24 +644,29 @@ def _fixed_width_csr(data: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(n, n))
 
 
-def _stencil_weights(h: float, coeff: np.ndarray, f_u: np.ndarray | float,
-                     f_p: np.ndarray) -> list[np.ndarray]:
-    """Per-point weight of each stencil offset, in ``_stencil_offsets``
-    order, of the operator that ``_assemble`` describes, for one block's
-    terms; a term constant over the block broadcasts."""
+def _stencil_weights(h: float, directions: np.ndarray, coeff: np.ndarray,
+                     f_u: np.ndarray | float, f_p: np.ndarray):
+    """Per-point weight of each step in ``directions``, yielded in turn, of
+    the operator that ``_assemble`` describes, for one block's terms; a term
+    constant over the block broadcasts. The step e weighs, at the centre,
+    -f_u - sum_a 2 coeff[a] / h^2; along axis a, coeff[a] / h^2 - e_a
+    f_p[:, a] / (2h); along axes a < b, e_a e_b coeff[ab] / (2h^2)."""
     dim = f_p.shape[1]
     h2 = h * h
-    center = -f_u
-    for a in range(dim):
-        center -= 2.0 * coeff[a] / h2
-    weights = [center]
-    for a in range(dim):
-        for sign in (+1, -1):
-            weights.append(coeff[a] / h2 - sign * f_p[:, a] / (2.0 * h))
-    for mixed in coeff[dim:]:   # the (a, b), a < b, rows, in stencil order
-        w = mixed / (2.0 * h2)
-        weights += [w, w, -w, -w]
-    return weights
+    for step in directions.tolist():
+        axes = [a for a in range(dim) if step[a]]
+        if not axes:
+            center = -f_u
+            for a in range(dim):
+                center -= 2.0 * coeff[a] / h2
+            yield center
+        elif len(axes) == 1:
+            (a,) = axes
+            yield coeff[a] / h2 - step[a] * f_p[:, a] / (2.0 * h)
+        else:
+            a, b = axes
+            w = coeff[sym_pairs(dim).index((a, b))] / (2.0 * h2)
+            yield w if step[a] == step[b] else -w
 
 
 def _assemble(dom: GridDomain, pattern: _JacobianPattern, terms) -> sp.csr_matrix:
@@ -695,16 +677,15 @@ def _assemble(dom: GridDomain, pattern: _JacobianPattern, terms) -> sp.csr_matri
     unknown, is computed here, in one pass over ``grid.interior_blocks``:
     ``terms(block)`` gives the block's packed coefficient matrices, df/du
     and df/dp, (d(d+1)/2, n), (n,) and (n, d), or constants that broadcast,
-    and each stencil offset's weights go straight into its column of the
-    block's rows of ``data``. The absent slots are then set to +0.0.
+    and each step's weights go into its column of the block's rows of
+    ``data`` as they are formed. The absent slots are then set to +0.0.
     """
-    order, indices, absent = pattern.arrays
+    indices, absent = pattern.arrays
     data = np.empty(indices.shape)
     for block in interior_blocks(dom):
-        weights = _stencil_weights(dom.h, *terms(block))
-        for column, j in zip(data[block].T, order):
-            column[:] = weights[j]
-        del weights     # before the next block's terms are formed
+        for column, weight in zip(data[block].T,
+                                  _stencil_weights(dom.h, pattern.directions, *terms(block))):
+            column[:] = weight
     data.reshape(-1)[absent] = 0.0
     return _fixed_width_csr(data, indices)
 
@@ -763,25 +744,24 @@ def _vcycle(mat: sp.csr_matrix, pattern: _JacobianPattern) -> spla.LinearOperato
     """One V-cycle over ``pattern.levels`` as a linear operator, an
     approximate inverse of ``mat``, which fills ``pattern``.
 
-    Each level's fixed-width rows are the finer level's data gathered by
-    the level's ``rows`` and ``slot``, scaled by (h / 2h)^2 = 1/4, with the
-    level's own absent slots set to +0.0. Each level's inverse diagonal is
-    read from the centre slot. A level smooths with MG_SMOOTH_SWEEPS
-    damped-Jacobi sweeps from zero, corrects from the next level through P
-    and the restriction P^T / 2^d, and smooths again; the coarsest level,
-    or a grid that cannot be coarsened, takes MG_COARSEST_SWEEPS sweeps
-    from zero. The cycle is therefore linear in its input, which it never
-    writes: BiCGSTAB hands it vectors it reads again. Each level's residual
-    is formed in the array that ``a @ x`` returns, its restriction is
-    scaled in place, and the prolonged correction is added into the
-    level's first smoothed x.
+    Each level's fixed-width rows are the finer level's rows ``rows``,
+    scaled by (h / 2h)^2 = 1/4, with the level's own absent slots set to
+    +0.0. Each level's inverse diagonal is read from the centre slot. A
+    level smooths with MG_SMOOTH_SWEEPS damped-Jacobi sweeps from zero,
+    corrects from the next level through P and the restriction P^T / 2^d,
+    and smooths again; the coarsest level, or a grid that cannot be
+    coarsened, takes MG_COARSEST_SWEEPS sweeps from zero. The cycle is
+    therefore linear in its input, which it never writes: BiCGSTAB hands it
+    vectors it reads again. Each level's residual is formed in the array
+    that ``a @ x`` returns, its restriction is scaled in place, and the
+    prolonged correction is added into the level's first smoothed x.
     """
     import scipy.sparse.linalg as spla
 
     ops = [mat]
-    width = pattern.arrays[1].shape[1]
-    for _, rows, slot, indices, absent in pattern.levels:
-        data = ops[-1].data.reshape(-1, width)[rows[:, None], slot]
+    width = pattern.arrays[0].shape[1]
+    for _, rows, indices, absent in pattern.levels:
+        data = ops[-1].data.reshape(-1, width)[rows]
         data *= 0.25
         data.reshape(-1)[absent] = 0.0
         ops.append(_fixed_width_csr(data, indices))
@@ -920,7 +900,7 @@ def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
     shift = (margin / (d - 1)) * _packed_eye(d)
     delta = 0.25 * dom.h * dom.h * max(1.0, scale)
     idx = dom.interior_idx
-    offsets = np.array(_stencil_offsets(dom.strides))
+    offsets = stencil_steps(d) @ dom.strides
     trial = ScalarField(dom, fld.values.copy())
     flat = trial.flat   # a view: lowering it lowers trial
 
@@ -1029,10 +1009,11 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     ring and is small, and the discrete harmonic extension is used instead,
     which keeps the trace of the Hessian exact. Boundary values equal the
     Dirichlet data exactly in both cases. The extension's Laplacian has its
-    own (2d + 1)-point ``_JacobianPattern``, which shares the coarse grids
-    of ``pattern``, the domain's Jacobian pattern (made here when omitted),
-    and is freed with the Laplacian. The extension appends its (Krylov
-    iterations, linear residual) to ``krylov_log`` when one is given.
+    own ``_JacobianPattern``, on the centre and axis steps of ``pattern``,
+    the domain's Jacobian pattern (made here when omitted), whose coarse
+    grids it shares, and is freed with the Laplacian. The extension appends
+    its (Krylov iterations, linear residual) to ``krylov_log`` when one is
+    given.
 
     The guess is returned as a Newton iterate. The box's admissibility
     check is the iterate's evaluation, and so is the repair's last check
@@ -1096,7 +1077,8 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
             mismatch[b] = flat[b] - quad(b)
         d = dom.dim
         eye, zero_row = _packed_eye(d), np.zeros((1, d))
-        laplacian = _JacobianPattern(dom, 2 * d + 1, pattern.grids)
+        axes = np.count_nonzero(pattern.directions, axis=1) <= 1
+        laplacian = _JacobianPattern(dom, pattern.directions[axes], pattern.grids)
         lap = _assemble(dom, laplacian, lambda block: (eye, 0.0, zero_row))
         (lap_m,) = _blockwise(lambda hp: (_trace(hp, d),),
                               ScalarField(dom, mismatch.reshape(dom.shape)))

@@ -21,6 +21,8 @@ from sumhessian.grid import (
     _hessian_stencil,
     gradient_field,
     hessian_field,
+    interior_blocks,
+    stencil_steps,
     sym_pairs,
     top_and_norm,
 )
@@ -125,6 +127,19 @@ class TestStencils:
             errs.append(abs(hessian_field(fld)[0, row] - (-np.sin(x_target))))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_impulse_reaches_the_table_steps(self, dim):
+        # the Hessian at q reads u at q + e for e in the table, so a unit
+        # impulse at p changes the Hessians at p - e, and nowhere else
+        dom = make_domain(dim, (-1.0,) * dim, (1.0,) * dim, (8,) * dim)
+        p = np.array(dom.center_index())
+        values = np.zeros(dom.shape)
+        values[tuple(p)] = 1.0
+        changed = np.any(hessian_field(ScalarField(dom, values)) != 0.0, axis=0)
+        got = np.stack(np.unravel_index(dom.interior_idx[changed], dom.shape), axis=1)
+        want = p - stencil_steps(dim)
+        assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
+
     def test_gradient_centered(self):
         dom = make_domain(3, (0, 0, 0), (1, 1, 1), (8, 8, 8))
         fld = field_from(dom, lambda p: 2 * p[:, 0] - p[:, 2])
@@ -152,6 +167,23 @@ class TestPackedLayout:
         gathered = _hessian_stencil(fld, fld.domain.interior_idx)
         assert sliced.tobytes() == gathered.tobytes()
         assert hessian_field(fld).tobytes() == sliced.tobytes()
+
+    @pytest.mark.parametrize("dim,mask", [(2, "box"), (2, "ball"), (3, "box"), (3, "ball")])
+    def test_any_slice_equals_whole_interior_columns(self, dim, mask, monkeypatch):
+        import sumhessian.grid as grid
+
+        fld = random_field(dim, mask)
+        n = fld.domain.interior_idx.size
+        hessians, gradients = hessian_field(fld), gradient_field(fld)
+        # many blocks: whole planes of a box, 50 points of a ball
+        monkeypatch.setattr(grid, "BLOCK_POINTS", 50)
+        blocks = list(interior_blocks(fld.domain))
+        assert len(blocks) > 2
+        # a box slice that cuts an axis-0 plane is gathered, not read as
+        # whole planes
+        for where in [slice(0, 5), slice(3, 60), slice(n - 7, n)] + blocks:
+            assert hessian_field(fld, where).tobytes() == hessians[:, where].tobytes(), where
+            assert gradient_field(fld, where).tobytes() == gradients[where].tobytes(), where
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_unpack_round_trips(self, dim):

@@ -21,7 +21,7 @@ from sumhessian import (
     operator_value,
 )
 from sumhessian.errors import ConeViolationError, InstanceError, LinearSolveError
-from sumhessian.grid import MIN_CELLS, hessian_field, sym_pairs
+from sumhessian.grid import MIN_CELLS, hessian_field, stencil_steps, sym_pairs
 from sumhessian.solver import (
     EXTENSION_RTOL,
     ETA_MAX,
@@ -317,7 +317,7 @@ class TestAssembly:
             assert got.indptr.dtype == got.indices.dtype == np.int32
             assert np.array_equal(got.indptr, width * np.arange(n_int + 1))
             # every absent slot is +0.0 on its own row's column
-            _, indices, absent = pattern.arrays
+            indices, absent = pattern.arrays
             assert absent.size > 0
             assert np.array_equal(got.indices[absent], absent // width)
             assert not got.data[absent].view(np.int64).any()
@@ -367,7 +367,7 @@ class TestAssembly:
         # are built on one set of coarse grids, whose prolongations they share
         ball = make_domain(3, (-1,) * 3, (1,) * 3, (16,) * 3, mask_name="ball")
         assert newton_solve(ball, params, RhsSpec.parse("18"), ZERO).iterations > 0
-        assert [(p.dom, p.n_offsets) for p in built] == [(ball, 7), (ball, None)]
+        assert [(p.dom, len(p.directions)) for p in built] == [(ball, 7), (ball, 19)]
         assert len(grids) == 1 and all(p.grids is grids[0] for p in built)
         laplacian, jacobian = built
         assert len(jacobian.levels) == 1
@@ -383,7 +383,8 @@ class TestAssembly:
     def test_laplacian_pattern_drops_only_the_zero_slots(self, dim):
         dom = make_domain(dim, (-1,) * dim, (1,) * dim, (16,) * dim, mask_name="ball")
         full = _JacobianPattern(dom)
-        lean = _JacobianPattern(dom, 2 * dim + 1, full.grids)
+        axes = full.directions[np.count_nonzero(full.directions, axis=1) <= 1]
+        lean = _JacobianPattern(dom, axes, full.grids)
         n_int = dom.interior_idx.size
         eye = pack(np.eye(dim)[None])
 
@@ -428,8 +429,8 @@ class TestAssembly:
             lap.eliminate_zeros()
         again = _assemble(dom, pattern, terms)
         assert [getattr(again, attr).tobytes() for attr in ("indptr", "indices", "data")] == want
-        _, indices, absent = pattern.arrays
-        arrays = [indices, absent] + [a for level in pattern.levels for a in level[3:]]
+        indices, absent = pattern.arrays
+        arrays = [indices, absent] + [a for level in pattern.levels for a in level[2:]]
         assert len(arrays) == 4 and not any(a.flags.writeable for a in arrays)
 
 
@@ -468,8 +469,36 @@ class TestMultigrid:
         dom = make_domain(dim, (-1,) * dim, (1,) * dim, (cells,) * dim, mask_name=mask)
         levels = _JacobianPattern(dom).levels
         assert len(levels) == depth == len(coarse_domains(dom))
-        for (prolong, rows, _, indices, _), coarse in zip(levels, coarse_domains(dom)):
+        for (prolong, rows, indices, _), coarse in zip(levels, coarse_domains(dom)):
             assert indices.shape[0] == rows.size == prolong.shape[1] == coarse.interior_idx.size
+
+    @pytest.mark.parametrize("cells,mask", [
+        ((32, 32), "box"), ((32, 32), "ball"), ((8, 64), "box"), ((16, 64), "box"),
+        ((16, 16, 16), "ball"), ((32, 32, 32), "box"), ((16, 8, 32), "box"),
+        ((32, 16, 64), "box")])
+    def test_one_step_per_slot_on_every_level(self, cells, mask):
+        dim = len(cells)
+        dom = make_domain(dim, (0.0,) * dim, cells, cells, mask_name=mask)
+        pattern = _JacobianPattern(dom)
+        steps = pattern.directions
+        assert np.array_equal(steps, stencil_steps(dim))
+        # the centre is the middle row, and the steps pair up around it
+        assert not steps[len(steps) // 2].any()
+        assert np.array_equal(steps, -steps[::-1])
+        grids = [(dom.shape, dom.interior_idx)] + [
+            (shape, idx) for _, shape, idx, _ in pattern.grids.levels]
+        arrays = [pattern.arrays] + [level[2:] for level in pattern.levels]
+        # down to the coarsest level, 9 points on its shortest axis
+        assert min(grids[-1][0]) == MIN_CELLS + 1
+        for (shape, idx), (indices, absent) in zip(grids, arrays):
+            strides = [math.prod(shape[a + 1:]) for a in range(dim)]
+            offsets = steps @ strides
+            # the table's order is that of the flat offsets on every level ...
+            assert np.all(np.diff(offsets) > 0)
+            # ... and slot j of every row is its neighbour one step steps[j] away
+            present = np.ones(indices.shape, dtype=bool)
+            present.reshape(-1)[absent] = False
+            assert np.array_equal(idx[indices][present], (idx[:, None] + offsets)[present])
 
     @pytest.mark.parametrize("dim,cells,mask", [(2, 32, "box"), (3, 16, "ball"),
                                                 (3, 16, "box"), (2, 32, "ball")])
@@ -538,10 +567,10 @@ class TestMultigrid:
             mask.reshape(-1)[absent] = False
             return mask
 
-        fine, (_, f_indices, f_absent), f_op = dom, pattern.arrays, mat
+        fine, (f_indices, f_absent), f_op = dom, pattern.arrays, mat
         width = f_indices.shape[1]
-        for (_, rows, slot, indices, absent), op, coarse in zip(pattern.levels, built,
-                                                                coarse_domains(dom)):
+        for (_, rows, indices, absent), op, coarse in zip(pattern.levels, built,
+                                                          coarse_domains(dom)):
             n = rows.size
             # every coarse interior point injects to a fine interior point
             injected = np.ravel_multi_index(tuple(2 * grid_points(coarse, coarse.interior_idx).T),
@@ -552,19 +581,19 @@ class TestMultigrid:
             # each present coarse slot takes a present slot of its injected
             # fine row, in the same stencil direction
             keep = present(indices, absent)
-            assert present(f_indices, f_absent)[rows[:, None], slot][keep].all()
+            assert present(f_indices, f_absent)[rows][keep].all()
             row_of = np.broadcast_to(np.arange(n)[:, None], indices.shape)
             own = row_of[keep]
             c_step = grid_points(coarse, coarse.interior_idx[indices[keep]]) \
                 - grid_points(coarse, coarse.interior_idx[own])
-            f_cols = f_indices[rows[:, None], slot][keep]
+            f_cols = f_indices[rows][keep]
             f_step = grid_points(fine, fine.interior_idx[f_cols]) \
                 - grid_points(fine, injected[own])
             assert np.array_equal(c_step, f_step)
             # ... and is 1/4 of that fine entry; an absent slot is +0.0
             # on its own row's column
             data = op.data.reshape(n, width)
-            fine_data = f_op.data.reshape(-1, width)[rows[:, None], slot]
+            fine_data = f_op.data.reshape(-1, width)[rows]
             assert data[keep].tobytes() == (0.25 * fine_data[keep]).tobytes()
             assert not data[~keep].view(np.int64).any()
             assert np.array_equal(indices[~keep], row_of[~keep])
