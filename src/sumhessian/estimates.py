@@ -91,26 +91,16 @@ def _p_values(dom: GridDomain, idx: np.ndarray, u: np.ndarray, top: np.ndarray,
     return vals
 
 
-class _RunningMax:
-    """Maximum of per-interior-point values seen block by block, and the
-    grid multi-index of its first maximizer in interior order: the point
-    ``np.argmax`` picks over the whole interior, a NaN first of all."""
-
-    def __init__(self, dom: GridDomain):
-        self.dom = dom
-        self.value, self.position = -np.inf, None
-
-    def update(self, vals: np.ndarray, block: slice) -> None:
-        best = int(np.argmax(vals))
-        value = vals[best]
-        if self.position is None or value > self.value \
-                or (np.isnan(value) and not np.isnan(self.value)):
-            self.value, self.position = float(value), block.start + best
-
-    @property
-    def argmax(self) -> tuple[int, ...]:
-        point = np.unravel_index(self.dom.interior_idx[self.position], self.dom.shape)
-        return tuple(int(v) for v in point)
+def _first_maximizer(dom: GridDomain, maxima: list) -> tuple[float, tuple[int, ...]]:
+    """The largest of the blocks' (value, interior position) maxima, each at
+    the block's ``np.argmax``, and the grid multi-index of its point.
+    ``np.argmax`` over them picks the earliest block holding a NaN, else the
+    earliest holding the maximum: the point it picks over the whole
+    interior."""
+    values, positions = zip(*maxima)
+    best = int(np.argmax(values))
+    point = np.unravel_index(dom.interior_idx[positions[best]], dom.shape)
+    return float(values[best]), tuple(int(v) for v in point)
 
 
 def _zero_boundary(fld: ScalarField) -> bool:
@@ -180,7 +170,12 @@ def build_report(instance: str, fld: ScalarField, betas: tuple[float, ...] = BET
     # second pass: the stencil and top_and_norm run on one block at a time
     products = dict.fromkeys(tuple(betas) + (1.0,), -np.inf)
     sup_d2u, d2u_center = -np.inf, None
-    phi, p_diag = _RunningMax(dom), _RunningMax(dom)
+    phi, p_diag = [], []    # each block's maximum and its interior position
+
+    def block_max(vals: np.ndarray, block: slice) -> tuple[np.float64, int]:
+        best = int(np.argmax(vals))
+        return vals[best], block.start + best
+
     included = False
     for block in interior_blocks(dom):
         top, spectral_norm = top_and_norm(hessian_field(fld, block))
@@ -189,7 +184,7 @@ def build_report(instance: str, fld: ScalarField, betas: tuple[float, ...] = BET
             d2u_center = float(spectral_norm[center_row - block.start])
         idx = dom.interior_idx[block]
         g2 = grad2(block)
-        phi.update(_phi_values(dom, idx, radius, g2, a_sup, top), block)
+        phi.append(block_max(_phi_values(dom, idx, radius, g2, a_sup, top), block))
         if zero_data:
             u = fld.flat[idx]
             for beta in products:
@@ -197,18 +192,20 @@ def build_report(instance: str, fld: ScalarField, betas: tuple[float, ...] = BET
                                                   np.max((-u) ** beta * spectral_norm)))
             include = (u < 0) & (top > 0)
             included |= bool(include.any())
-            p_diag.update(_p_values(dom, idx, u, top, g2, include, p_beta, p_a, p_big_a), block)
+            p_diag.append(block_max(_p_values(dom, idx, u, top, g2, include, p_beta, p_a,
+                                              p_big_a), block))
     if zero_data:
         if not included:
             raise DegenerateFieldError("every interior point was excluded from the diagnostic")
         weighted = {b: products[b] for b in betas}
         pog = products[1.0]
-        p_max, p_argmax = p_diag.value, p_diag.argmax
+        p_max, p_argmax = _first_maximizer(dom, p_diag)
     else:
         pog = None
         weighted = {b: None for b in betas}
         p_max, p_argmax = None, None
     sup_du = float(np.sqrt(a_sup))
+    phi_max, phi_argmax = _first_maximizer(dom, phi)
     return EstimateReport(
         instance=instance,
         h=dom.h,
@@ -218,8 +215,8 @@ def build_report(instance: str, fld: ScalarField, betas: tuple[float, ...] = BET
         interior_ratio=d2u_center / (1.0 + sup_du / radius),
         pogorelov=pog,
         weighted=weighted,
-        phi_max=phi.value,
-        phi_argmax=phi.argmax,
+        phi_max=phi_max,
+        phi_argmax=phi_argmax,
         p_max=p_max,
         p_argmax=p_argmax,
         rho_rescaled=not (abs(radius - 1.0) < 1e-12 and np.all(np.abs(dom.center) < 1e-12)),

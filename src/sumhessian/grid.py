@@ -302,18 +302,19 @@ def _top_and_norm_3d(packed, top, norm):
 def _shifted(fld: ScalarField, where):
     """(at, shape): at(o) is the field's values, an array of this shape, moved
     by the integer offset vector o, at the points ``where`` names: every
-    interior point when None, a block of interior positions from
-    ``interior_blocks`` when a slice, or the flat indices of an array. A
+    interior point when None, the interior positions a slice names (an
+    ``interior_blocks`` block, say), or the flat indices of an array. A
     box's interior or block is read as a slice of the grid-shaped values (in
-    interior_idx order) when the slice covers whole axis-0 planes; other
-    points are gathered from the flat values."""
+    interior_idx order) when the slice, with step 1, covers whole axis-0
+    planes; other points are gathered from the flat values."""
     dom = fld.domain
     if where is None:
-        where = slice(0, dom.interior_idx.size)
+        where = slice(None)
     plane = dom.interior_idx.size // (dom.shape[0] - 2)
-    if isinstance(where, slice) and dom.mask_name == "box" \
-            and where.start % plane == where.stop % plane == 0:
-        first, last = where.start // plane, where.stop // plane
+    points = range(*where.indices(dom.interior_idx.size)) if isinstance(where, slice) else None
+    if points is not None and dom.mask_name == "box" and points.step == 1 \
+            and points.start % plane == len(points) % plane == 0:
+        first, last = points.start // plane, (points.start + len(points)) // plane
 
         def at(o):
             o = o.tolist()

@@ -31,14 +31,15 @@ patterns' levels use it: the cells halve while every axis stays even and at
 least ``MIN_CELLS``, and each coarse grid keeps its n-linear prolongation
 P, the Kronecker product of one 1-D linear interpolation per axis
 (restriction is P^T / 2^d), built block by block from the interior index
-sets. A coarse operator takes the fine row of its injected point 2j, whole
-(slot j is the same step on every level), scaled by (h / 2h)^2 and zeroed
-at its own absent slots, so no Galerkin product is formed. The V-cycle
-forms its residuals and corrections in place and never writes its input.
-Across its linear solve a Newton step holds the iterate, its interior
-residual, the Jacobian and the pattern alone: the grid residual goes once
-its interior is read, and the last step's Jacobian and step go once that
-step is accepted.
+sets, each block's rows with ``scipy.sparse.kron``. A coarse operator
+takes the fine row of its injected point 2j, whole (slot j is the same
+step on every level), scaled by (h / 2h)^2 and zeroed at its own absent
+slots, so no Galerkin product is formed. The V-cycle forms its residuals
+and corrections in place and never writes its input. Across its linear
+solve a Newton step holds the iterate, its interior residual, the
+Jacobian and the pattern alone: the grid residual goes once its interior
+is read, and the last step's Jacobian and step go once that step is
+accepted.
 
 The bulk path never eigendecomposes: one loop kernel, valid in any grid
 dimension and order k, evaluates sigma_m of eta(lam(H)) from the power sums
@@ -86,7 +87,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -512,40 +513,37 @@ def _prolongation(fine_shape: tuple[int, ...], fine_idx: np.ndarray,
     columns ``coarse_idx``.
 
     It is built one ``point_blocks`` block of rows at a time, with no
-    whole-grid matrix, and the blocks' CSR matrices are stacked. Each of the
-    2^d choices of one parent per axis gives every row of a block one
-    candidate entry, kept where its weight is nonzero and its parent
-    interior. The choices are taken in lexicographic order of the parents'
-    multi-indices, so each row's columns come in increasing order, which
-    the conversion from coordinates to CSR keeps: the matrix is the
+    whole-grid matrix: ``scipy.sparse.kron`` of axis 0's rows for the
+    planes the block spans with the product of the other axes, whose rows
+    the block selects; the blocks' CSR matrices are stacked. A row's
+    columns come in increasing order, that of the parents' multi-indices,
+    and the weights (powers of 1/2) are exact, so the matrix is the whole
     product's, bit for bit."""
     import scipy.sparse as sp
 
+    def interpolation(n_fine: int, n_coarse: int) -> sp.csr_matrix:
+        # n_fine = 2 n_coarse - 1: even rows hold one entry, odd rows two,
+        # so entry k of the row-major listing is column (k + 1) // 3, and
+        # an even row's own entry where k % 3 == 0
+        k = np.arange(3 * (n_coarse - 1) + 1)
+        return sp.csr_matrix((np.where(k % 3 == 0, 1.0, 0.5), (k + 1) // 3,
+                              3 * np.arange(n_fine + 1) // 2), shape=(n_fine, n_coarse))
+
+    axis0, *rest = map(interpolation, fine_shape, coarse_shape)
+    others = reduce(lambda a, b: sp.kron(a, b, format="csr"), rest)
+    plane = others.shape[0]
     local = _local_index(int(np.prod(coarse_shape)), coarse_idx)
-    # per axis, for each fine m: (coarse flat offset, weight) of each choice;
-    # an even m's second choice repeats its one parent with weight 0
-    choices = []
-    for a, n_fine in enumerate(fine_shape):
-        m, stride = np.arange(n_fine), int(np.prod(coarse_shape[a + 1:], dtype=int))
-        odd = m % 2 == 1
-        choices.append((((m // 2) * stride, np.where(odd, 0.5, 1.0)),
-                        (((m + 1) // 2) * stride, np.where(odd, 0.5, 0.0))))
     blocks = []
     for block in point_blocks(fine_idx.size):
-        row = np.arange(block.stop - block.start, dtype=np.int32)
-        per_axis = [[(offset[m], weight[m]) for offset, weight in axis]
-                    for m, axis in zip(np.unravel_index(fine_idx[block], fine_shape), choices)]
-        data, rows, cols = [], [], []
-        for pick in itertools.product(*per_axis):
-            col = local[sum(offset for offset, _ in pick)]
-            weight = math.prod(weight for _, weight in pick)
-            keep = (weight != 0.0) & (col >= 0)
-            data.append(weight[keep])
-            rows.append(row[keep])
-            cols.append(col[keep])
-        blocks.append(sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(row.size, coarse_idx.size)))
+        rows = fine_idx[block]
+        low = rows[0] // plane
+        part = sp.kron(axis0[low:rows[-1] // plane + 1], others, format="csr")[rows - low * plane]
+        # drop the coarse boundary columns, keeping each row's order
+        cols = local[part.indices]
+        keep = cols >= 0
+        indptr = np.concatenate(([0], np.cumsum(keep)))[part.indptr]
+        blocks.append(sp.csr_matrix((part.data[keep], cols[keep], indptr),
+                                    shape=(rows.size, coarse_idx.size)))
     return sp.vstack(blocks, format="csr")
 
 
@@ -558,7 +556,8 @@ class _CoarseGrids:
     ``MIN_CELLS``; a coarse point j is interior when the finer point 2j is.
     ``idx`` is the grid's interior flat indices, ``rows`` the finer grid's
     interior row of each injected point 2j, and P interpolates from the
-    grid's interior unknowns to the finer grid's (``_prolongation``).
+    grid's interior unknowns to the finer grid's (``_prolongation``, built
+    block by block with ``scipy.sparse.kron``).
     """
 
     def __init__(self, dom: GridDomain):

@@ -179,9 +179,11 @@ class TestPackedLayout:
         monkeypatch.setattr(grid, "BLOCK_POINTS", 50)
         blocks = list(interior_blocks(fld.domain))
         assert len(blocks) > 2
-        # a box slice that cuts an axis-0 plane is gathered, not read as
-        # whole planes
-        for where in [slice(0, 5), slice(3, 60), slice(n - 7, n)] + blocks:
+        # a box slice that cuts an axis-0 plane, or steps over points, is
+        # gathered, not read as whole planes; open and negative ends too
+        plane = n // (fld.domain.shape[0] - 2)
+        for where in [slice(0, 5), slice(3, 60), slice(n - 7, n), slice(None, 49),
+                      slice(-49, None), slice(0, 49, 2), slice(0, 2 * plane, 2)] + blocks:
             assert hessian_field(fld, where).tobytes() == hessians[:, where].tobytes(), where
             assert gradient_field(fld, where).tobytes() == gradients[where].tobytes(), where
 

@@ -456,6 +456,21 @@ def kronecker_prolongation(fine, coarse):
     return full[fine.interior_idx][:, coarse.interior_idx]
 
 
+# grids whose axes differ, each with one coarse level (an axis of 8 cells
+# has none): a box, a 2D box and a disc
+UNEVEN_GRIDS = [pytest.param(3, (32, 16, 64), "box", id="3-32x16x64-box"),
+                pytest.param(2, (16, 64), "box", id="2-16x64-box"),
+                pytest.param(2, (40, 24), "ball", id="2-40x24-ball")]
+
+
+def centred_domain(dim, cells, mask):
+    """A grid of this many cells per axis (one number: all axes) about the
+    origin, its longest axis spanning [-1, 1]."""
+    cells = cells if isinstance(cells, tuple) else (cells,) * dim
+    upper = tuple(c / max(cells) for c in cells)
+    return make_domain(dim, tuple(-u for u in upper), upper, cells, mask_name=mask)
+
+
 def grid_points(dom, idx):
     """Multi-indices of flat indices, (idx.size, d)."""
     return np.stack(np.unravel_index(idx, dom.shape), axis=1)
@@ -501,9 +516,9 @@ class TestMultigrid:
             assert np.array_equal(idx[indices][present], (idx[:, None] + offsets)[present])
 
     @pytest.mark.parametrize("dim,cells,mask", [(2, 32, "box"), (3, 16, "ball"),
-                                                (3, 16, "box"), (2, 32, "ball")])
+                                                (3, 16, "box"), (2, 32, "ball")] + UNEVEN_GRIDS)
     def test_prolongation_is_multilinear_interpolation(self, dim, cells, mask):
-        dom = make_domain(dim, (-1,) * dim, (1,) * dim, (cells,) * dim, mask_name=mask)
+        dom = centred_domain(dim, cells, mask)
         coarse = coarse_domains(dom)[0]
         prolong = _JacobianPattern(dom).levels[0][0]
 
@@ -526,11 +541,11 @@ class TestMultigrid:
         assert np.max(np.abs(fine - reference)) <= 1e-13
 
     @pytest.mark.parametrize("dim,cells,mask", [(2, 32, "box"), (2, 40, "ball"),
-                                                (3, 16, "box"), (3, 32, "ball")])
+                                                (3, 16, "box"), (3, 32, "ball")] + UNEVEN_GRIDS)
     def test_prolongation_is_the_sliced_kronecker_product(self, dim, cells, mask, monkeypatch):
         import sumhessian.grid as grid
 
-        dom = make_domain(dim, (-1,) * dim, (1,) * dim, (cells,) * dim, mask_name=mask)
+        dom = centred_domain(dim, cells, mask)
         # built block by block: many blocks and a short last one
         monkeypatch.setattr(grid, "BLOCK_POINTS", 97)
         assert dom.interior_idx.size > 4 * 97
@@ -850,6 +865,23 @@ class TestLinearize:
         assert bad.tolist() == np.ravel_multi_index(([3, 5], [4, 2], [5, 2]), dom.shape).tolist()
         with pytest.raises(ConeViolationError, match=r"grid point \(3, 4, 5\)"):
             linearize(ScalarField(dom, values), params, rhs)
+
+    def test_residual_reevaluates_an_iterate_whose_s_k_was_taken(self, monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        dom = make_domain(3, (-1,) * 3, (1,) * 3, (12,) * 3, mask_name="ball")
+        params, rhs = SumHessianParams(3, 2, 1.0), RhsSpec.parse("18")
+        guess = initial_guess(dom, params, rhs, ZERO)
+        assert isinstance(guess, solver_mod._Iterate)
+        calls = []
+        evaluate_field = solver_mod._evaluate_field
+        monkeypatch.setattr(solver_mod, "_evaluate_field",
+                            lambda *args: calls.append(args) or evaluate_field(*args))
+        first = residual(guess, params, rhs)    # takes the evaluation's S_k
+        before = len(calls)
+        again = residual(guess, params, rhs)
+        assert len(calls) == before + 1
+        assert again.tobytes() == first.tobytes()
 
     def test_ellipticity_witness(self):
         # the coefficient matrices of an admissible field are positive
