@@ -39,7 +39,8 @@ and corrections in place and never writes its input. Across its linear
 solve a Newton step holds the iterate, its interior residual, the
 Jacobian and the pattern alone: the grid residual goes once its interior
 is read, and the last step's Jacobian and step go once that step is
-accepted.
+accepted. A failed solve's error keeps none of it: ``newton_solve`` and
+``initial_guess`` clear its traceback's frames, so it carries its trace alone.
 
 The bulk path never eigendecomposes: one loop kernel, valid in any grid
 dimension and order k, evaluates sigma_m of eta(lam(H)) from the power sums
@@ -86,8 +87,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import traceback
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, reduce, wraps
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -189,6 +191,20 @@ class SolveResult:
 def _check_dim(dom: GridDomain, params: SumHessianParams) -> None:
     if params.n != dom.dim:
         raise ValueError(f"params.n={params.n} must equal grid dim {dom.dim}")
+
+
+def _clears_frames(fn):
+    """Clear the traceback's frames of an ``Exception`` that fn raises, so a
+    kept error holds no array of the failed solve, only its attributes; an
+    interrupt keeps its frames for post-mortem debugging."""
+    @wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except Exception as exc:
+            traceback.clear_frames(exc.__traceback__)
+            raise
+    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -822,11 +838,7 @@ def _solve_linear(mat: sp.csr_matrix, b: np.ndarray, rtol: float,
     remainder -= b_unit
     achieved = float(np.linalg.norm(remainder))
     if not achieved <= rtol:
-        unknowns = mat.shape[0]
-        # the traceback keeps this frame alive: free the matrix and the
-        # V-cycle hierarchy before raising
-        del mat, pattern
-        raise LinearSolveError(rtol, achieved, iterations, unknowns)
+        raise LinearSolveError(rtol, achieved, iterations, mat.shape[0])
     x *= b_norm
     return x, iterations, achieved
 
@@ -991,6 +1003,7 @@ def _rhs_at_rest(dom: GridDomain, rhs: RhsSpec) -> np.ndarray | np.float64:
     return _eval_rhs(rhs, zero, expr.variables(rhs.expression) | set(_state_keys(dom.dim)))
 
 
+@_clears_frames
 def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                   boundary: expr.Node, *, pattern: _JacobianPattern | None = None,
                   krylov_log: list | None = None,
@@ -1070,7 +1083,6 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         # harmonic extension x of the mismatch m: x = m on the boundary
         # layer and Lap_h x = 0 inside, i.e. A_II x_I = -(Lap_h m)_I with
         # A_II the interior Laplacian
-        nonlocal pattern
         mismatch = np.zeros(dom.n_points)
         for b in boundary_pieces(dom):
             mismatch[b] = flat[b] - quad(b)
@@ -1082,14 +1094,7 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         (lap_m,) = _blockwise(lambda hp: (_trace(hp, d),),
                               ScalarField(dom, mismatch.reshape(dom.shape)))
         del mismatch
-        try:
-            x, krylov, linear_residual = _solve_linear(lap, lap_m, EXTENSION_RTOL, laplacian)
-        except LinearSolveError:
-            # the traceback keeps this frame and initial_guess's alive: free
-            # the Laplacian, its pattern and the Jacobian pattern (a cell of
-            # both frames) first
-            del lap, laplacian, pattern
-            raise
+        x, krylov, linear_residual = _solve_linear(lap, lap_m, EXTENSION_RTOL, laplacian)
         for block in interior_blocks(dom):
             flat[idx[block]] = quad(idx[block]) + x[block]
         if krylov_log is not None:
@@ -1112,6 +1117,7 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
 # ---------------------------------------------------------------------------
 # damped Newton
 
+@_clears_frames
 def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                  boundary: expr.Node, config: SolveConfig | None = None) -> SolveResult:
     """Inexact damped Newton with admissibility-preserving backtracking.
@@ -1140,12 +1146,8 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     f_values = _rhs_at_rest(dom, rhs)
     pattern = _JacobianPattern(dom)
     extension = []
-    try:
-        fld = initial_guess(dom, params, rhs, boundary, pattern=pattern, krylov_log=extension,
-                            f_rest=f_values)
-    except LinearSolveError:
-        del pattern     # as for a failed step solve below
-        raise
+    fld = initial_guess(dom, params, rhs, boundary, pattern=pattern, krylov_log=extension,
+                        f_rest=f_values)
     if not _state_free(rhs, dom.dim):
         f_values = None     # f is then evaluated on every residual's field
     idx = dom.interior_idx
@@ -1172,7 +1174,6 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
             delta_int, krylov, linear_residual = _solve_linear(mat, f_int, eta, pattern)
         except LinearSolveError as exc:
             exc.trace = trace
-            del mat, pattern    # as for a stall below
             raise
         delta = np.zeros(dom.n_points)
         delta[idx] = delta_int
@@ -1196,9 +1197,6 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                         break
             step *= 0.5
         if accepted is None:
-            # the traceback keeps this frame alive: free the Jacobian and the
-            # V-cycle hierarchy before raising
-            del mat, pattern
             raise NonConvergenceError(
                 f"line search stalled: {stall}, at residual {res_norm:.3e}", trace=trace)
         # (1 - step) F + step r_lin = F + step J delta

@@ -1,5 +1,6 @@
 """Block-wise evaluation of the per-point stages: the same bits whatever the
 block size, and a working memory that stays a small multiple of the field."""
+import gc
 import io
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import sumhessian.grid as grid
+import sumhessian.solver as solver
 from sumhessian import (
     RhsSpec,
     ScalarField,
@@ -19,6 +21,7 @@ from sumhessian import (
 )
 from sumhessian import expr
 from sumhessian.config import load_config
+from sumhessian.errors import ConeViolationError, NonConvergenceError
 from sumhessian.estimates import build_report
 from sumhessian.solver import (
     ETA_MAX,
@@ -31,6 +34,7 @@ from sumhessian.solver import (
     boundary_values,
     initial_guess,
     linearize,
+    newton_solve,
     residual,
 )
 
@@ -342,3 +346,42 @@ def test_working_memory_bounded(tmp_path):
         assert all(ratios[name] <= bound for name, bound in bounds.items()), (mask, ratios)
         assert ratios["domain"] <= DOMAIN_BOUND, (mask, ratios)
         assert ratios["pattern_kept"] <= PATTERN_BOUNDS[mask], (mask, ratios)
+
+
+# What a caught solver error holds while it lives, in multiples of the
+# field's bytes: 7.17 for exp2d-256's stall and 8.92 for the 256^2
+# zero-data box's repair failure when hand-placed dels freed the Jacobian
+# and the pattern alone, 0.09 and 0.01 with the frames of the error's
+# traceback cleared.
+HELD_BOUND = 0.25
+
+
+def held_by_error(solve, error) -> int:
+    """Bytes that the error solve() raises holds, over what was live before."""
+    import scipy.sparse.linalg  # noqa: F401  (scipy's first import is not the error's)
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(error) as caught:
+            solve()
+        gc.collect()
+        # caught, a local, keeps the error alive until the return
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_failed_solve_memory_bounded(monkeypatch):
+    cfg = load_config(str(CONFIGS / "expradial2d.cfg"))
+    dom = make_domain(2, cfg.lower, cfg.upper, (256, 256))
+    stall = held_by_error(lambda: newton_solve(dom, cfg.params, RhsSpec.parse(cfg.rhs_source),
+                                               expr.parse(cfg.boundary_source), cfg.solve),
+                          NonConvergenceError)
+    monkeypatch.setattr(solver, "REPAIR_SWEEPS", 0)
+    repair = held_by_error(lambda: newton_solve(dom, SumHessianParams(2, 2, 1.0),
+                                                RhsSpec.parse("3"), expr.parse("0")),
+                           ConeViolationError)
+    field_bytes = 8 * dom.n_points
+    assert stall <= HELD_BOUND * field_bytes, stall / field_bytes
+    assert repair <= HELD_BOUND * field_bytes, repair / field_bytes

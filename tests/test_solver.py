@@ -963,14 +963,22 @@ class TestInitialGuess:
             boundary_values(dom, expr.parse("log(x1)"))
 
 
-def held_jacobians(exc) -> list:
-    """(function, local name) of every sparse matrix or _JacobianPattern
-    that the frames of the exception's traceback still hold."""
+def held_state(exc, dom) -> list:
+    """(function, local name) of every sparse matrix, _JacobianPattern,
+    ScalarField or array of at least n_interior elements that the frames of
+    the exception's traceback still hold, the domain's own interior_idx and
+    interior_flat aside."""
+    def grid_sized(value) -> bool:
+        if sp.issparse(value) or isinstance(value, (_JacobianPattern, ScalarField)):
+            return True
+        return (isinstance(value, np.ndarray) and value.size >= dom.interior_idx.size
+                and value is not dom.interior_idx and value is not dom.interior_flat)
+
     held = []
     tb = exc.__traceback__
     while tb is not None:
-        held += [(tb.tb_frame.f_code.co_name, name) for name, value in tb.tb_frame.f_locals.items()
-                 if sp.issparse(value) or isinstance(value, _JacobianPattern)]
+        held += [(tb.tb_frame.f_code.co_name, name)
+                 for name, value in tb.tb_frame.f_locals.items() if grid_sized(value)]
         tb = tb.tb_next
     return held
 
@@ -1118,13 +1126,13 @@ class TestNewton:
         from sumhessian.errors import NonConvergenceError
 
         # the traceback keeps the raising frame alive: it must not keep the
-        # Jacobian or the V-cycle hierarchy with it
+        # Jacobian, the V-cycle hierarchy, the iterate, the step or the trial
         monkeypatch.setattr(solver_mod, "_solve_linear",
                             lambda mat, rhs_vec, rtol, pattern: (np.zeros(mat.shape[0]), 0, 1.0))
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
         with pytest.raises(NonConvergenceError) as err:
             newton_solve(dom, SumHessianParams(2, 2, 1.0), RhsSpec.parse("8"), ZERO)
-        assert not held_jacobians(err.value)
+        assert not held_state(err.value, dom)
 
     # (domain, params, f, g, calls of admissible_mask, residual and linearize
     # at the parent commit): each line search rejects one trial
@@ -1334,20 +1342,21 @@ class TestNewton:
         import sumhessian.solver as solver_mod
 
         # as for a stall: the traceback of a failed step solve must not keep
-        # the Jacobian or the V-cycle hierarchy alive
+        # the Jacobian, the V-cycle hierarchy or the solve's vectors alive
         monkeypatch.setattr(solver_mod, "KRYLOV_MAXITER", 1)
         dom = make_domain(2, (-1, -1), (1, 1), (32, 32))
         with pytest.raises(LinearSolveError) as err:
             newton_solve(dom, SumHessianParams(2, 2, 1.0), RhsSpec.parse(EXP2D_RHS),
                          expr.parse("exp((x1^2+x2^2)/2)"))
-        assert not held_jacobians(err.value)
+        assert not held_state(err.value, dom)
 
     def test_extension_solve_error_frees_the_laplacian(self, monkeypatch):
         import sumhessian.solver as solver_mod
 
         # the ball's guess solves a harmonic extension before any Newton
-        # step; when that solve fails, no frame may keep its Laplacian or
-        # the pattern alive, and the error carries an empty trace
+        # step; when that solve fails, no frame may keep its Laplacian, the
+        # pattern or the guess's arrays alive, and the error carries an
+        # empty trace
         monkeypatch.setattr(solver_mod, "KRYLOV_MAXITER", 1)
         dom = make_domain(3, (-1,) * 3, (1,) * 3, (16,) * 3, mask_name="ball")
         with pytest.raises(LinearSolveError) as err:
@@ -1356,7 +1365,38 @@ class TestNewton:
         assert exc.iterations == 1 and exc.unknowns == dom.interior_idx.size
         assert exc.achieved > exc.required == solver_mod.EXTENSION_RTOL
         assert exc.trace == []
-        assert not held_jacobians(exc)
+        assert not held_state(exc, dom)
+
+    @pytest.mark.parametrize("solve,dim,cells,mask,k,f", [
+        (newton_solve, 2, 32, "box", 2, "3"),
+        (newton_solve, 3, 16, "ball", 3, "20"),
+        (initial_guess, 3, 16, "ball", 3, "20"),
+    ], ids=["solve-box", "solve-ball", "guess-ball"])
+    def test_repair_failure_frees_the_guess(self, solve, dim, cells, mask, k, f, monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        # a zero-data guess out of repair sweeps raises before any Newton
+        # step, from newton_solve or from a direct initial_guess call: no
+        # frame may keep the pattern, the guess or the repair's arrays
+        monkeypatch.setattr(solver_mod, "REPAIR_SWEEPS", 0)
+        dom = make_domain(dim, (-1,) * dim, (1,) * dim, (cells,) * dim, mask_name=mask)
+        with pytest.raises(ConeViolationError, match="could not be repaired") as err:
+            solve(dom, SumHessianParams(dim, k, 1.0), RhsSpec.parse(f), ZERO)
+        assert not held_state(err.value, dom)
+
+    def test_interrupt_keeps_the_frames(self, monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        # an interrupt is no solver error: its frames stay for post-mortem
+        # debugging
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(solver_mod, "_solve_linear", interrupt)
+        dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
+        with pytest.raises(KeyboardInterrupt) as err:
+            newton_solve(dom, SumHessianParams(2, 2, 1.0), RhsSpec.parse("8"), ZERO)
+        assert ("newton_solve", "pattern") in held_state(err.value, dom)
 
     def test_discrete_scale_covariance(self):
         params = SumHessianParams(3, 2, 1.0)
