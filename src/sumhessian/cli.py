@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import sys
 
 from . import estimates, expr
@@ -93,6 +94,8 @@ def _cmd_sample(args) -> int:
 
 # what a solve can raise on a well-formed config; the CLI exits 1 on it
 SOLVER_TROUBLE = (NonConvergenceError, LinearSolveError, ConeViolationError, InstanceError)
+# the trace CSV's columns, attributes of solver.TraceEntry
+TRACE_COLUMNS = ("iteration", "residual", "step", "admissible", "krylov", "linear_residual")
 
 
 def _solve_from_config(cfg):
@@ -111,12 +114,10 @@ def _config_row(path: str, cfg, betas=None):
 
 def _write_trace(trace, path: str) -> None:
     with open(path, "w") as stream:
-        stream.write("iteration,residual,step,admissible,krylov,linear_residual\n")
-        for entry in trace:
-            stream.write(
-                f"{entry.iteration},{entry.residual!r},{entry.step!r},"
-                f"{str(entry.admissible).lower()},{entry.krylov},{entry.linear_residual!r}\n"
-            )
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(TRACE_COLUMNS)
+        writer.writerows([estimates.csv_cell(getattr(entry, name)) for name in TRACE_COLUMNS]
+                         for entry in trace)
 
 
 def _cmd_solve(args) -> int:

@@ -22,12 +22,13 @@ rows in closed form (``grid.top_and_norm``), reads the gradient again, and
 keeps only running maxima and the first maximizer in interior order (the
 point ``np.argmax`` picks over the whole interior), so a report is bitwise
 that of one whole-interior pass. Every weight must be a finite number >= 1
-(``check_betas``), and every field value finite.
+(``check_betas``), and every field value finite. ``write_reports`` writes the
+table, its columns EstimateReport's fields, each cell by ``csv_cell``.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -47,13 +48,18 @@ from .grid import (
 # defaults of build_report, which the config loader and the CLI read from here
 BETAS = (1.0, 2.0, 4.0)    # weights of the products (-u)^beta |D^2 u|
 P_BETA, P_A, P_BIG_A = 2.0, 0.1, 1.0  # beta, a and A of the log diagnostic P
+WEIGHT_COLUMN = "weighted_pogorelov_b{:g}"  # a weight's column in the table
 
 
 def check_betas(betas) -> None:
-    """Raise ValueError unless every weight is a finite number >= 1."""
+    """Raise ValueError unless every weight is a finite number >= 1 with a column of its own."""
+    columns = {}
     for beta in betas:
         if not 1.0 <= beta < np.inf:
             raise ValueError(f"beta must be a finite number >= 1, got {beta!r}")
+        name = WEIGHT_COLUMN.format(beta)
+        if columns.setdefault(name, beta) != beta:
+            raise ValueError(f"weights {columns[name]!r} and {beta!r} share the column {name}")
 
 
 def _phi_values(dom: GridDomain, idx: np.ndarray, radius: float, grad2: np.ndarray,
@@ -235,7 +241,8 @@ def stable_weight(coarse: EstimateReport, fine: EstimateReport, drift: float = 0
     return None
 
 
-def _fmt(value) -> str:
+def csv_cell(value) -> str:
+    """One CSV cell: NA for None, a '/'-joined tuple, a lower-case bool, a repr float, else str."""
     if value is None:
         return "NA"
     if isinstance(value, tuple):
@@ -247,42 +254,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def report_columns(betas) -> list[str]:
-    cols = ["instance", "h", "sup_du", "sup_d2u", "d2u_center", "interior_ratio", "pogorelov"]
-    cols += [f"weighted_pogorelov_b{b:g}" for b in betas]
-    cols += ["phi_max", "phi_argmax", "p_max", "p_argmax", "rho_rescaled"]
-    return cols
+def _row(rep: EstimateReport, betas) -> dict:
+    """The report's cells by column, in EstimateReport's field order, with
+    ``weighted`` spread over one column per weight of betas (None if absent)."""
+    row = {}
+    for f in fields(EstimateReport):
+        if f.name == "weighted":
+            row.update((WEIGHT_COLUMN.format(b), rep.weighted.get(b)) for b in betas)
+        else:
+            row[f.name] = getattr(rep, f.name)
+    return row
 
 
 def write_reports(reports: list[EstimateReport], stream, family_max: bool = False) -> None:
-    """CSV table, one row per instance; with family_max a final row holds the
-    per-column maximum of the numeric entries (the empirical constants).
-
-    The weighted columns are the union of the reports' weights, in the order
-    first seen; a report without a weight reads NA there."""
+    """CSV table, one row per instance (``_row``); with family_max a final
+    row holds each column's maximum numeric entry (the empirical constants),
+    NA for h. The weighted columns are the union of the reports' weights, in
+    the order first seen, checked by ``check_betas``."""
     if not reports:
         raise ValueError("no reports to write")
     betas = tuple(dict.fromkeys(b for rep in reports for b in rep.weighted))
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(report_columns(betas))
-
-    def row_values(rep: EstimateReport) -> list:
-        return (
-            [rep.instance, rep.h, rep.sup_du, rep.sup_d2u, rep.d2u_center,
-             rep.interior_ratio, rep.pogorelov]
-            + [rep.weighted.get(b) for b in betas]
-            + [rep.phi_max, rep.phi_argmax, rep.p_max, rep.p_argmax, rep.rho_rescaled]
-        )
-
-    rows = [row_values(r) for r in reports]
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    check_betas(betas)
+    rows = [_row(rep, betas) for rep in reports]
     if family_max:
-        cols = report_columns(betas)
-        skip = {"instance", "h", "phi_argmax", "p_argmax", "rho_rescaled"}
-        maxima: list = ["FAMILY_MAX"]
-        for j, name in enumerate(cols[1:], start=1):
-            vals = [r[j] for r in rows
-                    if isinstance(r[j], (int, float)) and not isinstance(r[j], bool)]
-            maxima.append(max(vals) if vals and name not in skip else None)
-        writer.writerow([_fmt(v) for v in maxima])
+        maxima = {name: max((row[name] for row in rows
+                             if isinstance(row[name], (int, float))
+                             and not isinstance(row[name], bool)), default=None)
+                  for name in rows[0]}
+        rows.append(maxima | {"instance": "FAMILY_MAX", "h": None})
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows(map(csv_cell, row.values()) for row in rows)

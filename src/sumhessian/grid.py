@@ -405,28 +405,21 @@ def write_field(fld: ScalarField, stream) -> None:
 
 
 def read_field(stream) -> ScalarField:
-    """Read the plain-text format of write_field. A header without the mask
-    name and upper corner, as older files have, is read as a plain box."""
+    """Read the plain-text format of write_field: a header of other than its
+    3 dim + 3 entries, or a spacing off its corners, raises ValueError."""
     header = stream.readline().split()
     if not header:
         raise ValueError("empty field file")
     dim = int(header[0])
-    short = 1 + dim + dim + 1  # an older box file's header ends at h
-    if len(header) not in (short, short + 1 + dim):
-        raise ValueError(f"malformed field header: expected {short} or "
-                         f"{short + 1 + dim} entries, got {len(header)}")
+    if len(header) != 3 * dim + 3:
+        raise ValueError(f"malformed field header: {len(header)} entries, not {3 * dim + 3}")
     shape = tuple(int(v) for v in header[1:1 + dim])
     lower = tuple(float(v) for v in header[1 + dim:1 + 2 * dim])
-    h = float(header[short - 1])
-    cells = tuple(n - 1 for n in shape)
-    if len(header) == short:
-        upper = tuple(l + h * c for l, c in zip(lower, cells))
-        dom = GridDomain(dim, lower, upper, cells)
-    else:
-        upper = tuple(float(v) for v in header[short + 1:])
-        dom = GridDomain(dim, lower, upper, cells, header[short])
-        if dom.h != h:
-            raise ValueError(f"field header spacing {h!r} does not match its corners ({dom.h!r})")
+    h = float(header[1 + 2 * dim])
+    upper = tuple(float(v) for v in header[3 + 2 * dim:])
+    dom = GridDomain(dim, lower, upper, tuple(n - 1 for n in shape), header[2 + 2 * dim])
+    if dom.h != h:
+        raise ValueError(f"field header spacing {h!r} does not match its corners ({dom.h!r})")
     # numpy's C parser: correctly rounded, so every value written by repr
     # reads back bit for bit, with no token list; a bad token raises
     # ValueError, and an empty body, which loadtxt only warns about, reads

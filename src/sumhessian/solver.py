@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import traceback
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
@@ -194,15 +195,20 @@ def _check_dim(dom: GridDomain, params: SumHessianParams) -> None:
 
 
 def _clears_frames(fn):
-    """Clear the traceback's frames of an ``Exception`` that fn raises, so a
-    kept error holds no array of the failed solve, only its attributes; an
-    interrupt keeps its frames for post-mortem debugging."""
+    """Clear the frames of an ``Exception`` that fn raises and of its chain of
+    causes and contexts (to a repeat or the caller's handled error), so a kept
+    error holds only its attributes; an interrupt keeps its frames."""
     @wraps(fn)
     def wrapper(*args, **kwargs):
+        handled = sys.exc_info()[1]
         try:
             return fn(*args, **kwargs)
         except Exception as exc:
-            traceback.clear_frames(exc.__traceback__)
+            seen, err = [], exc
+            while err is not None and err is not handled and err not in seen:
+                traceback.clear_frames(err.__traceback__)
+                seen.append(err)
+                err = err.__cause__ or err.__context__
             raise
     return wrapper
 

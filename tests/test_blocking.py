@@ -21,7 +21,7 @@ from sumhessian import (
 )
 from sumhessian import expr
 from sumhessian.config import load_config
-from sumhessian.errors import ConeViolationError, NonConvergenceError
+from sumhessian.errors import ConeViolationError, InstanceError, NonConvergenceError
 from sumhessian.estimates import build_report
 from sumhessian.solver import (
     ETA_MAX,
@@ -141,7 +141,7 @@ class TestFieldChunks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=match):
-                read_field(io.StringIO("2 9 9 0.0 0.0 0.25\n" + body))
+                read_field(io.StringIO("2 9 9 0.0 0.0 0.25 box 2.0 2.0\n" + body))
 
 
 class TestDomainBuild:
@@ -352,7 +352,9 @@ def test_working_memory_bounded(tmp_path):
 # field's bytes: 7.17 for exp2d-256's stall and 8.92 for the 256^2
 # zero-data box's repair failure when hand-placed dels freed the Jacobian
 # and the pattern alone, 0.09 and 0.01 with the frames of the error's
-# traceback cleared.
+# traceback cleared. An f undefined on part of that box raises an
+# InstanceError whose cause kept 2.49 while only the error's own frames
+# were cleared, and 0.015 with its cause's cleared too.
 HELD_BOUND = 0.25
 
 
@@ -382,6 +384,13 @@ def test_failed_solve_memory_bounded(monkeypatch):
     repair = held_by_error(lambda: newton_solve(dom, SumHessianParams(2, 2, 1.0),
                                                 RhsSpec.parse("3"), expr.parse("0")),
                            ConeViolationError)
+    # f undefined left of x1 = -0.5: the InstanceError's cause, the
+    # expression's EvalError, passed through the blocks' envs
+    undefined = held_by_error(lambda: newton_solve(dom, SumHessianParams(2, 2, 1.0),
+                                                   RhsSpec.parse("3 + log(x1 + 0.5)"),
+                                                   expr.parse("0")),
+                              InstanceError)
     field_bytes = 8 * dom.n_points
     assert stall <= HELD_BOUND * field_bytes, stall / field_bytes
     assert repair <= HELD_BOUND * field_bytes, repair / field_bytes
+    assert undefined <= HELD_BOUND * field_bytes, undefined / field_bytes

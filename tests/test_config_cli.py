@@ -13,6 +13,7 @@ from sumhessian.cli import main
 from sumhessian.config import load_config
 from sumhessian.errors import ConfigError, LinearSolveError
 from sumhessian.grid import ScalarField, make_domain, read_field, write_field
+from sumhessian.solver import TraceEntry
 
 QUAD_3D = """
 [operator]
@@ -193,6 +194,17 @@ class TestCliSolve:
             lines = stream.read().strip().split("\n")
         assert lines[0] == TRACE_HEADER
         assert len(lines) >= 2
+
+    def test_trace_exact_text(self, tmp_path):
+        """The trace's every byte: repr floats, 0.0 kept as such, and
+        admissible in lower case, false for a negative margin."""
+        path = tmp_path / "t.trace.csv"
+        cli._write_trace([TraceEntry(0, 0.0025, 0.0, 0.125, 0, 0.0),
+                          TraceEntry(1, 2.220446049250313e-16, 0.5, -0.0625, 7, 3.3e-11)],
+                         str(path))
+        assert path.read_text() == (TRACE_HEADER + "\n"
+                                    "0,0.0025,0.0,true,0,0.0\n"
+                                    "1,2.220446049250313e-16,0.5,false,7,3.3e-11\n")
 
     def test_solve_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -405,6 +417,15 @@ class TestCliEstimate:
         for target in (tmp_path / "any.field", path):
             assert main(["estimate", str(target), "--beta", beta]) == 2
             assert "beta must be a finite number >= 1" in capsys.readouterr().err
+
+    def test_weights_sharing_a_column_exit_2(self, quad_cfg, tmp_path, capsys, monkeypatch):
+        """1 and 1.0000001 would both write weighted_pogorelov_b1."""
+        path, _ = quad_cfg
+        monkeypatch.setattr(cli, "read_field", self.must_not_run)
+        monkeypatch.setattr(cli, "newton_solve", self.must_not_run)
+        for target in (tmp_path / "any.field", path):
+            assert main(["estimate", str(target), "--beta", "1,1.0000001"]) == 2
+            assert "share the column weighted_pogorelov_b1" in capsys.readouterr().err
 
     @staticmethod
     def must_not_run(*args, **kwargs):

@@ -16,7 +16,7 @@ from sumhessian import (
     newton_solve,
 )
 from sumhessian.errors import DegenerateFieldError, MaxPrincipleError, NonFiniteFieldError
-from sumhessian.estimates import write_reports
+from sumhessian.estimates import EstimateReport, check_betas, write_reports
 from sumhessian.grid import gradient_field, hessian_field, top_and_norm
 
 ZERO = expr.parse("0")
@@ -344,6 +344,50 @@ class TestReports:
         assert row_b[at[cols[3]]] == repr(reps[1].weighted[8.0])
         assert family[at[cols[3]]] == row_b[at[cols[3]]]
         assert family[at[cols[1]]] == row_a[at[cols[1]]]
+
+    @staticmethod
+    def hand_built(weights=(1.0, 2.0), na_weights=(1.0, 8.0)) -> list:
+        """A zero-data report and one without zero data (NA weights, no P)."""
+        return [
+            EstimateReport(instance="ball.field", h=0.125, sup_du=1.5, sup_d2u=2.25,
+                           d2u_center=1.0, interior_ratio=1.0 / 3.0, pogorelov=0.75,
+                           weighted=dict(zip(weights, (0.75, 0.5))), phi_max=0.1,
+                           phi_argmax=(4, 4), p_max=-1.25, p_argmax=(3, 4),
+                           rho_rescaled=False),
+            EstimateReport(instance="box.cfg", h=0.1, sup_du=2.0, sup_d2u=1e-20,
+                           d2u_center=3.0, interior_ratio=2.5, pogorelov=None,
+                           weighted=dict.fromkeys(na_weights), phi_max=-0.5,
+                           phi_argmax=(5, 6, 7), p_max=None, p_argmax=None,
+                           rho_rescaled=True),
+        ]
+
+    def test_exact_text(self):
+        """The table's every byte: repr floats, NA for None, '/'-joined
+        argmaxes, lower-case bools; FAMILY_MAX reads NA for h and for every
+        column without a number."""
+        buf = io.StringIO()
+        write_reports(self.hand_built(), buf, family_max=True)
+        assert buf.getvalue() == (
+            "instance,h,sup_du,sup_d2u,d2u_center,interior_ratio,pogorelov,"
+            "weighted_pogorelov_b1,weighted_pogorelov_b2,weighted_pogorelov_b8,"
+            "phi_max,phi_argmax,p_max,p_argmax,rho_rescaled\n"
+            "ball.field,0.125,1.5,2.25,1.0,0.3333333333333333,0.75,0.75,0.5,NA,"
+            "0.1,4/4,-1.25,3/4,false\n"
+            "box.cfg,0.1,2.0,1e-20,3.0,2.5,NA,NA,NA,NA,-0.5,5/6/7,NA,NA,true\n"
+            "FAMILY_MAX,NA,2.0,2.25,3.0,2.5,0.75,0.75,0.5,NA,0.1,NA,-1.25,NA,NA\n"
+        )
+
+    def test_weights_sharing_a_column_raise(self):
+        """Each report's weights pass alone; their union would write
+        weighted_pogorelov_b1 twice."""
+        with pytest.raises(ValueError, match="share the column weighted_pogorelov_b1"):
+            check_betas((1.0, 1.0000001))
+        check_betas((1.0, 1.0, 2.0))
+        reps = self.hand_built(weights=(1.0, 2.0), na_weights=(1.0000001,))
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="share the column weighted_pogorelov_b1"):
+            write_reports(reps, buf)
+        assert buf.getvalue() == ""
 
     def test_phi_bound_cross_check_on_family(self):
         """rho(argmax) u_tt(argmax) stays within the empirical interior

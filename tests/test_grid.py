@@ -346,16 +346,22 @@ class TestFieldIO:
             read_field(io.StringIO(""))
         with pytest.raises(ValueError):
             read_field(io.StringIO("2 9 9 0.0 0.0\n"))
-        with pytest.raises(ValueError):
+        # a header that ends at h is not write_field's, whatever the body
+        with pytest.raises(ValueError, match="malformed field header: 6 entries, not 9"):
             read_field(io.StringIO("2 9 9 0.0 0.0 0.25\n1.0\n"))
+        with pytest.raises(ValueError, match="has 1 values, expected 81"):
+            read_field(io.StringIO("2 9 9 0.0 0.0 0.25 box 2.0 2.0\n1.0\n"))
         with pytest.raises(ValueError):
             read_field(io.StringIO("2 9 9 0.0 0.0 0.25 ball 2.0\n"))
         with pytest.raises(ValueError):
             read_field(io.StringIO("2 9 9 0.0 0.0 0.25 disc 2.0 2.0\n" + "0.0\n" * 81))
         with pytest.raises(ValueError):
             read_field(io.StringIO("2 9 9 0.0 0.0 0.25 ball 1.0 1.0\n" + "0.0\n" * 81))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="malformed field header"):
             read_field(io.StringIO("2 9 9 0.0 0.0 0.25\n" + "0.0\n" * 80 + "nought\n"))
+        with pytest.raises(ValueError, match="nought"):
+            read_field(io.StringIO("2 9 9 0.0 0.0 0.25 box 2.0 2.0\n" + "0.0\n" * 80
+                                   + "nought\n"))
 
     def test_shape_mismatch(self):
         dom = make_domain(2, (0, 0), (1, 1), (8, 8))

@@ -1398,6 +1398,51 @@ class TestNewton:
             newton_solve(dom, SumHessianParams(2, 2, 1.0), RhsSpec.parse("8"), ZERO)
         assert ("newton_solve", "pattern") in held_state(err.value, dom)
 
+    def test_undefined_rhs_frees_the_cause(self):
+        # the InstanceError's cause, the expression's EvalError, passed
+        # through the evaluation of f on the interior's envs
+        dom = make_domain(2, (-1, -1), (1, 1), (32, 32))
+        with pytest.raises(InstanceError, match="failed to evaluate") as err:
+            newton_solve(dom, SumHessianParams(2, 2, 1.0), RhsSpec.parse("3 + log(x1 + 0.5)"),
+                         ZERO)
+        assert isinstance(err.value.__cause__, expr.EvalError)
+        assert not held_state(err.value.__cause__, dom)
+
+    def test_cyclic_causes_end_the_walk(self, monkeypatch):
+        import sumhessian.solver as solver_mod
+
+        def cyclic(*args):
+            a, b = RuntimeError("a"), RuntimeError("b")
+            a.__cause__, b.__cause__ = b, a
+            raise a
+
+        monkeypatch.setattr(solver_mod, "_solve_linear", cyclic)
+        dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
+        with pytest.raises(RuntimeError, match="a") as err:
+            newton_solve(dom, SumHessianParams(2, 2, 1.0), RhsSpec.parse("8"), ZERO)
+        assert err.value.__cause__.__cause__ is err.value
+        assert not held_state(err.value, dom)
+
+    def test_the_callers_error_keeps_its_frames(self):
+        # raised while the caller handles another error, the solve's errors
+        # have that one down their chain; it is the caller's to keep
+        def fail():
+            kept = np.zeros(3)
+            raise KeyError(kept.size)
+
+        dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
+        try:
+            fail()
+        except KeyError as outer:
+            with pytest.raises(InstanceError) as err:
+                newton_solve(dom, SumHessianParams(2, 2, 1.0), RhsSpec.parse("log(x1)"), ZERO)
+            chain, exc = [], err.value
+            while exc is not None and exc not in chain:
+                chain.append(exc)
+                exc = exc.__cause__ or exc.__context__
+            assert outer in chain
+            assert "kept" in outer.__traceback__.tb_next.tb_frame.f_locals
+
     def test_discrete_scale_covariance(self):
         params = SumHessianParams(3, 2, 1.0)
         fields = {}
