@@ -158,11 +158,12 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    """Skip, with status 1, a member whose solve fails or stops above tol."""
+    """Load every member before the first solve, then skip, with status 1, a
+    member whose solve fails or stops above tol."""
     reports = []
-    for path in args.configs:
+    for path, cfg in [(path, load_config(path)) for path in args.configs]:
         try:
-            report = _config_row(path, load_config(path))
+            report = _config_row(path, cfg)
         except SOLVER_TROUBLE as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             continue

@@ -3,8 +3,9 @@
 Expressions are quoted strings over the identifiers x1..x3, u, p1..p3:
 f may read x1..x_n, u and p1..p_n, g only x1..x_n, with n the [operator]
 dimension; g is read on the boundary layer only, so it may be undefined
-inside. tol must be a finite number > 0 and max_iter >= 0. A config that
-breaks one of these rules is a ConfigError, raised before any solve.
+inside. The domain must be one ``grid.GridDomain`` accepts. tol must be a
+finite number > 0 and max_iter >= 0. A config that breaks one of these
+rules is a ConfigError, raised before any solve.
 Keys and sections the loader does not know are ignored. Only [operator] n
 and k, [domain] lower, upper and cells, and [rhs] f are required. A missing
 key takes its fallback: tol and max_iter those of solver.SolveConfig, beta,
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 
 from . import estimates, expr
 from .errors import ConfigError
-from .grid import MASK_NAMES, GridDomain, make_domain
+from .grid import GridDomain, make_domain
 from .solver import RhsSpec, SolveConfig
 from .symfun import SumHessianParams
 
@@ -73,10 +74,7 @@ class RunConfig:
     output: str
 
     def domain(self) -> GridDomain:
-        try:
-            return make_domain(self.params.n, self.lower, self.upper, self.cells, self.mask_name)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return make_domain(self.params.n, self.lower, self.upper, self.cells, self.mask_name)
 
     def rhs(self) -> RhsSpec:
         return RhsSpec(expr.parse(self.rhs_source))
@@ -138,10 +136,10 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     upper = _floats(_required(dom, "upper"))
     cells = tuple(int(v) for v in _required(dom, "cells").split())
     mask_name = dom.get("mask", fallback="box")
-    if len(lower) != n or len(upper) != n or len(cells) != n:
-        raise ConfigError("lower/upper/cells must each list one value per dimension")
-    if mask_name not in MASK_NAMES:
-        raise ConfigError(f"mask must be 'box' or 'ball', got '{mask_name}'")
+    try:
+        GridDomain(n, lower, upper, cells, mask_name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     rhs_source = _unquote(_required(parser["rhs"], "f"))
     boundary_source = _unquote(parser.get("boundary", "g", fallback="0"))

@@ -55,7 +55,11 @@ WRITE_CHUNK = 8192  # values formatted per write of write_field
 class GridDomain:
     """Uniform grid on a box, spacing h on all axes. ``mask_name`` is 'box'
     (every strictly inner grid point is interior) or 'ball' (only those
-    inside the open ball inscribed in the box)."""
+    inside the open ball inscribed in the box).
+
+    ``plane`` is the number of interior points per axis-0 plane when the
+    interior is every strictly inner point, so that it is whole inner
+    axis-0 planes, and 0 otherwise."""
 
     dim: int
     lower: tuple[float, ...]
@@ -65,6 +69,7 @@ class GridDomain:
 
     h: float = field(init=False)
     shape: tuple[int, ...] = field(init=False)
+    plane: int = field(init=False)
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -104,6 +109,8 @@ class GridDomain:
             interior &= np.sqrt(squared_distance(self, self.center)) < radius
         self._interior_flat = interior
         self._interior_idx = np.flatnonzero(interior)
+        inner = [n - 2 for n in self.shape]
+        self.plane = math.prod(inner[1:]) if self._interior_idx.size == math.prod(inner) else 0
 
     @property
     def n_points(self) -> int:
@@ -191,15 +198,13 @@ def boundary_pieces(dom: GridDomain):
 
 def interior_blocks(dom: GridDomain):
     """Consecutive slices of interior positions (of ``interior_idx``) covering
-    every interior point, about BLOCK_POINTS each. On a box a block is
-    whole inner planes along axis 0, at least one, which ``hessian_field``
-    reads as slices of the grid; on a ball it is BLOCK_POINTS points."""
-    n = dom.interior_idx.size
-    size = BLOCK_POINTS
-    if dom.mask_name == "box":
-        plane = n // (dom.shape[0] - 2)
-        size = max(1, BLOCK_POINTS // plane) * plane
-    return point_blocks(n, size)
+    every interior point, about BLOCK_POINTS each. Where the interior is
+    whole inner axis-0 planes (``GridDomain.plane``, a box) a block is whole
+    planes, at least one, which ``hessian_field`` reads as slices of the
+    grid; elsewhere (a ball) it is BLOCK_POINTS points."""
+    plane = dom.plane
+    return point_blocks(dom.interior_idx.size,
+                        max(1, BLOCK_POINTS // plane) * plane if plane else BLOCK_POINTS)
 
 
 def make_domain(dim, lower, upper, cells, mask_name="box") -> GridDomain:
@@ -303,16 +308,17 @@ def _shifted(fld: ScalarField, where):
     """(at, shape): at(o) is the field's values, an array of this shape, moved
     by the integer offset vector o, at the points ``where`` names: every
     interior point when None, the interior positions a slice names (an
-    ``interior_blocks`` block, say), or the flat indices of an array. A
-    box's interior or block is read as a slice of the grid-shaped values (in
-    interior_idx order) when the slice, with step 1, covers whole axis-0
-    planes; other points are gathered from the flat values."""
+    ``interior_blocks`` block, say), or the flat indices of an array. Where
+    the interior is whole axis-0 planes (``GridDomain.plane``), a slice with
+    step 1 that covers whole planes is read as a slice of the grid-shaped
+    values (in interior_idx order); other points are gathered from the flat
+    values."""
     dom = fld.domain
     if where is None:
         where = slice(None)
-    plane = dom.interior_idx.size // (dom.shape[0] - 2)
+    plane = dom.plane
     points = range(*where.indices(dom.interior_idx.size)) if isinstance(where, slice) else None
-    if points is not None and dom.mask_name == "box" and points.step == 1 \
+    if points is not None and plane and points.step == 1 \
             and points.start % plane == len(points) % plane == 0:
         first, last = points.start // plane, (points.start + len(points)) // plane
 
@@ -404,19 +410,29 @@ def write_field(fld: ScalarField, stream) -> None:
         stream.write("\n".join(map(repr, flat[block].tolist())) + "\n")
 
 
+def _header_number(parse, token: str):
+    """One number of a field header, int or float as ``parse`` says."""
+    try:
+        return parse(token)
+    except ValueError:
+        raise ValueError(f"malformed field header: {token!r} is not "
+                         f"{'an integer' if parse is int else 'a number'}") from None
+
+
 def read_field(stream) -> ScalarField:
     """Read the plain-text format of write_field: a header of other than its
-    3 dim + 3 entries, or a spacing off its corners, raises ValueError."""
+    3 dim + 3 entries, a header number that does not parse, or a spacing off
+    its corners, raises ValueError."""
     header = stream.readline().split()
     if not header:
         raise ValueError("empty field file")
-    dim = int(header[0])
+    dim = _header_number(int, header[0])
     if len(header) != 3 * dim + 3:
         raise ValueError(f"malformed field header: {len(header)} entries, not {3 * dim + 3}")
-    shape = tuple(int(v) for v in header[1:1 + dim])
-    lower = tuple(float(v) for v in header[1 + dim:1 + 2 * dim])
-    h = float(header[1 + 2 * dim])
-    upper = tuple(float(v) for v in header[3 + 2 * dim:])
+    shape = tuple(_header_number(int, v) for v in header[1:1 + dim])
+    lower = tuple(_header_number(float, v) for v in header[1 + dim:1 + 2 * dim])
+    h = _header_number(float, header[1 + 2 * dim])
+    upper = tuple(_header_number(float, v) for v in header[3 + 2 * dim:])
     dom = GridDomain(dim, lower, upper, tuple(n - 1 for n in shape), header[2 + 2 * dim])
     if dom.h != h:
         raise ValueError(f"field header spacing {h!r} does not match its corners ({dom.h!r})")

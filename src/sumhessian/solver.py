@@ -64,9 +64,10 @@ rows. f and its derivatives are evaluated on one block's env at a time
 (``_interior_env``), an env holding only the coordinates, u and gradient
 the tree reads; a constant f is one value, never an (n_interior,)
 array. g is evaluated on pieces of the boundary layer only
-(``boundary_values``), and the box guess forms its transfinite blend on
-one block of whole axis-0 planes at a time, writing into g's array, so no
-stage holds whole-grid f, g, blend or coefficient arrays.
+(``boundary_values``), and the box guess, the transfinite blend of g built
+axis by axis, is formed on one block of whole axis-0 planes
+(``GridDomain.plane``) at a time, written into g's array, so no stage
+holds whole-grid f, g, blend or coefficient arrays.
 A point's arithmetic does not depend on its block, so the results are
 bitwise those of one whole-grid pass. ``_evaluate_field`` is the one
 kernel of a field's admissibility and S_k: one ``_blockwise`` pass that
@@ -85,7 +86,6 @@ linear solve of a process pays the import once.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import traceback
@@ -944,22 +944,34 @@ def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
     )
 
 
-def _axis_blend(values: np.ndarray, axis: int) -> np.ndarray:
-    """Linear blend of the two opposite faces along one axis."""
-    n = values.shape[axis] - 1
-    weight_shape = [1] * values.ndim
-    weight_shape[axis] = n + 1
-    w = (np.arange(n + 1) / n).reshape(weight_shape)
-    lo = np.take(values, [0], axis=axis)
-    hi = np.take(values, [n], axis=axis)
-    return (1.0 - w) * lo + w * hi
+def _lerp(lo: np.ndarray, hi: np.ndarray, axis: int, t: np.ndarray) -> np.ndarray:
+    """(1 - t) lo + t hi, the weights t running along ``axis``."""
+    shape = [1] * lo.ndim
+    shape[axis] = t.size
+    t = t.reshape(shape)
+    return (1.0 - t) * lo + t * hi
+
+
+def _blend_after_axis_0(values: np.ndarray) -> np.ndarray:
+    """The boolean sum of the linear face blends P_a of ``values`` along axes
+    1 .. d-1, built from the last axis: B = P_a v + (I - P_a) B', B' the
+    sum over the axes after a, which is B' + P_a (v - B'). Each pass reads
+    v - B' on the two faces of its axis alone."""
+    blend = None
+    for a in range(values.ndim - 1, 0, -1):
+        lo, hi = (np.take(values, [i], axis=a) for i in (0, -1))
+        if blend is not None:
+            lo, hi = lo - np.take(blend, [0], axis=a), hi - np.take(blend, [-1], axis=a)
+        term = _lerp(lo, hi, a, np.arange(values.shape[a]) / (values.shape[a] - 1))
+        blend = term if blend is None else blend + term
+    return blend
 
 
 def transfinite_blend(slab: np.ndarray, ends: np.ndarray, rows: slice,
                       cells: int) -> np.ndarray:
-    """Boolean-sum (transfinite) interpolation of the box-face values, on
-    the axis-0 planes ``rows`` (a slice of range(cells + 1)) of a box with
-    ``cells`` cells along axis 0.
+    """Boolean-sum (transfinite, Gordon-Hall) interpolation of the box-face
+    values, on the axis-0 planes ``rows`` (a slice of range(cells + 1)) of a
+    box with ``cells`` cells along axis 0.
 
     ``slab`` holds the values on those planes, which contain their faces
     along the other axes, and ``ends``, shape (2,) + slab.shape[1:], the
@@ -970,30 +982,13 @@ def transfinite_blend(slab: np.ndarray, ends: np.ndarray, rows: slice,
     planes blended with it, so slabs give the bits of one pass over the box
     (rows = slice(0, cells + 1), ends = values[[0, -1]]).
 
-    The boolean sum of the axis projections P_a is the inclusion-exclusion
-    sum over nonempty axis subsets S of (-1)^(|S|+1) prod_{a in S} P_a,
-    the projections applied from the last axis of S to the first; P_0 reads
-    the other axes' projections of ``ends``.
+    The boolean sum is built axis by axis, d passes: the sum B' over axes
+    d-1 .. 1 on the slab, then B = B' + P_0 (v - B'), whose axis-0 faces
+    v - B' are ``ends`` less B' on ``ends``.
     """
-    def along(values: np.ndarray, axes) -> np.ndarray:
-        for a in reversed(axes):
-            values = _axis_blend(values, a)
-        return values
-
-    w0 = (np.arange(rows.start, rows.stop) / cells).reshape((-1,) + (1,) * (slab.ndim - 1))
-    blend = None
-    for size in range(1, slab.ndim + 1):
-        for axes in itertools.combinations(range(slab.ndim), size):
-            if axes[0] == 0:
-                lo, hi = (along(end[None], axes[1:]) for end in ends)
-                term = (1.0 - w0) * lo + w0 * hi
-            else:
-                term = along(slab, axes)
-            if blend is None:
-                blend = term
-            else:
-                blend = blend + term if size % 2 else blend - term
-    return blend
+    rest = ends - _blend_after_axis_0(ends)
+    return _blend_after_axis_0(slab) + _lerp(rest[:1], rest[1:], 0,
+                                             np.arange(rows.start, rows.stop) / cells)
 
 
 def _rhs_at_rest(dom: GridDomain, rhs: RhsSpec) -> np.ndarray | np.float64:
@@ -1014,34 +1009,35 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                   boundary: expr.Node, *, pattern: _JacobianPattern | None = None,
                   krylov_log: list | None = None,
                   f_rest: np.ndarray | np.float64 | None = None) -> _Iterate:
-    """Starting field c q, q = (|x - x_c|^2 - r^2)/2, plus an interpolation of
-    the boundary mismatch g - c q.
+    """Starting field of a solve, returned as a Newton iterate.
+
+    On a box (``GridDomain.plane``) the guess is the transfinite face blend
+    of the Dirichlet data g (``transfinite_blend``: no corner singularities,
+    exact on the quadratic below), and it is returned when admissible, its
+    admissibility check being the iterate's evaluation. Otherwise, and on a
+    ball, the guess is c q, q = (|x - x_c|^2 - r^2)/2, plus the discrete
+    harmonic extension of the boundary mismatch g - c q where there is one,
+    which keeps the trace of the Hessian exact (on a ball the mismatch lives
+    on the staircase ring and is small), and is then repaired to
+    admissibility; the repair's last check, when it runs out of sweeps, is
+    the iterate's evaluation too. Boundary values equal the Dirichlet data
+    exactly in every case.
 
     The scale c is the smallest power of two making the constant-Hessian
     value dominate sup f over the interior, evaluated at u = 0, Du = 0:
     ``f_rest``, those values as ``_rhs_at_rest`` gives them (one value for
-    a constant f), or evaluated here when omitted. On plain boxes the
-    mismatch is interpolated by the transfinite face blend (no corner
-    singularities; exact on the quadratic, so the guess coincides with the
-    blended boundary data). On masked domains the mismatch lives on the staircase
-    ring and is small, and the discrete harmonic extension is used instead,
-    which keeps the trace of the Hessian exact. Boundary values equal the
-    Dirichlet data exactly in both cases. The extension's Laplacian has its
-    own ``_JacobianPattern``, on the centre and axis steps of ``pattern``,
-    the domain's Jacobian pattern (made here when omitted), whose coarse
-    grids it shares, and is freed with the Laplacian. The extension appends
-    its (Krylov iterations, linear residual) to ``krylov_log`` when one is
-    given.
-
-    The guess is returned as a Newton iterate. The box's admissibility
-    check is the iterate's evaluation, and so is the repair's last check
-    when the repair runs out of sweeps.
+    a constant f), or evaluated here when omitted. The extension's
+    Laplacian has its own ``_JacobianPattern``, on the centre and axis
+    steps of ``pattern``, the domain's Jacobian pattern (made here when
+    omitted), whose coarse grids it shares, and is freed with the
+    Laplacian. The extension appends its (Krylov iterations, linear
+    residual) to ``krylov_log`` when one is given.
 
     g is read on the boundary layer only (``boundary_values``), and the
-    guess is written into that one grid array: c q and the blend are formed
-    one ``grid.interior_blocks`` block at a time, the blend on whole axis-0
-    planes from its two precomputed axis-0 face planes; only the
-    extension's mismatch, which its stencil reads, is a second grid array.
+    guess is written into that one grid array, one ``grid.interior_blocks``
+    block at a time, the blend on whole axis-0 planes from the two axis-0
+    faces; only the extension's mismatch, which its stencil reads, is a
+    second grid array.
     """
     _check_dim(dom, params)
     pattern = pattern or _JacobianPattern(dom)
@@ -1061,29 +1057,6 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     extent = max(1.0, c, float(np.max(flat)), -float(np.min(flat)))
     mismatched = max(float(np.max(np.abs(flat[b] - quad(b))))
                      for b in boundary_pieces(dom)) > 1e-14 * extent
-
-    def quadratic():
-        for block in interior_blocks(dom):
-            flat[idx[block]] = quad(idx[block])
-
-    def blended():
-        plane = values[0].size
-        inner = idx.size // (dom.shape[0] - 2)
-        inside = dom.interior_flat.reshape(dom.shape)
-
-        def on_planes(rows: slice):
-            """g - c q (read on the faces only) and c q on the axis-0 planes rows."""
-            cq = quad(np.arange(rows.start * plane, rows.stop * plane)).reshape(
-                (-1,) + dom.shape[1:])
-            return values[rows] - cq, cq
-
-        cells = dom.cells[0]
-        ends = np.concatenate([on_planes(slice(0, 1))[0], on_planes(slice(cells, cells + 1))[0]])
-        for block in interior_blocks(dom):
-            rows = slice(1 + block.start // inner, 1 + block.stop // inner)
-            mismatch, cq = on_planes(rows)
-            np.copyto(values[rows], cq + transfinite_blend(mismatch, ends, rows, cells),
-                      where=inside[rows])
 
     def extended():
         # harmonic extension x of the mismatch m: x = m on the boundary
@@ -1106,17 +1079,21 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         if krylov_log is not None:
             krylov_log.append((krylov, linear_residual))
 
-    if not mismatched:
-        quadratic()
-    elif dom.mask_name == "box":
-        blended()
-    if dom.mask_name == "box":
+    if dom.plane:
+        inside, ends = dom.interior_flat.reshape(dom.shape), values[[0, -1]]
+        for block in interior_blocks(dom):
+            rows = slice(1 + block.start // dom.plane, 1 + block.stop // dom.plane)
+            np.copyto(values[rows], transfinite_blend(values[rows], ends, rows, dom.cells[0]),
+                      where=inside[rows])
         evaluation = _evaluate_field(fld, params)
         if evaluation.mask.all():
             return _Iterate(dom, values, params, evaluation)
         del evaluation
     if mismatched:
         extended()
+    else:
+        for block in interior_blocks(dom):
+            flat[idx[block]] = quad(idx[block])
     return _repair_admissibility(fld, params, c)
 
 

@@ -116,6 +116,10 @@ class TestConfig:
         ("mask = box", "mask = disc"),
         ("alpha = 1.0", "alpha = nan"),
         ("alpha = 1.0", "alpha = inf"),
+        # domains GridDomain rejects: too few cells, uneven spacing, a NaN corner
+        ("cells = 8 8 8", "cells = 4 4 4"),
+        ("upper = 1 1 1", "upper = 1 1 2"),
+        ("lower = -1 -1 -1", "lower = nan -1 -1"),
     ])
     def test_invalid_configs(self, tmp_path, quad_cfg, mangle):
         path, out = quad_cfg
@@ -487,6 +491,26 @@ class TestCliReport:
         assert main(["report", stalled_cfg(tmp_path, "a"), stalled_cfg(tmp_path, "b"),
                      "--out", str(csv_out)]) == 1
         assert "no converged instances to report" in capsys.readouterr().err
+        assert not csv_out.exists()
+
+    def test_report_loads_every_member_before_solving(self, quad_cfg, tmp_path, capsys,
+                                                      monkeypatch):
+        """A member whose domain is invalid stops report with status 2 and
+        no table before the first member solves."""
+        path, _ = quad_cfg
+        small = tmp_path / "small.cfg"
+        small.write_text(path.read_text().replace("cells = 8 8 8", "cells = 4 4 4"))
+        calls, solve = [], cli.newton_solve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "newton_solve", counted)
+        csv_out = tmp_path / "family.csv"
+        assert main(["report", str(path), str(small), "--out", str(csv_out)]) == 2
+        assert "cells per axis must be >= 8" in capsys.readouterr().err
+        assert not calls
         assert not csv_out.exists()
 
     def test_family_table(self, tmp_path):

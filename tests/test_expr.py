@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumhessian import expr
 from sumhessian.expr import (
     BinOp,
     Call,

@@ -104,6 +104,25 @@ class TestDomain:
         assert np.array_equal(direct.interior_flat, dom.interior_flat)
 
 
+    @pytest.mark.parametrize("cells,mask,plane", [
+        ((8, 8), "box", 7 * 1),
+        ((8, 8, 8), "box", 7 * 7),
+        ((32, 16, 64), "box", 15 * 63),
+        ((16, 16, 16), "ball", 0),
+        ((16, 16), "ball", 0),
+    ])
+    def test_plane(self, cells, mask, plane):
+        """Interior points per axis-0 plane where the interior is every
+        strictly inner point, 0 on a ball or disc, and so after a field
+        round trip."""
+        dim = len(cells)
+        dom = make_domain(dim, (0.0,) * dim, tuple(c / 8 for c in cells), cells, mask_name=mask)
+        assert dom.plane == plane
+        buf = io.StringIO()
+        write_field(ScalarField(dom, np.zeros(dom.shape)), buf)
+        assert read_field(io.StringIO(buf.getvalue())).domain.plane == plane
+
+
 class TestStencils:
     def test_quadratic_exact(self):
         dom = make_domain(2, (-1, -1), (1, 1), (10, 10))
@@ -362,6 +381,15 @@ class TestFieldIO:
         with pytest.raises(ValueError, match="nought"):
             read_field(io.StringIO("2 9 9 0.0 0.0 0.25 box 2.0 2.0\n" + "0.0\n" * 80
                                    + "nought\n"))
+        # a header number that does not parse is named, a config file's
+        # comment among them
+        body = "0.0\n" * 81
+        for header, token in (("x 9 9 0.0 0.0 0.25 box 2.0 2.0", "'x' is not an integer"),
+                              ("2 nine 9 0.0 0.0 0.25 box 2.0 2.0", "'nine' is not an integer"),
+                              ("2 9 9 0.0 zero 0.25 box 2.0 2.0", "'zero' is not a number"),
+                              ("# Zero-boundary instance", "'#' is not an integer")):
+            with pytest.raises(ValueError, match=f"malformed field header: {token}"):
+                read_field(io.StringIO(header + "\n" + body))
 
     def test_shape_mismatch(self):
         dom = make_domain(2, (0, 0), (1, 1), (8, 8))

@@ -1,5 +1,6 @@
 """Residual, linearization, initial guess, and the damped Newton loop."""
 import gc
+import itertools
 import math
 import weakref
 from functools import cached_property
@@ -190,7 +191,38 @@ def whole_blend(values: np.ndarray) -> np.ndarray:
     return transfinite_blend(values, values[[0, -1]], slice(0, cells + 1), cells)
 
 
+def axis_blend(values: np.ndarray, axis: int) -> np.ndarray:
+    """Linear blend of the two opposite faces along one axis."""
+    n = values.shape[axis] - 1
+    weight_shape = [1] * values.ndim
+    weight_shape[axis] = n + 1
+    w = (np.arange(n + 1) / n).reshape(weight_shape)
+    lo = np.take(values, [0], axis=axis)
+    hi = np.take(values, [n], axis=axis)
+    return (1.0 - w) * lo + w * hi
+
+
+def inclusion_exclusion_blend(values: np.ndarray) -> np.ndarray:
+    """The boolean sum of the axis projections P_a written out term by term:
+    the sum over nonempty axis subsets S of (-1)^(|S|+1) prod_{a in S} P_a,
+    the projections applied from the last axis of S to the first."""
+    blend = np.zeros_like(values)
+    for size in range(1, values.ndim + 1):
+        for axes in itertools.combinations(range(values.ndim), size):
+            term = values
+            for a in reversed(axes):
+                term = axis_blend(term, a)
+            blend += term if size % 2 else -term
+    return blend
+
+
 class TestTransfiniteBlend:
+    @pytest.mark.parametrize("shape", [(9, 12), (9, 10, 11), (17, 9, 13)])
+    def test_matches_inclusion_exclusion(self, shape):
+        """The axis-by-axis boolean sum is the 2^d - 1 term sum, to rounding."""
+        values = np.random.default_rng(5).normal(size=shape)
+        assert np.max(np.abs(whole_blend(values) - inclusion_exclusion_blend(values))) <= 1e-13
+
     @pytest.mark.parametrize("shape", [(9, 12), (9, 10, 11)])
     def test_reproduces_every_face(self, shape):
         values = np.random.default_rng(2).normal(size=shape)
@@ -925,6 +957,18 @@ class TestInitialGuess:
                 params = SumHessianParams(3, k, 1.0)
                 fld = initial_guess(dom, params, RhsSpec.parse("18"), ZERO)
                 assert admissible_mask(fld, params).all(), (mask, k)
+
+    def test_box_guess_is_the_blend_of_g(self):
+        """On the exp3d-32 box the guess's interior is the whole-box face
+        blend of g, bit for bit."""
+        s = "(x1^2+x2^2+x3^2)"
+        dom = make_domain(3, (-0.75,) * 3, (0.75,) * 3, (32,) * 3)
+        rhs = RhsSpec.parse(f"exp({s})*((2+{s})^2 + 4*(2+{s})) + exp({s}/2)*(6+2*{s})")
+        boundary = expr.parse(f"exp({s}/2)")
+        guess = initial_guess(dom, SumHessianParams(3, 2, 1.0), rhs, boundary)
+        blend = whole_blend(boundary_values(dom, boundary).reshape(dom.shape)).ravel()
+        inside = dom.interior_flat
+        assert guess.flat[inside].tobytes() == blend[inside].tobytes()
 
     def test_boundary_values_exact(self):
         dom = make_domain(2, (-1, -1), (1, 1), (8, 8))
