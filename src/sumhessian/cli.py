@@ -99,7 +99,7 @@ TRACE_COLUMNS = ("iteration", "residual", "step", "admissible", "krylov", "linea
 
 
 def _solve_from_config(cfg):
-    return newton_solve(cfg.domain(), cfg.params, cfg.rhs(), cfg.boundary(), cfg.solve)
+    return newton_solve(cfg.domain(), cfg.params, cfg.rhs, cfg.boundary, cfg.solve)
 
 
 def _config_row(path: str, cfg, betas=None):
@@ -108,8 +108,7 @@ def _config_row(path: str, cfg, betas=None):
     result = _solve_from_config(cfg)
     if not result.converged(cfg.solve.tol):
         return None
-    return estimates.build_report(path, result.field, betas or cfg.betas,
-                                  cfg.p_beta, cfg.p_a, cfg.p_big_a)
+    return estimates.build_report(path, result.field, betas or cfg.betas)
 
 
 def _write_trace(trace, path: str) -> None:

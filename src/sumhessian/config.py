@@ -3,14 +3,17 @@
 Expressions are quoted strings over the identifiers x1..x3, u, p1..p3:
 f may read x1..x_n, u and p1..p_n, g only x1..x_n, with n the [operator]
 dimension; g is read on the boundary layer only, so it may be undefined
-inside. The domain must be one ``grid.GridDomain`` accepts. tol must be a
-finite number > 0 and max_iter >= 0. A config that breaks one of these
-rules is a ConfigError, raised before any solve.
+inside. Each setting is checked by the type that holds it: n, k and alpha
+by ``symfun.SumHessianParams``, the domain by ``grid.GridDomain``, tol and
+max_iter by ``solver.SolveConfig`` and beta by ``estimates.check_betas``.
+A config that breaks one of these rules is a ConfigError naming the file,
+raised before any solve. The loader keeps f and g as the trees it parsed.
 Keys and sections the loader does not know are ignored. Only [operator] n
 and k, [domain] lower, upper and cells, and [rhs] f are required. A missing
-key takes its fallback: tol and max_iter those of solver.SolveConfig, beta,
-p_beta, a and A those of estimates.build_report, and alpha 0, mask box,
-g "0" and output out.field. Example:
+key takes its fallback: tol and max_iter those of solver.SolveConfig, beta
+that of estimates.build_report, and alpha 0, mask box, g "0" and output
+out.field. The log diagnostic's beta, a and A are estimates constants, not
+config keys. Example:
 
     [operator]
     n = 3
@@ -35,9 +38,6 @@ g "0" and output out.field. Example:
 
     [estimates]
     beta = 1 2 4
-    p_beta = 2.0
-    a = 0.1
-    A = 1.0
 
     [run]
     output = out.field
@@ -45,7 +45,6 @@ g "0" and output out.field. Example:
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass
 
 from . import estimates, expr
@@ -53,8 +52,6 @@ from .errors import ConfigError
 from .grid import GridDomain, make_domain
 from .solver import RhsSpec, SolveConfig
 from .symfun import SumHessianParams
-
-MAX_SOLVE_DIM = 3
 
 
 @dataclass
@@ -64,23 +61,14 @@ class RunConfig:
     upper: tuple[float, ...]
     cells: tuple[int, ...]
     mask_name: str
-    rhs_source: str
-    boundary_source: str
+    rhs: RhsSpec
+    boundary: expr.Node
     solve: SolveConfig
     betas: tuple[float, ...]
-    p_beta: float
-    p_a: float
-    p_big_a: float
     output: str
 
     def domain(self) -> GridDomain:
         return make_domain(self.params.n, self.lower, self.upper, self.cells, self.mask_name)
-
-    def rhs(self) -> RhsSpec:
-        return RhsSpec(expr.parse(self.rhs_source))
-
-    def boundary(self) -> expr.Node:
-        return expr.parse(self.boundary_source)
 
 
 def _unquote(text: str) -> str:
@@ -105,14 +93,12 @@ def load_config(path: str) -> RunConfig:
     """Parse and validate one configuration file."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",),
                                        converters={"floats": _floats})
-    parser.optionxform = str  # keep key case ('a' and 'A' are distinct)
+    parser.optionxform = str  # keep key case: a config may still set both 'a' and 'A'
     if not parser.read(path):
         raise ConfigError(f"cannot read config file '{path}'")
     try:
         return _build(parser)
     except (configparser.Error, KeyError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -123,36 +109,29 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     op = parser["operator"]
     n = int(_required(op, "n"))
     k = int(_required(op, "k"))
-    alpha = op.getfloat("alpha", fallback=0.0)
-    if not 1 <= k <= n <= MAX_SOLVE_DIM:
-        raise ConfigError(f"solve configs require 1 <= k <= n <= {MAX_SOLVE_DIM}, got n={n}, k={k}")
-    try:
-        params = SumHessianParams(n=n, k=k, alpha=alpha)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = SumHessianParams(n=n, k=k, alpha=op.getfloat("alpha", fallback=0.0))
 
     dom = parser["domain"]
     lower = _floats(_required(dom, "lower"))
     upper = _floats(_required(dom, "upper"))
     cells = tuple(int(v) for v in _required(dom, "cells").split())
     mask_name = dom.get("mask", fallback="box")
-    try:
-        GridDomain(n, lower, upper, cells, mask_name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    GridDomain(n, lower, upper, cells, mask_name)
 
     rhs_source = _unquote(_required(parser["rhs"], "f"))
     boundary_source = _unquote(parser.get("boundary", "g", fallback="0"))
-    coordinates = [f"x{a + 1}" for a in range(n)]
+    coordinates = {f"x{a + 1}" for a in range(n)}
     # f(x, u, Du) reads the coordinates and gradient of n dimensions, g(x)
     # the coordinates alone
-    readable = {"rhs": set(coordinates) | {"u"} | {f"p{a + 1}" for a in range(n)},
-                "boundary": set(coordinates)}
+    readable = {"rhs": coordinates | {"u"} | {f"p{a + 1}" for a in range(n)},
+                "boundary": coordinates}
+    trees = {}
     for label, source in (("rhs", rhs_source), ("boundary", boundary_source)):
         try:
-            names = expr.variables(expr.parse(source))
+            trees[label] = expr.parse(source)
         except expr.ExprError as exc:
             raise ConfigError(f"bad {label} expression: {exc}") from exc
+        names = expr.variables(trees[label])
         if not names <= readable[label]:
             raise ConfigError(f"{label} expression may only reference "
                               f"{sorted(readable[label])} in {n}D, got {sorted(names)}")
@@ -160,11 +139,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     solve = SolveConfig(
         tol=parser.getfloat("solver", "tol", fallback=SolveConfig.tol),
         max_iter=parser.getint("solver", "max_iter", fallback=SolveConfig.max_iter))
-    if not 0 < solve.tol < math.inf:
-        raise ConfigError(f"tol must be a finite number > 0, got {solve.tol!r}")
-    if solve.max_iter < 0:
-        raise ConfigError(f"max_iter must be >= 0, got {solve.max_iter}")
-
     betas = parser.getfloats("estimates", "beta", fallback=estimates.BETAS)
     estimates.check_betas(betas)
     return RunConfig(
@@ -173,12 +147,9 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         upper=upper,
         cells=cells,
         mask_name=mask_name,
-        rhs_source=rhs_source,
-        boundary_source=boundary_source,
+        rhs=RhsSpec(trees["rhs"]),
+        boundary=trees["boundary"],
         solve=solve,
         betas=betas,
-        p_beta=parser.getfloat("estimates", "p_beta", fallback=estimates.P_BETA),
-        p_a=parser.getfloat("estimates", "a", fallback=estimates.P_A),
-        p_big_a=parser.getfloat("estimates", "A", fallback=estimates.P_BIG_A),
         output=parser.get("run", "output", fallback="out.field"),
     )

@@ -7,7 +7,9 @@
 - the interior ratio |D^2 u(center)| / (1 + sup|Du| / R), R the inscribed
   radius: the empirical constant of the interior C^2 estimate;
 - for zero boundary data, the Pogorelov-type weighted products
-  max (-u)^beta |D^2 u| and the log test function P;
+  max (-u)^beta |D^2 u| and the log test function
+  P = beta log(-u) + log u_11 + (a/2)|Du|^2 + (A/2)|x|^2, its beta, a and A
+  the constants P_BETA, P_A and P_BIG_A;
 - the test function phi.
 
 Of phi and P the maximum and its maximizer are reported. |D^2 u| is the
@@ -47,7 +49,9 @@ from .grid import (
 
 # defaults of build_report, which the config loader and the CLI read from here
 BETAS = (1.0, 2.0, 4.0)    # weights of the products (-u)^beta |D^2 u|
-P_BETA, P_A, P_BIG_A = 2.0, 0.1, 1.0  # beta, a and A of the log diagnostic P
+# beta, a and A of the log diagnostic P: constants, so a field and its
+# weights fix the report, whether read from a field file or solved from a config
+P_BETA, P_A, P_BIG_A = 2.0, 0.1, 1.0
 WEIGHT_COLUMN = "weighted_pogorelov_b{:g}"  # a weight's column in the table
 
 
@@ -79,8 +83,7 @@ def _phi_values(dom: GridDomain, idx: np.ndarray, radius: float, grad2: np.ndarr
 
 
 def _p_values(dom: GridDomain, idx: np.ndarray, u: np.ndarray, top: np.ndarray,
-              grad2: np.ndarray, include: np.ndarray, beta: float, a: float,
-              big_a: float) -> np.ndarray:
+              grad2: np.ndarray, include: np.ndarray) -> np.ndarray:
     """beta log(-u) + log u_11 + (a/2)|Du|^2 + (A/2)|x|^2 at the interior
     points idx, u_11 the top Hessian eigenvalue.
 
@@ -89,10 +92,10 @@ def _p_values(dom: GridDomain, idx: np.ndarray, u: np.ndarray, top: np.ndarray,
     """
     vals = np.full(u.shape, -np.inf)
     vals[include] = (
-        beta * np.log(-u[include])
+        P_BETA * np.log(-u[include])
         + np.log(top[include])
-        + 0.5 * a * grad2[include]
-        + 0.5 * big_a * squared_distance(dom, np.zeros(dom.dim), idx[include])
+        + 0.5 * P_A * grad2[include]
+        + 0.5 * P_BIG_A * squared_distance(dom, np.zeros(dom.dim), idx[include])
     )
     return vals
 
@@ -133,10 +136,10 @@ class EstimateReport:
     rho_rescaled: bool
 
 
-def build_report(instance: str, fld: ScalarField, betas: tuple[float, ...] = BETAS,
-                 p_beta: float = P_BETA, p_a: float = P_A,
-                 p_big_a: float = P_BIG_A) -> EstimateReport:
-    """Evaluate every estimate quantity on one field.
+def build_report(instance: str, fld: ScalarField,
+                 betas: tuple[float, ...] = BETAS) -> EstimateReport:
+    """Evaluate every estimate quantity on one field, under the weights
+    betas and P's constants P_BETA, P_A and P_BIG_A.
 
     Weighted products and the log diagnostic are present only when the
     boundary data is identically zero. Then a field positive anywhere raises
@@ -198,8 +201,7 @@ def build_report(instance: str, fld: ScalarField, betas: tuple[float, ...] = BET
                                                   np.max((-u) ** beta * spectral_norm)))
             include = (u < 0) & (top > 0)
             included |= bool(include.any())
-            p_diag.append(block_max(_p_values(dom, idx, u, top, g2, include, p_beta, p_a,
-                                              p_big_a), block))
+            p_diag.append(block_max(_p_values(dom, idx, u, top, g2, include), block))
     if zero_data:
         if not included:
             raise DegenerateFieldError("every interior point was excluded from the diagnostic")

@@ -153,6 +153,12 @@ class SolveConfig:
     tol: float = 1e-10
     max_iter: int = 50
 
+    def __post_init__(self):
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+
 
 @dataclass(frozen=True)
 class TraceEntry:

@@ -503,5 +503,8 @@ SUITES = (
 
 
 def run_suites(params: SumHessianParams, count: int = 1000, seed: int = 0) -> list[SuiteResult]:
-    """Run every suite; per-suite seeds derive deterministically from `seed`."""
+    """Run every suite; per-suite seeds derive deterministically from `seed`.
+    A count below 1 raises ValueError."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     return [fn(params, count, seed + 1009 * idx) for idx, fn in enumerate(SUITES)]

@@ -377,8 +377,7 @@ def held_by_error(solve, error) -> int:
 def test_failed_solve_memory_bounded(monkeypatch):
     cfg = load_config(str(CONFIGS / "expradial2d.cfg"))
     dom = make_domain(2, cfg.lower, cfg.upper, (256, 256))
-    stall = held_by_error(lambda: newton_solve(dom, cfg.params, RhsSpec.parse(cfg.rhs_source),
-                                               expr.parse(cfg.boundary_source), cfg.solve),
+    stall = held_by_error(lambda: newton_solve(dom, cfg.params, cfg.rhs, cfg.boundary, cfg.solve),
                           NonConvergenceError)
     monkeypatch.setattr(solver, "REPAIR_SWEEPS", 0)
     repair = held_by_error(lambda: newton_solve(dom, SumHessianParams(2, 2, 1.0),

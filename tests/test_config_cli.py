@@ -1,6 +1,5 @@
 """Config loading and the command-line frontend (exit codes, determinism)."""
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 
 import sumhessian.cli as cli
+import sumhessian.expr as expr
 from sumhessian.cli import main
 from sumhessian.config import load_config
 from sumhessian.errors import ConfigError, LinearSolveError
@@ -99,8 +99,8 @@ class TestConfig:
         assert cfg.params.n == 3 and cfg.params.k == 2 and cfg.params.alpha == 1.0
         assert cfg.cells == (8, 8, 8)
         assert cfg.betas == (1.0, 2.0, 4.0)
-        assert cfg.p_big_a == 1.0 and cfg.p_a == 0.1
-        assert cfg.rhs_source == "18"
+        assert cfg.rhs.expression == expr.parse("18")
+        assert cfg.boundary == expr.parse("(x1^2 + x2^2 + x3^2 - 1)/2")
         cfg.domain()  # builds without error
 
     def test_missing_file(self):
@@ -126,8 +126,9 @@ class TestConfig:
         text = path.read_text().replace(*mangle)
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as caught:
             load_config(str(bad))
+        assert str(caught.value).startswith(f"{bad}: ")
 
     def test_unknown_solver_key_is_ignored(self, tmp_path, quad_cfg):
         # configs written when [solver] still took a homotopy schedule load
@@ -137,6 +138,14 @@ class TestConfig:
         old = tmp_path / "old.cfg"
         old.write_text(text)
         assert load_config(str(old)) == load_config(str(path))
+        # so do configs that set the log diagnostic's beta, a and A, now
+        # estimates constants: at their defaults, at others or not at all
+        p_keys = "p_beta = 2.0\na = 0.1\nA = 1.0\n"
+        assert p_keys in path.read_text()
+        for keys in ("p_beta = 3\na = 0.5\nA = 2\n", ""):
+            other = tmp_path / "other.cfg"
+            other.write_text(path.read_text().replace(p_keys, keys))
+            assert load_config(str(other)) == load_config(str(path))
 
 
 class TestCliVerify:
@@ -147,6 +156,13 @@ class TestCliVerify:
         assert status == 0
         assert "PASS identity-split" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_count_below_one_exits_2(self, capsys, count):
+        assert main(["verify", "--n", "3", "--k", "2", "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert f"count must be >= 1, got {count}" in captured.err
+        assert captured.out == ""
 
     def test_suite_failure_exits_1(self, capsys, monkeypatch):
         import sumhessian.cli as cli_mod
@@ -328,14 +344,22 @@ class TestCliEstimate:
         header = csv_out.read_text().split("\n")[0]
         assert header.count("weighted_pogorelov") == 3
 
-    @pytest.mark.parametrize("shipped", ["ball18.cfg", None])
-    def test_estimate_field_equals_config(self, shipped, quad_cfg, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("shipped,p_keys", [
+        pytest.param("ball18.cfg", "", id="ball18.cfg"),
+        pytest.param(None, "", id="None"),
+        # the log diagnostic's beta, a and A, once config keys, away from
+        # the estimates constants: the loader ignores them
+        pytest.param("ball18.cfg", "p_beta = 3\na = 0.5\nA = 2\n", id="ball18.cfg-p-keys"),
+    ])
+    def test_estimate_field_equals_config(self, shipped, p_keys, quad_cfg, tmp_path,
+                                          monkeypatch):
         """estimate <field> rebuilds the solved domain, mask included, so it
         reports what estimate <cfg> reports; only the instance name differs."""
         if shipped:
             monkeypatch.chdir(tmp_path)  # the shipped config writes next to itself
             path = tmp_path / shipped
-            shutil.copy(CONFIGS / shipped, path)
+            path.write_text((CONFIGS / shipped).read_text().replace(
+                "[estimates]\n", "[estimates]\n" + p_keys))
             out = tmp_path / load_config(str(path)).output
         else:
             path, out = quad_cfg
@@ -509,7 +533,7 @@ class TestCliReport:
         monkeypatch.setattr(cli, "newton_solve", counted)
         csv_out = tmp_path / "family.csv"
         assert main(["report", str(path), str(small), "--out", str(csv_out)]) == 2
-        assert "cells per axis must be >= 8" in capsys.readouterr().err
+        assert f"{small}: cells per axis must be >= 8" in capsys.readouterr().err
         assert not calls
         assert not csv_out.exists()
 

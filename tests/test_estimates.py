@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sumhessian.estimates as est
 import sumhessian.expr as expr
 import sumhessian.grid as grid
 from sumhessian import (
@@ -114,21 +115,39 @@ class TestPhi:
         assert build_report("one", ScalarField(dom, np.ones(dom.shape))).rho_rescaled
 
 
+def set_p_constants(monkeypatch, beta, a, big_a):
+    """Set the log diagnostic's beta, a and A for one test."""
+    for name, value in (("P_BETA", beta), ("P_A", a), ("P_BIG_A", big_a)):
+        monkeypatch.setattr(est, name, value)
+
+
 class TestPDiagnostic:
-    def test_unit_disc_log_profile(self):
+    def test_unit_disc_log_profile(self, monkeypatch):
         fld = paraboloid_disc(32)
-        rep = build_report("disc", fld, p_beta=1.0, p_a=0.0, p_big_a=0.0)
+        set_p_constants(monkeypatch, 1.0, 0.0, 0.0)
+        rep = build_report("disc", fld)
         # P = log((1 - |x|^2)/2) + log(1), max at the center = log(1/2)
         assert rep.p_max == pytest.approx(math.log(0.5), abs=0.02)
         assert rep.p_argmax == fld.domain.center_index()
 
-    def test_quadratic_shift(self):
+    def test_unit_disc_shipped_constants(self):
+        # at the center (the origin, a grid point), u = -1/2, u_11 = 1 and
+        # Du = 0, so P = 2 log(1/2) exactly, and every other point is lower
+        fld = paraboloid_disc(32)
+        assert (est.P_BETA, est.P_A, est.P_BIG_A) == (2.0, 0.1, 1.0)
+        rep = build_report("disc", fld)
+        assert rep.p_max == 2 * math.log(0.5)
+        assert rep.p_argmax == fld.domain.center_index()
+
+    def test_quadratic_shift(self, monkeypatch):
         # P is a max of functions affine in A, each with slope |x|^2/2, so the
         # slopes at the two maximizers bound the change of the max
         fld = paraboloid_disc(32)
         dom = fld.domain
-        reps = [build_report("disc", fld, p_beta=1.0, p_a=0.0, p_big_a=big_a)
-                for big_a in (1.0, 3.0)]
+        reps = []
+        for big_a in (1.0, 3.0):
+            set_p_constants(monkeypatch, 1.0, 0.0, big_a)
+            reps.append(build_report("disc", fld))
         slopes = [0.5 * np.sum(dom.points[np.ravel_multi_index(r.p_argmax, dom.shape)] ** 2)
                   for r in reps]
         lift = reps[1].p_max - reps[0].p_max
@@ -179,8 +198,6 @@ class TestBuildReport:
         """Call counts of the report's stencil reads, gradient reads and
         eigenvalue kernel, and under "hessian_blocks" and "gradient_blocks"
         the block argument of each stencil and gradient read."""
-        import sumhessian.estimates as est
-
         calls = {"hessian_field": 0, "gradient_field": 0, "top_and_norm": 0,
                  "hessian_blocks": [], "gradient_blocks": []}
         for name in ("hessian_field", "gradient_field", "top_and_norm"):
@@ -214,14 +231,15 @@ class TestBuildReport:
     def test_zero_boundary_matches_standalone(self):
         fld = self.zero_boundary_ball()
         dom = fld.domain
-        rep = build_report("ball", fld, self.BETAS, p_beta=3.0, p_a=0.2, p_big_a=0.5)
+        rep = build_report("ball", fld, self.BETAS)
         self.common_fields_match(rep, fld)
         u, top, norm, grad, pts = self.pointwise(fld)
         assert rep.weighted == {b: np.max((-u) ** b * norm) for b in self.BETAS}
         assert rep.pogorelov == rep.weighted[1.0]
         with np.errstate(invalid="ignore", divide="ignore"):
-            p_vals = (3.0 * np.log(-u) + np.log(top) + 0.1 * np.sum(grad ** 2, axis=1)
-                      + 0.25 * np.sum(pts ** 2, axis=1))
+            # P at the shipped beta = 2, a = 0.1 and A = 1
+            p_vals = (2.0 * np.log(-u) + np.log(top) + 0.05 * np.sum(grad ** 2, axis=1)
+                      + 0.5 * np.sum(pts ** 2, axis=1))
         p_vals[(u >= 0) | (top <= 0)] = -np.inf
         assert (rep.p_max, rep.p_argmax) == self.at_max(dom, p_vals)
 

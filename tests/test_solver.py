@@ -1028,6 +1028,13 @@ def held_state(exc, dom) -> list:
 
 
 class TestNewton:
+    @pytest.mark.parametrize("key,value", [
+        ("tol", 0.0), ("tol", math.nan), ("tol", math.inf), ("max_iter", -1)])
+    def test_solve_config_checks_itself(self, key, value):
+        message = {"tol": "tol must be a finite number > 0", "max_iter": "max_iter must be >= 0"}
+        with pytest.raises(ValueError, match=message[key]):
+            SolveConfig(**{key: value})
+
     def test_exact_quadratic_instance(self):
         dom = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3)
         params = SumHessianParams(3, 2, 1.0)
