@@ -1,10 +1,12 @@
 """Run configuration files: INI-style sections with flat key = value pairs.
 
-Expressions are quoted strings over the identifiers x1..x3, u, p1..p3:
-f may read x1..x_n, u and p1..p_n, g only x1..x_n, with n the [operator]
-dimension; g is read on the boundary layer only, so it may be undefined
-inside. Each setting is checked by the type that holds it: n, k and alpha
-by ``symfun.SumHessianParams``, the domain by ``grid.GridDomain``, tol and
+Expressions are strings over the identifiers x1..x3, u, p1..p3, quoted
+or not (f = 18 loads what f = "18" loads): f may read x1..x_n, u and
+p1..p_n, g only x1..x_n, with n the [operator] dimension; g is read on
+the boundary layer only, so it may be undefined inside. A tree deeper
+than expr.MAX_DEPTH is a syntax error like any other (``expr.parse``).
+Each setting is checked by the type that holds it: n, k and alpha by
+``symfun.SumHessianParams``, the domain by ``grid.GridDomain``, tol and
 max_iter by ``solver.SolveConfig`` and beta by ``estimates.check_betas``.
 A config that breaks one of these rules is a ConfigError naming the file,
 raised before any solve. The loader keeps f and g as the trees it parsed.

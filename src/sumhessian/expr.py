@@ -12,11 +12,15 @@ so "-2^2" is -(2^2) and "2^3^2" is 2^(3^2). Identifiers are limited to
 x1 x2 x3 u p1 p2 p3; functions to exp log sin cos sqrt abs.
 
 Literals are finite doubles: one that overflows, such as 1e999, is a
-syntax error, so every Num prints and parses back. Evaluation is IEEE
-double and numpy-aware (bindings may be arrays of a common shape); domain
-failures (log/sqrt of a negative, division by zero, overflow to
-non-finite) and non-finite bindings raise EvalError naming the offending
-subexpression instead of returning NaN. ``diff`` returns the exact
+syntax error, so every Num prints and parses back. The functions here
+recurse once per level of a tree, so a tree deeper than MAX_DEPTH levels
+(a sum of more than MAX_DEPTH terms, say) is a syntax error too, and so
+is nesting (parentheses, unary minus, the exponent of '^') deeper than
+2 MAX_DEPTH, the most that ``to_source`` of an accepted tree nests.
+Evaluation is IEEE double and numpy-aware (bindings may be arrays of a
+common shape); domain failures (log/sqrt of a negative, division by
+zero, overflow to non-finite) and non-finite bindings raise EvalError
+naming the offending subexpression instead of returning NaN. ``diff`` returns the exact
 derivative of a tree with respect to one identifier, as another tree.
 """
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 IDENTIFIERS = ("x1", "x2", "x3", "u", "p1", "p2", "p3")
+MAX_DEPTH = 64  # the deepest tree parse returns; it follows nesting to 2 MAX_DEPTH
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "abs")
 
 _TOKEN_RE = re.compile(
@@ -131,6 +136,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.nesting = 0    # open factor calls: every recursion passes one
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -152,6 +158,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise SyntaxErrorAt(tok.offset, "end of input", repr(tok.text))
+        if depth(node) > MAX_DEPTH:
+            raise SyntaxErrorAt(0, f"at most {MAX_DEPTH} levels", f"{depth(node)} levels")
         return node
 
     def expr(self) -> Node:
@@ -170,10 +178,17 @@ class _Parser:
 
     def factor(self) -> Node:
         tok = self.peek()
+        self.nesting += 1
+        if self.nesting > 2 * MAX_DEPTH:
+            raise SyntaxErrorAt(tok.offset, f"nesting at most {2 * MAX_DEPTH} deep",
+                                repr(tok.text))
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            node = Neg(self.factor())
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self) -> Node:
         base = self.atom()
@@ -208,8 +223,23 @@ class _Parser:
 
 
 def parse(source: str) -> Node:
-    """Parse UTF-8 text into an expression tree."""
+    """Parse UTF-8 text into an expression tree at most MAX_DEPTH deep.
+
+    The parser's recursion and every function here that walks a tree take
+    a few frames per level: the derivative of a MAX_DEPTH tree, at most
+    about four times as deep, evaluates within Python's default recursion
+    limit."""
     return _Parser(source).parse()
+
+
+def depth(node: Node) -> int:
+    """Levels of the tree, a leaf's being 1, counted layer by layer without
+    recursion."""
+    levels, layer = 0, [node]
+    while layer:
+        levels += 1
+        layer = [child for n in layer for child in vars(n).values() if isinstance(child, Node)]
+    return levels
 
 
 def variables(node: Node) -> set[str]:
@@ -229,7 +259,8 @@ def diff(node: Node, var: str) -> Node:
     """Exact derivative with respect to identifier ``var``, unsimplified;
     Num(0.0) when ``var`` does not occur. d abs(a) = a/abs(a) a' fails to
     evaluate at a = 0. No negative constant is added, so the result
-    round-trips through to_source and parse when ``node`` does."""
+    round-trips through to_source and parse when ``node`` does and the
+    result is at most MAX_DEPTH deep."""
     if var not in variables(node):
         return Num(0.0)
     if isinstance(node, Var):

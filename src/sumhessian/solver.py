@@ -36,11 +36,14 @@ takes the fine row of its injected point 2j, whole (slot j is the same
 step on every level), scaled by (h / 2h)^2 and zeroed at its own absent
 slots, so no Galerkin product is formed. The V-cycle forms its residuals
 and corrections in place and never writes its input. Across its linear
-solve a Newton step holds the iterate, its interior residual, the
-Jacobian and the pattern alone: the grid residual goes once its interior
-is read, and the last step's Jacobian and step go once that step is
-accepted. A failed solve's error keeps none of it: ``newton_solve`` and
-``initial_guess`` clear its traceback's frames, so it carries its trace alone.
+solve a Newton step holds the iterate, its residual, the Jacobian and the
+pattern alone, and the last step's Jacobian and step go once that step is
+accepted. The residual, the admissibility mask, the Jacobian's rows and
+every Krylov vector are (n_interior,) in ``interior_idx`` order, so the
+residual is F itself and a trial adds its step at the interior positions
+of a copy of the iterate, whose boundary layer is g bit for bit. A failed
+solve's error keeps none of it: ``newton_solve`` and ``initial_guess``
+clear its traceback's frames, so it carries its trace alone.
 
 The bulk path never eigendecomposes: one loop kernel, valid in any grid
 dimension and order k, evaluates sigma_m of eta(lam(H)) from the power sums
@@ -74,8 +77,9 @@ kernel of a field's admissibility and S_k: one ``_blockwise`` pass that
 keeps the mask, the smallest cone margin and S_k, which
 ``admissible_mask``, ``residual``, ``linearize`` and the trace read
 (``_evaluated``). A Newton iterate (``_Iterate``: the guess or a
-line-search trial) is read-only and keeps its evaluation; any other field
-is evaluated afresh on each call. The Newton loop is sequential and
+line-search trial) is read-only and keeps its evaluation and the Krylov
+record of the solve that made it, which its trace entry reads; any other
+field is evaluated afresh on each call. The Newton loop is sequential and
 single-threaded runs produce bitwise-identical traces for identical
 configurations.
 
@@ -166,10 +170,10 @@ class TraceEntry:
     initial guess) and cone margin, the minimum over interior points of
     sigma_1..sigma_{k-1} and S_k of eta(lam(H)).
 
-    ``krylov`` and ``linear_residual`` are the BiCGSTAB iterations and the
-    relative linear residual of the solve that produced the iterate: the
-    Newton step, or for the guess the harmonic extension (0 and 0.0 when
-    the guess needs none)."""
+    ``krylov`` and ``linear_residual`` are the iterate's own (``_Iterate``):
+    the BiCGSTAB iterations and the relative linear residual of the solve
+    that produced it, the Newton step, or for the guess the harmonic
+    extension (0 and 0.0 when the guess needs none)."""
 
     iteration: int
     residual: float
@@ -378,7 +382,13 @@ class _Iterate(ScalarField):
     every call on it: ``admissible_mask``, ``residual``, ``linearize``, the
     trace margin and the result's admissibility. The evaluation is made on
     first request, or handed over by the code that built the values and
-    evaluated them."""
+    evaluated them.
+
+    ``krylov`` and ``linear_residual`` are the BiCGSTAB iterations and the
+    relative linear residual of the solve that made the values, which its
+    ``TraceEntry`` reads: the Newton step for a trial, the harmonic
+    extension for the guess, and (0, 0.0), as made, for a guess that needs
+    none. The code that solved for the values sets them."""
 
     def __init__(self, domain: GridDomain, values: np.ndarray, params: SumHessianParams,
                  evaluation: _Evaluation | None = None):
@@ -386,6 +396,7 @@ class _Iterate(ScalarField):
         self.values.flags.writeable = False
         self.params = params
         self.evaluation = evaluation
+        self.krylov, self.linear_residual = 0, 0.0
 
 
 def _evaluated(fld: ScalarField, params: SumHessianParams) -> _Evaluation:
@@ -479,8 +490,10 @@ def _state_free(rhs: RhsSpec, dim: int) -> bool:
 
 def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
              f_values: np.ndarray | np.float64 | None = None) -> np.ndarray:
-    """S_k(eta(lam(H))) - f at interior points, zeros on the boundary layer
-    (grid-shaped array).
+    """S_k(eta(lam(H))) - f at the interior points, (n_interior,) in
+    ``interior_idx`` order: the layout of ``admissible_mask``, of the
+    Jacobian's rows and of every Krylov vector, so the Newton loop reads it
+    as F.
 
     ``f_values``, when given, is f on the interior as ``_eval_rhs``
     returns it (one value for a constant f), for a ``_state_free`` f, whose
@@ -489,8 +502,7 @@ def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
     (``_evaluated``); a Newton iterate whose S_k an earlier residual took
     is evaluated afresh.
     """
-    dom = fld.domain
-    _check_dim(dom, params)
+    _check_dim(fld.domain, params)
     evaluation = _evaluated(fld, params)
     if evaluation.s_k is None:
         evaluation = _evaluate_field(fld, params)
@@ -498,23 +510,15 @@ def residual(fld: ScalarField, params: SumHessianParams, rhs: RhsSpec, *,
     if f_values is None:
         f_values = _eval_rhs(rhs, fld, expr.variables(rhs.expression))
     values -= f_values
-    out = np.zeros(dom.n_points)
-    out[dom.interior_idx] = values
-    return out.reshape(dom.shape)
-
-
-def _local_index(n_points: int, idx: np.ndarray) -> np.ndarray:
-    """Unknown number of each flat grid index: its position in idx, or -1."""
-    local = np.full(n_points, -1, dtype=np.int32)
-    local[idx] = np.arange(idx.size, dtype=np.int32)
-    return local
+    return values
 
 
 def _pattern_arrays(shape: tuple[int, ...], idx: np.ndarray, directions: np.ndarray):
     """``_JacobianPattern.arrays`` of the operator on the stencil steps
     ``directions`` at the interior flat indices idx (sorted, none on the
     outer layer) of a grid of this shape."""
-    local = _local_index(int(np.prod(shape)), idx)
+    local = np.full(int(np.prod(shape)), -1, dtype=np.int32)   # unknown of each point, or -1
+    local[idx] = np.arange(idx.size, dtype=np.int32)
     strides = [int(np.prod(shape[a + 1:], dtype=int)) for a in range(len(shape))]
     indices = np.empty((idx.size, len(directions)), dtype=np.int32)
     absent = []
@@ -543,9 +547,10 @@ def _prolongation(fine_shape: tuple[int, ...], fine_idx: np.ndarray,
     It is built one ``point_blocks`` block of rows at a time, with no
     whole-grid matrix: ``scipy.sparse.kron`` of axis 0's rows for the
     planes the block spans with the product of the other axes, whose rows
-    the block selects; the blocks' CSR matrices are stacked. A row's
-    columns come in increasing order, that of the parents' multi-indices,
-    and the weights (powers of 1/2) are exact, so the matrix is the whole
+    the block selects, and whose columns ``coarse_idx`` scipy's column
+    indexing keeps; the blocks' CSR matrices are stacked. A row's columns
+    come in increasing order, that of the parents' multi-indices, and the
+    weights (powers of 1/2) are exact, so the matrix is the whole
     product's, bit for bit."""
     import scipy.sparse as sp
 
@@ -560,18 +565,12 @@ def _prolongation(fine_shape: tuple[int, ...], fine_idx: np.ndarray,
     axis0, *rest = map(interpolation, fine_shape, coarse_shape)
     others = reduce(lambda a, b: sp.kron(a, b, format="csr"), rest)
     plane = others.shape[0]
-    local = _local_index(int(np.prod(coarse_shape)), coarse_idx)
     blocks = []
     for block in point_blocks(fine_idx.size):
         rows = fine_idx[block]
         low = rows[0] // plane
         part = sp.kron(axis0[low:rows[-1] // plane + 1], others, format="csr")[rows - low * plane]
-        # drop the coarse boundary columns, keeping each row's order
-        cols = local[part.indices]
-        keep = cols >= 0
-        indptr = np.concatenate(([0], np.cumsum(keep)))[part.indptr]
-        blocks.append(sp.csr_matrix((part.data[keep], cols[keep], indptr),
-                                    shape=(rows.size, coarse_idx.size)))
+        blocks.append(part[:, coarse_idx])
     return sp.vstack(blocks, format="csr")
 
 
@@ -1013,7 +1012,6 @@ def _rhs_at_rest(dom: GridDomain, rhs: RhsSpec) -> np.ndarray | np.float64:
 @_clears_frames
 def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
                   boundary: expr.Node, *, pattern: _JacobianPattern | None = None,
-                  krylov_log: list | None = None,
                   f_rest: np.ndarray | np.float64 | None = None) -> _Iterate:
     """Starting field of a solve, returned as a Newton iterate.
 
@@ -1036,8 +1034,8 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     Laplacian has its own ``_JacobianPattern``, on the centre and axis
     steps of ``pattern``, the domain's Jacobian pattern (made here when
     omitted), whose coarse grids it shares, and is freed with the
-    Laplacian. The extension appends its (Krylov iterations, linear
-    residual) to ``krylov_log`` when one is given.
+    Laplacian. The guess carries the extension's Krylov iterations and
+    linear residual (``_Iterate``), (0, 0.0) when it needs none.
 
     g is read on the boundary layer only (``boundary_values``), and the
     guess is written into that one grid array, one ``grid.interior_blocks``
@@ -1081,9 +1079,8 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         del mismatch
         x, krylov, linear_residual = _solve_linear(lap, lap_m, EXTENSION_RTOL, laplacian)
         for block in interior_blocks(dom):
-            flat[idx[block]] = quad(idx[block]) + x[block]
-        if krylov_log is not None:
-            krylov_log.append((krylov, linear_residual))
+            flat[idx[block]] += x[block]
+        return krylov, linear_residual
 
     if dom.plane:
         inside, ends = dom.interior_flat.reshape(dom.shape), values[[0, -1]]
@@ -1095,12 +1092,12 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         if evaluation.mask.all():
             return _Iterate(dom, values, params, evaluation)
         del evaluation
-    if mismatched:
-        extended()
-    else:
-        for block in interior_blocks(dom):
-            flat[idx[block]] = quad(idx[block])
-    return _repair_admissibility(fld, params, c)
+    for block in interior_blocks(dom):
+        flat[idx[block]] = quad(idx[block])
+    record = extended() if mismatched else (0, 0.0)
+    guess = _repair_admissibility(fld, params, c)
+    guess.krylov, guess.linear_residual = record
+    return guess
 
 
 # ---------------------------------------------------------------------------
@@ -1134,43 +1131,41 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     _check_dim(dom, params)
     f_values = _rhs_at_rest(dom, rhs)
     pattern = _JacobianPattern(dom)
-    extension = []
-    fld = initial_guess(dom, params, rhs, boundary, pattern=pattern, krylov_log=extension,
-                        f_rest=f_values)
+    fld = initial_guess(dom, params, rhs, boundary, pattern=pattern, f_rest=f_values)
     if not _state_free(rhs, dom.dim):
         f_values = None     # f is then evaluated on every residual's field
-    idx = dom.interior_idx
 
     offender = _first_violation(dom, admissible_mask(fld, params))
     if offender is not None:
         raise ConeViolationError(f"initial guess is not admissible at grid point {offender}")
 
-    res = residual(fld, params, rhs, f_values=f_values)
+    res = residual(fld, params, rhs, f_values=f_values)   # F, on the interior unknowns
     res_norm = float(np.max(np.abs(res)))
-    krylov, linear_residual = extension[0] if extension else (0, 0.0)
-    trace = [TraceEntry(0, res_norm, 0.0, _evaluated(fld, params).min_margin,
-                        krylov, linear_residual)]
-    iterations = 0
+    trace = []
+    step = 0.0
     forcing = None      # (||F||_2, ||model of the next F||_2) of the last step
 
-    while res_norm > config.tol and iterations < config.max_iter:
-        f_int = res.ravel()[idx]
-        del res     # the grid residual: f_int holds its interior
-        f_norm = float(np.linalg.norm(f_int))
+    while True:
+        trace.append(TraceEntry(len(trace), res_norm, step, _evaluated(fld, params).min_margin,
+                                fld.krylov, fld.linear_residual))
+        if res_norm <= config.tol or len(trace) > config.max_iter:
+            break
+        f_norm = float(np.linalg.norm(res))
         eta = ETA_MAX if forcing is None else _forcing_term(f_norm, forcing, config.tol)
         mat = linearize(fld, params, rhs, pattern=pattern)
         try:
-            delta_int, krylov, linear_residual = _solve_linear(mat, f_int, eta, pattern)
+            delta_int, krylov, linear_residual = _solve_linear(mat, res, eta, pattern)
         except LinearSolveError as exc:
             exc.trace = trace
             raise
-        delta = np.zeros(dom.n_points)
-        delta[idx] = delta_int
         step = 1.0
         accepted = None
         stall = f"no admissible decrease down to step 2^{math.log2(MIN_STEP):.0f}"
         while step >= MIN_STEP:
-            trial = _Iterate(dom, fld.values + step * delta.reshape(dom.shape), params)
+            values = fld.flat.copy()
+            values[dom.interior_idx] += step * delta_int
+            trial = _Iterate(dom, values.reshape(dom.shape), params)
+            trial.krylov, trial.linear_residual = krylov, linear_residual
             if np.array_equal(trial.values.view(np.int64), fld.values.view(np.int64)):
                 stall = f"step 2^{math.log2(step):.0f} no longer changes the iterate"
                 break
@@ -1189,15 +1184,12 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
             raise NonConvergenceError(
                 f"line search stalled: {stall}, at residual {res_norm:.3e}", trace=trace)
         # (1 - step) F + step r_lin = F + step J delta
-        model_norm = float(np.linalg.norm(f_int + step * (mat @ delta_int)))
+        model_norm = float(np.linalg.norm(res + step * (mat @ delta_int)))
         forcing = (f_norm, model_norm)
         fld, res, res_norm = accepted
         # free this Jacobian and this step before the next ones are made;
         # the accepted trial and its residual live on as fld and res alone
-        del mat, delta, delta_int, accepted, res_try
-        iterations += 1
-        trace.append(TraceEntry(iterations, res_norm, step, _evaluated(fld, params).min_margin,
-                                krylov, linear_residual))
+        del mat, delta_int, accepted, res_try
 
     admissible = bool(admissible_mask(fld, params).all())
     # the solve is done with the iterate: its values go out as a plain,
@@ -1205,7 +1197,7 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     fld.values.flags.writeable = True
     return SolveResult(
         field=ScalarField(dom, fld.values),
-        iterations=iterations,
+        iterations=len(trace) - 1,
         residual=res_norm,
         admissible=admissible,
         trace=trace,

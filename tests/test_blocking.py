@@ -315,7 +315,7 @@ def stage_ratios(mask: str, path: Path) -> dict:
     # a Newton step's linear solve, at an admissible field on either mask
     quadratic = ScalarField(dom, (0.5 * (np.sum(dom.points ** 2, axis=1) - 1.0)).reshape(dom.shape))
     jacobian = linearize(quadratic, params, state_rhs, pattern=pattern)
-    f_int = residual(quadratic, params, state_rhs).ravel()[dom.interior_idx]
+    f_int = residual(quadratic, params, state_rhs)
 
     stages = {"admissible_mask": lambda: admissible_mask(fld, params),
               "residual": lambda: residual(fld, params, rhs),

@@ -65,6 +65,8 @@ class TestMembership:
         assert in_cone([10., -1, -1], Cone.GAMMA_PRIME, params)
         p3 = SumHessianParams(3, 3, 0.0)
         assert not in_cone([1., 0, 0], Cone.GAMMA_PRIME, p3)
+        with pytest.raises(ValueError, match="unknown cone 'gamma'"):
+            in_cone([1., 1, 1], "gamma", params)
 
     def test_batched(self):
         params = SumHessianParams(3, 2, 1.0)

@@ -103,6 +103,13 @@ class TestConfig:
         assert cfg.boundary == expr.parse("(x1^2 + x2^2 + x3^2 - 1)/2")
         cfg.domain()  # builds without error
 
+    def test_quotes_are_optional(self, tmp_path, quad_cfg):
+        path, out = quad_cfg
+        bare = tmp_path / "bare.cfg"
+        bare.write_text(path.read_text().replace('"', ""))
+        assert 'f = 18' in bare.read_text()
+        assert load_config(str(bare)) == load_config(str(path))
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/path.cfg")
@@ -120,6 +127,9 @@ class TestConfig:
         ("cells = 8 8 8", "cells = 4 4 4"),
         ("upper = 1 1 1", "upper = 1 1 2"),
         ("lower = -1 -1 -1", "lower = nan -1 -1"),
+        # an f nested or summed deeper than expr.MAX_DEPTH
+        ('f = "18"', 'f = "' + "(" * 198 + "18" + ")" * 198 + '"'),
+        ('f = "18"', 'f = "' + "+".join(["1"] * 1500) + '"'),
     ])
     def test_invalid_configs(self, tmp_path, quad_cfg, mangle):
         path, out = quad_cfg
@@ -416,13 +426,17 @@ class TestCliEstimate:
         ("expradial2d.cfg", 'f = "x3 + 5"', "rhs expression may only reference"),
         ("quadratic3d.cfg", "tol = nan", "tol must be a finite number > 0"),
         ("quadratic3d.cfg", "max_iter = -3", "max_iter must be >= 0"),
+        pytest.param("expradial2d.cfg", 'f = "' + "(" * 198 + "18" + ")" * 198 + '"',
+                     "bad rhs expression", id="f-nests-198-parentheses"),
+        pytest.param("expradial2d.cfg", 'f = "' + "+".join(["1"] * 1500) + '"',
+                     "bad rhs expression", id="f-sums-1500-terms"),
     ])
     def test_bad_config_exits_2_before_solving(self, shipped, line, message, tmp_path, capsys,
                                                monkeypatch):
         """Data that reads u or a coordinate beyond n, a right-hand side
         that reads a coordinate beyond n, a tol that is not a finite number
-        > 0 and a negative max_iter stop every command that loads the config
-        with status 2 before any solve."""
+        > 0, a negative max_iter and an f deeper than expr.MAX_DEPTH stop
+        every command that loads the config with status 2 before any solve."""
         monkeypatch.chdir(tmp_path)
         path = tmp_path / shipped
         key = line.split(" = ")[0] + " ="

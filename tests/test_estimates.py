@@ -1,4 +1,5 @@
 """Estimate diagnostics on synthetic and solved fields."""
+import dataclasses
 import io
 import math
 
@@ -395,6 +396,12 @@ class TestReports:
             "FAMILY_MAX,NA,2.0,2.25,3.0,2.5,0.75,0.75,0.5,NA,0.1,NA,-1.25,NA,NA\n"
         )
 
+    def test_no_reports_raise(self):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="no reports to write"):
+            write_reports([], buf)
+        assert buf.getvalue() == ""
+
     def test_weights_sharing_a_column_raise(self):
         """Each report's weights pass alone; their union would write
         weighted_pogorelov_b1 twice."""
@@ -454,6 +461,11 @@ class TestReports:
             reps[cells] = build_report(f"b{cells}", res.field, betas=(1.0, 2.0, 4.0, 8.0))
         assert stable_weight(reps[16], reps[32]) == 1.0
         assert stable_weight(reps[16], reps[32], drift=1e-6) is None
+        # a weight whose product is missing (NA) or zero on either grid is skipped
+        coarse = dataclasses.replace(reps[16], weighted={1.0: None, 2.0: 0.0, 4.0: 1.0})
+        fine = dataclasses.replace(reps[32], weighted={1.0: 1.0, 2.0: 1.0, 4.0: 1.05})
+        assert stable_weight(coarse, fine) == 4.0
+        assert stable_weight(fine, coarse) == 4.0
 
     def test_interior_ratio_scale_invariance(self):
         params = SumHessianParams(3, 2, 1.0)

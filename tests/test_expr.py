@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumhessian.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     EvalError,
@@ -14,6 +15,7 @@ from sumhessian.expr import (
     SyntaxErrorAt,
     UnknownIdentifierError,
     Var,
+    depth,
     diff,
     evaluate,
     parse,
@@ -111,6 +113,33 @@ class TestParse:
         assert err.value.expected == "a finite number"
         assert err.value.offset == offset
 
+    # nesting deeper than the parser follows, and trees deeper than
+    # MAX_DEPTH, whose walks (variables, evaluate, diff) would pass Python's
+    # recursion limit
+    @pytest.mark.parametrize("source,offset,expected", [
+        ("(" * 198 + "18" + ")" * 198, 2 * MAX_DEPTH, f"nesting at most {2 * MAX_DEPTH} deep"),
+        ("-" * 300 + "1", 2 * MAX_DEPTH, f"nesting at most {2 * MAX_DEPTH} deep"),
+        ("+".join(["1"] * 1500), 0, f"at most {MAX_DEPTH} levels"),
+        ("-" * MAX_DEPTH + "1", 0, f"at most {MAX_DEPTH} levels"),
+    ], ids=["198-parentheses", "300-minus-signs", "1500-terms", "deeper-by-one"])
+    def test_too_deep_is_a_syntax_error(self, source, offset, expected):
+        with pytest.raises(SyntaxErrorAt) as err:
+            parse(source)
+        assert (err.value.offset, err.value.expected) == (offset, expected)
+
+    def test_deepest_tree_differentiates_and_evaluates(self):
+        """((x1^x1)^x1 ...)^x1 at MAX_DEPTH: it prints and parses back, and
+        its derivative, about four times as deep, evaluates."""
+        source = "x1"
+        for _ in range(MAX_DEPTH - 1):
+            source = f"({source})^x1"
+        node = parse(source)
+        assert depth(node) == MAX_DEPTH
+        assert parse(to_source(node)) == node
+        derivative = diff(node, "x1")
+        assert depth(derivative) > 3 * MAX_DEPTH
+        assert evaluate(derivative, {"x1": 1.0}) == 1.0
+
     def test_largest_finite_literal_round_trips(self):
         node = parse("1.7976931348623157e308")
         assert node == Num(1.7976931348623157e308)
@@ -136,6 +165,12 @@ class TestEvaluate:
     def test_overflow_is_an_error(self):
         with pytest.raises(EvalError):
             evaluate(parse("exp(x1)"), {"x1": 1e4})
+
+    @pytest.mark.parametrize("call", [to_source, lambda node: evaluate(node, {})],
+                             ids=["to_source", "evaluate"])
+    def test_non_node_is_a_type_error(self, call):
+        with pytest.raises(TypeError, match="not an expression node: 18.0"):
+            call(18.0)
 
     def test_negative_base_fractional_power(self):
         with pytest.raises(EvalError):

@@ -72,6 +72,9 @@ class TestDomain:
             make_domain(2, (0, 0), (1, 1), (4, 8))
         with pytest.raises(ValueError):
             make_domain(2, (0, 0), (1, 2), (8, 8))  # nonuniform spacing
+        for upper in ((0, 1), (1, -1)):
+            with pytest.raises(ValueError, match="upper corner must exceed lower corner"):
+                make_domain(2, (0, 0), upper, (8, 8))
         with pytest.raises(ValueError):
             make_domain(2, (0, 0), (1, 1), (8, 8), mask_name="disc")
         with pytest.raises(ValueError):

@@ -93,6 +93,20 @@ class TestResidual:
             sups.append(float(np.max(np.abs(res))))
         assert sups[0] / sups[1] == pytest.approx(4.0, rel=0.25)
 
+    @pytest.mark.parametrize("mask", ["box", "ball"])
+    def test_interior_vector_in_interior_idx_order(self, mask):
+        """S_k - f of each interior point, in interior_idx order: the layout
+        of admissible_mask, of the Jacobian's rows and of a Krylov vector."""
+        dom = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3, mask_name=mask)
+        params = SumHessianParams(3, 2, 1.0)
+        fld = field_from(dom, lambda p: np.exp(0.5 * np.sum(p**2, axis=1)))
+        res = residual(fld, params, RhsSpec.parse("18 + x1"))
+        assert res.shape == (dom.interior_idx.size,)
+        assert res.shape == admissible_mask(fld, params).shape
+        hess = unpack(hessian_field(fld))
+        want = operator_value(hess, params) - (18 + dom.points[dom.interior_idx, 0])
+        assert np.max(np.abs(res - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_f_values_match_evaluation_bitwise(self):
         params = SumHessianParams(2, 2, 1.0)
         dom = make_domain(2, (-1, -1), (1, 1), (32, 32))
@@ -718,6 +732,14 @@ class TestMultigrid:
         blended = newton_solve(box, SumHessianParams(2, 2, 1.0), RhsSpec.parse(EXP2D_RHS),
                                expr.parse("exp((x1^2+x2^2)/2)"))
         assert (blended.trace[0].krylov, blended.trace[0].linear_residual) == (0, 0.0)
+        # each entry reads its iterate's record: the guess carries its
+        # extension's
+        for dom, case, rhs, g in ((ball, params, RhsSpec.parse("18"), ZERO),
+                                  (box, SumHessianParams(2, 2, 1.0), RhsSpec.parse(EXP2D_RHS),
+                                   expr.parse("exp((x1^2+x2^2)/2)"))):
+            guess = initial_guess(dom, case, rhs, g)
+            first = newton_solve(dom, case, rhs, g).trace[0]
+            assert (guess.krylov, guess.linear_residual) == (first.krylov, first.linear_residual)
 
     def test_krylov_counts_flat_under_refinement(self):
         params = SumHessianParams(2, 2, 1.0)
@@ -854,9 +876,8 @@ class TestLinearize:
         delta[~dom.interior_flat] = 0.0
         plus = ScalarField(dom, fld.values + eps * delta.reshape(dom.shape))
         minus = ScalarField(dom, fld.values - eps * delta.reshape(dom.shape))
-        fd = (residual(plus, params, rhs).ravel() - residual(minus, params, rhs).ravel()) / (2 * eps)
+        fd = (residual(plus, params, rhs) - residual(minus, params, rhs)) / (2 * eps)
         got = mat @ delta[dom.interior_idx]
-        fd = fd[dom.interior_idx]
         denom = max(1.0, float(np.max(np.abs(fd))))
         assert np.max(np.abs(fd - got)) / denom < 1e-4
 
@@ -1051,6 +1072,20 @@ class TestNewton:
         result = newton_solve(dom, params, RhsSpec.parse("3 + x1"), ZERO)
         assert result.converged(1e-10)
         assert result.iterations <= 2
+
+    # g of the 16^2 box is -0.0 on every face: a trial copies the boundary
+    # layer, so it keeps the sign bit that adding a step of +0.0 would flip
+    @pytest.mark.parametrize("dim,mask,k,f,g", [
+        (2, "box", 2, "3", "-0*(x1+2)"),
+        (2, "box", 2, EXP2D_RHS, "exp((x1^2+x2^2)/2)"),
+        (3, "ball", 3, "20", "x1/10 + x2*x3/5")])
+    def test_boundary_layer_is_g_bit_for_bit(self, dim, mask, k, f, g):
+        dom = make_domain(dim, (-1,) * dim, (1,) * dim, (16,) * dim, mask_name=mask)
+        boundary = expr.parse(g)
+        result = newton_solve(dom, SumHessianParams(dim, k, 1.0), RhsSpec.parse(f), boundary)
+        assert result.converged(1e-10) and result.iterations > 0
+        bdry = ~dom.interior_flat
+        assert result.field.flat[bdry].tobytes() == boundary_values(dom, boundary)[bdry].tobytes()
 
     def test_trace_monotone_and_admissible(self):
         dom = make_domain(2, (-1, -1), (1, 1), (16, 16))

@@ -44,6 +44,8 @@ class TestSigma:
         lam = np.arange(12.0).reshape(2, 2, 3)
         out = sigma(lam, 2)
         assert out.shape == (2, 2)
+        with pytest.raises(ValueError, match="eigenvalue tuple must have at least one axis"):
+            sigma(3.0, 1)
 
     def test_against_bruteforce(self):
         rng = np.random.default_rng(5)
