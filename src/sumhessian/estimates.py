@@ -66,15 +66,16 @@ def check_betas(betas) -> None:
             raise ValueError(f"weights {columns[name]!r} and {beta!r} share the column {name}")
 
 
-def _phi_values(dom: GridDomain, idx: np.ndarray, radius: float, grad2: np.ndarray,
+def _phi_values(dom: GridDomain, block: slice, radius: float, grad2: np.ndarray,
                 a_sup: float, top: np.ndarray) -> np.ndarray:
-    """rho(x) g(|Du|^2/2) u_tt at the interior points idx, with
+    """rho(x) g(|Du|^2/2) u_tt at the interior positions of one
+    ``interior_blocks`` block, with
     rho = 1 - |x - x_c|^2 / r^2, g(t) = (1 - t/a_sup)^(-1/3), a_sup = sup|Du|^2,
     and u_tt the top Hessian eigenvalue.
 
     For a constant field (sup|Du| = 0) g is taken identically 1.
     """
-    rho = 1.0 - squared_distance(dom, dom.center, idx) / (radius * radius)
+    rho = 1.0 - squared_distance(dom, dom.center, block) / (radius * radius)
     if a_sup == 0.0:
         g = np.ones_like(grad2)
     else:
@@ -82,10 +83,11 @@ def _phi_values(dom: GridDomain, idx: np.ndarray, radius: float, grad2: np.ndarr
     return rho * g * top
 
 
-def _p_values(dom: GridDomain, idx: np.ndarray, u: np.ndarray, top: np.ndarray,
+def _p_values(dom: GridDomain, block: slice, u: np.ndarray, top: np.ndarray,
               grad2: np.ndarray, include: np.ndarray) -> np.ndarray:
     """beta log(-u) + log u_11 + (a/2)|Du|^2 + (A/2)|x|^2 at the interior
-    points idx, u_11 the top Hessian eigenvalue.
+    positions of one ``interior_blocks`` block, u_11 the top Hessian
+    eigenvalue.
 
     Points outside ``include``, those with u >= 0 or a nonpositive top
     eigenvalue (log undefined), read -inf.
@@ -95,7 +97,7 @@ def _p_values(dom: GridDomain, idx: np.ndarray, u: np.ndarray, top: np.ndarray,
         P_BETA * np.log(-u[include])
         + np.log(top[include])
         + 0.5 * P_A * grad2[include]
-        + 0.5 * P_BIG_A * squared_distance(dom, np.zeros(dom.dim), idx[include])
+        + 0.5 * P_BIG_A * squared_distance(dom, np.zeros(dom.dim), block)[include]
     )
     return vals
 
@@ -191,17 +193,16 @@ def build_report(instance: str, fld: ScalarField,
         sup_d2u = float(np.maximum(sup_d2u, np.max(spectral_norm)))
         if block.start <= center_row < block.stop:
             d2u_center = float(spectral_norm[center_row - block.start])
-        idx = dom.interior_idx[block]
         g2 = grad2(block)
-        phi.append(block_max(_phi_values(dom, idx, radius, g2, a_sup, top), block))
+        phi.append(block_max(_phi_values(dom, block, radius, g2, a_sup, top), block))
         if zero_data:
-            u = fld.flat[idx]
+            u = fld.flat[dom.interior_idx[block]]
             for beta in products:
                 products[beta] = float(np.maximum(products[beta],
                                                   np.max((-u) ** beta * spectral_norm)))
             include = (u < 0) & (top > 0)
             included |= bool(include.any())
-            p_diag.append(block_max(_p_values(dom, idx, u, top, g2, include), block))
+            p_diag.append(block_max(_p_values(dom, block, u, top, g2, include), block))
     if zero_data:
         if not included:
             raise DegenerateFieldError("every interior point was excluded from the diagnostic")

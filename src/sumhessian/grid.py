@@ -7,7 +7,8 @@ which yields staircase approximations of discs and balls. Fields store one
 value per grid point, boundary layer included. A domain keeps its mask,
 interior indices and strides, not its coordinates: the coordinate on axis
 a is lower[a] + h i_a, built per axis for every point or for an index
-array (``GridDomain.coordinate``).
+array (``GridDomain.coordinate``); ``squared_distance`` broadcasts each
+axis's coordinates over a box block's planes.
 
 Per-point symmetric matrices are packed: an array (d(d+1)/2, n) holds one
 contiguous row per entry (a, b), a <= b, in ``sym_pairs`` order, the
@@ -24,8 +25,9 @@ packed rows in closed form (``top_and_norm``), with no (n, d, d) stack.
 
 Building a domain, writing a field and reading one make no (N, dim) array
 and no Python object per grid value: the ball test sums squared distances
-axis by axis (``squared_distance``), the writer formats ``WRITE_CHUNK``
-values at a time, and the reader parses with numpy's C parser.
+axis by axis (``squared_distance``), the writer formats each distinct bit
+pattern of a ``WRITE_CHUNK`` block of values once, and the reader parses
+with numpy's C parser.
 """
 from __future__ import annotations
 
@@ -116,10 +118,14 @@ class GridDomain:
     def n_points(self) -> int:
         return int(np.prod(self.shape))
 
+    def axis_values(self, axis: int) -> np.ndarray:
+        """The coordinates lower + h i, i = 0 .. shape[axis] - 1, of one axis."""
+        return self.lower[axis] + self.h * np.arange(self.shape[axis])
+
     def coordinate(self, axis: int, idx: np.ndarray | None = None) -> np.ndarray:
         """Coordinate lower + h i on one axis of every grid point, (n_points,)
         in row-major order, or of the points at the flat indices idx."""
-        values = self.lower[axis] + self.h * np.arange(self.shape[axis])
+        values = self.axis_values(axis)
         if idx is None:
             along = [1] * self.dim
             along[axis] = self.shape[axis]
@@ -163,11 +169,26 @@ class GridDomain:
         return tuple(int(round((c - l) / self.h)) for c, l in zip(self.center, self.lower))
 
 
-def squared_distance(dom: GridDomain, center, idx: np.ndarray | None = None) -> np.ndarray:
-    """|x - center|^2 for every grid point x of dom, or for the points at the
-    flat indices idx. The squares are summed axis by axis, in axis order,
-    which is bitwise what ``np.sum((dom.points - center) ** 2, axis=1)``
-    gives, without its (N, dim) arrays."""
+def squared_distance(dom: GridDomain, center, where=None) -> np.ndarray:
+    """|x - center|^2 for every grid point x of dom (``where`` None), for the
+    interior positions a slice names (an ``interior_blocks`` block, say), or
+    for the points at the flat indices of an array. The squares are summed
+    axis by axis, in axis order, which is bitwise what
+    ``np.sum((dom.points - center) ** 2, axis=1)`` gives, without its
+    (N, dim) arrays. A slice of whole axis-0 planes (``_whole_planes``)
+    broadcasts each axis's squares over the block, with no index arithmetic
+    per point; another slice gathers at its interior indices."""
+    planes = _whole_planes(dom, where)
+    if planes is not None:
+        first, last = planes
+        spans = (slice(1 + first, 1 + last),) + (slice(1, -1),) * (dom.dim - 1)
+        out = np.zeros((last - first,) + tuple(n - 2 for n in dom.shape[1:]))
+        for a, c in enumerate(center):
+            along = [1] * dom.dim
+            along[a] = -1
+            out += (dom.axis_values(a)[spans[a]] - c).reshape(along) ** 2
+        return out.ravel()
+    idx = dom.interior_idx[where] if isinstance(where, slice) else where
     out = np.zeros(dom.n_points if idx is None else idx.size)
     for a, c in enumerate(center):
         out += (dom.coordinate(a, idx) - c) ** 2
@@ -205,6 +226,22 @@ def interior_blocks(dom: GridDomain):
     plane = dom.plane
     return point_blocks(dom.interior_idx.size,
                         max(1, BLOCK_POINTS // plane) * plane if plane else BLOCK_POINTS)
+
+
+def _whole_planes(dom: GridDomain, where):
+    """(first, last): the inner axis-0 planes first..last - 1 whose points
+    are the interior positions the slice ``where`` names, when the interior
+    is whole axis-0 planes (``GridDomain.plane``) and the slice has step 1
+    and covers whole planes; else None. Those positions, in interior_idx
+    order, are then the grid's points in those planes, inner on every
+    other axis, in row-major order."""
+    plane = dom.plane if isinstance(where, slice) else 0
+    if not plane:
+        return None
+    points = range(*where.indices(dom.interior_idx.size))
+    if points.step == 1 and points.start % plane == len(points) % plane == 0:
+        return points.start // plane, (points.start + len(points)) // plane
+    return None
 
 
 def make_domain(dim, lower, upper, cells, mask_name="box") -> GridDomain:
@@ -316,11 +353,9 @@ def _shifted(fld: ScalarField, where):
     dom = fld.domain
     if where is None:
         where = slice(None)
-    plane = dom.plane
-    points = range(*where.indices(dom.interior_idx.size)) if isinstance(where, slice) else None
-    if points is not None and plane and points.step == 1 \
-            and points.start % plane == len(points) % plane == 0:
-        first, last = points.start // plane, (points.start + len(points)) // plane
+    planes = _whole_planes(dom, where)
+    if planes is not None:
+        first, last = planes
 
         def at(o):
             o = o.tolist()
@@ -395,7 +430,14 @@ def gradient_field(fld: ScalarField, block: slice | None = None) -> np.ndarray:
 def write_field(fld: ScalarField, stream) -> None:
     """Plain-text format: header 'dim nx [ny [nz]] x0 y0 ... h mask X0 Y0 ...'
     (point counts, lower corner, spacing, mask name, upper corner), then one
-    value per line in row-major order.
+    value per line in row-major order, each as its ``repr``: the shortest
+    text that reads back bit for bit.
+
+    Each ``WRITE_CHUNK`` block of values is formatted one distinct bit
+    pattern at a time, its lines gathered from those texts: the symmetric
+    families repeat values bit for bit (the 64^3 quadratic holds 0.7%
+    distinct patterns, ball18 2.5%, expradial2d 16%), and a field with no
+    repeats writes within 5% of one ``repr`` per value.
 
     The upper corner is stored rather than rebuilt as lower + h * cells,
     which can round to a different corner: on a ball a different mask, on
@@ -407,7 +449,10 @@ def write_field(fld: ScalarField, stream) -> None:
     stream.write(" ".join(header) + "\n")
     flat = fld.flat
     for block in point_blocks(flat.size, WRITE_CHUNK):
-        stream.write("\n".join(map(repr, flat[block].tolist())) + "\n")
+        # distinct bit patterns, not distinct floats: -0.0 == 0.0 but reprs differ
+        bits, inverse = np.unique(flat[block].view(np.int64), return_inverse=True)
+        texts = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+        stream.write("\n".join(texts[inverse].tolist()) + "\n")
 
 
 def _header_number(parse, token: str):

@@ -98,7 +98,9 @@ class TestBlocksChangeNoBit:
     def test_blocks_slice_the_whole_stencil(self, dim, mask, monkeypatch):
         """Blocks cover the interior in order; a box block is whole inner
         planes along axis 0, a ball block BLOCK_POINTS points; the stencil of
-        a block is the whole interior's, sliced."""
+        a block is the whole interior's, sliced, and its squared distances
+        (broadcast from each axis's coordinates on a box) are the gather's
+        at its interior indices."""
         fld = bowl(dim, mask, dent=0.05)
         dom = fld.domain
         whole = grid.hessian_field(fld)
@@ -113,24 +115,37 @@ class TestBlocksChangeNoBit:
             assert size == (max(1, ODD_BLOCK // plane) * plane if mask == "box" else ODD_BLOCK)
         for block in blocks:
             assert grid.hessian_field(fld, block).tobytes() == whole[:, block].tobytes()
+            for center in (dom.center, np.linspace(-0.3, 0.7, dim)):
+                assert grid.squared_distance(dom, center, block).tobytes() \
+                    == grid.squared_distance(dom, center, dom.interior_idx[block]).tobytes()
 
 
 class TestFieldChunks:
     def test_round_trip_across_chunks(self, tmp_path, monkeypatch):
-        fld = bowl(2, "ball", dent=0.05, cells=10)
-        assert fld.values.size % 7
-        path = tmp_path / "bowl.field"
-        texts = []
-        for chunk in (fld.values.size, 7):
-            monkeypatch.setattr(grid, "WRITE_CHUNK", chunk)
-            with open(path, "w") as stream:
-                write_field(fld, stream)
-            texts.append(path.read_text())
-            with open(path) as stream:
-                back = read_field(stream)
-            assert back.values.tobytes() == fld.values.tobytes()
-        assert texts[0] == texts[1]
-        assert texts[0].split("\n", 1)[1] == "".join(f"{v!r}\n" for v in fld.flat.tolist())
+        """Each chunk's distinct bit patterns are formatted once, and every
+        line is still its value's repr. The second field holds -0.0 beside
+        +0.0, 2.5 on both sides of the first 7-value chunk boundary, the
+        least subnormal, and values either side of repr's switches between
+        positional and exponent form."""
+        edges = [-0.0, 0.0, 0.0, -0.0, 2.5, 2.5, 2.5, 2.5, 5e-324, -5e-324,
+                 1e16, 9999999999999998.0, 1e-05, 0.0001, 1e-05, 1e16]
+        bowl_fld = bowl(2, "ball", dent=0.05, cells=10)
+        dom = make_domain(2, (0.0, 0.0), (1.0, 1.0), (8, 8))
+        edge_fld = ScalarField(dom, np.resize(edges, dom.shape))
+        for fld in (bowl_fld, edge_fld):
+            assert fld.values.size % 7
+            path = tmp_path / "round.field"
+            texts = []
+            for chunk in (fld.values.size, 7):
+                monkeypatch.setattr(grid, "WRITE_CHUNK", chunk)
+                with open(path, "w") as stream:
+                    write_field(fld, stream)
+                texts.append(path.read_text())
+                with open(path) as stream:
+                    back = read_field(stream)
+                assert back.values.tobytes() == fld.values.tobytes()
+            assert texts[0] == texts[1]
+            assert texts[0].split("\n", 1)[1] == "".join(f"{v!r}\n" for v in fld.flat.tolist())
 
     @pytest.mark.parametrize("body,match", [
         ("0.0\n" * 80 + "nought\n", "nought"),
@@ -219,7 +234,10 @@ class TestDomainBuild:
 # 29.4 (box) and 21.4 (ball) when each prolongation was sliced out of
 # the whole grid's Kronecker product, 22.6 and 12.5 built block by block,
 # 20.6 and 11.4 with fixed-width rows (no present mask, no cumsum of it,
-# no level src maps). "linear_solve" is one _solve_linear at ETA_MAX on
+# no level src maps), and it now measures 10.43 and 5.96. "write_field" wrote
+# one repr per value at 0.384 (box) and 0.377 (ball), and formatting each
+# distinct bit pattern of a WRITE_CHUNK block once measures 0.228 and
+# 0.212. "linear_solve" is one _solve_linear at ETA_MAX on
 # the Jacobian of the quadratic for f = 18 + u + p1^2: BiCGSTAB's vectors
 # and one V-cycle's coarse operators and temporaries. It measured 17.7
 # (box) and 9.0 (ball) with the V-cycle forming new arrays for each
@@ -230,16 +248,17 @@ class TestDomainBuild:
 # as whole-grid arrays, before assembling the fixed-width data; 20.3 and
 # 12.6 with each block's terms going straight into its rows (19.9 and
 # 12.1 for an f(x), whose zero derivatives are constants). The data alone
-# is 17.3 (box). The pattern, extension, linearize and linear_solve bounds,
-# and the initial_guess bounds, are the last figures, plus at most 4%.
+# is 17.3 (box). The pattern, extension, linearize, linear_solve and
+# write_field bounds, and the initial_guess bounds, are the last figures,
+# plus at most 4%.
 PEAK_BOUNDS = {
     "box": {"admissible_mask": 3.85, "residual": 3.85, "residual_state_f": 3.85,
-            "boundary_values": 1.4, "build_report": 2.9, "write_field": 0.47,
-            "read_field": 2.75, "initial_guess": 4.4, "iterate": 3.85, "pattern": 21.4,
+            "boundary_values": 1.4, "build_report": 2.9, "write_field": 0.235,
+            "read_field": 2.75, "initial_guess": 4.4, "iterate": 3.85, "pattern": 10.8,
             "linearize": 21.1, "linear_solve": 16.7},
     "ball": {"admissible_mask": 3.4, "residual": 3.4, "residual_state_f": 3.4,
-             "boundary_values": 1.5, "build_report": 3.0, "write_field": 0.46,
-             "read_field": 2.65, "initial_guess": 5.1, "iterate": 3.4, "pattern": 11.85,
+             "boundary_values": 1.5, "build_report": 3.0, "write_field": 0.22,
+             "read_field": 2.65, "initial_guess": 5.1, "iterate": 3.4, "pattern": 6.15,
              "extension": 15.1, "linearize": 13.05, "linear_solve": 8.45},
 }
 # what a Jacobian pattern keeps, its V-cycle levels and their shared
@@ -247,8 +266,9 @@ PEAK_BOUNDS = {
 # with the coarse grids' interior index sets kept for a second pattern,
 # then 16.1 and 9.0 with fixed-width rows: the int32 column of every slot
 # and the list of absent slots, in place of the present mask, the CSR
-# indptr and each level's src map
-PATTERN_BOUNDS = {"box": 16.7, "ball": 9.3}
+# indptr and each level's src map. It now keeps 7.00 and 3.96; the bounds
+# are those figures plus at most 4%
+PATTERN_BOUNDS = {"box": 7.25, "ball": 4.1}
 # what a domain keeps, mask and interior indices; it kept 4.0 (box) and
 # 3.6 (ball) times the field with its (N, 3) coordinate array
 DOMAIN_BOUND = 1.1
