@@ -19,22 +19,34 @@ table ``grid.stencil_steps``, only. Its rows have a fixed width, slot j the
 neighbour one step j away: a neighbour on the boundary layer keeps its
 slot, which points at the row's own column and holds an exact +0.0, so the
 pattern is the int32 column of each slot and the short list of those absent
-slots. Each ``newton_solve`` makes one Jacobian pattern on the whole table,
+slots. Each ``newton_solve`` uses one Jacobian pattern on the whole table,
 built on first use, and hands it to every linearization, which then writes
 each step's weights into its column of ``data``. The harmonic extension of
 the ball's guess assembles its Laplacian on a pattern of its own, the
 table's centre and axis steps, so no row stores the mixed slots' zeros;
-that pattern is freed with the extension. Neither pattern is kept on the
-domain. The V-cycle's grid hierarchy (``_CoarseGrids``) depends on the
-domain only, so a solve builds it once, on the first linear solve, and both
-patterns' levels use it: the cells halve while every axis stays even and at
-least ``MIN_CELLS``, and each coarse grid keeps its n-linear prolongation
-P, the Kronecker product of one 1-D linear interpolation per axis
-(restriction is P^T / 2^d), built block by block from the interior index
-sets, each block's rows with ``scipy.sparse.kron``. A coarse operator
-takes the fine row of its injected point 2j, whole (slot j is the same
-step on every level), scaled by (h / 2h)^2 and zeroed at its own absent
-slots, so no Galerkin product is formed. The V-cycle forms its residuals
+that pattern is freed with the extension. The V-cycle's grid hierarchy
+(``_CoarseGrids``) depends on the domain only, so it is built once, on the
+first linear solve, and both patterns' levels use it: the cells halve
+while every axis stays even and at least ``MIN_CELLS``, and each coarse
+grid keeps its n-linear prolongation P, the Kronecker product of one 1-D
+linear interpolation per axis (restriction is P^T / 2^d), built block by
+block from the interior index sets, each block's rows with
+``scipy.sparse.kron``. A coarse operator takes the fine row of its injected
+point 2j, whole (slot j is the same step on every level), scaled by
+(h / 2h)^2 and zeroed at its own absent slots, so no Galerkin product is
+formed.
+
+The Jacobian pattern, with its levels and coarse grids, is a grid's
+set-up. ``newton_solve`` keeps the set-up of its last successful solve that
+ran a linear solve, one set-up at a time and never on the domain, and the
+next solve on an equal domain (dataclass equality: corners, cells and
+mask) takes it (``_kept``); a solve on another grid drops it before it
+builds its own. The kept pattern also holds the zero-data unit extension.
+With g = +0.0 the extension's mismatch is -c q, c a power of two, so the
+extension is c times its value at c = 1, bit for bit: the first zero-data
+guess on the pattern stores that value with its Krylov record, and every
+later one adds c times it and carries the record, with no Laplacian
+assembled and no BiCGSTAB run. The V-cycle forms its residuals
 and corrections in place and never writes its input. Across its linear
 solve a Newton step holds the iterate, its residual, the Jacobian and the
 pattern alone, and the last step's Jacobian and step go once that step is
@@ -630,6 +642,11 @@ class _JacobianPattern:
     ``absent`` are read-only: an in-place CSR operation
     (``eliminate_zeros``) on such a matrix raises instead of rewriting the
     pattern.
+
+    ``unit_extension`` is the zero-data ball guess's harmonic extension at
+    scale c = 1, read-only, with the Krylov iterations and linear residual
+    of the solve that made it, once the first zero-data ``initial_guess``
+    on the pattern has stored it; None until then.
     """
 
     def __init__(self, dom: GridDomain, directions: np.ndarray | None = None,
@@ -637,6 +654,7 @@ class _JacobianPattern:
         self.dom = dom
         self.directions = stencil_steps(dom.dim) if directions is None else directions
         self.grids = grids or _CoarseGrids(dom)
+        self.unit_extension: tuple[np.ndarray, int, float] | None = None
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -906,7 +924,9 @@ def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
                           scale: float) -> _Iterate:
     """Lower interior values at inadmissible points until the field is
     admissible with a uniform margin on the complement eigenvalues; the
-    repaired field is returned as a Newton iterate.
+    repaired field is returned as a Newton iterate. The margin and the step
+    are proportional to ``scale``, the guess's c, so the repair of t times
+    a field at t c lowers the same points as that of the field at c.
 
     Lowering u at a grid point adds an isotropic positive matrix to its
     discrete Hessian, which always pushes the point back into the cone;
@@ -918,9 +938,9 @@ def _repair_admissibility(fld: ScalarField, params: SumHessianParams,
     """
     dom = fld.domain
     d = dom.dim
-    margin = 0.1 * max(1.0, scale)
+    margin = 0.1 * scale
     shift = (margin / (d - 1)) * _packed_eye(d)
-    delta = 0.25 * dom.h * dom.h * max(1.0, scale)
+    delta = 0.25 * dom.h * dom.h * scale
     idx = dom.interior_idx
     offsets = stencil_steps(d) @ dom.strides
     trial = ScalarField(dom, fld.values.copy())
@@ -1030,12 +1050,20 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     The scale c is the smallest power of two making the constant-Hessian
     value dominate sup f over the interior, evaluated at u = 0, Du = 0:
     ``f_rest``, those values as ``_rhs_at_rest`` gives them (one value for
-    a constant f), or evaluated here when omitted. The extension's
+    a constant f), or evaluated here when omitted. The repair's margin and
+    step, and the extent that decides whether there is a mismatch, are
+    proportional to c, so the guess for (t alpha, t^k f, t g) is t times
+    the guess for (alpha, f, g) when t is a power of two. The extension's
     Laplacian has its own ``_JacobianPattern``, on the centre and axis
     steps of ``pattern``, the domain's Jacobian pattern (made here when
     omitted), whose coarse grids it shares, and is freed with the
-    Laplacian. The guess carries the extension's Krylov iterations and
-    linear residual (``_Iterate``), (0, 0.0) when it needs none.
+    Laplacian. With zero data (g = +0.0 bit for bit) the mismatch is -c q,
+    so the extension is c times that at c = 1: the first such guess on
+    ``pattern`` stores it there (``unit_extension``), and later ones add c
+    times it, with no Laplacian and no Krylov solve. The guess carries the
+    extension's Krylov iterations and linear residual (``_Iterate``), the
+    stored ones when it reuses the unit extension, and (0, 0.0) when it
+    needs none.
 
     g is read on the boundary layer only (``boundary_values``), and the
     guess is written into that one grid array, one ``grid.interior_blocks``
@@ -1056,30 +1084,45 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         return c * (0.5 * (squared_distance(dom, dom.center, points) - radius * radius))
 
     flat = boundary_values(dom, boundary)
+    zero_data = not flat.view(np.int64).any()   # g is +0.0 bit for bit
     values = flat.reshape(dom.shape)
     fld = ScalarField(dom, values)      # holds flat, whose interior is written below
-    extent = max(1.0, c, float(np.max(flat)), -float(np.min(flat)))
+    extent = max(c, float(np.max(flat)), -float(np.min(flat)))
     mismatched = max(float(np.max(np.abs(flat[b] - quad(b))))
                      for b in boundary_pieces(dom)) > 1e-14 * extent
 
     def extended():
         # harmonic extension x of the mismatch m: x = m on the boundary
         # layer and Lap_h x = 0 inside, i.e. A_II x_I = -(Lap_h m)_I with
-        # A_II the interior Laplacian
+        # A_II the interior Laplacian. With zero data m = -c q, and c is a
+        # power of two, so x is c times the extension at c = 1 bit for bit,
+        # and so are its Krylov iterates on the unit right-hand side
+        if zero_data and pattern.unit_extension is not None:
+            unit, krylov, linear_residual = pattern.unit_extension
+            for block in interior_blocks(dom):
+                flat[idx[block]] += c * unit[block]
+            return krylov, linear_residual
         mismatch = np.zeros(dom.n_points)
         for b in boundary_pieces(dom):
             mismatch[b] = flat[b] - quad(b)
         d = dom.dim
+        (lap_m,) = _blockwise(lambda hp: (_trace(hp, d),),
+                              ScalarField(dom, mismatch.reshape(dom.shape)))
+        del mismatch
         eye, zero_row = _packed_eye(d), np.zeros((1, d))
         axes = np.count_nonzero(pattern.directions, axis=1) <= 1
         laplacian = _JacobianPattern(dom, pattern.directions[axes], pattern.grids)
         lap = _assemble(dom, laplacian, lambda block: (eye, 0.0, zero_row))
-        (lap_m,) = _blockwise(lambda hp: (_trace(hp, d),),
-                              ScalarField(dom, mismatch.reshape(dom.shape)))
-        del mismatch
         x, krylov, linear_residual = _solve_linear(lap, lap_m, EXTENSION_RTOL, laplacian)
         for block in interior_blocks(dom):
             flat[idx[block]] += x[block]
+        if zero_data:
+            # kept in lap_m's array, made before the Laplacian and the
+            # Krylov vectors: a vector kept from among theirs would split
+            # the heap they free and raise the Newton steps' peak RSS
+            np.divide(x, c, out=lap_m)
+            lap_m.flags.writeable = False
+            pattern.unit_extension = lap_m, krylov, linear_residual
         return krylov, linear_residual
 
     if dom.plane:
@@ -1102,6 +1145,12 @@ def initial_guess(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
 
 # ---------------------------------------------------------------------------
 # damped Newton
+
+# The set-up of the last successful solve that made one: its Jacobian
+# pattern, with the pattern's arrays and V-cycle levels, its coarse grids and
+# its unit extension, which the next solve on an equal domain reuses.
+_kept: _JacobianPattern | None = None
+
 
 @_clears_frames
 def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
@@ -1126,11 +1175,22 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
     guess's scale. An f(x) right-hand side (``_state_free``) is evaluated
     there only: every residual of the solve reads those values, which for
     a constant f are one value, not an (n_interior,) array.
+
+    The solve takes the kept set-up (``_kept``) when its domain equals
+    ``dom``, and otherwise drops it and makes its own, which it keeps when
+    it succeeds after a linear solve; the results are the same bit for bit.
     """
+    global _kept
     config = config or SolveConfig()
     _check_dim(dom, params)
     f_values = _rhs_at_rest(dom, rhs)
-    pattern = _JacobianPattern(dom)
+    if _kept is not None and _kept.dom == dom:
+        # pointed at the caller's domain, so no second equal domain stays alive
+        pattern = _kept
+        pattern.dom = pattern.grids.dom = dom
+    else:
+        _kept = None    # dropped before a pattern for another grid is built
+        pattern = _JacobianPattern(dom)
     fld = initial_guess(dom, params, rhs, boundary, pattern=pattern, f_rest=f_values)
     if not _state_free(rhs, dom.dim):
         f_values = None     # f is then evaluated on every residual's field
@@ -1192,6 +1252,9 @@ def newton_solve(dom: GridDomain, params: SumHessianParams, rhs: RhsSpec,
         del mat, delta_int, accepted, res_try
 
     admissible = bool(admissible_mask(fld, params).all())
+    # a solve that ran no linear solve made no set-up worth keeping
+    if "levels" in vars(pattern.grids):
+        _kept = pattern
     # the solve is done with the iterate: its values go out as a plain,
     # writeable field
     fld.values.flags.writeable = True

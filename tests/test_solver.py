@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import weakref
+from dataclasses import astuple
 from functools import cached_property
 
 import numpy as np
@@ -392,38 +393,103 @@ class TestAssembly:
     def test_one_pattern_per_solve_built_on_first_use(self, monkeypatch):
         import sumhessian.solver as solver_mod
 
-        built, grids = [], []
+        built, grids, kept_at_build, solved_on = [], [], [], []
 
         def count(cls, attr, log):
             build = getattr(cls, attr).func
 
             def counting(self):
                 log.append(self)
+                kept_at_build.append(solver_mod._kept)
                 return build(self)
 
             prop = cached_property(counting)
             prop.__set_name__(cls, attr)
             monkeypatch.setattr(cls, attr, prop)
 
+        def solve_linear(mat, b, rtol, pattern, solve=solver_mod._solve_linear):
+            solved_on.append(pattern)
+            return solve(mat, b, rtol, pattern)
+
         count(solver_mod._JacobianPattern, "arrays", built)
         count(solver_mod._CoarseGrids, "levels", grids)
+        monkeypatch.setattr(solver_mod, "_solve_linear", solve_linear)
         params = SumHessianParams(3, 2, 1.0)
         # a ball solve builds the extension's (2d + 1)-point Laplacian
         # pattern, then the one Jacobian pattern of every Newton step; both
         # are built on one set of coarse grids, whose prolongations they share
         ball = make_domain(3, (-1,) * 3, (1,) * 3, (16,) * 3, mask_name="ball")
-        assert newton_solve(ball, params, RhsSpec.parse("18"), ZERO).iterations > 0
+        first = newton_solve(ball, params, RhsSpec.parse("18"), ZERO)
+        assert first.iterations > 0
         assert [(p.dom, len(p.directions)) for p in built] == [(ball, 7), (ball, 19)]
         assert len(grids) == 1 and all(p.grids is grids[0] for p in built)
         laplacian, jacobian = built
         assert len(jacobian.levels) == 1
         assert laplacian.levels[0][0] is jacobian.levels[0][0] is grids[0].levels[0][0]
-        # an exact guess on a box assembles nothing and builds nothing
+        assert solved_on == [laplacian] + [jacobian] * first.iterations
+        # the solve keeps its Jacobian pattern, and with it the coarse grids
+        # and the zero-data unit extension
+        assert solver_mod._kept is jacobian and jacobian.unit_extension is not None
+        # a solve on an equal but distinct domain builds no pattern and runs
+        # no extension solve: it takes the kept set-up, pointed at its own
+        # domain, and its guess carries the stored extension's record
+        again = make_domain(3, (-1,) * 3, (1,) * 3, (16,) * 3, mask_name="ball")
+        assert again is not ball and again == ball
+        del solved_on[:]
+        second = newton_solve(again, params, RhsSpec.parse("18"), ZERO)
+        assert len(built) == 2 and len(grids) == 1
+        assert solved_on == [jacobian] * second.iterations
+        assert solver_mod._kept is jacobian
+        assert jacobian.dom is again and jacobian.grids.dom is again
+        assert second.field.values.tobytes() == first.field.values.tobytes()
+        assert trace_bits(second.trace) == trace_bits(first.trace)
+        # a solve on another grid drops the kept set-up before it builds its
+        # own, which it then keeps
+        other = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3, mask_name="ball")
+        newton_solve(other, params, RhsSpec.parse("18"), ZERO)
+        assert [(p.dom, len(p.directions)) for p in built[2:]] == [(other, 7), (other, 19)]
+        assert kept_at_build[3:] == [None] * 3
+        assert solver_mod._kept is built[3] and len(grids) == 2
+        # an exact guess on a box assembles nothing, builds nothing and
+        # keeps nothing
         box = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3)
         exact = newton_solve(box, params, RhsSpec.parse("18"),
                              expr.parse("(x1^2 + x2^2 + x3^2 - 1)/2"))
         assert exact.iterations == 0
-        assert len(built) == 2 and len(grids) == 1
+        assert len(built) == 4 and len(grids) == 2
+        assert solver_mod._kept is None
+
+    def test_kept_set_up_changes_no_bit(self):
+        """Zero-data ball solves at guess scales c = 2^-2, 1, 4 and 8, each
+        run after a solve at another c whose set-up and unit extension it
+        reuses, are the cold solves bit for bit: the field and every trace
+        column. A box whose nonzero g runs the extension stores none."""
+        import sumhessian.solver as solver_mod
+
+        params = SumHessianParams(3, 2, 1.0)
+        scales = {"2": 0.25, "18": 1.0, "72": 4.0, "288": 8.0}
+        assert {f: quadratic_scale(params, float(f)) for f in scales} == scales
+
+        def solve(f):
+            ball = make_domain(3, (-1,) * 3, (1,) * 3, (16,) * 3, mask_name="ball")
+            result = newton_solve(ball, params, RhsSpec.parse(f), ZERO)
+            return result.field.values.tobytes(), trace_bits(result.trace)
+
+        cold = {}
+        for f in scales:
+            solver_mod._kept = None
+            cold[f] = solve(f)
+        for f, before in zip(scales, ["288", "2", "18", "72"]):
+            solver_mod._kept = None
+            solve(before)
+            unit = solver_mod._kept.unit_extension
+            assert solve(f) == cold[f]
+            assert solver_mod._kept.unit_extension is unit
+        box = make_domain(3, (-1,) * 3, (1,) * 3, (8,) * 3)
+        result = newton_solve(box, SumHessianParams(3, 3, 1.0), RhsSpec.parse("20 + x1"),
+                              expr.parse("0.1 * x1 * x2"))
+        assert result.trace[0].krylov > 0
+        assert solver_mod._kept.unit_extension is None
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_laplacian_pattern_drops_only_the_zero_slots(self, dim):
@@ -1028,6 +1094,12 @@ class TestInitialGuess:
             boundary_values(dom, expr.parse("log(x1)"))
 
 
+def trace_bits(trace) -> list[tuple]:
+    """Every column of each trace entry, floats as their exact hex."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in astuple(entry))
+            for entry in trace]
+
+
 def held_state(exc, dom) -> list:
     """(function, local name) of every sparse matrix, _JacobianPattern,
     ScalarField or array of at least n_interior elements that the frames of
@@ -1538,3 +1610,51 @@ class TestNewton:
         h = fields[1.0].field.domain.h
         scaled = 4.0 * fields[1.0].field.values
         assert np.max(np.abs(fields[2.0].field.values - scaled)) <= 5 * h * h
+
+
+def scaled_solve(dim, mask, k, f, g, t):
+    """The 16-cell solve of (t alpha, t^k f(x, v/t, p/t), t g) at tol 1e-10 t^k,
+    alpha = 1: the instance v = t u solves when u solves (1, f, g). ``f`` is a
+    template whose fields {u} and {p1}.. {p_dim} stand for the state."""
+    dom = make_domain(dim, (-1,) * dim, (1,) * dim, (16,) * dim, mask_name=mask)
+    state = ["u"] + [f"p{a + 1}" for a in range(dim)]
+    rhs = f"{t ** k!r} * ({f.format(**{name: f'({name} / {t!r})' for name in state})})"
+    return newton_solve(dom, SumHessianParams(dim, k, t), RhsSpec.parse(rhs),
+                        expr.parse(f"{t!r} * ({g})"), SolveConfig(tol=1e-10 * t ** k))
+
+
+class TestScaleCovariance:
+    """If u solves (alpha, f(x, u, p), g), then v = t u solves (t alpha,
+    t^k f(x, v/t, p/t), t g). For a power of two t with tol scaled by t^k the
+    discrete solve is that law bit for bit: the guess scale is t c, the
+    repair's margin and step scale with c, and every Krylov solve runs on a
+    unit right-hand side. So the field is t u, each trace residual t^k times
+    the unscaled one, and the steps, Krylov counts and linear residuals are
+    the same."""
+
+    @pytest.mark.parametrize("dim,mask,k,f,g,t", [
+        # zero data: the scaled guess reuses the unscaled solve's extension
+        *[pytest.param(3, "ball", 2, "18", "0", t, id=f"ball-t{t:g}") for t in (2.0, 0.5, 4.0)],
+        # nonzero g on a box whose face blend is inadmissible, f(x, u, p)
+        *[pytest.param(2, "box", 2, "3 + x1/4 + {u} + {p1}^2", "0.3 * x1 * x2", t,
+                       id=f"box-g-t{t:g}") for t in (2.0, 0.5, 4.0)],
+        # zero data with guess scale c < 1 on one side: (alpha, f) = (4, 56)
+        # against (1, 0.875), and (1/2, 2.5) against (1, 20)
+        pytest.param(3, "box", 3, "0.875", "0", 4.0, id="box-c-below-1-t4"),
+        pytest.param(3, "box", 3, "20", "0", 0.5, id="box-c-below-1-t0.5"),
+    ])
+    def test_scaling_is_bitwise(self, dim, mask, k, f, g, t):
+        import sumhessian.solver as solver_mod
+
+        base = scaled_solve(dim, mask, k, f, g, 1.0)
+        unit = solver_mod._kept.unit_extension
+        scaled = scaled_solve(dim, mask, k, f, g, t)
+        assert solver_mod._kept.unit_extension is unit
+        assert (unit is None) == (g != "0")
+        assert scaled.field.values.tobytes() == (t * base.field.values).tobytes()
+        assert scaled.admissible and base.admissible
+        assert [(e.iteration, e.residual, e.step, e.krylov, e.linear_residual)
+                for e in scaled.trace] == \
+            [(e.iteration, t ** k * e.residual, e.step, e.krylov, e.linear_residual)
+             for e in base.trace]
+        assert scaled.trace[0].krylov > 0
